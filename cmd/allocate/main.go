@@ -67,10 +67,11 @@ func verifyAllocation(prof *profile.Profile, alloc *core.Allocation, threshold u
 	switch corrupt {
 	case "":
 	case "graph":
-		desc, err := analysis.CorruptGraph(alloc.Graph, threshold)
+		g, desc, err := analysis.CorruptGraph(alloc.Graph, threshold)
 		if err != nil {
 			return err
 		}
+		alloc.Graph = g
 		fmt.Printf("corrupted graph: %s\n", desc)
 	case "alloc":
 		desc, err := analysis.CorruptAllocation(alloc)

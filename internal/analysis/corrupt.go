@@ -8,29 +8,40 @@ import (
 )
 
 // The Corrupt* helpers each seed one representative invariant violation
-// into an artifact, returning a description of what they broke. They
-// exist for negative testing: the verifier unit tests and the CLIs'
-// -corrupt flags use them to prove the -check path actually fails when
-// an artifact is bad. They are never called from the pipeline itself.
+// into an artifact (a copy, for the immutable conflict graph), returning
+// a description of what they broke. They exist for negative testing:
+// the verifier unit tests and the CLIs' -corrupt flags use them to prove
+// the -check path actually fails when an artifact is bad. They are never
+// called from the pipeline itself.
 
-// CorruptGraph adds a sub-threshold edge between the first two nodes
-// with no existing edge, violating the pruning invariant.
-func CorruptGraph(g *graph.Graph, threshold uint64) (string, error) {
+// CorruptGraph returns a copy of g with a sub-threshold edge added
+// between the first two nodes with no existing edge, violating the
+// pruning invariant. g itself is left unchanged.
+func CorruptGraph(g *graph.Graph, threshold uint64) (*graph.Graph, string, error) {
 	if threshold <= 1 {
-		// AddEdge discards zero-weight edges, so there is no representable
+		// Graphs drop zero-weight edges, so there is no representable
 		// sub-threshold edge below threshold 1.
-		return "", fmt.Errorf("analysis: cannot corrupt below threshold %d", threshold)
+		return nil, "", fmt.Errorf("analysis: cannot corrupt below threshold %d", threshold)
 	}
-	for u := 0; u < g.N(); u++ {
-		for v := u + 1; v < g.N(); v++ {
-			if !g.HasEdge(int32(u), int32(v)) {
-				g.AddEdge(int32(u), int32(v), threshold-1)
-				return fmt.Sprintf("added edge {%d,%d} with weight %d below threshold %d",
-					u, v, threshold-1, threshold), nil
+	for u := int32(0); int(u) < g.N(); u++ {
+		for v := u + 1; int(v) < g.N(); v++ {
+			if g.HasEdge(u, v) {
+				continue
 			}
+			pairs := []graph.Pair{{U: u, V: v, W: threshold - 1}}
+			for a := int32(0); int(a) < g.N(); a++ {
+				ns, ws := g.Row(a)
+				for i, b := range ns {
+					if a < b {
+						pairs = append(pairs, graph.Pair{U: a, V: b, W: ws[i]})
+					}
+				}
+			}
+			return graph.FromPairs(g.N(), pairs), fmt.Sprintf("added edge {%d,%d} with weight %d below threshold %d",
+				u, v, threshold-1, threshold), nil
 		}
 	}
-	return "", fmt.Errorf("analysis: graph too dense to corrupt (every pair connected)")
+	return nil, "", fmt.Errorf("analysis: graph too dense to corrupt (every pair connected)")
 }
 
 // CorruptWorkingSets duplicates the first member of the first non-empty

@@ -32,8 +32,9 @@ func VerifyGraph(g *graph.Graph, threshold uint64) error {
 		return fmt.Errorf("analysis: nil graph")
 	}
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.SortedNeighbors(int32(u)) {
-			w := g.Weight(int32(u), v)
+		ns, ws := g.Row(int32(u))
+		for i, v := range ns {
+			w := ws[i]
 			if v == int32(u) {
 				return fmt.Errorf("analysis: graph has self-loop at node %d (weight %d)", u, w)
 			}
@@ -116,7 +117,8 @@ func extendsClique(g *graph.Graph, members []int32) (int32, bool) {
 	for _, id := range members {
 		inSet[id] = true
 	}
-	for _, v := range g.SortedNeighbors(members[0]) {
+	ns, _ := g.Row(members[0])
+	for _, v := range ns {
 		if inSet[v] {
 			continue
 		}
@@ -199,7 +201,8 @@ func VerifyAllocation(p *profile.Profile, a *core.Allocation) error {
 
 	g := a.Graph
 	for u := 0; u < g.N() && u < len(colors); u++ {
-		for _, v := range g.SortedNeighbors(int32(u)) {
+		ns, _ := g.Row(int32(u))
+		for _, v := range ns {
 			if int32(u) >= v || colors[u] != colors[v] {
 				continue
 			}
@@ -226,7 +229,8 @@ func VerifyAllocation(p *profile.Profile, a *core.Allocation) error {
 // ... map to the same location").
 func entrySaturated(g *graph.Graph, colors []int, u int32, firstFree, tableSize int) bool {
 	used := make(map[int]bool)
-	for _, v := range g.SortedNeighbors(u) {
+	ns, _ := g.Row(u)
+	for _, v := range ns {
 		used[colors[v]] = true
 	}
 	for c := firstFree; c < tableSize; c++ {

@@ -54,11 +54,11 @@ func TestVerifyGraphAccepts(t *testing.T) {
 
 func TestVerifyGraphRejectsCorruption(t *testing.T) {
 	res := analyze(t, core.MaximalCliques)
-	desc, err := CorruptGraph(res.Graph, testThreshold)
+	bad, desc, err := CorruptGraph(res.Graph, testThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyGraph(res.Graph, testThreshold); err == nil {
+	if err := VerifyGraph(bad, testThreshold); err == nil {
 		t.Fatalf("corrupted graph (%s) accepted", desc)
 	} else if !strings.Contains(err.Error(), "below pruning threshold") {
 		t.Fatalf("wrong rejection: %v", err)
@@ -66,13 +66,41 @@ func TestVerifyGraphRejectsCorruption(t *testing.T) {
 }
 
 func TestVerifyGraphRejectsSelfLoopAndRange(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1, 2*testThreshold)
+	g := graph.FromPairs(2, []graph.Pair{{U: 0, V: 1, W: 2 * testThreshold}})
 	if err := VerifyGraph(g, testThreshold); err != nil {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
 	if err := VerifyGraph(g, 3*testThreshold); err == nil {
 		t.Fatal("under-threshold edge accepted at higher threshold")
+	}
+}
+
+// TestCorruptGraphLeavesInputUnchanged checks that CorruptGraph works
+// on a copy: the input still verifies and keeps its edges, while the
+// returned graph carries one extra sub-threshold edge the verifier
+// rejects.
+func TestCorruptGraphLeavesInputUnchanged(t *testing.T) {
+	res := analyze(t, core.MaximalCliques)
+	g := res.Graph
+	before := g.String()
+	bad, desc, err := CorruptGraph(g, testThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.String() != before {
+		t.Fatalf("input mutated: %s, was %s", g, before)
+	}
+	if err := VerifyGraph(g, testThreshold); err != nil {
+		t.Fatalf("input no longer verifies after %s: %v", desc, err)
+	}
+	if bad == g || bad.NumEdges() != g.NumEdges()+1 || bad.TotalWeight() != g.TotalWeight()+testThreshold-1 {
+		t.Fatalf("corrupted copy %s, input %s: want exactly one added edge of weight %d", bad, g, testThreshold-1)
+	}
+	if err := VerifyGraph(bad, testThreshold); err == nil {
+		t.Fatalf("corrupted copy (%s) accepted", desc)
+	}
+	if _, _, err := CorruptGraph(g, 1); err == nil {
+		t.Fatal("corruption below threshold 1 accepted")
 	}
 }
 

@@ -155,7 +155,7 @@ func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
 	spec := graph.ColoringSpec{K: cfg.TableSize}
 	reservedT, reservedNT := -1, -1
 	if cls != nil {
-		removeSameClassEdges(g, cls)
+		g = removeSameClassEdges(g, cls)
 		spec.Pinned, spec.FirstFree, reservedT, reservedNT = biasedPins(cls)
 	}
 
@@ -187,14 +187,8 @@ func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
 // removeSameClassEdges applies the Section 5.2 refinement: conflicts
 // between branches in the same highly biased class are dropped; their
 // histories agree anyway.
-func removeSameClassEdges(g *graph.Graph, cls *classify.Classification) {
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.SortedNeighbors(int32(u)) {
-			if int32(u) < v && cls.SameBiasedClass(int32(u), v) {
-				g.RemoveEdge(int32(u), v)
-			}
-		}
-	}
+func removeSameClassEdges(g *graph.Graph, cls *classify.Classification) *graph.Graph {
+	return g.Filter(func(u, v int32, _ uint64) bool { return !cls.SameBiasedClass(u, v) })
 }
 
 // biasedPins reserves two entries and pins biased branches to them.
@@ -235,7 +229,7 @@ func ConventionalCost(p *profile.Profile, tableSize int, threshold uint64, cls *
 	}
 	g := p.BuildGraph(threshold)
 	if cls != nil {
-		removeSameClassEdges(g, cls)
+		g = removeSameClassEdges(g, cls)
 	}
 	return conventionalCostOn(g, p, tableSize)
 }
@@ -271,17 +265,15 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	// Build the conflict graph and classification once: the coloring
-	// below never mutates the graph, and every probed size colors the
-	// same pruned graph. (The search used to rebuild both per size —
-	// a dozen redundant graph constructions per Table 3 row.)
+	// Build the conflict graph and classification once: graphs are
+	// immutable, and every probed size colors the same pruned graph.
 	g := p.BuildGraph(threshold)
 	var cls *classify.Classification
 	var pinned map[int32]int
 	firstFree := 0
 	if cfg.UseClassification {
 		cls = classify.Classify(p, cfg.classThresholds())
-		removeSameClassEdges(g, cls)
+		g = removeSameClassEdges(g, cls)
 		pinned, firstFree, _, _ = biasedPins(cls)
 	}
 	baseline := conventionalCostOn(g, p, baselineSize)

@@ -74,7 +74,7 @@ type AnalysisConfig struct {
 	// Workers splits maximal-clique enumeration across a worker pool
 	// (top-level Bron-Kerbosch subtrees); <= 1 enumerates serially. The
 	// extracted sets are identical for any value — results merge through
-	// a canonical sort (see graph.MaximalCliquesParallel).
+	// a canonical sort (see graph.MaximalCliquesObs).
 	Workers int
 	// Metrics, when non-nil, records clique-enumeration effort (subtask
 	// counts, budget steps, truncations). Never affects the result.

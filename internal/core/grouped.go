@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/classify"
-	"repro/internal/graph"
 	"repro/internal/profile"
 )
 
@@ -84,13 +83,12 @@ func AnalyzeGrouped(p *profile.Profile, cfg AnalysisConfig, th classify.Threshol
 
 	// Re-accumulate interleave counts over groups; intra-group pairs
 	// disappear (a group shares one resource, so it cannot conflict
-	// with itself).
-	g := graph.New(len(members))
+	// with itself). Thresholds apply to the summed group counts.
+	grouped := profile.NewPairCounts(0)
 	p.Pairs.Range(func(k, w uint64) bool {
 		a, b := profile.UnpackPair(k)
-		ga, gb := groupOf[a], groupOf[b]
-		if ga != gb {
-			g.AddEdge(ga, gb, w)
+		if ga, gb := groupOf[a], groupOf[b]; ga != gb {
+			grouped.Add(profile.PairKey(ga, gb), w)
 		}
 		return true
 	})
@@ -98,7 +96,7 @@ func AnalyzeGrouped(p *profile.Profile, cfg AnalysisConfig, th classify.Threshol
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	g = g.Prune(threshold)
+	g := grouped.Graph(len(members), threshold)
 
 	// Group execution weights for the dynamic averages.
 	exec := make([]uint64, len(members))
@@ -116,7 +114,7 @@ func AnalyzeGrouped(p *profile.Profile, cfg AnalysisConfig, th classify.Threshol
 	truncated := false
 	switch cfg.Definition {
 	case MaximalCliques:
-		res := g.MaximalCliquesParallel(cfg.CliqueBudget, cfg.IncludeSingletons, cfg.Workers)
+		res := g.MaximalCliquesObs(cfg.CliqueBudget, cfg.IncludeSingletons, cfg.Workers, nil)
 		cliques, truncated = res.Cliques, res.Truncated
 	case GreedyPartition:
 		cliques = g.GreedyCliquePartition(cfg.IncludeSingletons)

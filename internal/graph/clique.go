@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,9 +29,9 @@ type CliqueResult struct {
 // graphs from hanging an experiment run.
 const DefaultCliqueBudget = 5_000_000
 
-// MaximalCliques enumerates the maximal complete subgraphs of g using
-// Bron-Kerbosch with pivoting. These are the paper's branch working
-// sets: "a set of conditional branch instructions which form a
+// MaximalCliquesObs enumerates the maximal complete subgraphs of g
+// using Bron-Kerbosch with pivoting. These are the paper's branch
+// working sets: "a set of conditional branch instructions which form a
 // completely interconnected subgraph in the branch conflict graph"
 // (Section 4.1). Isolated nodes (degree 0) are reported as singleton
 // working sets only when includeSingletons is true; a branch that never
@@ -39,30 +40,21 @@ const DefaultCliqueBudget = 5_000_000
 //
 // budget caps the total number of recursion steps; <= 0 selects
 // DefaultCliqueBudget.
-func (g *Graph) MaximalCliques(budget int, includeSingletons bool) CliqueResult {
-	return g.MaximalCliquesParallel(budget, includeSingletons, 1)
-}
-
-// MaximalCliquesParallel is MaximalCliques with the enumeration split
-// across up to workers goroutines. The split happens at the root of the
-// Bron-Kerbosch recursion: the top-level pivot's candidate branches are
-// materialized as independent subtasks (each with its own candidate and
-// exclusion snapshot) and farmed out to a worker pool sharing one atomic
-// step budget. Subtask results are merged through the same canonical
-// sort the serial path uses, so the output is byte-identical for any
-// worker count whenever the budget is not exhausted. Under exhaustion
-// both modes report Truncated, but the enumerated subset may differ —
-// truncated counts are lower bounds either way.
 //
-// workers <= 1 runs the exact serial enumeration.
-func (g *Graph) MaximalCliquesParallel(budget int, includeSingletons bool, workers int) CliqueResult {
-	return g.MaximalCliquesObs(budget, includeSingletons, workers, nil)
-}
-
-// MaximalCliquesObs is MaximalCliquesParallel with enumeration-effort
-// metrics: subtasks spawned, budget steps consumed, cliques reported,
-// and truncation events are recorded into m (nil disables recording —
-// the enumeration itself is identical either way).
+// workers > 1 splits the enumeration across up to workers goroutines at
+// the root of the Bron-Kerbosch recursion: the top-level pivot's
+// candidate branches are materialized as independent subtasks (each
+// with its own candidate and exclusion snapshot) and farmed out to a
+// worker pool sharing one atomic step budget. Subtask results are
+// merged through the same canonical sort the serial path uses, so the
+// output is byte-identical for any worker count whenever the budget is
+// not exhausted. Under exhaustion both modes report Truncated, but the
+// enumerated subset may differ — truncated counts are lower bounds
+// either way. workers <= 1 runs the exact serial enumeration.
+//
+// Enumeration-effort metrics (subtasks spawned, budget steps consumed,
+// cliques reported, truncation events) are recorded into m; nil
+// disables recording, and the enumeration is identical either way.
 func (g *Graph) MaximalCliquesObs(budget int, includeSingletons bool, workers int, m *obs.CliqueMetrics) CliqueResult {
 	if budget <= 0 {
 		budget = DefaultCliqueBudget
@@ -150,16 +142,16 @@ func (e *cliqueEnum) take() bool {
 // so parallel subtasks share them safely.
 func componentCtx(g *Graph, comp []int32) (adj []bitset) {
 	m := len(comp)
-	local := make(map[int32]int32, m)
-	for i, u := range comp {
-		local[u] = int32(i)
-	}
 	adj = make([]bitset, m)
 	for i, u := range comp {
 		row := newBitset(m)
-		g.Neighbors(u, func(v int32, _ uint64) {
-			row.set(local[v])
-		})
+		// comp is sorted and holds every neighbor of u, so a neighbor's
+		// local id is its position in comp.
+		ns, _ := g.Row(u)
+		for _, v := range ns {
+			j, _ := slices.BinarySearch(comp, v)
+			row.set(int32(j))
+		}
 		adj[i] = row
 	}
 	return adj
@@ -368,12 +360,13 @@ func (g *Graph) GreedyCliquePartition(includeSingletons bool) [][]int32 {
 			v int32
 			w uint64
 		}
-		cands := make([]cand, 0, g.Degree(seed))
-		g.Neighbors(seed, func(v int32, w uint64) {
+		ns, ws := g.Row(seed)
+		cands := make([]cand, 0, len(ns))
+		for i, v := range ns {
 			if !assigned[v] {
-				cands = append(cands, cand{v, w})
+				cands = append(cands, cand{v, ws[i]})
 			}
-		})
+		}
 		sort.Slice(cands, func(i, j int) bool {
 			if cands[i].w != cands[j].w {
 				return cands[i].w > cands[j].w

@@ -9,10 +9,7 @@ import (
 // obsGraph builds two planted cliques plus a singleton — 2 maximal
 // cliques, deterministic enumeration effort.
 func obsGraph() *Graph {
-	g := New(8)
-	addClique(g, 5, 0, 1, 2, 3)
-	addClique(g, 5, 4, 5, 6)
-	return g
+	return FromPairs(8, append(cliquePairs(5, 0, 1, 2, 3), cliquePairs(5, 4, 5, 6)...))
 }
 
 // TestCliqueMetricsRecorded checks the enumeration-effort counters for
@@ -51,7 +48,7 @@ func TestCliqueMetricsRecorded(t *testing.T) {
 
 		// Recording must not change the result: compare against the
 		// unobserved enumeration.
-		plain := obsGraph().MaximalCliquesParallel(0, false, workers)
+		plain := obsGraph().MaximalCliquesObs(0, false, workers, nil)
 		if len(plain.Cliques) != len(res.Cliques) {
 			t.Errorf("workers=%d: observed enumeration differs from plain", workers)
 		}

@@ -7,15 +7,6 @@ import (
 	"repro/internal/rng"
 )
 
-// addClique wires all pairs among nodes with weight w.
-func addClique(g *Graph, w uint64, nodes ...int32) {
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			g.AddEdge(nodes[i], nodes[j], w)
-		}
-	}
-}
-
 func cliqueSet(cliques [][]int32) map[string]bool {
 	out := make(map[string]bool)
 	for _, c := range cliques {
@@ -29,10 +20,8 @@ func cliqueSet(cliques [][]int32) map[string]bool {
 }
 
 func TestMaximalCliquesTriangle(t *testing.T) {
-	g := New(4)
-	addClique(g, 1, 0, 1, 2)
-	g.AddEdge(2, 3, 1)
-	res := g.MaximalCliques(0, false)
+	g := FromPairs(4, append(cliquePairs(1, 0, 1, 2), Pair{2, 3, 1}))
+	res := g.MaximalCliquesObs(0, false, 1, nil)
 	if res.Truncated {
 		t.Fatal("tiny graph truncated")
 	}
@@ -44,10 +33,8 @@ func TestMaximalCliquesTriangle(t *testing.T) {
 
 func TestMaximalCliquesOverlapping(t *testing.T) {
 	// Two overlapping triangles sharing an edge: {0,1,2} and {1,2,3}.
-	g := New(4)
-	addClique(g, 1, 0, 1, 2)
-	addClique(g, 1, 1, 2, 3)
-	res := g.MaximalCliques(0, false)
+	g := FromPairs(4, append(cliquePairs(1, 0, 1, 2), cliquePairs(1, 1, 2, 3)...))
+	res := g.MaximalCliquesObs(0, false, 1, nil)
 	got := cliqueSet(res.Cliques)
 	if len(got) != 2 || !got["ABC"] || !got["BCD"] {
 		t.Fatalf("cliques %v", res.Cliques)
@@ -55,10 +42,8 @@ func TestMaximalCliquesOverlapping(t *testing.T) {
 }
 
 func TestMaximalCliquesDisjoint(t *testing.T) {
-	g := New(7)
-	addClique(g, 1, 0, 1, 2)
-	addClique(g, 1, 3, 4, 5, 6)
-	res := g.MaximalCliques(0, false)
+	g := FromPairs(7, append(cliquePairs(1, 0, 1, 2), cliquePairs(1, 3, 4, 5, 6)...))
+	res := g.MaximalCliquesObs(0, false, 1, nil)
 	if len(res.Cliques) != 2 {
 		t.Fatalf("cliques = %d, want 2", len(res.Cliques))
 	}
@@ -70,13 +55,12 @@ func TestMaximalCliquesDisjoint(t *testing.T) {
 }
 
 func TestMaximalCliquesSingletons(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	res := g.MaximalCliques(0, false)
+	g := FromPairs(3, []Pair{{0, 1, 1}})
+	res := g.MaximalCliquesObs(0, false, 1, nil)
 	if len(res.Cliques) != 1 {
 		t.Fatalf("without singletons: %d cliques", len(res.Cliques))
 	}
-	res = g.MaximalCliques(0, true)
+	res = g.MaximalCliquesObs(0, true, 1, nil)
 	if len(res.Cliques) != 2 {
 		t.Fatalf("with singletons: %d cliques, want 2 (edge + isolated node)", len(res.Cliques))
 	}
@@ -87,7 +71,7 @@ func TestMaximalCliquesBudget(t *testing.T) {
 	// rather than hang.
 	r := rng.New(3)
 	g := randomGraph(r, 40, 0.5, 10)
-	res := g.MaximalCliques(5, false)
+	res := g.MaximalCliquesObs(5, false, 1, nil)
 	if !res.Truncated {
 		t.Fatal("budget 5 not reported as truncated")
 	}
@@ -97,7 +81,7 @@ func TestMaximalCliquesAreCliquesAndMaximal(t *testing.T) {
 	r := rng.New(13)
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(r, 25, 0.3, 10)
-		res := g.MaximalCliques(0, false)
+		res := g.MaximalCliquesObs(0, false, 1, nil)
 		if res.Truncated {
 			t.Fatal("unexpected truncation")
 		}
@@ -144,7 +128,7 @@ func TestMaximalCliquesMatchReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 8 + r.Intn(5)
 		g := randomGraph(r, n, 0.4, 5)
-		res := g.MaximalCliques(0, false)
+		res := g.MaximalCliquesObs(0, false, 1, nil)
 		want := bruteForceMaximalCliques(g)
 		if len(res.Cliques) != len(want) {
 			t.Fatalf("trial %d: %d cliques, reference %d", trial, len(res.Cliques), len(want))
@@ -241,10 +225,11 @@ func TestGreedyPartitionDisjointCliques(t *testing.T) {
 }
 
 func TestGreedyPartitionRecoversPlantedCliques(t *testing.T) {
-	g := New(9)
-	addClique(g, 100, 0, 1, 2)
-	addClique(g, 100, 3, 4, 5)
-	addClique(g, 100, 6, 7, 8)
+	var ps []Pair
+	for c := int32(0); c < 9; c += 3 {
+		ps = append(ps, cliquePairs(100, c, c+1, c+2)...)
+	}
+	g := FromPairs(9, ps)
 	parts := g.GreedyCliquePartition(false)
 	if len(parts) != 3 {
 		t.Fatalf("parts = %d, want 3", len(parts))
@@ -257,8 +242,7 @@ func TestGreedyPartitionRecoversPlantedCliques(t *testing.T) {
 }
 
 func TestGreedyPartitionSingletonFlag(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
+	g := FromPairs(3, []Pair{{0, 1, 1}})
 	with := g.GreedyCliquePartition(true)
 	without := g.GreedyCliquePartition(false)
 	if len(with) != 2 || len(without) != 1 {
@@ -267,12 +251,12 @@ func TestGreedyPartitionSingletonFlag(t *testing.T) {
 }
 
 func TestCliquesOnEmptyGraph(t *testing.T) {
-	g := New(5)
-	res := g.MaximalCliques(0, false)
+	g := FromPairs(5, nil)
+	res := g.MaximalCliquesObs(0, false, 1, nil)
 	if len(res.Cliques) != 0 {
 		t.Fatalf("empty graph produced %d cliques", len(res.Cliques))
 	}
-	res = g.MaximalCliques(0, true)
+	res = g.MaximalCliquesObs(0, true, 1, nil)
 	if len(res.Cliques) != 5 {
 		t.Fatalf("empty graph with singletons produced %d, want 5", len(res.Cliques))
 	}

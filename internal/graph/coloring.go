@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Coloring assigns each node one of K colors. In branch allocation a
 // color is a BHT entry index (paper Section 5.1): the goal is not a
@@ -30,10 +27,6 @@ type ColoringSpec struct {
 	// reserved entries "separated from others", as Section 5.2
 	// specifies. Zero means all colors are available.
 	FirstFree int
-	// Exclude marks nodes that should not be colored (color -1 in the
-	// result); conflicts involving them are not counted. Unused by the
-	// paper's flow but useful for ablations.
-	Exclude map[int32]bool
 }
 
 // Color computes a minimum-conflict coloring of g following the
@@ -50,7 +43,7 @@ type ColoringSpec struct {
 //     free, the color minimizing summed interleave weight to
 //     same-colored neighbors.
 //
-// The returned Coloring always assigns every non-excluded node a color.
+// The returned Coloring always assigns every node a color.
 func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
 	if spec.K < 1 {
 		return Coloring{}, fmt.Errorf("graph: coloring needs K >= 1, got %d", spec.K)
@@ -74,34 +67,11 @@ func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
 	removed := make([]bool, n)
 	inStack := make([]int32, 0, n)
 
-	// Pinned and excluded nodes never enter the simplify worklist;
-	// pinned pressure is applied at select time via occupied colors.
-	skip := func(u int32) bool {
-		if spec.Exclude != nil && spec.Exclude[u] {
-			return true
-		}
-		if spec.Pinned != nil {
-			if _, ok := spec.Pinned[u]; ok {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Flatten adjacency into sorted slices once: the simplify and
-	// select loops traverse every edge several times, and map
-	// iteration order must not leak into the coloring — identical
-	// inputs must give identical allocations.
-	nbrs := make([][]int32, n)
-	wts := make([][]uint64, n)
-	for u := 0; u < n; u++ {
-		ns := g.SortedNeighbors(int32(u))
-		ws := make([]uint64, len(ns))
-		for i, v := range ns {
-			ws[i] = g.Weight(int32(u), v)
-		}
-		nbrs[u] = ns
-		wts[u] = ws
+	// Pinned nodes never enter the simplify worklist; pinned pressure is
+	// applied at select time via occupied colors.
+	pinned := make([]bool, n)
+	for u := range spec.Pinned {
+		pinned[u] = true
 	}
 
 	deg := make([]int, n)
@@ -109,16 +79,17 @@ func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
 	active := 0
 	maxDeg := 0
 	for u := 0; u < n; u++ {
-		if skip(int32(u)) {
+		if pinned[u] {
 			removed[u] = true
 			continue
 		}
 		active++
-		for i, v := range nbrs[u] {
-			if !skip(v) {
+		ns, ws := g.Row(int32(u))
+		for i, v := range ns {
+			if !pinned[v] {
 				deg[u]++
 			}
-			weight[u] += wts[u][i]
+			weight[u] += ws[i]
 		}
 		if deg[u] > maxDeg {
 			maxDeg = deg[u]
@@ -166,7 +137,8 @@ func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
 		u := pop()
 		removed[u] = true
 		inStack = append(inStack, u)
-		for _, v := range nbrs[u] {
+		ns, _ := g.Row(u)
+		for _, v := range ns {
 			if !removed[v] {
 				deg[v]--
 				buckets[deg[v]] = append(buckets[deg[v]], v)
@@ -199,10 +171,11 @@ func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
 			used[c] = false
 			conflictW[c] = 0
 		}
-		for i, v := range nbrs[u] {
+		ns, ws := g.Row(u)
+		for i, v := range ns {
 			if c := colors[v]; c >= 0 {
 				used[c] = true
-				conflictW[c] += wts[u][i]
+				conflictW[c] += ws[i]
 			}
 		}
 		chosen := -1
@@ -256,48 +229,14 @@ func (g *Graph) ConflictCost(colors []int) uint64 {
 		if cu < 0 {
 			continue
 		}
-		for v, w := range g.adj[u] {
+		ns, ws := g.Row(int32(u))
+		for i, v := range ns {
 			if int32(u) < v && colors[v] == cu {
-				total += w
+				total += ws[i]
 			}
 		}
 	}
 	return total
-}
-
-// MonochromaticEdges returns the number of same-colored edges.
-func (g *Graph) MonochromaticEdges(colors []int) int {
-	count := 0
-	for u := 0; u < g.N(); u++ {
-		cu := colors[u]
-		if cu < 0 {
-			continue
-		}
-		for v := range g.adj[u] {
-			if int32(u) < v && colors[v] == cu {
-				count++
-			}
-		}
-	}
-	return count
-}
-
-// ChromaticLowerBound returns a fast lower bound on the chromatic
-// number: the size of a greedily grown clique seeded at the
-// highest-degree node. Useful to sanity-check required-table-size
-// results.
-func (g *Graph) ChromaticLowerBound() int {
-	best := 0
-	parts := g.GreedyCliquePartition(false)
-	for _, c := range parts {
-		if len(c) > best {
-			best = len(c)
-		}
-	}
-	if best == 0 && g.N() > 0 {
-		best = 1
-	}
-	return best
 }
 
 // ValidateColors checks that colors has one entry per node and values in
@@ -312,47 +251,4 @@ func ValidateColors(g *Graph, colors []int, k int) error {
 		}
 	}
 	return nil
-}
-
-// DegreeHistogram returns counts of node degrees, useful in reports.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.N(); u++ {
-		h[g.Degree(int32(u))]++
-	}
-	return h
-}
-
-// HeaviestEdges returns the top-k edges by weight as (u, v, w) triples,
-// sorted descending; for reports and debugging.
-func (g *Graph) HeaviestEdges(k int) [][3]uint64 {
-	type edge struct {
-		u, v int32
-		w    uint64
-	}
-	var edges []edge
-	for u := 0; u < g.N(); u++ {
-		for v, w := range g.adj[u] {
-			if int32(u) < v {
-				edges = append(edges, edge{int32(u), v, w})
-			}
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].w != edges[j].w {
-			return edges[i].w > edges[j].w
-		}
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	if k > len(edges) {
-		k = len(edges)
-	}
-	out := make([][3]uint64, k)
-	for i := 0; i < k; i++ {
-		out[i] = [3]uint64{uint64(edges[i].u), uint64(edges[i].v), edges[i].w}
-	}
-	return out
 }

@@ -30,9 +30,96 @@ func decodePairs(data []byte) (n int, pairs []Pair) {
 	return n, pairs
 }
 
-// FuzzFromPairs checks graph-construction invariants on arbitrary pair
-// lists: symmetry, no self-edges, in-range adjacency only, and weight
-// accumulation agreeing with an independent reference map.
+// refGraph is the reference model FromPairs is checked against: plain
+// map-of-maps adjacency holding each edge in both endpoints' maps.
+type refGraph map[int32]map[int32]uint64
+
+// refFromPairs builds the reference for pairs over n nodes: duplicates
+// summed, self-loops, zero weights and out-of-range pairs skipped, and
+// edges whose sum wrapped to zero removed.
+func refFromPairs(n int, pairs []Pair) refGraph {
+	ref := refGraph{}
+	add := func(u, v int32, w uint64) {
+		if ref[u] == nil {
+			ref[u] = map[int32]uint64{}
+		}
+		ref[u][v] += w
+	}
+	for _, p := range pairs {
+		if p.U < 0 || p.V < 0 || int(p.U) >= n || int(p.V) >= n || p.U == p.V || p.W == 0 {
+			continue
+		}
+		add(p.U, p.V, p.W)
+		add(p.V, p.U, p.W)
+	}
+	for _, row := range ref {
+		for v, w := range row {
+			if w == 0 {
+				delete(row, v)
+			}
+		}
+	}
+	return ref
+}
+
+// prune returns the reference with only edges of weight >= threshold.
+func (ref refGraph) prune(threshold uint64) refGraph {
+	out := refGraph{}
+	for u, row := range ref {
+		out[u] = map[int32]uint64{}
+		for v, w := range row {
+			if w >= threshold {
+				out[u][v] = w
+			}
+		}
+	}
+	return out
+}
+
+// checkAgainstRef fails unless g has n nodes, strictly ascending
+// in-range rows, symmetric weights, and exactly ref's edges.
+func checkAgainstRef(t *testing.T, what string, g *Graph, n int, ref refGraph) {
+	t.Helper()
+	if g.N() != n {
+		t.Fatalf("%s: N() = %d, want %d", what, g.N(), n)
+	}
+	var total uint64
+	edges := 0
+	for u := int32(0); int(u) < n; u++ {
+		ns, ws := g.Row(u)
+		if len(ns) != len(ref[u]) || g.Degree(u) != len(ns) {
+			t.Fatalf("%s: row %d has %d entries, want %d", what, u, len(ns), len(ref[u]))
+		}
+		for i, v := range ns {
+			if i > 0 && ns[i-1] >= v {
+				t.Fatalf("%s: row %d not strictly ascending: %v", what, u, ns)
+			}
+			if v < 0 || int(v) >= n || v == u {
+				t.Fatalf("%s: row %d holds neighbor %d", what, u, v)
+			}
+			w := ws[i]
+			if want, ok := ref[u][v]; !ok || w != want {
+				t.Fatalf("%s: weight(%d,%d) = %d, want %d", what, u, v, w, want)
+			}
+			if back := g.Weight(v, u); back != w || g.Weight(u, v) != w {
+				t.Fatalf("%s: asymmetric edge %d-%d: %d vs %d", what, u, v, w, back)
+			}
+			if u < v {
+				total += w
+				edges++
+			}
+		}
+	}
+	if total != g.TotalWeight() || edges != g.NumEdges() {
+		t.Fatalf("%s: TotalWeight/NumEdges = %d/%d, recount %d/%d", what, g.TotalWeight(), g.NumEdges(), total, edges)
+	}
+}
+
+// FuzzFromPairs checks graph construction and threshold filtering on
+// arbitrary pair lists against the map-of-maps reference model: summed
+// duplicates, dropped self-loops, zero weights and out-of-range pairs,
+// strictly ascending rows, and symmetric weights — for the graph itself
+// and for Filter at every threshold the input's weights make distinct.
 func FuzzFromPairs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 1, 10, 0, 0, 1, 0, 5, 0, 1})
@@ -40,47 +127,15 @@ func FuzzFromPairs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, pairs := decodePairs(data)
 		g := FromPairs(n, pairs)
-		if g.N() != n {
-			t.Fatalf("N() = %d, want %d", g.N(), n)
-		}
-		ref := map[[2]int32]uint64{}
+		ref := refFromPairs(n, pairs)
+		checkAgainstRef(t, "FromPairs", g, n, ref)
+		thresholds := map[uint64]bool{0: true, 1: true}
 		for _, p := range pairs {
-			if p.U < 0 || p.V < 0 || int(p.U) >= n || int(p.V) >= n || p.U == p.V {
-				continue
-			}
-			u, v := p.U, p.V
-			if u > v {
-				u, v = v, u
-			}
-			ref[[2]int32{u, v}] += p.W
+			thresholds[p.W] = true
+			thresholds[p.W+1] = true
 		}
-		var total uint64
-		for u := int32(0); int(u) < n; u++ {
-			if g.Weight(u, u) != 0 {
-				t.Fatalf("self-edge on %d", u)
-			}
-			for _, v := range g.SortedNeighbors(u) {
-				if int(v) < 0 || int(v) >= n {
-					t.Fatalf("out-of-range neighbor %d", v)
-				}
-				w := g.Weight(u, v)
-				if w != g.Weight(v, u) {
-					t.Fatalf("asymmetric edge %d-%d", u, v)
-				}
-				a, b := u, v
-				if a > b {
-					a, b = b, a
-				}
-				if w != ref[[2]int32{a, b}] {
-					t.Fatalf("weight(%d,%d) = %d, want %d", u, v, w, ref[[2]int32{a, b}])
-				}
-				if u < v {
-					total += w
-				}
-			}
-		}
-		if total != g.TotalWeight() {
-			t.Fatalf("TotalWeight() = %d, recount %d", g.TotalWeight(), total)
+		for th := range thresholds {
+			checkAgainstRef(t, fmt.Sprintf("Filter(w >= %d)", th), g.Filter(func(_, _ int32, w uint64) bool { return w >= th }), n, ref.prune(th))
 		}
 	})
 }
@@ -98,7 +153,7 @@ func FuzzMaximalCliques(f *testing.F) {
 			n = 24 // keep worst-case enumeration bounded per input
 		}
 		g := FromPairs(n, pairs)
-		serial := g.MaximalCliques(0, true)
+		serial := g.MaximalCliquesObs(0, true, 1, nil)
 		for _, c := range serial.Cliques {
 			for i := 0; i < len(c); i++ {
 				for j := i + 1; j < len(c); j++ {
@@ -121,7 +176,7 @@ func FuzzMaximalCliques(f *testing.F) {
 			}
 		}
 		for _, workers := range []int{2, 5} {
-			par := g.MaximalCliquesParallel(0, true, workers)
+			par := g.MaximalCliquesObs(0, true, workers, nil)
 			if fmt.Sprint(par) != fmt.Sprint(serial) {
 				t.Fatalf("workers=%d result differs from serial", workers)
 			}

@@ -1,16 +1,21 @@
 package graph
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
 )
 
-func TestAddEdgeAccumulates(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(1, 0, 5)
+// atLeast is the threshold-pruning predicate.
+func atLeast(threshold uint64) func(u, v int32, w uint64) bool {
+	return func(_, _ int32, w uint64) bool { return w >= threshold }
+}
+
+func TestFromPairsAccumulates(t *testing.T) {
+	g := FromPairs(3, []Pair{{0, 1, 10}, {1, 0, 5}})
 	if g.Weight(0, 1) != 15 || g.Weight(1, 0) != 15 {
 		t.Fatalf("weights %d/%d, want 15", g.Weight(0, 1), g.Weight(1, 0))
 	}
@@ -20,47 +25,33 @@ func TestAddEdgeAccumulates(t *testing.T) {
 }
 
 func TestSelfLoopIgnored(t *testing.T) {
-	g := New(2)
-	g.AddEdge(1, 1, 100)
+	g := FromPairs(2, []Pair{{1, 1, 100}})
 	if g.NumEdges() != 0 || g.Degree(1) != 0 {
 		t.Fatal("self loop stored")
 	}
 }
 
 func TestDegreeAndNeighbors(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 2)
-	g.AddEdge(0, 3, 3)
+	g := FromPairs(4, []Pair{{0, 3, 3}, {0, 1, 1}, {2, 0, 2}})
 	if g.Degree(0) != 3 || g.Degree(1) != 1 {
 		t.Fatalf("degrees %d/%d", g.Degree(0), g.Degree(1))
 	}
-	ns := g.SortedNeighbors(0)
-	if len(ns) != 3 || ns[0] != 1 || ns[2] != 3 {
-		t.Fatalf("neighbors %v", ns)
-	}
-	var total uint64
-	g.Neighbors(0, func(_ int32, w uint64) { total += w })
-	if total != 6 {
-		t.Fatalf("neighbor weight sum %d", total)
+	ns, ws := g.Row(0)
+	if fmt.Sprint(ns, ws) != "[1 2 3] [1 2 3]" {
+		t.Fatalf("row 0 = %v %v, want ascending neighbors with their weights", ns, ws)
 	}
 }
 
 func TestTotalWeight(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(1, 2, 20)
+	g := FromPairs(3, []Pair{{0, 1, 10}, {1, 2, 20}})
 	if g.TotalWeight() != 30 {
 		t.Fatalf("total weight %d", g.TotalWeight())
 	}
 }
 
 func TestPrune(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 99)
-	g.AddEdge(1, 2, 100)
-	g.AddEdge(2, 3, 101)
-	p := g.Prune(100)
+	g := FromPairs(4, []Pair{{0, 1, 99}, {1, 2, 100}, {2, 3, 101}})
+	p := g.Filter(atLeast(100))
 	if p.NumEdges() != 2 {
 		t.Fatalf("pruned edges = %d", p.NumEdges())
 	}
@@ -76,11 +67,26 @@ func TestPrune(t *testing.T) {
 	}
 }
 
+// TestRemoveEdge drops one edge by endpoint, the way classification
+// removes same-class conflicts.
+func TestRemoveEdge(t *testing.T) {
+	g := FromPairs(3, []Pair{{0, 1, 5}, {1, 2, 6}})
+	var calls []string
+	r := g.Filter(func(u, v int32, w uint64) bool {
+		calls = append(calls, fmt.Sprintf("%d-%d:%d", u, v, w))
+		return u != 0 || v != 1
+	})
+	if r.HasEdge(0, 1) || r.Degree(0) != 0 || r.Degree(1) != 1 || !r.HasEdge(2, 1) {
+		t.Fatal("edge not removed")
+	}
+	// keep sees each edge once per endpoint, lower id first.
+	if got := fmt.Sprint(calls); got != "[0-1:5 0-1:5 1-2:6 1-2:6]" {
+		t.Fatalf("keep calls %s", got)
+	}
+}
+
 func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
+	g := FromPairs(6, []Pair{{0, 1, 1}, {1, 2, 1}, {3, 4, 1}})
 	comps := g.Components()
 	if len(comps) != 3 {
 		t.Fatalf("components = %d, want 3 (two clusters + isolated 5)", len(comps))
@@ -93,78 +99,63 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 5)
-	c := g.Clone()
-	c.AddEdge(0, 2, 7)
-	c.RemoveEdge(0, 1)
-	if !g.HasEdge(0, 1) || g.HasEdge(0, 2) {
-		t.Fatal("clone shares storage")
-	}
-}
-
-func TestRemoveEdge(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 5)
-	g.RemoveEdge(0, 1)
-	if g.HasEdge(0, 1) || g.Degree(0) != 0 || g.Degree(1) != 0 {
-		t.Fatal("edge not removed")
-	}
-	g.RemoveEdge(0, 2) // absent: no-op
-}
-
+// TestWeightOutOfRange checks that any id outside [0, N) reads as no
+// edge instead of indexing past the rows.
 func TestWeightOutOfRange(t *testing.T) {
-	g := New(2)
-	if g.Weight(0, 1) != 0 {
-		t.Fatal("empty weight nonzero")
+	g := FromPairs(2, []Pair{{0, 1, 7}})
+	for _, tc := range []struct {
+		u, v int32
+		want uint64
+	}{
+		{0, 1, 7},
+		{1, 0, 7},
+		{0, 0, 0},
+		{-1, 0, 0},
+		{0, -1, 0},
+		{-1, -1, 0},
+		{2, 0, 0},
+		{0, 2, 0},
+		{1 << 30, 1, 0},
+		{-1 << 31, 1, 0},
+	} {
+		if got := g.Weight(tc.u, tc.v); got != tc.want {
+			t.Errorf("Weight(%d, %d) = %d, want %d", tc.u, tc.v, got, tc.want)
+		}
+		if got := g.HasEdge(tc.u, tc.v); got != (tc.want > 0) {
+			t.Errorf("HasEdge(%d, %d) = %v", tc.u, tc.v, got)
+		}
 	}
 }
 
 func TestStringSummary(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 3)
+	g := FromPairs(2, []Pair{{0, 1, 3}})
 	if s := g.String(); s != "graph{nodes=2 edges=1 weight=3}" {
 		t.Fatalf("String() = %q", s)
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 1)
-	h := g.DegreeHistogram()
-	if h[2] != 1 || h[1] != 2 || h[0] != 1 {
-		t.Fatalf("histogram %v", h)
+// cliquePairs wires all pairs among nodes with weight w.
+func cliquePairs(w uint64, nodes ...int32) []Pair {
+	var ps []Pair
+	for i := 0; i < len(nodes); i++ {
+		for j := i + 1; j < len(nodes); j++ {
+			ps = append(ps, Pair{nodes[i], nodes[j], w})
+		}
 	}
-}
-
-func TestHeaviestEdges(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 5)
-	g.AddEdge(1, 2, 50)
-	g.AddEdge(2, 3, 20)
-	top := g.HeaviestEdges(2)
-	if len(top) != 2 || top[0][2] != 50 || top[1][2] != 20 {
-		t.Fatalf("heaviest %v", top)
-	}
-	all := g.HeaviestEdges(10)
-	if len(all) != 3 {
-		t.Fatalf("overflow k returned %d", len(all))
-	}
+	return ps
 }
 
 // randomGraph builds an Erdos-Renyi style weighted graph.
 func randomGraph(r *rng.Xoshiro256, n int, p float64, maxW int) *Graph {
-	g := New(n)
+	var ps []Pair
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if r.Float64() < p {
-				g.AddEdge(int32(u), int32(v), uint64(r.Intn(maxW)+1))
+				ps = append(ps, Pair{int32(u), int32(v), uint64(r.Intn(maxW) + 1)})
 			}
 		}
 	}
-	return g
+	return FromPairs(n, ps)
 }
 
 func TestComponentsPartitionProperty(t *testing.T) {
@@ -176,6 +167,9 @@ func TestComponentsPartitionProperty(t *testing.T) {
 		seen := make([]bool, n)
 		total := 0
 		for _, c := range comps {
+			if !slices.IsSorted(c) {
+				return false
+			}
 			for _, u := range c {
 				if seen[u] {
 					return false
@@ -196,13 +190,13 @@ func TestPruneMonotoneProperty(t *testing.T) {
 	g := randomGraph(r, 30, 0.3, 100)
 	prev := g.NumEdges()
 	for _, th := range []uint64{1, 10, 50, 90, 101} {
-		p := g.Prune(th)
+		p := g.Filter(atLeast(th))
 		if p.NumEdges() > prev {
 			t.Fatalf("prune(%d) grew the graph", th)
 		}
 		prev = p.NumEdges()
 	}
-	if g.Prune(101).NumEdges() != 0 {
+	if g.Filter(atLeast(101)).NumEdges() != 0 {
 		t.Fatal("prune above max weight left edges")
 	}
 }

@@ -26,9 +26,10 @@ func canonGraph(g *graph.Graph) string {
 	}
 	var edges []edge
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.SortedNeighbors(int32(u)) {
+		ns, ws := g.Row(int32(u))
+		for i, v := range ns {
 			if int32(u) < v {
-				edges = append(edges, edge{int32(u), v, g.Weight(int32(u), v)})
+				edges = append(edges, edge{int32(u), v, ws[i]})
 			}
 		}
 	}

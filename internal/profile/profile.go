@@ -100,15 +100,23 @@ func (p *Profile) TakenRate(id int32) float64 {
 // keeping only pairs whose interleave count is at least threshold
 // (the paper's pruning step; threshold 100 in Section 4.2).
 func (p *Profile) BuildGraph(threshold uint64) *graph.Graph {
-	g := graph.New(p.NumBranches())
-	p.Pairs.Range(func(k, w uint64) bool {
+	return p.Pairs.Graph(p.NumBranches(), threshold)
+}
+
+// Graph builds the conflict graph over ids [0, n) from the counts,
+// keeping only pairs whose count is at least threshold. The table holds
+// each pair once, so pruning the counts before construction is the same
+// as filtering the full graph, without building it.
+func (t *PairCounts) Graph(n int, threshold uint64) *graph.Graph {
+	var pairs []graph.Pair
+	t.Range(func(k, w uint64) bool {
 		if w >= threshold {
 			a, b := UnpackPair(k)
-			g.AddEdge(a, b, w)
+			pairs = append(pairs, graph.Pair{U: a, V: b, W: w})
 		}
 		return true
 	})
-	return g
+	return graph.FromPairs(n, pairs)
 }
 
 // Merge combines profiles of the same benchmark gathered from different
