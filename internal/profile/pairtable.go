@@ -130,31 +130,35 @@ func (t *PairCounts) slot(key uint64) int {
 	return int(hi)
 }
 
-// Add increments the pair key's count by delta.
+// Add increments the pair key's count by delta. The load factor is
+// checked only when key is new, so an exactly full table keeps taking
+// increments to its stored keys without growing.
 func (t *PairCounts) Add(key uint64, delta uint64) {
 	if key == 0 {
 		panic("profile: PairCounts key 0 is reserved")
 	}
-	if (t.n+1)*pairMaxLoadD > len(t.keys)*pairMaxLoadN {
-		t.grow() //reprolint:allow hotpath amortized doubling; extraction tables are pre-sized exactly and never enter it
-	}
 	i := t.slot(key)
-	for {
-		k := t.keys[i]
+	for k := t.keys[i]; k != 0; k = t.keys[i] {
 		if k == key {
 			t.vals[i] += delta
-			return
-		}
-		if k == 0 {
-			t.keys[i] = key
-			t.vals[i] = delta
-			t.n++
 			return
 		}
 		if i++; i == len(t.keys) {
 			i = 0
 		}
 	}
+	if (t.n+1)*pairMaxLoadD > len(t.keys)*pairMaxLoadN {
+		t.grow() //reprolint:allow hotpath amortized doubling; extraction tables are pre-sized exactly and never enter it
+		i = t.slot(key)
+		for t.keys[i] != 0 {
+			if i++; i == len(t.keys) {
+				i = 0
+			}
+		}
+	}
+	t.keys[i] = key
+	t.vals[i] = delta
+	t.n++
 }
 
 // Get returns the count for key (0 if absent).

@@ -17,6 +17,7 @@ package profile
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -52,16 +53,25 @@ type Profile struct {
 	Exec  []uint64
 	Taken []uint64
 	// Pairs maps PairKey(id,id) to the interleave count of the pair.
+	// The counts must not be mutated after the first BuildGraph: the
+	// graph built for each threshold is memoized and would go stale.
 	Pairs *PairCounts
+
+	graphMu sync.Mutex
+	graphs  map[uint64]*graph.Graph // BuildGraph's memo, by threshold
 }
 
 // NumBranches returns the number of distinct static branches profiled.
 func (p *Profile) NumBranches() int { return len(p.PCs) }
 
 // Release returns the profile's pair table to the package pool for
-// reuse by a later extraction. Call it only on transient profiles whose
-// analysis is complete; the profile must not be used afterwards.
+// reuse by a later extraction and drops the memoized graphs. Call it
+// only on transient profiles whose analysis is complete; the profile
+// must not be used afterwards.
 func (p *Profile) Release() {
+	p.graphMu.Lock()
+	p.graphs = nil
+	p.graphMu.Unlock()
 	if p.Pairs != nil {
 		PutPairCounts(p.Pairs)
 		p.Pairs = nil
@@ -96,11 +106,24 @@ func (p *Profile) TakenRate(id int32) float64 {
 	return float64(p.Taken[id]) / float64(p.Exec[id])
 }
 
-// BuildGraph constructs the branch conflict graph over dense ids,
-// keeping only pairs whose interleave count is at least threshold
-// (the paper's pruning step; threshold 100 in Section 4.2).
+// BuildGraph returns the branch conflict graph over dense ids, keeping
+// only pairs whose interleave count is at least threshold (the paper's
+// pruning step; threshold 100 in Section 4.2). The graph is built once
+// per threshold and shared by every later call — graphs are immutable —
+// so working-set analysis, allocation at every table size, and the
+// size search all read one build. Safe for concurrent use.
 func (p *Profile) BuildGraph(threshold uint64) *graph.Graph {
-	return p.Pairs.Graph(p.NumBranches(), threshold)
+	p.graphMu.Lock()
+	defer p.graphMu.Unlock()
+	if g, ok := p.graphs[threshold]; ok {
+		return g
+	}
+	g := p.Pairs.Graph(p.NumBranches(), threshold)
+	if p.graphs == nil {
+		p.graphs = make(map[uint64]*graph.Graph)
+	}
+	p.graphs[threshold] = g
+	return g
 }
 
 // Graph builds the conflict graph over ids [0, n) from the counts,

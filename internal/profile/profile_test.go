@@ -1,9 +1,11 @@
 package profile
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -226,16 +228,7 @@ func TestProfilerUnboundedEqualsBigWindow(t *testing.T) {
 }
 
 func TestBuildGraphThreshold(t *testing.T) {
-	p := NewProfiler("g", "ref")
-	// (4,8) interleave many times; (4,12) once.
-	var pcs []uint64
-	for i := 0; i < 10; i++ {
-		pcs = append(pcs, 4, 8)
-	}
-	pcs = append(pcs, 12, 4)
-	feed(p, pcs...)
-	prof := p.Profile()
-
+	prof := memoProfile()
 	g := prof.BuildGraph(1)
 	if g.NumEdges() < 2 {
 		t.Fatalf("low threshold edges = %d", g.NumEdges())
@@ -246,6 +239,63 @@ func TestBuildGraphThreshold(t *testing.T) {
 	}
 	if !g.HasEdge(prof.IDOf(4), prof.IDOf(8)) {
 		t.Fatal("surviving edge is wrong")
+	}
+}
+
+// memoProfile returns a profile in which (4,8) interleave many times and
+// (4,12) once: one edge above threshold 10 and one below.
+func memoProfile() *Profile {
+	p := NewProfiler("g", "ref")
+	var pcs []uint64
+	for i := 0; i < 10; i++ {
+		pcs = append(pcs, 4, 8)
+	}
+	feed(p, append(pcs, 12, 4)...)
+	return p.Profile()
+}
+
+func TestBuildGraphMemoized(t *testing.T) {
+	prof := memoProfile()
+	g1 := prof.BuildGraph(1)
+	if again := prof.BuildGraph(1); again != g1 {
+		t.Fatal("second BuildGraph(1) rebuilt the graph")
+	}
+	g10 := prof.BuildGraph(10)
+	if g10 == g1 {
+		t.Fatal("BuildGraph(10) returned the threshold-1 graph")
+	}
+	if g1.NumEdges() == g10.NumEdges() {
+		t.Fatalf("thresholds 1 and 10 both have %d edges", g1.NumEdges())
+	}
+	if prof.BuildGraph(1) != g1 || prof.BuildGraph(10) != g10 {
+		t.Fatal("memo lost a threshold")
+	}
+	prof.Release()
+	if prof.graphs != nil {
+		t.Fatal("Release kept the memoized graphs")
+	}
+}
+
+// TestBuildGraphConcurrent checks that concurrent first calls share one
+// build; run under -race it also checks the memo's locking.
+func TestBuildGraphConcurrent(t *testing.T) {
+	prof := memoProfile()
+	defer prof.Release()
+	const callers = 8
+	got := make([]*graph.Graph, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = prof.BuildGraph(1)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != got[0] {
+			t.Fatalf("caller %d got a different graph", i)
+		}
 	}
 }
 

@@ -95,27 +95,34 @@ func nbrHash(key int32) uint32 {
 	return h ^ h>>15
 }
 
-// add increments the count for partner key.
-func (c *nbrCounter) add(key int32) {
-	if (c.n+1)*4 > len(c.slots)*3 {
-		c.grow() //reprolint:allow hotpath amortized geometric growth, O(log neighborhood) times per branch
+// addN adds delta to the count for partner key. The load factor is
+// checked only when key is new, so the slot layout depends on the
+// sequence of distinct keys inserted and not on how their increments
+// are grouped.
+func (c *nbrCounter) addN(key int32, delta uint32) {
+	if len(c.slots) == 0 {
+		c.grow() //reprolint:allow hotpath first slot array, once per branch
 	}
 	mask := uint32(len(c.slots) - 1)
 	i := nbrHash(key) & mask
 	kp := uint64(uint32(key)) + 1
-	for {
-		s := c.slots[i]
+	for s := c.slots[i]; s != 0; s = c.slots[i] {
 		if s>>32 == kp {
-			c.slots[i] = s + 1
-			return
-		}
-		if s == 0 {
-			c.slots[i] = kp<<32 | 1
-			c.n++
+			c.slots[i] = s + uint64(delta)
 			return
 		}
 		i = (i + 1) & mask
 	}
+	if (c.n+1)*4 > len(c.slots)*3 {
+		c.grow() //reprolint:allow hotpath amortized geometric growth, O(log neighborhood) times per branch
+		mask = uint32(len(c.slots) - 1)
+		i = nbrHash(key) & mask
+		for c.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+	}
+	c.slots[i] = kp<<32 | uint64(delta)
+	c.n++
 }
 
 // grow doubles the slot array (allocating the initial one on first
@@ -374,6 +381,7 @@ func (p *Profiler) newID(pc uint64) int32 {
 	p.exec = append(p.exec, 0)   //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.taken = append(p.taken, 0) //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.in = append(p.in, false)   //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
+	p.shards.numIDs = len(p.pcs)
 	return id
 }
 

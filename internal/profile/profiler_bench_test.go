@@ -31,32 +31,43 @@ func syntheticStream(statics, ws, events int) []uint64 {
 	return pcs
 }
 
-// BenchmarkProfilerUnbounded measures exact-profiling throughput.
-func BenchmarkProfilerUnbounded(b *testing.B) {
+// benchProfiler streams a synthetic trace through fresh profilers and
+// reports both branch and pair-increment throughput. Mbranches/s moves
+// with the stream's pair density; Mincr/s is the per-increment rate.
+func benchProfiler(b *testing.B, opts ...Option) {
 	stream := syntheticStream(2000, 200, 1<<18)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := NewProfiler("bench", "ref")
+	feedAll := func(p *Profiler) {
 		for j, pc := range stream {
 			p.Branch(pc, j&1 == 0, uint64(j))
 		}
 	}
-	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mbranches/s")
+	// One untimed pass counts the increments: the extracted pair counts
+	// sum to them.
+	ref := NewProfiler("bench", "ref", opts...)
+	feedAll(ref)
+	prof := ref.Profile()
+	var incr uint64
+	prof.Pairs.Range(func(_, n uint64) bool {
+		incr += n
+		return true
+	})
+	prof.Release()
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feedAll(NewProfiler("bench", "ref", opts...))
+	}
+	perSec := float64(b.N) / b.Elapsed().Seconds() / 1e6
+	b.ReportMetric(float64(len(stream))*perSec, "Mbranches/s")
+	b.ReportMetric(float64(incr)*perSec, "Mincr/s")
 }
+
+// BenchmarkProfilerUnbounded measures exact-profiling throughput.
+func BenchmarkProfilerUnbounded(b *testing.B) { benchProfiler(b) }
 
 // BenchmarkProfilerWindowed measures the harness's bounded-window
 // configuration.
-func BenchmarkProfilerWindowed(b *testing.B) {
-	stream := syntheticStream(2000, 200, 1<<18)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := NewProfiler("bench", "ref", WithWindow(400))
-		for j, pc := range stream {
-			p.Branch(pc, j&1 == 0, uint64(j))
-		}
-	}
-	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mbranches/s")
-}
+func BenchmarkProfilerWindowed(b *testing.B) { benchProfiler(b, WithWindow(400)) }
 
 // BenchmarkProfileExtraction measures Profile() — the per-branch
 // neighbor-counter merge into the flat pair table.

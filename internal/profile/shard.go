@@ -23,14 +23,20 @@ import (
 // hand-off is per batch. Serial mode (P = 1) is the same engine with
 // the apply running synchronously in the producer.
 //
+// Within one destination, the batch's increments are tallied in a dense
+// per-partner array and each distinct partner's total reaches the
+// counter in one add, so the hash probe is paid per distinct partner
+// per batch rather than per increment.
+//
 // Determinism: a batch is applied grouped by destination but *stably* —
-// events of one branch keep their stream order — so each counter
-// receives exactly the increment sequence it would receive from an
-// unbatched serial loop. Counter contents and even slot layouts are
-// therefore identical for every shard count P and every batch geometry;
-// extraction walks ids in ascending order and each counter in slot
-// order, making the extracted profile byte-identical by construction
-// (DESIGN.md §15).
+// events of one branch keep their stream order — and partners' totals
+// are added in first-increment order, so each counter inserts exactly
+// the sequence of new keys an unbatched serial loop would insert.
+// Counters grow only on inserting a new key, so counter contents and
+// even slot layouts are identical for every shard count P and every
+// batch geometry; extraction walks ids in ascending order and each
+// counter in slot order, making the extracted profile byte-identical by
+// construction (DESIGN.md §15).
 
 const (
 	// stagingPartners is the total partner-staging budget (entries
@@ -48,11 +54,13 @@ const (
 
 // shardBatch is one struct-of-arrays staging unit: event i executed
 // branch ids[i] and its interleave partners are the next lens[i]
-// entries of partners.
+// entries of partners. Every id and partner is below numIDs, the
+// producer's branch-id count when the batch was handed off.
 type shardBatch struct {
 	ids      []int32
 	lens     []int32
 	partners []int32
+	numIDs   int
 }
 
 func newShardBatch(partnersCap int) *shardBatch {
@@ -72,20 +80,24 @@ func (b *shardBatch) reset() {
 }
 
 // applyScratch is the per-worker workspace for grouped batch apply:
-// per-destination chain heads/tails and per-event links/offsets, reused
-// across batches.
+// per-destination chain heads/tails, per-event links/offsets, and the
+// dense per-partner tally of one row, reused across batches.
 type applyScratch struct {
 	head    []int32 // per destination row; -1 when untouched
 	tail    []int32
 	next    []int32 // per event header
 	offs    []int32
 	touched []int32
+	tally   []uint32 // per partner id; zero between rows
+	order   []int32  // one row's distinct partners, first touch first
 }
 
 // applyBatch applies one batch to a counter partition, grouped stably
-// by destination row (id/p): all increments for one branch run
-// back-to-back while its counter is cache-hot, in stream order. Returns
-// the (possibly grown) partition.
+// by destination row (id/p). Each row's increments are tallied densely
+// by partner id in stream order, then every distinct partner's total is
+// added to the row's counter once, in first-increment order — so new
+// keys enter the counter in exactly the order per-increment adds would
+// insert them. Returns the (possibly grown) partition.
 func applyBatch(b *shardBatch, tabs []nbrCounter, sc *applyScratch, p int) []nbrCounter {
 	n := len(b.ids)
 	if n == 0 {
@@ -97,21 +109,20 @@ func applyBatch(b *shardBatch, tabs []nbrCounter, sc *applyScratch, p int) []nbr
 	}
 	next, offs := sc.next[:n], sc.offs[:n]
 
-	maxRow := 0
-	for _, id := range b.ids {
-		if r := int(uint32(id)) / p; r > maxRow {
-			maxRow = r
-		}
+	rows := (b.numIDs + p - 1) / p
+	if rows > len(tabs) {
+		tabs = growPartition(tabs, rows)
 	}
-	if maxRow >= len(tabs) {
-		tabs = growPartition(tabs, maxRow+1)
-	}
-	if len(sc.head) <= maxRow {
-		sc.head = make([]int32, maxRow+64) //reprolint:allow hotpath scratch grows with the static branch count, O(log) times per run
-		sc.tail = make([]int32, maxRow+64) //reprolint:allow hotpath scratch grows with the static branch count, O(log) times per run
+	if len(sc.head) < rows {
+		sc.head = make([]int32, rows+64) //reprolint:allow hotpath scratch grows with the static branch count, O(log) times per run
+		sc.tail = make([]int32, rows+64) //reprolint:allow hotpath scratch grows with the static branch count, O(log) times per run
 		for i := range sc.head {
 			sc.head[i] = -1
 		}
+	}
+	if len(sc.tally) < b.numIDs {
+		sc.tally = make([]uint32, b.numIDs+64) //reprolint:allow hotpath scratch grows with the static branch count, O(log) times per run
+		sc.order = make([]int32, b.numIDs+64)  //reprolint:allow hotpath scratch grows with the static branch count, O(log) times per run
 	}
 
 	// Pass 1: chain the batch's events per destination row, stably.
@@ -131,14 +142,26 @@ func applyBatch(b *shardBatch, tabs []nbrCounter, sc *applyScratch, p int) []nbr
 		sc.tail[r] = int32(i)
 	}
 
-	// Pass 2: per destination, walk its chain and apply every increment
-	// while the counter is hot.
+	// Pass 2: per destination, walk its chain tallying every increment
+	// into the dense array, then add each distinct partner's total to
+	// the counter once — one hash probe per partner instead of one per
+	// increment.
+	tally, order := sc.tally, sc.order
 	for _, r := range sc.touched {
-		t := &tabs[r]
+		distinct := 0
 		for i := sc.head[r]; i >= 0; i = next[i] {
 			for _, cur := range b.partners[offs[i] : offs[i]+b.lens[i]] {
-				t.add(cur)
+				if tally[cur] == 0 {
+					order[distinct] = cur
+					distinct++
+				}
+				tally[cur]++
 			}
+		}
+		t := &tabs[r]
+		for _, cur := range order[:distinct] {
+			t.addN(cur, tally[cur])
+			tally[cur] = 0
 		}
 		sc.head[r] = -1
 	}
@@ -167,6 +190,10 @@ func growPartition(tabs []nbrCounter, n int) []nbrCounter {
 type pairShards struct {
 	p        int
 	batchCap int // partner entries per batch
+	// numIDs is the producer's branch-id count; every staged id and
+	// partner is below it. flush stamps it on each batch, which sizes
+	// the apply scratch without rescanning the batch.
+	numIDs int
 
 	// tabs[w][id/p] is branch id's counter, owned by worker w = id%p.
 	// Only worker w writes its partition while running; the producer
@@ -282,6 +309,7 @@ func (s *pairShards) flush(w int) {
 	if b == nil || len(b.ids) == 0 {
 		return
 	}
+	b.numIDs = s.numIDs
 	if s.p == 1 {
 		s.tabs[0] = applyBatch(b, s.tabs[0], s.scratch[0], 1)
 		b.reset()
