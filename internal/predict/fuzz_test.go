@@ -2,13 +2,18 @@ package predict
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
-// FuzzTAGEFold fuzzes the TAGE hash arithmetic: foldHistory must always
-// fit the requested width, be linear over XOR (it is a GF(2)
-// projection), ignore history bits beyond histLen, and the component
-// tag built on it must fit the tag field.
+// FuzzTAGEFold fuzzes the TAGE hash arithmetic. The reference
+// foldHistory must always fit the requested width, be linear over XOR
+// (it is a GF(2) projection), and ignore history bits beyond histLen.
+// TAGE's incrementally kept folded registers must equal that reference
+// fold of the current history after every update of a fuzz-derived
+// outcome stream, and after Flush, at table sizes whose index widths
+// span 1–10 bits (history windows shorter than, multiples of, and up to
+// 32 bits across the index and tag widths).
 func FuzzTAGEFold(f *testing.F) {
 	f.Add(uint64(0), uint8(4), uint8(4))
 	f.Add(^uint64(0), uint8(32), uint8(9))
@@ -34,21 +39,39 @@ func FuzzTAGEFold(f *testing.F) {
 			}
 		}
 
-		// The tag arithmetic stays inside the tag field for any state.
-		tage, err := NewTAGE(PCModIndexer{Entries: 64}, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tage.hist = h
-		for i := 0; i < tageTables; i++ {
-			if tag := tage.componentTag(i, uint32(h)); tag > tageTagMask {
-				t.Fatalf("componentTag(%d) = %#x exceeds %d bits", i, tag, tageTagBits)
+		// Outcome i is bit i%64 of h; the stream outlasts the longest
+		// (32-bit) window so bits leave every register.
+		steps := 64 + int(histRaw)
+		for _, size := range []int{2, 16, 128, 1024} {
+			tage, err := NewTAGE(PCModIndexer{Entries: size}, size)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if idx := tage.componentIndex(i, uint32(h>>16)); idx > tage.mask {
-				t.Fatalf("componentIndex(%d) = %d out of table", i, idx)
+			for pass := 0; pass < 2; pass++ {
+				for step := 0; step < steps; step++ {
+					pc := uint64(step%int(bitsRaw|1)) * 4
+					tage.Update(pc, h>>(step%64)&1 == 1)
+					checkTAGEFolds(t, tage, fmt.Sprintf("size %d pass %d step %d", size, pass, step))
+				}
+				tage.Flush()
+				checkTAGEFolds(t, tage, fmt.Sprintf("size %d pass %d after Flush", size, pass))
 			}
 		}
 	})
+}
+
+// checkTAGEFolds asserts every folded register equals the reference
+// fold of the current history.
+func checkTAGEFolds(t *testing.T, tage *TAGE, at string) {
+	t.Helper()
+	for i, l := range tageHistLengths {
+		if got, want := tage.fidx[i], foldHistory(tage.hist, l, tage.idxBits); got != want {
+			t.Fatalf("%s: fidx[%d] = %#x, reference fold %#x (hist %#x)", at, i, got, want, tage.hist)
+		}
+		if got, want := tage.ftag[i], foldHistory(tage.hist, l, tageTagBits-1); got != want {
+			t.Fatalf("%s: ftag[%d] = %#x, reference fold %#x (hist %#x)", at, i, got, want, tage.hist)
+		}
+	}
 }
 
 // FuzzPerceptronUpdate differentially fuzzes the branchless perceptron

@@ -56,10 +56,12 @@ func (g *Gshare) Predict(pc uint64) bool { return g.pht[g.index(pc)].Taken() }
 // Update implements Predictor.
 //
 //reprolint:hotpath gshare update loop
-func (g *Gshare) Update(pc uint64, taken bool) {
+func (g *Gshare) Update(pc uint64, taken bool) bool {
 	i := g.index(pc)
-	g.pht[i] = g.pht[i].Update(taken)
+	c := g.pht[i]
+	g.pht[i] = c.Update(taken)
 	g.hist = ((g.hist << 1) | b2i(taken)) & g.mask
+	return c.Taken()
 }
 
 // Flush implements ZooPredictor: clear the history and re-bias every

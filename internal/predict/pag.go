@@ -70,10 +70,12 @@ func (p *PAg) Predict(pc uint64) bool {
 }
 
 // Update implements Predictor.
-func (p *PAg) Update(pc uint64, taken bool) {
+func (p *PAg) Update(pc uint64, taken bool) bool {
 	idx, h := p.historyAt(pc)
-	p.pht[h] = p.pht[h].Update(taken)
+	c := p.pht[h]
+	p.pht[h] = c.Update(taken)
 	p.bht[idx] = ((p.bht[idx] << 1) | b2i(taken)) & p.histMask
+	return c.Taken()
 }
 
 // Flush implements ZooPredictor: clear every local history and re-bias

@@ -95,11 +95,12 @@ func (p *Perceptron) Predict(pc uint64) bool { return p.output(p.row(pc)) >= 0 }
 
 // Update implements Predictor: train on a misprediction or a
 // low-confidence correct prediction (|output| <= theta), then shift the
-// history. Each weight moves one step toward agreement with the
-// outcome, clamped branchlessly to the 7-bit rails.
+// history, and return the pre-training prediction. Each weight moves
+// one step toward agreement with the outcome, clamped branchlessly to
+// the 7-bit rails.
 //
 //reprolint:hotpath perceptron update loop
-func (p *Perceptron) Update(pc uint64, taken bool) {
+func (p *Perceptron) Update(pc uint64, taken bool) bool {
 	row := p.row(pc)
 	out := p.output(row)
 	pred := out >= 0
@@ -116,6 +117,7 @@ func (p *Perceptron) Update(pc uint64, taken bool) {
 		}
 	}
 	p.hist = (p.hist << 1) | uint64(b2i(taken))
+	return pred
 }
 
 // abs32 is a branchless |x| for the confidence test.

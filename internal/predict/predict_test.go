@@ -442,15 +442,6 @@ func TestSimZeroBranches(t *testing.T) {
 	}
 }
 
-func TestPow2Ceil(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024}
-	for in, want := range cases {
-		if got := pow2Ceil(in); got != want {
-			t.Errorf("pow2Ceil(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 // Regression: allocation from a real profile beats PC-mod on a crafted
 // interference-heavy stream, tying core and predict together.
 func TestAllocationEndToEndBeatsConventional(t *testing.T) {

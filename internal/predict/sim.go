@@ -47,13 +47,14 @@ func NewSimWarmup(p Predictor, warmup uint64) *Sim {
 	return &Sim{p: p, warmup: warmup}
 }
 
-// Branch consumes one event: predict, score, train. Every registered
-// predictor's Predict/Update pair runs under this dispatch, so the
-// whole scheme hierarchy is hot-reachable from here.
+// Branch consumes one event: one Update call trains the predictor and
+// returns the prediction it made, which is then scored. Every
+// registered predictor's Update runs under this dispatch, so the whole
+// scheme hierarchy is hot-reachable from here.
 //
 //reprolint:hotpath predictor update path
 func (s *Sim) Branch(pc uint64, taken bool, _ uint64) {
-	miss := s.p.Predict(pc) != taken
+	miss := s.p.Update(pc, taken) != taken
 	if s.warmBranches < s.warmup {
 		s.warmBranches++
 		if miss {
@@ -65,7 +66,6 @@ func (s *Sim) Branch(pc uint64, taken bool, _ uint64) {
 			s.mispredicts++
 		}
 	}
-	s.p.Update(pc, taken)
 }
 
 // Predictor returns the wrapped predictor.

@@ -1,17 +1,19 @@
 package predict
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
-// Predictor is a dynamic branch direction predictor driven
-// predict-then-update, one call pair per retired conditional branch.
+// Predictor is a dynamic branch direction predictor. Update is the one
+// call per retired conditional branch: it trains on the resolved
+// direction and returns the prediction it trained against, so a
+// simulator scores and trains with a single table lookup.
 type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
+	// Predict returns the predicted direction for the branch at pc
+	// without changing any state.
 	Predict(pc uint64) bool
-	// Update trains the predictor with the resolved direction.
-	Update(pc uint64, taken bool)
+	// Update trains the predictor with the resolved direction and
+	// returns exactly what Predict(pc) would have returned just before
+	// the call.
+	Update(pc uint64, taken bool) bool
 	// Name identifies the configuration in reports.
 	Name() string
 }
@@ -43,9 +45,11 @@ func (b *Bimodal) Name() string { return fmt.Sprintf("bimodal(%d)", len(b.table)
 func (b *Bimodal) Predict(pc uint64) bool { return b.table[(pc/4)&b.mask].Taken() }
 
 // Update implements Predictor.
-func (b *Bimodal) Update(pc uint64, taken bool) {
+func (b *Bimodal) Update(pc uint64, taken bool) bool {
 	i := (pc / 4) & b.mask
-	b.table[i] = b.table[i].Update(taken)
+	c := b.table[i]
+	b.table[i] = c.Update(taken)
+	return c.Taken()
 }
 
 // GAg is the global-history two-level predictor: one global shift
@@ -75,10 +79,12 @@ func (g *GAg) Name() string { return fmt.Sprintf("GAg(%d)", len(g.pht)) }
 func (g *GAg) Predict(pc uint64) bool { return g.pht[g.hist&g.mask].Taken() }
 
 // Update implements Predictor.
-func (g *GAg) Update(pc uint64, taken bool) {
+func (g *GAg) Update(pc uint64, taken bool) bool {
 	i := g.hist & g.mask
-	g.pht[i] = g.pht[i].Update(taken)
+	c := g.pht[i]
+	g.pht[i] = c.Update(taken)
 	g.hist = ((g.hist << 1) | b2i(taken)) & g.mask
+	return c.Taken()
 }
 
 // AlwaysTaken is the trivial static baseline.
@@ -91,7 +97,7 @@ func (AlwaysTaken) Name() string { return "always-taken" }
 func (AlwaysTaken) Predict(uint64) bool { return true }
 
 // Update implements Predictor.
-func (AlwaysTaken) Update(uint64, bool) {}
+func (AlwaysTaken) Update(uint64, bool) bool { return true }
 
 // pcBitset is a fixed direction/membership table over word-aligned
 // branch PCs: bit pc/4 of set marks a known branch, the same bit of dir
@@ -181,7 +187,7 @@ func (p *ProfileStatic) Predict(pc uint64) bool {
 }
 
 // Update implements Predictor.
-func (p *ProfileStatic) Update(uint64, bool) {}
+func (p *ProfileStatic) Update(pc uint64, _ bool) bool { return p.Predict(pc) }
 
 // HybridBiasedStatic statically predicts highly biased branches (the
 // Section 5.2 option "if a target ISA allows, these highly biased
@@ -214,17 +220,9 @@ func (h *HybridBiasedStatic) Predict(pc uint64) bool {
 }
 
 // Update implements Predictor.
-func (h *HybridBiasedStatic) Update(pc uint64, taken bool) {
-	if _, ok := h.staticDir.lookup(pc); ok {
-		return
+func (h *HybridBiasedStatic) Update(pc uint64, taken bool) bool {
+	if d, ok := h.staticDir.lookup(pc); ok {
+		return d
 	}
-	h.dynamic.Update(pc, taken)
-}
-
-// pow2Ceil returns the smallest power of two >= n (n >= 1).
-func pow2Ceil(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << (bits.Len(uint(n - 1)))
+	return h.dynamic.Update(pc, taken)
 }

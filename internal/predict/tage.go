@@ -20,6 +20,9 @@ import (
 // possible), useful counters age by periodic halving, history folding
 // XORs fixed-width segments, and tags mix two PC shifts with folded
 // history for extra entropy. Counter and history updates are branchless.
+// The folds are kept as Seznec's circular folded-history registers,
+// advanced by one bit per update, so a lookup reads them instead of
+// re-folding the history.
 //
 // Like every zoo member, the per-branch PC component is pluggable: the
 // conventional variant hashes PC bits (PCModIndexer) while the
@@ -35,6 +38,13 @@ type TAGE struct {
 	hist    uint64
 	rng     uint16 // deterministic allocation LFSR
 	ticks   uint32 // updates since the last useful-bit aging
+
+	// fidx[i] and ftag[i] hold table i's history folded to idxBits and
+	// tageTagBits-1 bits; ridx[i] is where the bit leaving table i's
+	// history window sits in the index fold. Derived from hist, so they
+	// are not part of Snapshot.
+	fidx, ftag [tageTables]uint32
+	ridx       [tageTables]uint
 }
 
 // tageEntry is one tagged component slot: a signed 3-bit prediction
@@ -72,6 +82,15 @@ const (
 // strict monotone growth this file's selection logic relies on.
 var tageHistLengths = [tageTables]uint{4, 8, 16, 32}
 
+// tageTagRot is where the bit leaving each component's history window
+// sits in its tag fold.
+var tageTagRot = func() (rot [tageTables]uint) {
+	for i, l := range tageHistLengths {
+		rot[i] = l % (tageTagBits - 1)
+	}
+	return rot
+}()
+
 // TageHistoryLengths returns the component history lengths, shortest
 // first (exported for tests and reports).
 func TageHistoryLengths() []uint {
@@ -98,6 +117,7 @@ func NewTAGE(ix Indexer, entries int) (*TAGE, error) {
 	}
 	for i := range t.tables {
 		t.tables[i] = make([]tageEntry, entries)
+		t.ridx[i] = tageHistLengths[i] % idxBits
 	}
 	t.Flush()
 	return t, nil
@@ -108,36 +128,31 @@ func (t *TAGE) Name() string {
 	return fmt.Sprintf("tage(%s/%d,t=%d)", t.indexer.Name(), len(t.base), tageTables)
 }
 
-// foldHistory XOR-folds the low histLen bits of h into a bits-wide
-// value. Folding fixed-width segments (rather than a single truncation)
-// keeps long-history components sensitive to every history position —
-// the "better hash folding" item of the design review.
-func foldHistory(h uint64, histLen, bits uint) uint32 {
-	if bits == 0 || histLen == 0 {
-		return 0
-	}
-	if histLen < 64 {
-		h &= 1<<histLen - 1
-	}
-	mask := uint32(1)<<bits - 1
-	var f uint32
-	for ; h != 0; h >>= bits {
-		f ^= uint32(h) & mask
-	}
-	return f
+// fold advances a bits-wide circular folded-history register by one
+// history bit: rotate in the new bit and cancel the bit leaving the
+// window, which the rotation has carried to position rot = histLen %
+// bits. The register always equals the low histLen bits of the history
+// XOR-folded in bits-wide segments — the "better hash folding" item of
+// the design review, which keeps long-history components sensitive to
+// every history position.
+func fold(f, in, out uint32, rot, bits uint) uint32 {
+	f = f<<1 | in
+	f ^= out << rot
+	f ^= f >> bits
+	return f & (1<<bits - 1)
 }
 
 // componentIndex computes table i's slot for the branch whose indexer
 // component is pcc.
 func (t *TAGE) componentIndex(i int, pcc uint32) uint32 {
-	return (pcc ^ foldHistory(t.hist, tageHistLengths[i], t.idxBits)) & t.mask
+	return (pcc ^ t.fidx[i]) & t.mask
 }
 
 // componentTag computes table i's partial tag: two PC shifts XOR a
 // second, differently-sized history fold, so index-colliding branches
 // still disagree in tag.
 func (t *TAGE) componentTag(i int, pcc uint32) uint16 {
-	return uint16(pcc^(pcc>>2)^foldHistory(t.hist, tageHistLengths[i], tageTagBits-1)) & tageTagMask
+	return uint16(pcc^(pcc>>2)^t.ftag[i]) & tageTagMask
 }
 
 // lookup resolves the current provider: the longest-history component
@@ -173,11 +188,12 @@ func (t *TAGE) Predict(pc uint64) bool {
 
 // Update implements Predictor: train the provider, adjust its useful
 // counter when it disagreed with the alternate, allocate longer-history
-// entries on a misprediction, age the useful bits periodically, and
-// shift the global history.
+// entries on a misprediction, age the useful bits periodically, shift
+// the global history and its folded registers, and return the
+// provider's pre-training prediction.
 //
 //reprolint:hotpath TAGE update loop
-func (t *TAGE) Update(pc uint64, taken bool) {
+func (t *TAGE) Update(pc uint64, taken bool) bool {
 	pcc := uint32(t.indexer.Index(pc))
 	provider, slot, pred, altpred := t.lookup(pcc)
 
@@ -217,7 +233,14 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		}
 	}
 
-	t.hist = (t.hist << 1) | uint64(b2i(taken))
+	in := b2i(taken)
+	for i, l := range tageHistLengths {
+		out := uint32(t.hist>>(l-1)) & 1
+		t.fidx[i] = fold(t.fidx[i], in, out, t.ridx[i], t.idxBits)
+		t.ftag[i] = fold(t.ftag[i], in, out, tageTagRot[i], tageTagBits-1)
+	}
+	t.hist = (t.hist << 1) | uint64(in)
+	return pred
 }
 
 // allocate claims entries in tables with longer history than the
@@ -261,10 +284,12 @@ func (t *TAGE) lfsr() uint16 {
 	return v
 }
 
-// Flush implements ZooPredictor: power-on state — empty history, seeded
-// LFSR, WeakTaken base, zeroed components.
+// Flush implements ZooPredictor: power-on state — empty history and
+// folded registers, seeded LFSR, WeakTaken base, zeroed components.
 func (t *TAGE) Flush() {
 	t.hist = 0
+	t.fidx = [tageTables]uint32{}
+	t.ftag = [tageTables]uint32{}
 	t.rng = tageLFSRSeed
 	t.ticks = 0
 	for i := range t.base {

@@ -92,6 +92,24 @@ func TestTageLearnsCorrelation(t *testing.T) {
 	}
 }
 
+// foldHistory is the reference definition of the TAGE history hash: it
+// XOR-folds the low histLen bits of h into a bits-wide value. The
+// folded registers TAGE keeps incrementally must always equal it.
+func foldHistory(h uint64, histLen, bits uint) uint32 {
+	if bits == 0 || histLen == 0 {
+		return 0
+	}
+	if histLen < 64 {
+		h &= 1<<histLen - 1
+	}
+	mask := uint32(1)<<bits - 1
+	var f uint32
+	for ; h != 0; h >>= bits {
+		f ^= uint32(h) & mask
+	}
+	return f
+}
+
 // TestFoldHistoryProperties checks the XOR-fold hash via testing/quick:
 // output always fits the requested width, folding is linear over XOR
 // (it's a GF(2) projection), and bits beyond histLen never leak in.

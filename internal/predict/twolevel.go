@@ -2,12 +2,10 @@ package predict
 
 import "fmt"
 
-// This file generalizes the two-level adaptive scheme to the rest of the
-// Yeh & Patt taxonomy referenced by the paper: the first level keeps
-// branch history globally (G) or per-address (P); the second level keeps
-// pattern counters globally (g), per-set (s), or per-address (p). PAg is
-// implemented separately in pag.go as the paper's baseline; the variants
-// here support the extended comparisons.
+// This file holds the extended comparisons' schemes beyond the paper's
+// PAg baseline (pag.go): GAs from the Yeh & Patt two-level taxonomy
+// (global history, per-set pattern tables), and the agree and combining
+// predictors from the related work on hardware anti-interference.
 
 // GAs is a global-history two-level predictor whose second level is
 // divided into per-set pattern tables selected by PC bits, reducing PHT
@@ -56,182 +54,13 @@ func (g *GAs) Predict(pc uint64) bool {
 }
 
 // Update implements Predictor.
-func (g *GAs) Update(pc uint64, taken bool) {
+func (g *GAs) Update(pc uint64, taken bool) bool {
 	t := g.table(pc)
 	i := g.hist & g.histMask
-	t[i] = t[i].Update(taken)
+	c := t[i]
+	t[i] = c.Update(taken)
 	g.hist = ((g.hist << 1) | b2i(taken)) & g.histMask
-}
-
-// PAs is a per-address-history two-level predictor with per-set pattern
-// tables: local history like PAg, but the second level is also
-// partitioned by PC bits.
-type PAs struct {
-	indexer  Indexer
-	histMask uint32
-	bht      []uint32
-	sets     [][]Counter2
-	setMask  uint64
-}
-
-// NewPAs builds a PAs: first-level histories via indexer, sets per-set
-// pattern tables of phtEntries counters each.
-func NewPAs(indexer Indexer, sets, phtEntries int) (*PAs, error) {
-	if sets <= 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("predict: PAs sets must be a power of two, got %d", sets)
-	}
-	if phtEntries <= 1 || phtEntries&(phtEntries-1) != 0 {
-		return nil, fmt.Errorf("predict: PAs PHT entries must be a power of two > 1, got %d", phtEntries)
-	}
-	p := &PAs{
-		indexer:  indexer,
-		histMask: uint32(phtEntries - 1),
-		bht:      make([]uint32, indexer.Size()),
-		sets:     make([][]Counter2, sets),
-		setMask:  uint64(sets - 1),
-	}
-	for i := range p.sets {
-		t := make([]Counter2, phtEntries)
-		for j := range t {
-			t[j] = WeakTaken
-		}
-		p.sets[i] = t
-	}
-	return p, nil
-}
-
-// Name implements Predictor.
-func (p *PAs) Name() string {
-	return fmt.Sprintf("PAs(bht=%s/%d,%dx%d)", p.indexer.Name(), p.indexer.Size(), len(p.sets), len(p.sets[0]))
-}
-
-func (p *PAs) slot(pc uint64) (int, uint32, []Counter2) {
-	idx := p.indexer.Index(pc)
-	if idx >= len(p.bht) {
-		// Geometric growth: amortized O(1) per first encounter.
-		n := 2 * len(p.bht)
-		if n <= idx {
-			n = idx + 1
-		}
-		grown := make([]uint32, n) //reprolint:allow hotpath amortized geometric BHT growth under the ideal indexer
-		copy(grown, p.bht)
-		p.bht = grown
-	}
-	return idx, p.bht[idx] & p.histMask, p.sets[(pc/4)&p.setMask]
-}
-
-// Predict implements Predictor.
-func (p *PAs) Predict(pc uint64) bool {
-	_, h, t := p.slot(pc)
-	return t[h].Taken()
-}
-
-// Update implements Predictor.
-func (p *PAs) Update(pc uint64, taken bool) {
-	idx, h, t := p.slot(pc)
-	t[h] = t[h].Update(taken)
-	p.bht[idx] = ((p.bht[idx] << 1) | b2i(taken)) & p.histMask
-}
-
-// PAp keeps both levels per static branch: private history and a
-// private pattern table. It is the interference-free upper bound of the
-// per-address family (unbounded hardware, like IdealIndexer).
-//
-// Storage is flat: branch PCs translate to dense entry indexes through
-// a slice keyed by pc/4 (PCs are word-aligned instruction addresses),
-// histories live in one slice, and all private pattern tables share a
-// single arena in which entry e owns the 1<<histBits counters starting
-// at e<<histBits. No per-branch allocation happens after the arena's
-// amortized growth.
-type PAp struct {
-	histBits uint
-	histMask uint32
-	dense    []int32          // pc/4 → entry index, -1 unassigned
-	high     map[uint64]int32 // unaligned or out-of-range PCs (cold)
-	hist     []uint32         // per-entry local history
-	phts     []Counter2       // arena: entry e's table is phts[e<<histBits:(e+1)<<histBits]
-	segTpl   []Counter2       // WeakTaken-initialized template for one arena segment
-	n        int32
-}
-
-// NewPAp builds a PAp with histBits of local history per branch.
-func NewPAp(histBits uint) (*PAp, error) {
-	if histBits < 1 || histBits > 20 {
-		return nil, fmt.Errorf("predict: PAp history bits %d outside [1,20]", histBits)
-	}
-	tpl := make([]Counter2, 1<<histBits)
-	for i := range tpl {
-		tpl[i] = WeakTaken
-	}
-	return &PAp{
-		histBits: histBits,
-		histMask: uint32(1<<histBits - 1),
-		segTpl:   tpl,
-	}, nil
-}
-
-// Name implements Predictor.
-func (p *PAp) Name() string { return fmt.Sprintf("PAp(h=%d)", p.histBits) }
-
-func (p *PAp) entry(pc uint64) int {
-	if w := pc >> 2; pc&3 == 0 && w < uint64(len(p.dense)) {
-		if e := p.dense[w]; e >= 0 {
-			return int(e)
-		}
-	}
-	return p.assign(pc)
-}
-
-// assign handles a branch's first encounter (and the cold fallback for
-// unaligned PCs): allocate the next entry, its history word, and its
-// arena segment, pre-set to WeakTaken.
-func (p *PAp) assign(pc uint64) int {
-	e := p.n
-	if w := pc >> 2; pc&3 == 0 && w < idealMaxDenseWords {
-		if w >= uint64(len(p.dense)) {
-			n := 2 * len(p.dense)
-			if n <= int(w) {
-				n = int(w) + 1
-			}
-			if n < 1024 {
-				n = 1024
-			}
-			grown := make([]int32, n) //reprolint:allow hotpath amortized geometric growth of the dense pc translation
-			for i := range grown {
-				grown[i] = -1
-			}
-			copy(grown, p.dense)
-			p.dense = grown
-		}
-		p.dense[w] = e
-	} else {
-		if ee, ok := p.high[pc]; ok { //reprolint:allow hotpath cold fallback for unaligned or out-of-range pcs
-			return int(ee)
-		}
-		if p.high == nil {
-			p.high = make(map[uint64]int32) //reprolint:allow hotpath cold fallback for unaligned or out-of-range pcs
-		}
-		p.high[pc] = e //reprolint:allow hotpath cold fallback for unaligned or out-of-range pcs
-	}
-	p.n++
-	p.hist = append(p.hist, 0)           //reprolint:allow hotpath amortized arena growth on first encounter of a branch
-	p.phts = append(p.phts, p.segTpl...) //reprolint:allow hotpath amortized arena growth on first encounter of a branch
-	return int(e)
-}
-
-// Predict implements Predictor.
-func (p *PAp) Predict(pc uint64) bool {
-	e := p.entry(pc)
-	base := e << p.histBits
-	return p.phts[base+int(p.hist[e]&p.histMask)].Taken()
-}
-
-// Update implements Predictor.
-func (p *PAp) Update(pc uint64, taken bool) {
-	e := p.entry(pc)
-	i := e<<p.histBits + int(p.hist[e]&p.histMask)
-	p.phts[i] = p.phts[i].Update(taken)
-	p.hist[e] = ((p.hist[e] << 1) | b2i(taken)) & p.histMask
+	return c.Taken()
 }
 
 // Agree implements the agree predictor of Sprangle et al. (ISCA 1997),
@@ -294,19 +123,22 @@ func (a *Agree) Predict(pc uint64) bool {
 	return bias == agree
 }
 
-// Update implements Predictor.
-func (a *Agree) Update(pc uint64, taken bool) {
+// Update implements Predictor. The prediction is taken before the
+// first encounter sets the biasing bit, so it matches Predict.
+func (a *Agree) Update(pc uint64, taken bool) bool {
 	bi := (pc / 4) & a.biasMask
+	i := a.index(pc)
+	pred := !a.biasSet[bi] || a.bias[bi] == a.pht[i].Taken()
 	if !a.biasSet[bi] {
 		// First encounter sets the biasing bit, as in the paper's
 		// "bias bit set on first execution" scheme.
 		a.biasSet[bi] = true
 		a.bias[bi] = taken
 	}
-	i := a.index(pc)
 	agrees := taken == a.bias[bi]
 	a.pht[i] = a.pht[i].Update(agrees)
 	a.hist = ((a.hist << 1) | b2i(taken)) & a.mask
+	return pred
 }
 
 // Combining is McFarling's tournament predictor: two component
@@ -351,14 +183,19 @@ func (c *Combining) Predict(pc uint64) bool {
 	return c.b.Predict(pc)
 }
 
-// Update implements Predictor.
-func (c *Combining) Update(pc uint64, taken bool) {
-	pa := c.a.Predict(pc)
-	pb := c.b.Predict(pc)
+// Update implements Predictor: the selector's choice is read before
+// the selector trains, and each component's Update supplies the
+// prediction it made.
+func (c *Combining) Update(pc uint64, taken bool) bool {
+	i := c.sel(pc)
+	useA := c.selector[i].Taken()
+	pa := c.a.Update(pc, taken)
+	pb := c.b.Update(pc, taken)
 	if pa != pb {
-		i := c.sel(pc)
 		c.selector[i] = c.selector[i].Update(pa == taken)
 	}
-	c.a.Update(pc, taken)
-	c.b.Update(pc, taken)
+	if useA {
+		return pa
+	}
+	return pb
 }

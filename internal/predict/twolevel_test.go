@@ -63,75 +63,6 @@ func TestGAsRejectsBadSizes(t *testing.T) {
 	}
 }
 
-func TestPAsLearnsLocalPattern(t *testing.T) {
-	p, err := NewPAs(PCModIndexer{Entries: 16}, 4, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	miss, total := drive(p, []uint64{4}, 1000, func(_ uint64, i int) bool { return i%4 != 0 })
-	if rate := float64(miss) / float64(total); rate > 0.10 {
-		t.Fatalf("PAs rate %.3f", rate)
-	}
-	if !strings.Contains(p.Name(), "PAs") {
-		t.Fatalf("name %q", p.Name())
-	}
-}
-
-func TestPAsGrowsWithIdealIndexer(t *testing.T) {
-	p, err := NewPAs(NewIdealIndexer(), 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 50; i++ {
-		p.Update(i*4, true)
-	}
-	if len(p.bht) < 50 {
-		t.Fatalf("BHT did not grow: %d", len(p.bht))
-	}
-}
-
-func TestPAsRejectsBadSizes(t *testing.T) {
-	ix := PCModIndexer{Entries: 16}
-	if _, err := NewPAs(ix, 0, 64); err == nil {
-		t.Error("zero sets accepted")
-	}
-	if _, err := NewPAs(ix, 4, 3); err == nil {
-		t.Error("non-power-of-two PHT accepted")
-	}
-}
-
-func TestPApIsInterferenceFree(t *testing.T) {
-	p, err := NewPAp(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Thousands of branches with conflicting periodic patterns: PAp
-	// keeps them all perfectly separate.
-	var pcs []uint64
-	for i := 0; i < 200; i++ {
-		pcs = append(pcs, uint64(i)*4)
-	}
-	miss, total := drive(p, pcs, 400, func(pc uint64, i int) bool {
-		return (int(pc/4)+i)%2 == 0
-	})
-	// Only per-branch warmup misses remain (a few per branch).
-	if rate := float64(miss) / float64(total); rate > 0.03 {
-		t.Fatalf("PAp rate %.3f, want warmup-only", rate)
-	}
-	if !strings.Contains(p.Name(), "PAp") {
-		t.Fatalf("name %q", p.Name())
-	}
-}
-
-func TestPApRejectsBadHistory(t *testing.T) {
-	if _, err := NewPAp(0); err == nil {
-		t.Error("0 history bits accepted")
-	}
-	if _, err := NewPAp(32); err == nil {
-		t.Error("32 history bits accepted")
-	}
-}
-
 func TestAgreeBasicPrediction(t *testing.T) {
 	a, err := NewAgree(256, 64)
 	if err != nil {
