@@ -139,28 +139,15 @@ func BenchmarkPipelineSingle(b *testing.B) {
 	}
 }
 
-// benchmarkSuiteRunAll regenerates the complete evaluation — every
-// table and both figures — under one harness configuration.
-func benchmarkSuiteRunAll(b *testing.B, cfg harness.Config) {
+// BenchmarkSuiteParallelFused regenerates the complete evaluation —
+// every table and both figures — at the default worker count, streaming
+// each benchmark's branches with no retained traces.
+func BenchmarkSuiteParallelFused(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg.Scale = benchScale
-		s := harness.NewSuite(cfg)
+		s := harness.NewSuite(harness.Config{Scale: benchScale})
 		if err := harness.RunAll(s, io.Discard, false); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(s.RetainedTraceBytes()), "trace-bytes")
 	}
-}
-
-// BenchmarkSuiteSerialRecord is the pre-parallel pipeline: one worker,
-// record-then-replay, full traces retained.
-func BenchmarkSuiteSerialRecord(b *testing.B) {
-	benchmarkSuiteRunAll(b, harness.Config{Workers: 1})
-}
-
-// BenchmarkSuiteParallelFused is the streaming pipeline at the default
-// worker count: fused execution, no retained traces.
-func BenchmarkSuiteParallelFused(b *testing.B) {
-	benchmarkSuiteRunAll(b, harness.Config{Fused: true})
 }

@@ -1,9 +1,7 @@
 // Command bench measures the experiment harness and emits a
 // machine-readable benchmark report (default BENCH_7.json) for
 // regression tracking: per-experiment ns/op, allocs/op, bytes/op and
-// approximate branch-stream throughput in Mbranches/s, a suite section
-// comparing serial record-then-replay against the parallel fused
-// pipeline (wall clock, retained trace memory, fused throughput), and a
+// approximate branch-stream throughput in Mbranches/s, and a
 // sharding sweep over P ∈ {1, 2, 4, 8} profile shards recording wall
 // clock, speedup vs P=1, throughput, and table memory at every point —
 // at the suite level (where the harness clamps P to GOMAXPROCS; clamped
@@ -12,7 +10,7 @@
 //
 // Usage:
 //
-//	bench [-scale 0.1] [-workers 8] [-o BENCH_7.json]
+//	bench [-scale 0.1] [-o BENCH_7.json]
 //	      [-baseline BENCH_7.json] [-tolerance 0.25] [-update]
 //	      [-min-suite-speedup 1.0]
 //
@@ -51,20 +49,6 @@ type ExperimentResult struct {
 	MBranchesPerS float64 `json:"mbranches_per_s"`
 }
 
-// SuiteComparison contrasts the two harness pipelines over a full run
-// (all tables and figures).
-type SuiteComparison struct {
-	Workers          int     `json:"workers"`
-	SerialRecordNs   int64   `json:"serial_record_ns"`
-	ParallelFusedNs  int64   `json:"parallel_fused_ns"`
-	Speedup          float64 `json:"speedup"`
-	RecordTraceBytes uint64  `json:"record_trace_bytes"`
-	FusedTraceBytes  uint64  `json:"fused_trace_bytes"`
-	// FusedMBranchesPerS is the fused pipeline's end-to-end branch
-	// throughput (ROADMAP item #1 tracks this against 10 Mbranches/s).
-	FusedMBranchesPerS float64 `json:"fused_mbranches_per_s"`
-}
-
 // ShardPoint is one P in the sharding sweep.
 type ShardPoint struct {
 	Shards int `json:"shards"`
@@ -90,9 +74,9 @@ type ShardPoint struct {
 }
 
 // ShardingComparison sweeps the intra-benchmark hot paths over shard
-// counts: the full table+figure composition (fused, one benchmark
-// worker, so only intra-benchmark parallelism differs) and a direct
-// unfiltered profile pass on one benchmark. Output is byte-identical at
+// counts: the full table+figure composition (one benchmark worker, so
+// only intra-benchmark parallelism differs) and a direct unfiltered
+// profile pass on one benchmark. Output is byte-identical at
 // every P; only time and memory differ — the differential suites in
 // internal/profile enforce this, and the merged pair count is checked
 // for equality across the sweep here.
@@ -107,7 +91,6 @@ type Report struct {
 	Scale       float64            `json:"scale"`
 	GoMaxProcs  int                `json:"gomaxprocs"`
 	Experiments []ExperimentResult `json:"experiments"`
-	Suite       SuiteComparison    `json:"suite"`
 	Sharding    ShardingComparison `json:"sharding"`
 }
 
@@ -117,12 +100,11 @@ var shardSweep = []int{1, 2, 4, 8}
 func main() {
 	var (
 		scale      = flag.Float64("scale", 0.1, "workload scale factor for the benchmarks")
-		workers    = flag.Int("workers", 8, "worker count for the parallel fused comparison")
 		out        = flag.String("o", "BENCH_7.json", "write the benchmark report here")
 		baseline   = flag.String("baseline", "", "compare against this baseline report")
 		tolerance  = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression vs the baseline")
 		update     = flag.Bool("update", false, "overwrite the baseline with this run's report")
-		metrics    = flag.Bool("metrics", false, "instrument the comparison runs and dump the metrics registry (text encoding) to stderr")
+		metrics    = flag.Bool("metrics", false, "instrument the sharding sweep and dump the metrics registry (text encoding) to stderr")
 		minSpeedup = flag.Float64("min-suite-speedup", 0, "fail if any sweep point's suite-level sharding speedup is below this (0 disables)")
 		predictor  = flag.String("predictor", "", "also benchmark the predictor zoo for these comma-separated kinds (pag, gshare, tage, perceptron; 'all' runs the whole zoo)")
 		graphsFlag = flag.Bool("graphs", false, "also benchmark the graph-workload experiment (full zoo over the BFS/CC/triangle family) and the predictability characterization")
@@ -139,7 +121,7 @@ func main() {
 	if *metrics {
 		reg = obs.NewRegistry()
 	}
-	rep, err := measure(obs.SystemClock(), *scale, *workers, zooKinds, *graphsFlag, obs.New(reg))
+	rep, err := measure(obs.SystemClock(), *scale, zooKinds, *graphsFlag, obs.New(reg))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
@@ -281,7 +263,7 @@ func timeRun(clock obs.Clock, f func() error) (time.Duration, error) {
 	return clock.Now().Sub(start), nil
 }
 
-func measure(clock obs.Clock, scale float64, workers int, zooKinds []string, withGraphs bool, m *obs.Metrics) (*Report, error) {
+func measure(clock obs.Clock, scale float64, zooKinds []string, withGraphs bool, m *obs.Metrics) (*Report, error) {
 	rep := &Report{Scale: scale, GoMaxProcs: runtime.GOMAXPROCS(0)}
 
 	for _, e := range experiments(zooKinds, withGraphs) {
@@ -294,7 +276,7 @@ func measure(clock obs.Clock, scale float64, workers int, zooKinds []string, wit
 				// A fresh suite per iteration measures the experiment
 				// cold: workload execution, filtering, profiling,
 				// analysis, simulation and rendering.
-				s := harness.NewSuite(harness.Config{Scale: scale, Fused: true})
+				s := harness.NewSuite(harness.Config{Scale: scale})
 				if err := e.run(s); err != nil {
 					benchErr = err
 					b.FailNow()
@@ -321,15 +303,6 @@ func measure(clock obs.Clock, scale float64, workers int, zooKinds []string, wit
 		rep.Experiments = append(rep.Experiments, res)
 	}
 
-	suite, err := compareSuites(clock, scale, workers, m)
-	if err != nil {
-		return nil, err
-	}
-	rep.Suite = *suite
-	fmt.Printf("suite    serial/record %v, parallel(%d)/fused %v: %.2fx, trace bytes %d -> %d, fused %.2f Mbranches/s\n",
-		time.Duration(suite.SerialRecordNs), suite.Workers, time.Duration(suite.ParallelFusedNs),
-		suite.Speedup, suite.RecordTraceBytes, suite.FusedTraceBytes, suite.FusedMBranchesPerS)
-
 	sharding, err := compareSharding(clock, scale, shardSweep, m)
 	if err != nil {
 		return nil, err
@@ -349,10 +322,10 @@ func measure(clock obs.Clock, scale float64, workers int, zooKinds []string, wit
 }
 
 // compareSharding sweeps the intra-benchmark hot paths over the shard
-// counts in sweep: the full table+figure composition (fused, one
-// benchmark worker, so only intra-benchmark parallelism differs), and a
-// direct unfiltered profile pass over the heaviest benchmark's branch
-// stream, where the table memory costs are also read.
+// counts in sweep: the full table+figure composition (one benchmark
+// worker, so only intra-benchmark parallelism differs), and a direct
+// unfiltered profile pass over the heaviest benchmark's branch stream,
+// where the table memory costs are also read.
 //
 // The harness clamps suite-level sharding to GOMAXPROCS (running more
 // workers than cores is pure overhead), so sweep points beyond the
@@ -368,7 +341,7 @@ func compareSharding(clock obs.Clock, scale float64, sweep []int, m *obs.Metrics
 	suiteByEff := make(map[int]suiteRun)
 	runSuite := func(profileShards int) (suiteRun, error) {
 		s := harness.NewSuite(harness.Config{
-			Scale: scale, Workers: 1, Fused: true, ProfileShards: profileShards, Metrics: m,
+			Scale: scale, Workers: 1, ProfileShards: profileShards, Metrics: m,
 		})
 		elapsed, err := timeRun(clock, func() error {
 			return harness.RunAll(s, io.Discard, false)
@@ -473,41 +446,6 @@ func streamBranches(s *harness.Suite) uint64 {
 		}
 	}
 	return total
-}
-
-// compareSuites runs the complete table+figure composition once per
-// pipeline and reports wall clock and retained trace memory.
-func compareSuites(clock obs.Clock, scale float64, workers int, m *obs.Metrics) (*SuiteComparison, error) {
-	run := func(cfg harness.Config) (time.Duration, uint64, uint64, error) {
-		s := harness.NewSuite(cfg)
-		elapsed, err := timeRun(clock, func() error {
-			return harness.RunAll(s, io.Discard, false)
-		})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return elapsed, s.RetainedTraceBytes(), streamBranches(s), nil
-	}
-	serialNs, recBytes, _, err := run(harness.Config{Scale: scale, Workers: 1, Metrics: m})
-	if err != nil {
-		return nil, err
-	}
-	fusedNs, fusedBytes, fusedBranches, err := run(harness.Config{Scale: scale, Workers: workers, Fused: true, Metrics: m})
-	if err != nil {
-		return nil, err
-	}
-	c := &SuiteComparison{
-		Workers:          workers,
-		SerialRecordNs:   serialNs.Nanoseconds(),
-		ParallelFusedNs:  fusedNs.Nanoseconds(),
-		RecordTraceBytes: recBytes,
-		FusedTraceBytes:  fusedBytes,
-	}
-	if fusedNs > 0 {
-		c.Speedup = float64(serialNs) / float64(fusedNs)
-		c.FusedMBranchesPerS = float64(fusedBranches) / (float64(fusedNs.Nanoseconds()) / 1e9) / 1e6
-	}
-	return c, nil
 }
 
 // compare fails on any experiment whose ns/op regressed beyond

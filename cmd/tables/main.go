@@ -5,7 +5,7 @@
 // Usage:
 //
 //	tables [-scale f] [-table n] [-figure n] [-markdown] [-quiet]
-//	       [-workers n] [-shards n] [-fused] [-static]
+//	       [-workers n] [-shards n] [-static]
 //	       [-zoo] [-graphs] [-charact] [-predictor list]
 //	       [-cpuprofile f] [-memprofile f]
 //
@@ -20,9 +20,9 @@
 // characterization (per-branch bias, direction entropy, and
 // history-conditioned entropy, aggregated per benchmark). -markdown emits
 // GitHub-style tables suitable for EXPERIMENTS.md. Benchmarks run
-// concurrently (-workers, default GOMAXPROCS) and, by default, in fused
-// streaming mode (-fused=false restores record-then-replay); the
-// rendered output is byte-identical across worker counts and modes.
+// concurrently (-workers, default GOMAXPROCS), each streaming its
+// branches straight into the analyses; the rendered output is
+// byte-identical across worker counts.
 package main
 
 import (
@@ -58,7 +58,6 @@ func main() {
 		progCheck  = flag.Bool("progcheck", false, "verify every compiled program with the static program verifier before it runs; error findings fail the run")
 		workers    = flag.Int("workers", 0, "concurrent benchmark workers (0 = GOMAXPROCS, 1 = serial)")
 		shards     = flag.Int("shards", 0, "intra-benchmark pair-count shards and clique-mining workers (0 = GOMAXPROCS, 1 = serial)")
-		fused      = flag.Bool("fused", true, "stream branch events straight into the analyses instead of recording full traces")
 		metrics    = flag.Bool("metrics", false, "instrument the run and dump the metrics registry (text encoding) to stderr on exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -97,7 +96,6 @@ func main() {
 		Check:         *check,
 		Workers:       *workers,
 		ProfileShards: *shards,
-		Fused:         *fused,
 		Progress:      progress,
 		Metrics:       obs.New(reg),
 		Static:        *static,

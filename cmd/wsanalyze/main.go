@@ -360,7 +360,7 @@ func run(o runOpts, reg *obs.Registry) error {
 			return err
 		}
 
-		filter := tr.FilterByCoverage(cov)
+		filter := trace.FilterByCoverage(tr.Stats(), cov)
 		fmt.Printf("benchmark %s (input %s): %d dynamic branches, %d static\n",
 			tr.Benchmark, tr.InputSet, filter.DynamicTotal, filter.StaticTotal)
 		fmt.Printf("analyzed: %d dynamic (%.2f%%), %d static\n",
@@ -379,7 +379,7 @@ func run(o runOpts, reg *obs.Registry) error {
 			col = charact.NewCollector()
 			sink = vm.MultiSink{p, col}
 		}
-		filter.Kept.Replay(sink)
+		tr.Replay(trace.NewFilterSink(filter.Keep, sink))
 		p.SetInstructions(tr.Instructions)
 		prof = p.Profile()
 	}

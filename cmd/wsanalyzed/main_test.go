@@ -145,7 +145,7 @@ func TestRoundTripMatchesHarness(t *testing.T) {
 		t.Fatalf("job failed: %s", j.Error)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.05, Fused: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.05})
 	var want bytes.Buffer
 	if err := harness.RunAll(direct, &want, false); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestStaticMode(t *testing.T) {
 		t.Errorf("recorded kind = %q, want static (the ?mode alias must stick)", j.Req.Kind)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.05, Fused: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.05})
 	var want bytes.Buffer
 	if err := harness.RunStatic(direct, &want, false); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestZooMode(t *testing.T) {
 		t.Errorf("recorded request = kind %q predictor %q (the query aliases must stick)", j.Req.Kind, j.Req.Predictor)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.05, Fused: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.05})
 	var want bytes.Buffer
 	if err := harness.RunZoo(direct, &want, false, "gshare", "perceptron"); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestGraphCharactMode(t *testing.T) {
 		t.Fatalf("graphs job failed: %s", j.Error)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.05, Fused: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.05})
 	var want bytes.Buffer
 	if err := harness.RunGraphs(direct, &want, false, "pag"); err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestGraphCharactMode(t *testing.T) {
 		t.Fatalf("charact job failed: %s", cj.Error)
 	}
 	want.Reset()
-	if err := harness.RunCharact(harness.NewSuite(harness.Config{Scale: 0.05, Fused: true}), &want, false); err != nil {
+	if err := harness.RunCharact(harness.NewSuite(harness.Config{Scale: 0.05}), &want, false); err != nil {
 		t.Fatal(err)
 	}
 	if cj.Result != want.String() {
@@ -457,6 +457,11 @@ func TestValidation(t *testing.T) {
 		{Kind: "bogus"},
 		{Kind: "table", Table: 9},
 		{Kind: "figure", Figure: 1},
+		{Kind: "table", Table: 1, Scale: -1},
+		{Kind: "table", Table: 1, Scale: maxScale + 1},
+		{Kind: "table", Table: 1, Workers: -5},
+		{Kind: "table", Table: 1, Shards: -3},
+		{Kind: "table", Table: 1, CliqueBudget: -7},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/analyze", c)
@@ -474,6 +479,20 @@ func TestValidation(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+
+	// An otherwise valid request padded past the cap with a field the
+	// decoder would ignore.
+	huge := map[string]any{"kind": "table", "table": 1, "scale": 0.01, "pad": strings.Repeat("x", maxBodyBytes)}
+	if resp, body := postJSON(t, ts.URL+"/analyze", huge); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized body: status %d, want 400 (body %.200s)", resp.StatusCode, body)
+	}
+	var list struct {
+		Jobs []job `json:"jobs"`
+	}
+	getJSON(t, ts.URL+"/jobs", &list)
+	if len(list.Jobs) != 0 {
+		t.Errorf("rejected requests were queued: %+v", list.Jobs)
 	}
 
 	if resp := getJSON(t, ts.URL+"/jobs/job-999", nil); resp.StatusCode != http.StatusNotFound {
@@ -575,7 +594,7 @@ func TestProgCheckConfig(t *testing.T) {
 		t.Fatalf("job failed: %s", j.Error)
 	}
 
-	direct := harness.NewSuite(harness.Config{Scale: 0.02, Fused: true, ProgCheck: true})
+	direct := harness.NewSuite(harness.Config{Scale: 0.02, ProgCheck: true})
 	var want bytes.Buffer
 	if err := harness.RunTable(direct, &want, 1, false); err != nil {
 		t.Fatal(err)

@@ -59,11 +59,18 @@ type analyzeRequest struct {
 	CliqueBudget int     `json:"clique_budget,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
 	Shards       int     `json:"shards,omitempty"`
-	// Fused defaults to true (the CLI default) when omitted.
-	Fused    *bool `json:"fused,omitempty"`
-	Markdown bool  `json:"markdown,omitempty"`
-	Check    bool  `json:"check,omitempty"`
+	Markdown     bool    `json:"markdown,omitempty"`
+	Check        bool    `json:"check,omitempty"`
 }
+
+// maxScale caps a request's scale. Scale multiplies every schedule
+// length, so it sets a job's run time; 100 is five times the largest
+// scale the graph benchmarks are measured at.
+const maxScale = 100
+
+// maxBodyBytes caps a POST /analyze body: a request is a few fields plus
+// an optional assembly program, so 1 MiB is ample.
+const maxBodyBytes = 1 << 20
 
 func (r *analyzeRequest) validate() error {
 	switch r.Kind {
@@ -95,6 +102,17 @@ func (r *analyzeRequest) validate() error {
 	}
 	if r.Program != "" && r.Kind != "progcheck" {
 		return fmt.Errorf("program source only applies to kind \"progcheck\", not %q", r.Kind)
+	}
+	if r.Scale < 0 || r.Scale > maxScale {
+		return fmt.Errorf("scale %g out of range [0, %d]", r.Scale, maxScale)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"clique_budget", r.CliqueBudget}, {"workers", r.Workers}, {"shards", r.Shards}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d is negative", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -137,10 +155,6 @@ func executeJob(req analyzeRequest, m *obs.Metrics) (string, error) {
 	if req.Kind == "progcheck" {
 		return runProgcheckJob(req.Program)
 	}
-	fused := true
-	if req.Fused != nil {
-		fused = *req.Fused
-	}
 	suite := harness.NewSuite(harness.Config{
 		Scale:         req.Scale,
 		Threshold:     req.Threshold,
@@ -148,7 +162,6 @@ func executeJob(req analyzeRequest, m *obs.Metrics) (string, error) {
 		Check:         req.Check,
 		Workers:       req.Workers,
 		ProfileShards: req.Shards,
-		Fused:         fused,
 		ProgCheck:     req.ProgCheck,
 		Metrics:       m,
 	})
@@ -307,7 +320,8 @@ type errorBody struct {
 
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req analyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil && err != io.EOF {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}

@@ -187,7 +187,7 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 	}
 	// One pass over the filtered stream feeds every window's profiler
 	// (they are independent consumers), so the ablation costs a single
-	// replay — or a single fused re-execution — for all rows.
+	// filtered re-execution for all rows.
 	profilers := make([]*profile.Profiler, len(windows))
 	fan := make(vm.MultiSink, len(windows))
 	for i, w := range windows {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/profile"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -109,7 +110,7 @@ func TestShardedSuiteMatchesSerial(t *testing.T) {
 	names := workload.Names()
 
 	// Reference: strictly serial intra-benchmark pipeline.
-	ref := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Fused: true, Metrics: obs.New(obs.NewRegistry())})
+	ref := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Metrics: obs.New(obs.NewRegistry())})
 	want := make(map[string]string, len(names))
 	for _, name := range names {
 		want[name] = benchmarkDump(t, ref, name, 1)
@@ -123,7 +124,7 @@ func TestShardedSuiteMatchesSerial(t *testing.T) {
 		seen[shards] = true
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Fused: true, Metrics: obs.New(obs.NewRegistry())})
+			s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Metrics: obs.New(obs.NewRegistry())})
 			for _, name := range names {
 				if got := benchmarkDump(t, s, name, shards); got != want[name] {
 					t.Errorf("%s: shards=%d artifacts differ from serial\n--- serial ---\n%.2000s\n--- shards=%d ---\n%.2000s",
@@ -139,7 +140,7 @@ func TestShardedSuiteMatchesSerial(t *testing.T) {
 // with the shard count.
 func TestShardedRenderedTables(t *testing.T) {
 	render := func(shards int) string {
-		s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Fused: true, Metrics: obs.New(obs.NewRegistry())})
+		s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Metrics: obs.New(obs.NewRegistry())})
 		rows, err := s.Table2()
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +164,7 @@ func TestShardedRenderedTables(t *testing.T) {
 // (sharded profiles) and the benchmark-level parallelism around them.
 func TestZooDifferentialAcrossShards(t *testing.T) {
 	render := func(workers, shards int) string {
-		s := NewSuite(Config{Scale: 0.05, Workers: workers, ProfileShards: shards, Fused: true, Metrics: obs.New(obs.NewRegistry())})
+		s := NewSuite(Config{Scale: 0.05, Workers: workers, ProfileShards: shards, Metrics: obs.New(obs.NewRegistry())})
 		var b strings.Builder
 		if err := RunZoo(s, &b, false); err != nil {
 			t.Fatal(err)
@@ -181,9 +182,9 @@ func TestZooDifferentialAcrossShards(t *testing.T) {
 	}
 }
 
-// TestShardedProfilerOnBenchmarkStream cross-checks the record-then-
-// replay path too: a recorded filtered trace replayed into serial and
-// sharded profilers yields identical pair tables.
+// TestShardedProfilerOnBenchmarkStream cross-checks a recorded trace
+// too: replayed through the keep-set filter into serial and sharded
+// profilers, it yields identical pair tables.
 func TestShardedProfilerOnBenchmarkStream(t *testing.T) {
 	spec, err := workload.ByName("li")
 	if err != nil {
@@ -193,12 +194,12 @@ func TestShardedProfilerOnBenchmarkStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filter := tr.FilterByCoverage(spec.AnalyzeCoverage)
+	filter := trace.FilterByCoverage(tr.Stats(), spec.AnalyzeCoverage)
 
 	dump := func(shards int) string {
 		prof := profile.NewProfiler("li", "ref",
 			profile.WithShards(shards), profile.WithMetrics(obs.New(obs.NewRegistry()).Profile()))
-		filter.Kept.Replay(prof)
+		tr.Replay(trace.NewFilterSink(filter.Keep, prof))
 		p := prof.Profile()
 		defer p.Release()
 		pairs := p.SortedPairs()

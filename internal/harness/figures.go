@@ -111,8 +111,7 @@ func (s *Suite) figureRow(a *Artifacts, classified bool) (FigureRow, error) {
 		allocSims[i] = predict.NewSim(p)
 	}
 
-	// One stream drives every configuration: the recorded trace in
-	// record mode, a fused re-execution otherwise.
+	// One re-execution drives every configuration.
 	sinks := make(vm.MultiSink, 0, len(allocSims)+2)
 	sinks = append(sinks, convSim, ifreeSim)
 	for _, sim := range allocSims {

@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // graphSuite builds a fresh small-scale suite for the graph tests; the
 // graph cache is per suite, so the shared testSuite stays untouched.
 func graphSuite(workers, shards int) *Suite {
-	return NewSuite(Config{Scale: 0.05, Workers: workers, ProfileShards: shards, Fused: true, Metrics: obs.New(obs.NewRegistry())})
+	return NewSuite(Config{Scale: 0.05, Workers: workers, ProfileShards: shards, Metrics: obs.New(obs.NewRegistry())})
 }
 
 func TestGraphsShape(t *testing.T) {
@@ -209,7 +209,7 @@ func TestCharactGolden(t *testing.T) {
 // dump is reproducible byte for byte.
 func TestGraphsMetricsGolden(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Fused: true, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
 	var b strings.Builder
 	if err := RunGraphs(s, &b, false, predict.KindPAg); err != nil {
 		t.Fatal(err)

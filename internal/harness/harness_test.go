@@ -52,7 +52,7 @@ func TestArtifactsCachedAndComplete(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("artifacts not cached")
 	}
-	if a1.Trace == nil || a1.Profile == nil || a1.Filter.Kept == nil {
+	if a1.Profile == nil || len(a1.Filter.Keep) != a1.Filter.StaticKept {
 		t.Fatal("artifacts incomplete")
 	}
 	if a1.Profile.DynamicBranches() != a1.Filter.DynamicKept {

@@ -19,13 +19,13 @@ func metricsRegistry() *obs.Registry {
 }
 
 // TestMetricsDoNotPerturbOutput is the central determinism guarantee of
-// the observability layer: a full parallel fused suite run renders
+// the observability layer: a full parallel suite run renders
 // byte-identical output with instrumentation off and on.
 func TestMetricsDoNotPerturbOutput(t *testing.T) {
 	render := func(m *obs.Metrics) string {
 		// Scale 0.02 keeps the double full-suite run affordable under
 		// -race; the byte-identity property is scale-independent.
-		s := NewSuite(Config{Scale: 0.02, ProfileShards: 3, Fused: true, Metrics: m})
+		s := NewSuite(Config{Scale: 0.02, ProfileShards: 3, Metrics: m})
 		var buf bytes.Buffer
 		if err := RunAll(s, &buf, false); err != nil {
 			t.Fatal(err)
@@ -39,31 +39,31 @@ func TestMetricsDoNotPerturbOutput(t *testing.T) {
 	}
 }
 
-// TestRecordModeCountersExact pins the instrumented pipeline's counters
-// to independently-known quantities for one benchmark in record mode:
-// the VM series must equal the run's Stats, the profiler event count
-// must equal the filtered dynamic branch count, and the pair-increment
-// total must equal the pair table's total weight.
-func TestRecordModeCountersExact(t *testing.T) {
+// TestStreamCountersExact pins the instrumented pipeline's counters to
+// independently-known quantities for one benchmark: the VM runs twice
+// (pre-count and profiling pass), so each VM series is twice the run's
+// Stats; the profiler event count must equal the filtered dynamic branch
+// count, and the pair-increment total the pair table's total weight.
+func TestStreamCountersExact(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Fused: false, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
 	a, err := s.Artifacts("li", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	counter := func(name string) uint64 { return reg.Counter(name).Value() }
-	if got := counter("wsd_vm_runs_total"); got != 1 {
-		t.Errorf("vm runs = %d, want 1 (record mode executes once)", got)
+	if got := counter("wsd_vm_runs_total"); got != 2 {
+		t.Errorf("vm runs = %d, want 2 (pre-count and profiling pass)", got)
 	}
-	if got := counter("wsd_vm_instructions_total"); got != a.VMStats.Instructions {
-		t.Errorf("vm instructions = %d, want Stats %d", got, a.VMStats.Instructions)
+	if got := counter("wsd_vm_instructions_total"); got != 2*a.VMStats.Instructions {
+		t.Errorf("vm instructions = %d, want 2 × Stats %d", got, a.VMStats.Instructions)
 	}
-	if got := counter("wsd_vm_branches_total"); got != a.VMStats.CondBranches {
-		t.Errorf("vm branches = %d, want Stats %d", got, a.VMStats.CondBranches)
+	if got := counter("wsd_vm_branches_total"); got != 2*a.VMStats.CondBranches {
+		t.Errorf("vm branches = %d, want 2 × Stats %d", got, a.VMStats.CondBranches)
 	}
-	if got := counter("wsd_vm_taken_total"); got != a.VMStats.Taken {
-		t.Errorf("vm taken = %d, want Stats %d", got, a.VMStats.Taken)
+	if got := counter("wsd_vm_taken_total"); got != 2*a.VMStats.Taken {
+		t.Errorf("vm taken = %d, want 2 × Stats %d", got, a.VMStats.Taken)
 	}
 
 	if got := counter("wsd_profile_events_total"); got != a.Filter.DynamicKept {
@@ -93,7 +93,7 @@ func TestRecordModeCountersExact(t *testing.T) {
 func TestShardedCountersMatchSerial(t *testing.T) {
 	run := func(shards int) *obs.Registry {
 		reg := metricsRegistry()
-		s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Fused: false, Metrics: obs.New(reg)})
+		s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Metrics: obs.New(reg)})
 		if _, err := s.Artifacts("li", workload.InputRef); err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestShardedCountersMatchSerial(t *testing.T) {
 // × per-row branches, and hits + mispredicts must partition it.
 func TestFigurePredictFlushExact(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Fused: true, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
 	res, err := s.Figure3()
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestFigurePredictFlushExact(t *testing.T) {
 // benchmarks it touched.
 func TestStageSpansRecorded(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Fused: true, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
 	if _, err := s.Table2(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/profile"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -65,54 +67,59 @@ func TestMapOrderedParallelReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestFusedArtifactsMatchRecorded checks the fused streaming pipeline
-// produces the same filter statistics and interleave profile as
-// record-then-replay, while retaining no trace memory.
+// TestFusedArtifactsMatchRecorded checks the streamed artifacts against
+// a reference built here from a recorded trace: the trace's own
+// statistics select the keep set, and a plain loop over its events feeds
+// the kept ones to a serial profiler. VM stats, every filter count, the
+// keep set, the per-branch vectors and the pair counts must all agree.
 func TestFusedArtifactsMatchRecorded(t *testing.T) {
-	rec := NewSuite(Config{Scale: 0.05})
-	fus := NewSuite(Config{Scale: 0.05, Fused: true})
-
-	ar, err := rec.Artifacts("li", workload.InputRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	af, err := fus.Artifacts("li", workload.InputRef)
+	s := NewSuite(Config{Scale: 0.05})
+	got, err := s.Artifacts("li", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if af.Trace != nil || af.Filter.Kept != nil {
-		t.Fatal("fused artifacts retain a trace")
+	spec, err := workload.ByName("li")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ar.Trace == nil {
-		t.Fatal("recorded artifacts lost their trace")
+	tr, stats, err := spec.Run(workload.RunConfig{Input: workload.InputRef, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec.RetainedTraceBytes() == 0 {
-		t.Fatal("record mode reports no retained trace memory")
+	filter := trace.FilterByCoverage(tr.Stats(), spec.AnalyzeCoverage)
+	prof := profile.NewProfiler("li", workload.InputRef.Name,
+		profile.WithWindow(2*spec.WorkingSetSize()), profile.WithShards(1))
+	var kept uint64
+	for _, e := range tr.Events {
+		if _, ok := filter.Keep[e.PC]; ok {
+			prof.Branch(e.PC, e.Taken, e.ICount)
+			kept++
+		}
 	}
-	if fus.RetainedTraceBytes() != 0 {
-		t.Fatalf("fused mode retains %d trace bytes", fus.RetainedTraceBytes())
+	prof.SetInstructions(stats.Instructions)
+	want := prof.Profile()
+
+	if got.VMStats != stats {
+		t.Fatalf("VM stats differ: %+v vs reference %+v", got.VMStats, stats)
+	}
+	if kept != filter.DynamicKept {
+		t.Fatalf("reference loop kept %d events, filter counts %d", kept, filter.DynamicKept)
+	}
+	if !reflect.DeepEqual(got.Filter, filter) {
+		t.Fatalf("filters differ: %+v vs reference %+v", got.Filter, filter)
 	}
 
-	if ar.VMStats != af.VMStats {
-		t.Fatalf("VM stats differ: %+v vs %+v", ar.VMStats, af.VMStats)
+	pg, pw := got.Profile, want
+	if !reflect.DeepEqual(pg.PCs, pw.PCs) || !reflect.DeepEqual(pg.Exec, pw.Exec) ||
+		!reflect.DeepEqual(pg.Taken, pw.Taken) {
+		t.Fatal("per-branch profile vectors differ from the reference")
 	}
-	fr, ff := ar.Filter, af.Filter
-	if fr.StaticKept != ff.StaticKept || fr.StaticTotal != ff.StaticTotal ||
-		fr.DynamicKept != ff.DynamicKept || fr.DynamicTotal != ff.DynamicTotal {
-		t.Fatalf("filters differ: %+v vs %+v", fr, ff)
+	if pg.Instructions != pw.Instructions {
+		t.Fatalf("instructions %d vs reference %d", pg.Instructions, pw.Instructions)
 	}
-
-	pr, pf := ar.Profile, af.Profile
-	if !reflect.DeepEqual(pr.PCs, pf.PCs) || !reflect.DeepEqual(pr.Exec, pf.Exec) ||
-		!reflect.DeepEqual(pr.Taken, pf.Taken) {
-		t.Fatal("per-branch profile vectors differ between record and fused")
-	}
-	if pr.Instructions != pf.Instructions {
-		t.Fatalf("instructions %d vs %d", pr.Instructions, pf.Instructions)
-	}
-	if !reflect.DeepEqual(pr.SortedPairs(), pf.SortedPairs()) {
-		t.Fatal("interleave pair counts differ between record and fused")
+	if !reflect.DeepEqual(pg.SortedPairs(), pw.SortedPairs()) {
+		t.Fatal("interleave pair counts differ from the reference")
 	}
 }
 
@@ -138,14 +145,14 @@ func renderEverything(t *testing.T, cfg Config) string {
 // TestParallelFusedOutputByteIdentical is the harness's headline
 // determinism guarantee: the full rendered output — every table,
 // figure, ablation and extended experiment — is byte-identical between
-// the serial record-then-replay pipeline and the parallel fused
-// streaming pipeline (with the artifact verifiers enabled). Run under
-// -race in CI, it also shakes out data races in the worker pool.
+// the strictly serial pipeline (one worker, one profile shard) and the
+// parallel one (with the artifact verifiers enabled). Run under -race
+// in CI, it also shakes out data races in the worker pool.
 func TestParallelFusedOutputByteIdentical(t *testing.T) {
-	serial := renderEverything(t, Config{Scale: 0.05, Workers: 1})
-	parallel := renderEverything(t, Config{Scale: 0.05, Workers: 4, Fused: true, Check: true})
+	serial := renderEverything(t, Config{Scale: 0.05, Workers: 1, ProfileShards: 1})
+	parallel := renderEverything(t, Config{Scale: 0.05, Workers: 4, Check: true})
 	if serial != parallel {
-		t.Fatalf("output differs between serial/record and parallel/fused:\n--- serial ---\n%s\n--- parallel fused ---\n%s",
+		t.Fatalf("output differs between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
 	}
 	for _, want := range []string{"Table 1", "Table 4", "Figure 3", "Figure 4", "Ablation", "Extended"} {

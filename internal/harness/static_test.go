@@ -23,7 +23,7 @@ const staticCoverK = 64
 // profile-free allocation — each member allocated, the whole set spread
 // over at most staticCoverK entries.
 func TestStaticCoversDynamicWorkingSets(t *testing.T) {
-	s := NewSuite(Config{Scale: 0.05, Fused: true, Workers: 2})
+	s := NewSuite(Config{Scale: 0.05, Workers: 2})
 	totalSets := 0
 	for _, name := range StaticBenchmarks {
 		name := name
@@ -102,7 +102,7 @@ func TestStaticComparisonDeterminism(t *testing.T) {
 	}
 	var outs []string
 	for _, workers := range []int{1, 3} {
-		s := NewSuite(Config{Scale: 0.05, Fused: true, Workers: workers})
+		s := NewSuite(Config{Scale: 0.05, Workers: workers})
 		var buf bytes.Buffer
 		if err := RunStatic(s, &buf, false); err != nil {
 			t.Fatal(err)

@@ -10,10 +10,9 @@
 // a worker pool (Config.Workers) computes per-benchmark artifacts and
 // per-row experiment results concurrently, while every table and figure
 // is assembled in fixed benchmark order — rendered output is
-// byte-identical for any worker count. Config.Fused additionally
-// replaces the record-then-replay flow with streamed execution: the VM's
-// branch stream fans out directly to the analysis consumers and no full
-// trace is retained (see DESIGN.md §10).
+// byte-identical for any worker count. Execution is streamed: the VM's
+// branch stream fans out directly to the analysis consumers, and no
+// full trace is retained (see DESIGN.md §10).
 package harness
 
 import (
@@ -76,12 +75,7 @@ type Config struct {
 	// serial code paths. Output is byte-identical for any value
 	// (DESIGN.md §11).
 	ProfileShards int
-	// Fused streams each benchmark's branch stream straight into the
-	// analysis consumers in fused execution passes instead of recording
-	// a full trace and replaying it: Artifacts.Trace and Filter.Kept
-	// stay nil and peak memory drops from O(dynamic branches) to
-	// O(static branches) per benchmark. Experiment results are
-	// identical either way (the VM is deterministic).
+	// Deprecated: the harness always streams; this field is ignored and remains only because perfbench/ still sets it.
 	Fused bool
 	// Progress, when non-nil, receives one line per completed step.
 	// Lines from concurrent workers may interleave, but each line is
@@ -149,17 +143,12 @@ type Artifacts struct {
 	Spec    workload.Spec
 	Input   workload.InputSet
 	VMStats vm.Stats
-	// Trace is the full recorded trace; nil in fused mode.
-	Trace *trace.Trace
-	// Filter is the frequency filter at the spec's coverage. In fused
-	// mode its counts are populated but Filter.Kept is nil — the
-	// filtered stream is regenerated on demand (see Suite.replayFiltered).
+	// Filter is the frequency filter at the spec's coverage; its keep
+	// set regenerates the filtered stream from a re-execution (see
+	// Suite.replayFiltered).
 	Filter trace.FilterResult
 	// Profile is the interleave profile of the filtered stream.
 	Profile *profile.Profile
-	// keep is the analyzed static branch set (fused mode only); it
-	// reproduces the filtered stream from a re-execution.
-	keep map[uint64]struct{}
 }
 
 // entry is one cache slot; done closes when the computation finishes,
@@ -209,8 +198,7 @@ func (s *Suite) progressf(format string, args ...any) {
 }
 
 // Artifacts runs (or returns the cached run of) one benchmark under one
-// input set: execute, frequency-filter, and profile — via record and
-// replay, or via fused streaming passes when Config.Fused is set.
+// input set: execute, frequency-filter, and profile.
 func (s *Suite) Artifacts(benchmark string, input workload.InputSet) (*Artifacts, error) {
 	key := benchmark + "/" + input.Name
 	s.mu.Lock()
@@ -248,10 +236,42 @@ func (s *Suite) compute(benchmark string, input workload.InputSet) (*Artifacts, 
 			return nil, err
 		}
 	}
-	if s.cfg.Fused {
-		return s.computeFused(spec, input)
+
+	// Two executions: a frequency pre-count pass selects the keep set,
+	// then a second pass streams the filtered events straight into the
+	// profiler. No event buffer is ever materialized.
+	runCfg := workload.RunConfig{Input: input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM()}
+	s.progressf("run %s (pre-count, input %s, scale %.2f)", spec.Name, input.Name, s.cfg.Scale)
+	execSpan := s.stageSpan(spec.Name, "execute")
+	var freq trace.FreqCounter
+	stats, err := spec.RunInto(runCfg, &freq)
+	execSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("harness: running %s: %w", spec.Name, err)
 	}
-	return s.computeRecord(spec, input)
+	filter := trace.FilterByCoverage(freq.Stats(), spec.AnalyzeCoverage)
+
+	window := s.profileWindow(spec)
+	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
+		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window)
+	profSpan := s.stageSpan(spec.Name, "profile")
+	defer profSpan.End()
+	prof := profile.NewProfiler(spec.Name, input.Name,
+		profile.WithWindow(window), profile.WithShards(s.cfg.ProfileShards),
+		profile.WithMetrics(s.cfg.Metrics.Profile()))
+	prof.Reserve(spec.StaticBranches())
+	if _, err := spec.RunInto(runCfg, trace.NewFilterSink(filter.Keep, prof)); err != nil {
+		return nil, fmt.Errorf("harness: profiling %s: %w", spec.Name, err)
+	}
+	prof.SetInstructions(stats.Instructions)
+
+	return &Artifacts{
+		Spec:    spec,
+		Input:   input,
+		VMStats: stats,
+		Filter:  filter,
+		Profile: prof.Profile(),
+	}, nil
 }
 
 // profileWindow resolves the interleave scan window for one spec.
@@ -271,101 +291,9 @@ func (s *Suite) stageSpan(benchmark, stage string) *obs.Span {
 	return s.cfg.Metrics.StartSpan(obs.Name("wsd_stage", "benchmark", benchmark, "stage", stage))
 }
 
-// computeRecord is the record-then-replay path: execute once into a
-// recorder, filter the trace, and replay the filtered trace into the
-// profiler. It retains the full trace in the artifacts.
-func (s *Suite) computeRecord(spec workload.Spec, input workload.InputSet) (*Artifacts, error) {
-	s.progressf("run %s (input %s, scale %.2f)", spec.Name, input.Name, s.cfg.Scale)
-	execSpan := s.stageSpan(spec.Name, "execute")
-	tr, stats, err := spec.Run(workload.RunConfig{
-		Input: input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM(),
-	})
-	execSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("harness: running %s: %w", spec.Name, err)
-	}
-
-	filter := tr.FilterByCoverage(spec.AnalyzeCoverage)
-
-	window := s.profileWindow(spec)
-	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
-		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window)
-	profSpan := s.stageSpan(spec.Name, "profile")
-	prof := profile.NewProfiler(spec.Name, input.Name,
-		profile.WithWindow(window), profile.WithShards(s.cfg.ProfileShards),
-		profile.WithMetrics(s.cfg.Metrics.Profile()))
-	prof.Reserve(spec.StaticBranches())
-	filter.Kept.Replay(prof)
-	prof.SetInstructions(stats.Instructions)
-	defer profSpan.End()
-
-	return &Artifacts{
-		Spec:    spec,
-		Input:   input,
-		VMStats: stats,
-		Trace:   tr,
-		Filter:  filter,
-		Profile: prof.Profile(),
-	}, nil
-}
-
-// computeFused is the streaming path: a frequency pre-count pass
-// derives the same keep set the recorded filter would select, then a
-// second execution streams the filtered events straight into the
-// profiler. No event buffer is ever materialized.
-func (s *Suite) computeFused(spec workload.Spec, input workload.InputSet) (*Artifacts, error) {
-	runCfg := workload.RunConfig{Input: input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM()}
-
-	s.progressf("run %s (fused pre-count, input %s, scale %.2f)", spec.Name, input.Name, s.cfg.Scale)
-	execSpan := s.stageSpan(spec.Name, "execute")
-	var freq trace.FreqCounter
-	stats, err := spec.RunInto(runCfg, &freq)
-	execSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("harness: running %s: %w", spec.Name, err)
-	}
-	branchStats := freq.Stats()
-	dynTotal, staticTotal := freq.Total()
-	keep, dynKept := trace.SelectByCoverage(branchStats, spec.AnalyzeCoverage)
-	filter := trace.FilterResult{
-		StaticKept:   len(keep),
-		StaticTotal:  staticTotal,
-		DynamicKept:  dynKept,
-		DynamicTotal: dynTotal,
-	}
-
-	window := s.profileWindow(spec)
-	s.progressf("profile %s (fused): %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
-		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window)
-	profSpan := s.stageSpan(spec.Name, "profile")
-	defer profSpan.End()
-	prof := profile.NewProfiler(spec.Name, input.Name,
-		profile.WithWindow(window), profile.WithShards(s.cfg.ProfileShards),
-		profile.WithMetrics(s.cfg.Metrics.Profile()))
-	prof.Reserve(spec.StaticBranches())
-	if _, err := spec.RunInto(runCfg, trace.NewFilterSink(keep, prof)); err != nil {
-		return nil, fmt.Errorf("harness: profiling %s: %w", spec.Name, err)
-	}
-	prof.SetInstructions(stats.Instructions)
-
-	return &Artifacts{
-		Spec:    spec,
-		Input:   input,
-		VMStats: stats,
-		Filter:  filter,
-		Profile: prof.Profile(),
-		keep:    keep,
-	}, nil
-}
-
-// replayFull drives the benchmark's complete branch stream into sink:
-// from the recorded trace when one is retained, or by re-executing the
-// deterministic VM in fused mode. Both deliver the identical stream.
+// replayFull drives the benchmark's complete branch stream into sink
+// by re-executing the deterministic VM.
 func (s *Suite) replayFull(a *Artifacts, sink vm.BranchSink) error {
-	if a.Trace != nil {
-		a.Trace.Replay(sink)
-		return nil
-	}
 	if _, err := a.Spec.RunInto(workload.RunConfig{
 		Input: a.Input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM(),
 	}, sink); err != nil {
@@ -374,16 +302,12 @@ func (s *Suite) replayFull(a *Artifacts, sink vm.BranchSink) error {
 	return nil
 }
 
-// replayFiltered drives the frequency-filtered stream into sink — the
-// recorded filtered trace, or a filtered re-execution in fused mode.
+// replayFiltered drives the frequency-filtered stream into sink by a
+// filtered re-execution.
 func (s *Suite) replayFiltered(a *Artifacts, sink vm.BranchSink) error {
-	if a.Filter.Kept != nil {
-		a.Filter.Kept.Replay(sink)
-		return nil
-	}
 	if _, err := a.Spec.RunInto(workload.RunConfig{
 		Input: a.Input, Scale: s.cfg.Scale, Metrics: s.cfg.Metrics.VM(),
-	}, trace.NewFilterSink(a.keep, sink)); err != nil {
+	}, trace.NewFilterSink(a.Filter.Keep, sink)); err != nil {
 		return fmt.Errorf("harness: replaying %s (filtered): %w", a.Spec.Name, err)
 	}
 	return nil
@@ -407,31 +331,11 @@ func (s *Suite) Cached(benchmark string, input workload.InputSet) (*Artifacts, b
 	}
 }
 
-// Drop evicts a benchmark's cached artifacts, freeing its trace memory.
+// Drop evicts a benchmark's cached artifacts, freeing their memory.
 func (s *Suite) Drop(benchmark string, input workload.InputSet) {
 	s.mu.Lock()
 	delete(s.cache, benchmark+"/"+input.Name)
 	s.mu.Unlock()
-}
-
-// RetainedTraceBytes reports the event memory held by cached full
-// traces — the residency fused mode eliminates (it always reports 0
-// there). In-flight computations are not counted.
-func (s *Suite) RetainedTraceBytes() uint64 {
-	const eventBytes = 24 // sizeof(trace.Event): two uint64 + padded bool
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total uint64
-	for _, e := range s.cache {
-		select {
-		case <-e.done:
-			if e.a != nil && e.a.Trace != nil {
-				total += uint64(cap(e.a.Trace.Events)) * eventBytes
-			}
-		default:
-		}
-	}
-	return total
 }
 
 // Table2Benchmarks is the paper's Table 2 row set (gs and tex appear

@@ -2,7 +2,7 @@ package trace
 
 // This file holds the streaming (fused single-pass) counterparts of the
 // recorded-trace operations: a frequency pre-counter that computes the
-// per-branch statistics FilterByCoverage needs without retaining events,
+// per-branch statistics FilterByCoverage takes without retaining events,
 // a keep-set filter sink that narrows a live stream to the analyzed
 // branches, and a bounded ring that retains only the tail of a stream
 // for trace dumps. Together they let a run fan out through vm.MultiSink
@@ -116,11 +116,10 @@ func (f *FreqCounter) Total() (dynamic uint64, static int) {
 	return dynamic, static
 }
 
-// FilterSink forwards only events of branches in Keep to Sink — the
-// streaming form of FilterResult.Kept.Replay. Feeding a live run
-// through a FilterSink whose keep set came from SelectByCoverage
-// delivers exactly the event subsequence a recorded filter would, so
-// fused and record-then-replay profiling agree event for event.
+// FilterSink forwards only events of branches in Keep to Sink. Feeding
+// a stream through a FilterSink whose keep set came from
+// FilterByCoverage delivers the frequency-filtered stream: the events
+// of the retained branches, in their original order.
 //
 // Construct with NewFilterSink for the flat-bitset membership test;
 // a literal FilterSink{Keep: ..., Sink: ...} still works but tests

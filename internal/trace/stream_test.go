@@ -42,10 +42,10 @@ func TestFreqCounterTieBreakByPC(t *testing.T) {
 	}
 }
 
-// TestSelectByCoverageMatchesFilter checks that the streaming keep-set
-// selection and the recorded filter agree on exactly which branches are
-// analyzed — the property that makes fused profiling equal
-// record-then-replay profiling.
+// TestSelectByCoverageMatchesFilter checks that the selection step, the
+// filter over recorded statistics and the filter over streamed
+// statistics agree on exactly which branches are analyzed and how many
+// executions that covers.
 func TestSelectByCoverageMatchesFilter(t *testing.T) {
 	var events []Event
 	for i := 0; i < 90; i++ {
@@ -56,24 +56,34 @@ func TestSelectByCoverageMatchesFilter(t *testing.T) {
 	}
 	events = append(events, Event{PC: 12, ICount: 99})
 	tr := makeTrace(events...)
+	var freq FreqCounter
+	streamOf(tr, &freq)
 
 	for _, coverage := range []float64{0.5, 0.9, 0.95, 1.0} {
-		res := tr.FilterByCoverage(coverage)
+		res := FilterByCoverage(tr.Stats(), coverage)
 		keep, dynKept := SelectByCoverage(tr.Stats(), coverage)
-		if len(keep) != res.StaticKept || dynKept != res.DynamicKept {
-			t.Fatalf("coverage %v: select kept %d/%d, filter kept %d/%d",
-				coverage, len(keep), dynKept, res.StaticKept, res.DynamicKept)
+		if !reflect.DeepEqual(keep, res.Keep) || len(keep) != res.StaticKept || dynKept != res.DynamicKept {
+			t.Fatalf("coverage %v: select kept %v (%d dynamic), filter kept %v (%d/%d)",
+				coverage, keep, dynKept, res.Keep, res.StaticKept, res.DynamicKept)
 		}
-		for _, e := range res.Kept.Events {
-			if _, ok := keep[e.PC]; !ok {
-				t.Fatalf("coverage %v: filtered trace retains PC %#x outside keep set", coverage, e.PC)
+		if streamed := FilterByCoverage(freq.Stats(), coverage); !reflect.DeepEqual(streamed, res) {
+			t.Fatalf("coverage %v: streamed filter %+v, recorded %+v", coverage, streamed, res)
+		}
+		var covered uint64
+		for _, e := range tr.Events {
+			if _, ok := res.Keep[e.PC]; ok {
+				covered++
 			}
+		}
+		if covered != res.DynamicKept {
+			t.Fatalf("coverage %v: keep set covers %d events, DynamicKept %d", coverage, covered, res.DynamicKept)
 		}
 	}
 }
 
-// TestFilterSinkMatchesFilteredReplay checks the fused filtered stream
-// is the identical event subsequence the recorded filter replays.
+// TestFilterSinkMatchesFilteredReplay checks the filter sink passes the
+// exact event subsequence of the keep set's branches, in order, for both
+// the bitset and the literal map-only construction.
 func TestFilterSinkMatchesFilteredReplay(t *testing.T) {
 	tr := makeTrace(
 		Event{PC: 4, Taken: true, ICount: 1},
@@ -82,15 +92,22 @@ func TestFilterSinkMatchesFilteredReplay(t *testing.T) {
 		Event{PC: 12, Taken: true, ICount: 4},
 		Event{PC: 4, Taken: true, ICount: 5},
 	)
-	res := tr.FilterByCoverage(0.8) // keeps PC 4 only (3 of 5 dynamic)
-	keep, _ := SelectByCoverage(tr.Stats(), 0.8)
+	res := FilterByCoverage(tr.Stats(), 0.6) // keeps PC 4 only (3 of 5 dynamic)
 
-	var recorded, fused collectSink
-	res.Kept.Replay(&recorded)
-	streamOf(tr, FilterSink{Keep: keep, Sink: &fused})
-
-	if !reflect.DeepEqual(recorded.events, fused.events) {
-		t.Fatalf("filtered streams differ:\nrecorded %+v\nfused    %+v", recorded.events, fused.events)
+	var want []Event
+	for _, e := range tr.Events {
+		if _, ok := res.Keep[e.PC]; ok {
+			want = append(want, e)
+		}
+	}
+	if len(want) != 3 {
+		t.Fatalf("keep set %v selects %d events, want 3", res.Keep, len(want))
+	}
+	var bits, literal collectSink
+	streamOf(tr, NewFilterSink(res.Keep, &bits))
+	streamOf(tr, FilterSink{Keep: res.Keep, Sink: &literal})
+	if !reflect.DeepEqual(want, bits.events) || !reflect.DeepEqual(want, literal.events) {
+		t.Fatalf("filtered streams differ:\nwant    %+v\nbitset  %+v\nliteral %+v", want, bits.events, literal.events)
 	}
 }
 

@@ -118,21 +118,11 @@ func (t *Trace) Stats() []BranchStat {
 	return out
 }
 
-// NumStaticBranches returns the number of distinct static branches that
-// executed at least once.
-func (t *Trace) NumStaticBranches() int {
-	seen := make(map[uint64]struct{})
-	for _, e := range t.Events {
-		seen[e.PC] = struct{}{}
-	}
-	return len(seen)
-}
-
 // FilterResult describes the outcome of a frequency filter.
 type FilterResult struct {
-	// Kept is the filtered trace (events of retained static branches,
-	// in original order).
-	Kept *Trace
+	// Keep is the set of retained static branch PCs. Feeding a stream
+	// through NewFilterSink(Keep, sink) yields the filtered stream.
+	Keep map[uint64]struct{}
 	// StaticKept and StaticTotal count static branches.
 	StaticKept, StaticTotal int
 	// DynamicKept and DynamicTotal count dynamic branch executions.
@@ -152,29 +142,17 @@ func (f FilterResult) Coverage() float64 {
 // fewest first dropped, until at least the requested fraction of dynamic
 // branches is covered. The paper reduces each benchmark's static branch
 // population this way "based on the frequency of occurrences" to keep
-// analysis time and space reasonable (Section 3, Table 1).
-func (t *Trace) FilterByCoverage(coverage float64) FilterResult {
-	stats := t.Stats()
-	keep, _ := SelectByCoverage(stats, coverage)
-	var total uint64
-	for _, s := range stats {
-		total += s.Count
-	}
-	return t.filterTo(keep, len(stats), total)
-}
-
-// SelectByCoverage picks the static branches FilterByCoverage would
-// retain from frequency-ordered statistics (as Stats and FreqCounter
-// produce them) and returns the keep set with its covered dynamic
-// count. It is the selection step alone, shared by the recorded-trace
-// filter and the fused streaming path, which must agree exactly.
-func SelectByCoverage(stats []BranchStat, coverage float64) (keep map[uint64]struct{}, dynKept uint64) {
+// analysis time and space reasonable (Section 3, Table 1). stats are
+// frequency-ordered per-branch statistics, as Trace.Stats and
+// FreqCounter.Stats produce them.
+func FilterByCoverage(stats []BranchStat, coverage float64) FilterResult {
 	var total uint64
 	for _, s := range stats {
 		total += s.Count
 	}
 	target := uint64(coverage * float64(total))
-	keep = make(map[uint64]struct{}, len(stats))
+	keep := make(map[uint64]struct{}, len(stats))
+	var dynKept uint64
 	for _, s := range stats {
 		if dynKept >= target && len(keep) > 0 {
 			break
@@ -182,47 +160,20 @@ func SelectByCoverage(stats []BranchStat, coverage float64) (keep map[uint64]str
 		keep[s.PC] = struct{}{}
 		dynKept += s.Count
 	}
-	return keep, dynKept
-}
-
-// FilterTopN retains the N most frequently executed static branches.
-func (t *Trace) FilterTopN(n int) FilterResult {
-	stats := t.Stats()
-	var total uint64
-	for _, s := range stats {
-		total += s.Count
-	}
-	if n > len(stats) {
-		n = len(stats)
-	}
-	keep := make(map[uint64]struct{}, n)
-	for _, s := range stats[:n] {
-		keep[s.PC] = struct{}{}
-	}
-	return t.filterTo(keep, len(stats), total)
-}
-
-func (t *Trace) filterTo(keep map[uint64]struct{}, staticTotal int, dynTotal uint64) FilterResult {
-	out := &Trace{
-		Benchmark:    t.Benchmark,
-		InputSet:     t.InputSet,
-		Instructions: t.Instructions,
-		Events:       make([]Event, 0, len(t.Events)),
-	}
-	var dynKept uint64
-	for _, e := range t.Events {
-		if _, ok := keep[e.PC]; ok {
-			out.Events = append(out.Events, e)
-			dynKept++
-		}
-	}
 	return FilterResult{
-		Kept:         out,
+		Keep:         keep,
 		StaticKept:   len(keep),
-		StaticTotal:  staticTotal,
+		StaticTotal:  len(stats),
 		DynamicKept:  dynKept,
-		DynamicTotal: dynTotal,
+		DynamicTotal: total,
 	}
+}
+
+// SelectByCoverage is FilterByCoverage's keep set with its covered
+// dynamic count.
+func SelectByCoverage(stats []BranchStat, coverage float64) (keep map[uint64]struct{}, dynKept uint64) {
+	f := FilterByCoverage(stats, coverage)
+	return f.Keep, f.DynamicKept
 }
 
 // Replay feeds the trace to sink in order. Any type with the

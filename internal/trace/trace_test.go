@@ -59,13 +59,6 @@ func TestStatsTieBreakByPC(t *testing.T) {
 	}
 }
 
-func TestNumStaticBranches(t *testing.T) {
-	tr := makeTrace(Event{PC: 4}, Event{PC: 4}, Event{PC: 8}, Event{PC: 12})
-	if n := tr.NumStaticBranches(); n != 3 {
-		t.Fatalf("static = %d, want 3", n)
-	}
-}
-
 func TestFilterByCoverageKeepsHotBranches(t *testing.T) {
 	var events []Event
 	// PC 4: 90 executions, PC 8: 9, PC 12: 1.
@@ -78,7 +71,7 @@ func TestFilterByCoverageKeepsHotBranches(t *testing.T) {
 	events = append(events, Event{PC: 12})
 	tr := makeTrace(events...)
 
-	res := tr.FilterByCoverage(0.9)
+	res := FilterByCoverage(tr.Stats(), 0.9)
 	if res.StaticKept != 1 || res.DynamicKept != 90 {
 		t.Fatalf("kept static=%d dynamic=%d, want 1/90", res.StaticKept, res.DynamicKept)
 	}
@@ -89,7 +82,7 @@ func TestFilterByCoverageKeepsHotBranches(t *testing.T) {
 		t.Fatalf("totals wrong: %+v", res)
 	}
 
-	res = tr.FilterByCoverage(0.95)
+	res = FilterByCoverage(tr.Stats(), 0.95)
 	if res.StaticKept != 2 || res.DynamicKept != 99 {
 		t.Fatalf("kept static=%d dynamic=%d, want 2/99", res.StaticKept, res.DynamicKept)
 	}
@@ -97,7 +90,7 @@ func TestFilterByCoverageKeepsHotBranches(t *testing.T) {
 
 func TestFilterByCoverageFull(t *testing.T) {
 	tr := makeTrace(Event{PC: 4}, Event{PC: 8})
-	res := tr.FilterByCoverage(1.0)
+	res := FilterByCoverage(tr.Stats(), 1.0)
 	if res.StaticKept != 2 || res.Coverage() != 1.0 {
 		t.Fatalf("full coverage filter dropped branches: %+v", res)
 	}
@@ -109,33 +102,22 @@ func TestFilterPreservesOrder(t *testing.T) {
 		Event{PC: 8, ICount: 2},
 		Event{PC: 4, ICount: 3},
 	)
-	res := tr.FilterByCoverage(1.0)
-	for i := 1; i < len(res.Kept.Events); i++ {
-		if res.Kept.Events[i].ICount <= res.Kept.Events[i-1].ICount {
+	res := FilterByCoverage(tr.Stats(), 1.0)
+	var kept collectSink
+	tr.Replay(NewFilterSink(res.Keep, &kept))
+	if len(kept.events) != 3 {
+		t.Fatalf("full-coverage filter kept %d of 3 events", len(kept.events))
+	}
+	for i := 1; i < len(kept.events); i++ {
+		if kept.events[i].ICount <= kept.events[i-1].ICount {
 			t.Fatal("filtered events out of order")
 		}
 	}
 }
 
-func TestFilterTopN(t *testing.T) {
-	tr := makeTrace(
-		Event{PC: 4}, Event{PC: 4}, Event{PC: 4},
-		Event{PC: 8}, Event{PC: 8},
-		Event{PC: 12},
-	)
-	res := tr.FilterTopN(2)
-	if res.StaticKept != 2 || res.DynamicKept != 5 {
-		t.Fatalf("topN kept static=%d dynamic=%d", res.StaticKept, res.DynamicKept)
-	}
-	res = tr.FilterTopN(100)
-	if res.StaticKept != 3 {
-		t.Fatalf("topN overflow kept %d", res.StaticKept)
-	}
-}
-
 func TestCoverageEmptyTrace(t *testing.T) {
 	tr := makeTrace()
-	res := tr.FilterByCoverage(0.5)
+	res := FilterByCoverage(tr.Stats(), 0.5)
 	if res.Coverage() != 0 {
 		t.Fatal("empty trace coverage not 0")
 	}

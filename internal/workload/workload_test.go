@@ -385,13 +385,16 @@ func TestFilteredCoverageMatchesSpecTargets(t *testing.T) {
 	// The frequency filter must be able to hit each spec's coverage
 	// target (Table 1 column): verified here on one mid-sized spec.
 	s := small()
-	tr, _, err := s.Run(RunConfig{})
-	if err != nil {
+	var freq trace.FreqCounter
+	if _, err := s.RunInto(RunConfig{}, &freq); err != nil {
 		t.Fatal(err)
 	}
-	res := tr.FilterByCoverage(s.AnalyzeCoverage)
+	res := trace.FilterByCoverage(freq.Stats(), s.AnalyzeCoverage)
 	if res.Coverage() < s.AnalyzeCoverage-0.01 {
 		t.Fatalf("coverage %.4f below target %.4f", res.Coverage(), s.AnalyzeCoverage)
+	}
+	if len(res.Keep) != res.StaticKept {
+		t.Fatalf("keep set has %d branches, StaticKept %d", len(res.Keep), res.StaticKept)
 	}
 }
 
