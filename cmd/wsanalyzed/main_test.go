@@ -399,6 +399,43 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestPanickingJobFailsAlone injects a panic through the start hook:
+// the job must read failed with the panic text and be counted, and the
+// server must keep running jobs and answering /healthz.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := newServer(reg, 1)
+	var once sync.Once
+	srv.startHook = func(id string) {
+		once.Do(func() { panic("injected failure in " + id) })
+	}
+	ts := newTestService(t, srv)
+
+	bad := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1, Shards: 1})
+	j := poll(t, ts, bad)
+	if j.Status != "failed" || !strings.Contains(j.Error, "injected failure in "+bad) {
+		t.Fatalf("panicking job: status %q error %q, want failed with the panic text", j.Status, j.Error)
+	}
+
+	good := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1, Shards: 1})
+	if j := poll(t, ts, good); j.Status != "done" {
+		t.Fatalf("job after the panic: status %q (%s), want done", j.Status, j.Error)
+	}
+	if resp := getJSON(t, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the panic: status %d", resp.StatusCode)
+	}
+	srv.waitIdle()
+	if got := reg.Counter("wsd_jobs_failed_total").Value(); got != 1 {
+		t.Errorf("failed counter = %d, want 1", got)
+	}
+	if got := reg.Counter("wsd_jobs_completed_total").Value(); got != 1 {
+		t.Errorf("completed counter = %d, want 1", got)
+	}
+	if got := reg.Gauge("wsd_jobs_running").Value(); got != 0 {
+		t.Errorf("running gauge = %d after the panic, want 0", got)
+	}
+}
+
 // TestMetricsEndpointGolden locks down the Prometheus exposition after
 // one deterministic job: frozen clock and zero memory source null the
 // timing series, everything else is an exact property of the fixture

@@ -244,7 +244,7 @@ type server struct {
 
 	// startHook, when non-nil, runs in the job goroutine after the job
 	// enters "running" and before execution — a test seam that lets the
-	// shutdown test hold a job in flight.
+	// shutdown test hold a job in flight and the panic test fail one.
 	startHook func(id string)
 
 	submitted *obs.Counter
@@ -394,11 +394,8 @@ func (s *server) runJob(j *job) {
 	j.Status = "running"
 	req := j.Req
 	s.mu.Unlock()
-	if s.startHook != nil {
-		s.startHook(j.ID)
-	}
 
-	out, err := executeJob(req, s.metrics)
+	out, err := s.execute(j.ID, req)
 
 	s.mu.Lock()
 	if err != nil {
@@ -414,6 +411,22 @@ func (s *server) runJob(j *job) {
 	} else {
 		s.completed.Inc()
 	}
+}
+
+// execute runs one job, turning a panic in the start hook or the
+// pipeline into the job's error so that one bad job fails alone
+// instead of taking the process down. Panics on goroutines the
+// pipeline starts itself are not caught here.
+func (s *server) execute(id string, req analyzeRequest) (out string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("job panicked: %v", r)
+		}
+	}()
+	if s.startHook != nil {
+		s.startHook(id)
+	}
+	return executeJob(req, s.metrics)
 }
 
 func (s *server) handleJobs(w http.ResponseWriter, _ *http.Request) {

@@ -256,10 +256,13 @@ type SizeSearchResult struct {
 // PC-indexed BHT (Section 5.1, Table 3; with cfg.UseClassification,
 // Table 4).
 //
-// The search binary-searches [minSize, baselineSize] — allocation
-// conflict cost is non-increasing in table size for all graphs seen in
-// practice — then walks downward linearly to confirm minimality against
-// local non-monotonicity of the greedy coloring.
+// The search binary-searches [minSize, baselineSize], then walks
+// downward while smaller sizes still qualify. Greedy coloring is not
+// proven monotone in the table size, so the binary search alone could
+// overshoot; the harness test TestRequiredSizeMatchesExactScan checks
+// on every Table 3/4 row, with and without classification, that the
+// answer equals an exact upward scan (one Allocate per size from
+// minSize).
 func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig) (SizeSearchResult, error) {
 	threshold := cfg.Threshold
 	if threshold == 0 {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -272,6 +273,67 @@ func TestSizedBenchmarkRows(t *testing.T) {
 			t.Errorf("missing row %s", want)
 		}
 	}
+}
+
+// TestRequiredSizeMatchesExactScan pins the Table 3/4 search
+// (binary search plus a downward walk) to its definition: on every
+// sized row, with and without classification, it must return the
+// first size, scanning up from the minimum with one Allocate per size,
+// whose allocated cost is at or below the baseline cost. Greedy
+// coloring is not proven monotone in the table size; this test is what
+// stands behind the search's answers.
+func TestRequiredSizeMatchesExactScan(t *testing.T) {
+	s := NewSuite(Config{Scale: 0.02})
+	cfg := s.Config()
+	colorings, scanned, nontrivial := 0, 0, 0
+	for _, sb := range SizedBenchmarkRows() {
+		a, err := s.Artifacts(sb.Name, sb.Input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, classified := range []bool{false, true} {
+			ac := core.AllocationConfig{Threshold: cfg.Threshold, UseClassification: classified}
+			res, err := core.RequiredBHTSize(a.Profile, cfg.BaselineBHT, ac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			colorings += res.Colorings
+
+			minSize := 1
+			if classified {
+				minSize = 3
+			}
+			// With no qualifying size the search reports the baseline
+			// size and its cost; the scan falls through to the same.
+			var wantSize int
+			var wantCost uint64
+			for size := minSize; size <= cfg.BaselineBHT; size++ {
+				ac.TableSize = size
+				alloc, err := core.Allocate(a.Profile, ac)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanned++
+				wantSize, wantCost = size, alloc.ConflictCost
+				if alloc.ConflictCost <= res.BaselineCost {
+					break
+				}
+			}
+			if res.RequiredSize != wantSize || res.AllocCost != wantCost {
+				t.Errorf("%s (classification=%v): search found size %d cost %d, exact scan size %d cost %d (baseline cost %d)",
+					sb.Label, classified, res.RequiredSize, res.AllocCost, wantSize, wantCost, res.BaselineCost)
+			}
+			if wantSize > minSize {
+				nontrivial++
+			}
+		}
+	}
+	// At this scale most rows still need more than the minimum size, so
+	// the comparison exercises the search rather than its first probe.
+	if nontrivial < 14 {
+		t.Errorf("only %d of 28 searches need more than the minimum size", nontrivial)
+	}
+	t.Logf("28 searches: %d colorings searching, %d scanning; %d above the minimum size", colorings, scanned, nontrivial)
 }
 
 func TestImprovementMetric(t *testing.T) {

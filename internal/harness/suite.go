@@ -130,8 +130,7 @@ func (c Config) Defaults() Config {
 	// overhead: the workers time-slice one another while the staging
 	// and hand-off costs stay. Clamp here (the suite's resolved
 	// config) rather than in the profiler, so direct profile.WithShards
-	// callers — differential tests, the bench sweep — keep exact
-	// control of P.
+	// callers — the differential tests — keep exact control of P.
 	if max := runtime.GOMAXPROCS(0); c.ProfileShards > max {
 		c.ProfileShards = max
 	}

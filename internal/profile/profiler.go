@@ -247,7 +247,7 @@ func NewProfiler(benchmark, inputSet string, opts ...Option) *Profiler {
 
 // Reserve pre-sizes the per-branch state for n static branches, so
 // first-touch discovery never reallocates mid-run. Callers that know
-// the workload (harness, bench) reserve from Spec.StaticBranches.
+// the workload (harness, perfbench) reserve from Spec.StaticBranches.
 func (p *Profiler) Reserve(n int) {
 	if n <= cap(p.pcs) {
 		return
@@ -404,23 +404,9 @@ func (p *Profiler) Branches() uint64 { return p.branches }
 
 // TableBytes reports the memory held by the interleave accumulation
 // tables (the per-branch counters, in either mode) — the profiler's
-// dominant footprint, recorded by cmd/bench.
+// dominant footprint, read by perfbench's profile.table_mb.
 func (p *Profiler) TableBytes() uint64 {
 	return p.shards.tableBytes()
-}
-
-// ShardTableBytes reports the extra memory sharded accumulation holds
-// beyond the serial path: the in-flight event batches and partition
-// bookkeeping (0 in serial mode). The counters themselves are the same
-// tables serial mode keeps, merely partitioned across workers, so they
-// are reported by TableBytes, not here. BENCH_3's 128 MB figure was
-// this quantity under the old design, which duplicated every pair into
-// shard-local tables.
-func (p *Profiler) ShardTableBytes() uint64 {
-	if p.numShards <= 1 {
-		return 0
-	}
-	return p.shards.overheadBytes()
 }
 
 // SetInstructions records the run's total instruction count (otherwise

@@ -360,20 +360,3 @@ func (s *pairShards) tableBytes() uint64 {
 	}
 	return total
 }
-
-// overheadBytes reports the memory sharding adds over serial
-// accumulation: the extra circulating staging batches plus partition
-// and scratch bookkeeping. The counters themselves are common to both
-// modes and excluded (see tableBytes); serial mode's single staging
-// batch is the baseline.
-func (s *pairShards) overheadBytes() uint64 {
-	perBatch := uint64(s.batchCap)*4 + 2*uint64(s.batchCap/4)*4
-	total := uint64(s.p) * uint64(shardFreeDepth+1) * perBatch
-	if s.p == 1 {
-		total = 0
-	}
-	for w := range s.tabs {
-		total += uint64(cap(s.tabs[w])) * 24
-	}
-	return total
-}

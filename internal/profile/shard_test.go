@@ -136,25 +136,3 @@ func TestShardedProfilerResumes(t *testing.T) {
 		t.Fatal("resumed sharded profile differs from serial")
 	}
 }
-
-// TestShardTableBytes checks the memory report: zero in serial mode,
-// positive once a sharded profiler has accumulated pairs, and safe to
-// call mid-stream.
-func TestShardTableBytes(t *testing.T) {
-	serial := NewProfiler("synth", "ref")
-	if got := serial.ShardTableBytes(); got != 0 {
-		t.Fatalf("serial ShardTableBytes = %d, want 0", got)
-	}
-	sharded := NewProfiler("synth", "ref", WithShards(3))
-	synthStream(5_000, 9, sharded)
-	if got := sharded.ShardTableBytes(); got == 0 {
-		t.Fatal("sharded ShardTableBytes = 0 after accumulation")
-	}
-	// Accumulation must still work after the quiesce.
-	synthStream(5_000, 10, sharded)
-	p := sharded.Profile()
-	defer p.Release()
-	if p.Pairs.Len() == 0 {
-		t.Fatal("no pairs after ShardTableBytes quiesce + resume")
-	}
-}
