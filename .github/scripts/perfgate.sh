@@ -8,10 +8,15 @@
 #             end-to-end metric worse, or if any perfbench run exits
 #             nonzero (a failed operation, an output digest mismatch, or
 #             a traced-run coverage or gap_frac gate).
-#   sharding  cmd/tables on the whole paper suite with one benchmark
-#             worker, -shards P against -shards 1 for P in {2, nproc};
-#             fails if the median at P is slower than the median at 1,
-#             or if the output bytes differ.
+#   sharding  cmd/tables on the whole paper suite, two checks. With one
+#             benchmark worker, -shards P against -shards 1 for P in
+#             {2, nproc}: fails if the median at P is slower than the
+#             median at 1. In the default configuration (P workers and
+#             shards sharing the harness's core budget) against
+#             -shards 1: fails if the default median is more than 10%
+#             slower; with the budget the two schedules are nearly the
+#             same on a loaded suite, so an exact bound would fail on
+#             noise. Either check fails if the output bytes differ.
 #
 # Usage, from anywhere in the repository:
 #
@@ -148,6 +153,31 @@ sharding_step() {
 			fail "tables output differs between -shards 1 and -shards $p"
 		fi
 	done
+
+	# The default configuration users run, against -shards 1.
+	local side md
+	: >"$out/default-vs-shards-1.txt"
+	for ((i = 1; i <= repeats; i++)); do
+		local order="default 1"
+		((i % 2 == 1)) || order="1 default"
+		for side in $order; do
+			local args=(-scale 0.1 -quiet)
+			[[ $side == 1 ]] && args+=(-shards 1)
+			t0=$(date +%s%N)
+			"$tmp/perfgate-tables" "${args[@]}" >"$out/tables-default-$side.out"
+			t1=$(date +%s%N)
+			echo "$side $((t1 - t0)) $(sha256sum <"$out/tables-default-$side.out" | cut -d' ' -f1)" |
+				tee -a "$out/default-vs-shards-1.txt"
+		done
+	done
+	m1=$(awk '$1 == 1 {print $2}' "$out/default-vs-shards-1.txt" | median)
+	md=$(awk '$1 == "default" {print $2}' "$out/default-vs-shards-1.txt" | median)
+	echo "sharding: median $((md / 1000000)) ms at the defaults, $((m1 / 1000000)) ms at -shards 1"
+	((md * 10 <= m1 * 11)) || fail "tables at the defaults is more than 10% slower than at -shards 1 (median $((md / 1000000)) ms vs $((m1 / 1000000)) ms)"
+	want=$(awk 'NR == 1 {print $3}' "$out/default-vs-shards-1.txt")
+	if awk -v h="$want" '$3 != h {bad = 1} END {exit !bad}' "$out/default-vs-shards-1.txt"; then
+		fail "tables output differs between the defaults and -shards 1"
+	fi
 }
 
 for step in "${steps[@]}"; do

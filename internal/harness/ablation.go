@@ -33,18 +33,20 @@ func (s *Suite) AblationThreshold(benchmarks []string, thresholds []uint64) ([]T
 	if len(thresholds) == 0 {
 		thresholds = []uint64{50, core.DefaultThreshold, 500, 1000}
 	}
-	perBench, err := mapOrdered(s.cfg.Workers, len(benchmarks), func(i int) ([]ThresholdRow, error) {
+	perBench, err := mapOrdered(s, len(benchmarks), s.byDynamicBranches(benchmarks), func(i int) ([]ThresholdRow, error) {
 		name := benchmarks[i]
 		a, err := s.Artifacts(name, workload.InputRef)
 		if err != nil {
 			return nil, err
 		}
+		workers, release := s.grant()
+		defer release()
 		var rows []ThresholdRow
 		for _, th := range thresholds {
 			res, err := core.Analyze(a.Profile, core.AnalysisConfig{
 				Threshold:    th,
 				CliqueBudget: s.cfg.CliqueBudget,
-				Workers:      s.cfg.ProfileShards,
+				Workers:      workers,
 			})
 			if err != nil {
 				return nil, err
@@ -84,17 +86,19 @@ type DefinitionRow struct {
 // AblationDefinition compares maximal-clique (overlapping) and greedy
 // partition (disjoint) working sets.
 func (s *Suite) AblationDefinition(benchmarks []string) ([]DefinitionRow, error) {
-	return mapOrdered(s.cfg.Workers, len(benchmarks), func(i int) (DefinitionRow, error) {
+	return mapOrdered(s, len(benchmarks), s.byDynamicBranches(benchmarks), func(i int) (DefinitionRow, error) {
 		name := benchmarks[i]
 		a, err := s.Artifacts(name, workload.InputRef)
 		if err != nil {
 			return DefinitionRow{}, err
 		}
+		workers, release := s.grant()
+		defer release()
 		mc, err := core.Analyze(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			Definition:   core.MaximalCliques,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
+			Workers:      workers,
 		})
 		if err != nil {
 			return DefinitionRow{}, err
@@ -131,16 +135,18 @@ type GroupedRow struct {
 // AblationGrouped measures how collapsing biased branches into class
 // groups (Sections 2/6) shrinks the working sets.
 func (s *Suite) AblationGrouped(benchmarks []string) ([]GroupedRow, error) {
-	return mapOrdered(s.cfg.Workers, len(benchmarks), func(i int) (GroupedRow, error) {
+	return mapOrdered(s, len(benchmarks), s.byDynamicBranches(benchmarks), func(i int) (GroupedRow, error) {
 		name := benchmarks[i]
 		a, err := s.Artifacts(name, workload.InputRef)
 		if err != nil {
 			return GroupedRow{}, err
 		}
+		workers, release := s.grant()
+		defer release()
 		ind, err := core.Analyze(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
+			Workers:      workers,
 		})
 		if err != nil {
 			return GroupedRow{}, err
@@ -148,7 +154,7 @@ func (s *Suite) AblationGrouped(benchmarks []string) ([]GroupedRow, error) {
 		grp, err := core.AnalyzeGrouped(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
+			Workers:      workers,
 		}, classify.Default())
 		if err != nil {
 			return GroupedRow{}, err
@@ -187,11 +193,14 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 	}
 	// One pass over the filtered stream feeds every window's profiler
 	// (they are independent consumers), so the ablation costs a single
-	// filtered re-execution for all rows.
+	// filtered re-execution for all rows. One grant sizes the whole fan:
+	// every profiler's shards and every row's clique workers.
+	shards, release := s.grant()
+	defer release()
 	profilers := make([]*profile.Profiler, len(windows))
 	fan := make(vm.MultiSink, len(windows))
 	for i, w := range windows {
-		opts := []profile.Option{profile.WithShards(s.cfg.ProfileShards)}
+		opts := []profile.Option{profile.WithShards(shards)}
 		if w > 0 {
 			opts = append(opts, profile.WithWindow(w))
 		}
@@ -207,7 +216,7 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 		res, err := core.Analyze(p, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
+			Workers:      shards,
 		})
 		if err != nil {
 			return nil, err

@@ -70,7 +70,13 @@ func charactTargets() []struct {
 // stream, which does not depend on either).
 func (s *Suite) Charact() ([]CharactRow, error) {
 	targets := charactTargets()
-	return mapOrdered(s.cfg.Workers, len(targets), func(i int) (CharactRow, error) {
+	weight := func(i int) uint64 {
+		if targets[i].graph {
+			return 0 // graph rows keep index order, after the benchmarks
+		}
+		return s.dynamicBranches(targets[i].name)
+	}
+	return mapOrdered(s, len(targets), weight, func(i int) (CharactRow, error) {
 		target := targets[i]
 		col := charact.NewCollector()
 		var taken float64

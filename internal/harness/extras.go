@@ -42,7 +42,7 @@ type ComparisonRow struct {
 // Comparison runs the related-work predictor comparison over the figure
 // benchmark set, one benchmark per worker.
 func (s *Suite) Comparison() ([]ComparisonRow, error) {
-	return mapOrdered(s.cfg.Workers, len(FigureBenchmarks), func(i int) (ComparisonRow, error) {
+	return mapOrdered(s, len(FigureBenchmarks), s.byDynamicBranches(FigureBenchmarks), func(i int) (ComparisonRow, error) {
 		a, err := s.Artifacts(FigureBenchmarks[i], workload.InputRef)
 		if err != nil {
 			return ComparisonRow{}, err
@@ -142,7 +142,7 @@ type PipelineRow struct {
 // PipelineCosts evaluates the pipeline model over the figure
 // benchmarks, one benchmark per worker.
 func (s *Suite) PipelineCosts(model pipeline.Model) ([]PipelineRow, error) {
-	return mapOrdered(s.cfg.Workers, len(FigureBenchmarks), func(i int) (PipelineRow, error) {
+	return mapOrdered(s, len(FigureBenchmarks), s.byDynamicBranches(FigureBenchmarks), func(i int) (PipelineRow, error) {
 		name := FigureBenchmarks[i]
 		a, err := s.Artifacts(name, workload.InputRef)
 		if err != nil {

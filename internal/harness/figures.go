@@ -54,7 +54,7 @@ func (s *Suite) Figure4() (*FigureResult, error) { return s.figure(true) }
 
 func (s *Suite) figure(classified bool) (*FigureResult, error) {
 	res := &FigureResult{Classified: classified, Sizes: s.cfg.AllocBHTSizes}
-	rows, err := mapOrdered(s.cfg.Workers, len(FigureBenchmarks), func(i int) (FigureRow, error) {
+	rows, err := mapOrdered(s, len(FigureBenchmarks), s.byDynamicBranches(FigureBenchmarks), func(i int) (FigureRow, error) {
 		a, err := s.Artifacts(FigureBenchmarks[i], workload.InputRef)
 		if err != nil {
 			return FigureRow{}, err

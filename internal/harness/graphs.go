@@ -85,9 +85,11 @@ func (s *Suite) computeGraph(name string) (*GraphArtifacts, error) {
 	}
 	s.progressf("run graph %s (%s %s, %d nodes, scale %.2f)",
 		spec.Name, spec.Variant(), spec.Kind, spec.Nodes, s.cfg.Scale)
+	shards, release := s.grant()
+	defer release()
 	execSpan := s.stageSpan(spec.Name, "execute")
 	prof := profile.NewProfiler(spec.Name, "ref",
-		profile.WithShards(s.cfg.ProfileShards),
+		profile.WithShards(shards),
 		profile.WithMetrics(s.cfg.Metrics.Profile()))
 	prof.Reserve(p.NumCondBranches())
 	m, stats, err := spec.RunInto(s.cfg.Scale, prof, s.cfg.Metrics.VM())
@@ -181,7 +183,7 @@ func (s *Suite) Graphs(kinds ...string) (*GraphsResult, error) {
 		return nil, err
 	}
 	pairs := workload.GraphPairNames()
-	perPair, err := mapOrdered(s.cfg.Workers, len(pairs), func(i int) ([][]GraphRow, error) {
+	perPair, err := mapOrdered(s, len(pairs), nil, func(i int) ([][]GraphRow, error) {
 		var out [][]GraphRow
 		for _, suffix := range []string{"", "-ba"} {
 			a, err := s.GraphArtifacts(pairs[i] + suffix)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -13,9 +14,24 @@ import (
 	"repro/internal/workload"
 )
 
+// budgetSuite returns a Suite with the given Workers drawing from a
+// private core budget of the given capacity.
+func budgetSuite(workers, capacity int) *Suite {
+	s := NewSuite(Config{Workers: workers})
+	s.cores = &coreBudget{capacity: capacity}
+	return s
+}
+
+func (b *coreBudget) heldTokens() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.held
+}
+
 func TestMapOrderedPreservesOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 100} {
-		got, err := mapOrdered(workers, 17, func(i int) (int, error) { return i * i, nil })
+		s := budgetSuite(workers, 4)
+		got, err := mapOrdered(s, 17, nil, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,11 +40,14 @@ func TestMapOrderedPreservesOrder(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
 			}
 		}
+		if held := s.cores.heldTokens(); held != 0 {
+			t.Fatalf("workers=%d: %d tokens still held", workers, held)
+		}
 	}
 }
 
 func TestMapOrderedEmpty(t *testing.T) {
-	got, err := mapOrdered(4, 0, func(int) (int, error) {
+	got, err := mapOrdered(budgetSuite(4, 4), 0, nil, func(int) (int, error) {
 		t.Fatal("f called for n=0")
 		return 0, nil
 	})
@@ -40,7 +59,7 @@ func TestMapOrderedEmpty(t *testing.T) {
 func TestMapOrderedSerialAbortsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int32
-	_, err := mapOrdered(1, 10, func(i int) (int, error) {
+	_, err := mapOrdered(budgetSuite(1, 4), 10, nil, func(i int) (int, error) {
 		calls.Add(1)
 		if i == 2 {
 			return 0, boom
@@ -56,7 +75,7 @@ func TestMapOrderedSerialAbortsOnError(t *testing.T) {
 }
 
 func TestMapOrderedParallelReturnsLowestIndexError(t *testing.T) {
-	_, err := mapOrdered(4, 8, func(i int) (int, error) {
+	_, err := mapOrdered(budgetSuite(4, 4), 8, nil, func(i int) (int, error) {
 		if i == 2 || i == 5 {
 			return 0, fmt.Errorf("fail-%d", i)
 		}
@@ -64,6 +83,191 @@ func TestMapOrderedParallelReturnsLowestIndexError(t *testing.T) {
 	})
 	if err == nil || err.Error() != "fail-2" {
 		t.Fatalf("err = %v, want fail-2", err)
+	}
+}
+
+// TestCoreBudgetNeverExceedsCapacity hammers one budget with concurrent
+// grants and worker tokens: the held count never exceeds the capacity,
+// every grant is within [1, limit], a limit of 1 (ProfileShards: 1) is
+// always granted exactly 1, and everything comes back.
+func TestCoreBudgetNeverExceedsCapacity(t *testing.T) {
+	const capacity = 3
+	b := &coreBudget{capacity: capacity}
+	var wg sync.WaitGroup
+	var bad atomic.Value
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				worker := b.take(1, 0)
+				limit := 1 + (g+i)%5
+				n, release := b.grant(limit)
+				if held := b.heldTokens(); held > capacity {
+					bad.Store(fmt.Sprintf("held %d tokens, capacity %d", held, capacity))
+				}
+				if n < 1 || n > limit || (limit == 1 && n != 1) {
+					bad.Store(fmt.Sprintf("grant(%d) = %d", limit, n))
+				}
+				release()
+				b.give(worker)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if msg := bad.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	if held := b.heldTokens(); held != 0 {
+		t.Fatalf("%d tokens still held", held)
+	}
+	if n, release := b.grant(8); n != capacity {
+		t.Fatalf("grant(8) on an idle budget = %d, want %d", n, capacity)
+	} else {
+		release()
+	}
+
+	// ProfileShards: 1 gets 1 even from an idle budget.
+	s := NewSuite(Config{ProfileShards: 1})
+	s.cores = &coreBudget{capacity: capacity}
+	if n, release := s.grant(); n != 1 {
+		t.Fatalf("ProfileShards 1 granted %d", n)
+	} else {
+		release()
+	}
+}
+
+// TestMapOrderedDispatchHeaviestFirst checks parallel dispatch: rows
+// start heaviest first with ties in index order, the first wave of
+// workers takes the heaviest rows, and results come back in index order.
+func TestMapOrderedDispatchHeaviestFirst(t *testing.T) {
+	weights := []uint64{3, 7, 7, 1, 9, 3, 0, 7}
+	weight := func(i int) uint64 { return weights[i] }
+	want := []int{4, 1, 2, 7, 0, 5, 3, 6}
+
+	// With the budget's other token taken, Workers 2 gets one worker,
+	// whose start order is the dispatch order itself.
+	s := budgetSuite(2, 2)
+	s.cores.take(1, 1)
+	var mu sync.Mutex
+	var started []int
+	got, err := mapOrdered(s, len(weights), weight, func(i int) (int, error) {
+		mu.Lock()
+		started = append(started, i)
+		mu.Unlock()
+		return 10 * i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(started, want) {
+		t.Fatalf("start order %v, want %v", started, want)
+	}
+	for i, v := range got {
+		if v != 10*i {
+			t.Fatalf("out[%d] = %d, results not in index order", i, v)
+		}
+	}
+	s.cores.give(1)
+
+	// Four workers: each blocks after its first row until all four have
+	// one, so the first wave is exactly the four heaviest rows.
+	s = budgetSuite(4, 4)
+	var wave sync.WaitGroup
+	wave.Add(4)
+	var calls atomic.Int32
+	first := make(map[int]bool)
+	got, err = mapOrdered(s, len(weights), weight, func(i int) (int, error) {
+		if calls.Add(1) <= 4 {
+			mu.Lock()
+			first[i] = true
+			mu.Unlock()
+			wave.Done()
+			wave.Wait()
+		}
+		return 10 * i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range want[:4] {
+		if !first[i] {
+			t.Fatalf("first wave %v lacks row %d (weights %v)", first, i, weights)
+		}
+	}
+	for i, v := range got {
+		if v != 10*i {
+			t.Fatalf("out[%d] = %d, results not in index order", i, v)
+		}
+	}
+	if held := s.cores.heldTokens(); held != 0 {
+		t.Fatalf("%d tokens still held", held)
+	}
+}
+
+// TestMapOrderedRecoversPanic panics in a row that holds a grant: in
+// both modes the panic becomes that row's error, and the worker tokens
+// and the grant all return to the budget.
+func TestMapOrderedRecoversPanic(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		s := budgetSuite(workers, 3)
+		s.cfg.ProfileShards = 3
+		var calls atomic.Int32
+		_, err := mapOrdered(s, 6, nil, func(i int) (int, error) {
+			calls.Add(1)
+			_, release := s.grant()
+			defer release()
+			if i == 2 {
+				panic("boom")
+			}
+			return i, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "harness: row 2 panicked: boom") {
+			t.Fatalf("workers=%d: err = %v", workers, err)
+		}
+		if want := map[int]int32{1: 3, 3: 6}[workers]; calls.Load() != want {
+			t.Fatalf("workers=%d: %d rows ran, want %d", workers, calls.Load(), want)
+		}
+		if held := s.cores.heldTokens(); held != 0 {
+			t.Fatalf("workers=%d: %d tokens still held after the panic", workers, held)
+		}
+	}
+}
+
+// TestConcurrentSuitesMatchSerial runs two default-config Suites'
+// RunAll at once, sharing the process-wide budget as two wsanalyzed
+// jobs do, and requires both to match the serial bytes.
+func TestConcurrentSuitesMatchSerial(t *testing.T) {
+	render := func(cfg Config) (string, error) {
+		var b strings.Builder
+		err := RunAll(NewSuite(cfg), &b, false)
+		return b.String(), err
+	}
+	serial, err := render(Config{Scale: 0.05, Workers: 1, ProfileShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i], errs[i] = render(Config{Scale: 0.05})
+		}(i)
+	}
+	wg.Wait()
+	for i := range out {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if out[i] != serial {
+			t.Errorf("suite %d differs from serial:\n--- serial ---\n%.2000s\n--- concurrent ---\n%.2000s", i, serial, out[i])
+		}
+	}
+	if held := cores.heldTokens(); held != 0 {
+		t.Fatalf("%d process-wide tokens still held", held)
 	}
 }
 

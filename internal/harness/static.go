@@ -66,7 +66,7 @@ type StaticResult struct {
 // configuration is simulated over the same branch stream.
 func (s *Suite) StaticComparison() (*StaticResult, error) {
 	res := &StaticResult{Sizes: s.cfg.AllocBHTSizes}
-	rows, err := mapOrdered(s.cfg.Workers, len(StaticBenchmarks), func(i int) (StaticRow, error) {
+	rows, err := mapOrdered(s, len(StaticBenchmarks), s.byDynamicBranches(StaticBenchmarks), func(i int) (StaticRow, error) {
 		a, err := s.Artifacts(StaticBenchmarks[i], workload.InputRef)
 		if err != nil {
 			return StaticRow{}, err

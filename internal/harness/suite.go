@@ -64,16 +64,18 @@ type Config struct {
 	Check bool
 	// Workers caps how many benchmarks are processed concurrently
 	// across artifact computation, analysis, and predictor simulation;
-	// 0 means GOMAXPROCS, 1 runs strictly serially. Results merge in
-	// fixed benchmark order, so rendered output does not depend on it.
+	// 0 means GOMAXPROCS, 1 runs strictly serially. Each worker holds a
+	// token of the process-wide core budget, so concurrent Suites share
+	// GOMAXPROCS cores; a value above GOMAXPROCS is honoured as given.
+	// Results merge in fixed benchmark order, so rendered output does
+	// not depend on it.
 	Workers int
-	// ProfileShards parallelizes the intra-benchmark hot paths: the
-	// profiler's pair-count updates fan out to this many shard-local
-	// tables applied by worker goroutines, and maximal-clique
-	// enumeration splits its top-level Bron-Kerbosch subtrees across the
-	// same number of workers. 0 means GOMAXPROCS; 1 runs the exact
-	// serial code paths. Output is byte-identical for any value
-	// (DESIGN.md §11).
+	// ProfileShards caps the intra-benchmark fan-out: the profiler's
+	// pair-count shards and the maximal-clique enumeration workers. Each
+	// profile or analysis gets min(ProfileShards, 1 + idle cores of the
+	// budget) when it starts, so shards use only cores no benchmark
+	// worker is using. 0 means GOMAXPROCS; 1 runs the exact serial code
+	// paths. Output is byte-identical for any value (DESIGN.md §11).
 	ProfileShards int
 	// Deprecated: the harness always streams; this field is ignored and remains only because perfbench/ still sets it.
 	Fused bool
@@ -126,14 +128,6 @@ func (c Config) Defaults() Config {
 	if c.ProfileShards <= 0 {
 		c.ProfileShards = runtime.GOMAXPROCS(0)
 	}
-	// Sharding the profiler beyond the machine's parallelism is pure
-	// overhead: the workers time-slice one another while the staging
-	// and hand-off costs stay. Clamp here (the suite's resolved
-	// config) rather than in the profiler, so direct profile.WithShards
-	// callers — the differential tests — keep exact control of P.
-	if max := runtime.GOMAXPROCS(0); c.ProfileShards > max {
-		c.ProfileShards = max
-	}
 	return c
 }
 
@@ -174,6 +168,10 @@ type Suite struct {
 	graphCache map[string]*graphEntry
 
 	progMu sync.Mutex
+
+	// cores is the core budget the suite's workers draw from: the
+	// process-wide one, except in tests.
+	cores *coreBudget
 }
 
 // NewSuite returns a Suite with cfg (unset fields defaulted).
@@ -182,6 +180,7 @@ func NewSuite(cfg Config) *Suite {
 		cfg:        cfg.Defaults(),
 		cache:      make(map[string]*entry),
 		graphCache: make(map[string]*graphEntry),
+		cores:      cores,
 	}
 }
 
@@ -194,6 +193,27 @@ func (s *Suite) progressf(format string, args ...any) {
 		fmt.Fprintf(s.cfg.Progress, format+"\n", args...)
 		s.progMu.Unlock()
 	}
+}
+
+// grant sizes one intra-benchmark fan-out from the core budget, capped
+// at ProfileShards (see coreBudget.grant).
+func (s *Suite) grant() (int, func()) { return s.cores.grant(s.cfg.ProfileShards) }
+
+// dynamicBranches is the estimated dynamic branch count of a benchmark
+// at the suite's scale, the heaviest-first key of mapOrdered; 0 for an
+// unknown name, which the row itself reports.
+func (s *Suite) dynamicBranches(name string) uint64 {
+	spec, err := workload.ByName(name)
+	if err != nil {
+		return 0
+	}
+	return spec.DynamicBranches(s.cfg.Scale)
+}
+
+// byDynamicBranches weights row i by the dynamic branch count of
+// benchmark names[i].
+func (s *Suite) byDynamicBranches(names []string) func(int) uint64 {
+	return func(i int) uint64 { return s.dynamicBranches(names[i]) }
 }
 
 // Artifacts runs (or returns the cached run of) one benchmark under one
@@ -251,12 +271,14 @@ func (s *Suite) compute(benchmark string, input workload.InputSet) (*Artifacts, 
 	filter := trace.FilterByCoverage(freq.Stats(), spec.AnalyzeCoverage)
 
 	window := s.profileWindow(spec)
-	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
-		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window)
+	shards, release := s.grant()
+	defer release()
+	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d, shards %d)",
+		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window, shards)
 	profSpan := s.stageSpan(spec.Name, "profile")
 	defer profSpan.End()
 	prof := profile.NewProfiler(spec.Name, input.Name,
-		profile.WithWindow(window), profile.WithShards(s.cfg.ProfileShards),
+		profile.WithWindow(window), profile.WithShards(shards),
 		profile.WithMetrics(s.cfg.Metrics.Profile()))
 	prof.Reserve(spec.StaticBranches())
 	if _, err := spec.RunInto(runCfg, trace.NewFilterSink(filter.Keep, prof)); err != nil {

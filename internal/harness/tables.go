@@ -26,7 +26,7 @@ type Table1Row struct {
 // the suite's worker pool; rows come back in canonical order.
 func (s *Suite) Table1() ([]Table1Row, error) {
 	names := workload.Names()
-	return mapOrdered(s.cfg.Workers, len(names), func(i int) (Table1Row, error) {
+	return mapOrdered(s, len(names), s.byDynamicBranches(names), func(i int) (Table1Row, error) {
 		a, err := s.Artifacts(names[i], workload.InputRef)
 		if err != nil {
 			return Table1Row{}, err
@@ -57,19 +57,21 @@ type Table2Row struct {
 // Table2 runs working-set analysis on each Table 2 benchmark, one
 // benchmark per worker.
 func (s *Suite) Table2() ([]Table2Row, error) {
-	return mapOrdered(s.cfg.Workers, len(Table2Benchmarks), func(i int) (Table2Row, error) {
+	return mapOrdered(s, len(Table2Benchmarks), s.byDynamicBranches(Table2Benchmarks), func(i int) (Table2Row, error) {
 		name := Table2Benchmarks[i]
 		a, err := s.Artifacts(name, workload.InputRef)
 		if err != nil {
 			return Table2Row{}, err
 		}
+		workers, release := s.grant()
+		defer release()
 		s.progressf("working sets %s", name)
 		span := s.stageSpan(name, "analyze")
 		res, err := core.Analyze(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			Definition:   core.MaximalCliques,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      s.cfg.ProfileShards,
+			Workers:      workers,
 			Metrics:      s.cfg.Metrics.Clique(),
 		})
 		span.End()
@@ -117,7 +119,7 @@ func (s *Suite) Table4() ([]SizeRow, error) {
 
 func (s *Suite) sizeTable(classified bool) ([]SizeRow, error) {
 	rows := SizedBenchmarkRows()
-	return mapOrdered(s.cfg.Workers, len(rows), func(i int) (SizeRow, error) {
+	return mapOrdered(s, len(rows), func(i int) uint64 { return s.dynamicBranches(rows[i].Name) }, func(i int) (SizeRow, error) {
 		sb := rows[i]
 		a, err := s.Artifacts(sb.Name, sb.Input)
 		if err != nil {

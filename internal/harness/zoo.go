@@ -61,7 +61,7 @@ func (s *Suite) Zoo(kinds ...string) (*ZooResult, error) {
 	}
 	res := &ZooResult{Kinds: selected, Sizes: s.cfg.AllocBHTSizes}
 
-	perBench, err := mapOrdered(s.cfg.Workers, len(FigureBenchmarks), func(i int) ([]ZooRow, error) {
+	perBench, err := mapOrdered(s, len(FigureBenchmarks), s.byDynamicBranches(FigureBenchmarks), func(i int) ([]ZooRow, error) {
 		a, err := s.Artifacts(FigureBenchmarks[i], workload.InputRef)
 		if err != nil {
 			return nil, err

@@ -50,6 +50,17 @@ const (
 	// producer fills one while the worker drains another, and blocks
 	// (bounded memory) if the worker falls behind.
 	shardFreeDepth = 2
+	// minBatchPartners is the smallest batch: the floor of a sharded
+	// batch, and the size a producer's first batch starts at.
+	minBatchPartners = 1 << 12
+	// batchRecurrence bounds a batch's growth by the stream's branch
+	// count: a batch over numIDs branches holds at most numIDs² distinct
+	// pairs, so at batchRecurrence × numIDs² partners each distinct pair
+	// already recurs that often per batch on average, and a larger batch
+	// buys no amortization, only memory. Streams over more than ~32
+	// branches reach the full budget, with the flush points of a batch
+	// allocated at full size.
+	batchRecurrence = 1024
 )
 
 // shardBatch is one struct-of-arrays staging unit: event i executed
@@ -70,6 +81,15 @@ func newShardBatch(partnersCap int) *shardBatch {
 		lens:     make([]int32, 0, eventsCap),   //reprolint:allow hotpath per-interval batch provisioning, not per event
 		partners: make([]int32, 0, partnersCap), //reprolint:allow hotpath per-interval batch provisioning, not per event
 	}
+}
+
+// grow doubles the batch's capacity, up to partnersCap, keeping its
+// contents.
+func (b *shardBatch) grow(partnersCap int) {
+	g := newShardBatch(min(2*cap(b.partners), partnersCap))
+	b.ids = append(g.ids, b.ids...)                //reprolint:allow hotpath batch growth, at most log2(stagingPartners/minBatchPartners) times per profiler
+	b.lens = append(g.lens, b.lens...)             //reprolint:allow hotpath batch growth, at most log2(stagingPartners/minBatchPartners) times per profiler
+	b.partners = append(g.partners, b.partners...) //reprolint:allow hotpath batch growth, at most log2(stagingPartners/minBatchPartners) times per profiler
 }
 
 // reset clears the batch for reuse, keeping its allocations.
@@ -221,8 +241,8 @@ func newPairShards(n int) *pairShards {
 		// grows, and so do per-worker partitions — the amortization
 		// ratio (increments per cached counter) is P-independent.
 		batchCap = stagingPartners / (n * (shardFreeDepth + 1))
-		if batchCap < 1<<12 {
-			batchCap = 1 << 12
+		if batchCap < minBatchPartners {
+			batchCap = minBatchPartners
 		}
 	}
 	s := &pairShards{
@@ -275,6 +295,9 @@ func (s *pairShards) worker(w int) {
 
 // emit stages one event's partner prefix for the owning worker: a bulk
 // append (memmove) into the worker's current batch, flushing when full.
+// A producer's first batch starts at minBatchPartners and doubles when
+// full, up to batchCap and to batchRecurrence × numIDs², so a stream
+// over few branches — a graph kernel's — never stages the whole budget.
 // Oversized prefixes are chunked across batches; counts are preserved
 // because apply walks increments per header.
 func (s *pairShards) emit(id int32, partners []int32) {
@@ -282,12 +305,16 @@ func (s *pairShards) emit(id int32, partners []int32) {
 	for len(partners) > 0 {
 		b := s.cur[w]
 		if b == nil {
-			b = newShardBatch(s.batchCap)
+			b = newShardBatch(min(minBatchPartners, s.batchCap))
 			s.cur[w] = b
 		}
 		room := cap(b.partners) - len(b.partners)
 		if room == 0 || len(b.ids) == cap(b.ids) {
-			s.flush(w)
+			if c := cap(b.partners); c < s.batchCap && c < batchRecurrence*s.numIDs*s.numIDs {
+				b.grow(s.batchCap)
+			} else {
+				s.flush(w)
+			}
 			continue
 		}
 		n := len(partners)
