@@ -21,13 +21,14 @@ func syntheticProfile() *profile.Profile {
 		PCs:       []uint64{0x100, 0x104, 0x108, 0x10c, 0x110},
 		Exec:      []uint64{1000, 900, 800, 700, 50},
 		Taken:     []uint64{500, 899, 2, 350, 25},
-		Pairs:     profile.NewPairCounts(0),
 	}
-	p.Pairs.Add(profile.PairKey(0, 1), 500)
-	p.Pairs.Add(profile.PairKey(0, 2), 400)
-	p.Pairs.Add(profile.PairKey(1, 2), 300)
-	p.Pairs.Add(profile.PairKey(0, 3), 200)
-	p.Pairs.Add(profile.PairKey(2, 4), 5) // below threshold, pruned away
+	pairs := profile.NewPairCounts(0)
+	pairs.Add(profile.PairKey(0, 1), 500)
+	pairs.Add(profile.PairKey(0, 2), 400)
+	pairs.Add(profile.PairKey(1, 2), 300)
+	pairs.Add(profile.PairKey(0, 3), 200)
+	pairs.Add(profile.PairKey(2, 4), 5) // below threshold, pruned away
+	p.Pairs = pairs.List()
 	return p
 }
 

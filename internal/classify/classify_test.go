@@ -51,10 +51,7 @@ func TestCustomThresholds(t *testing.T) {
 
 // profileWith builds a profile with the given per-branch (exec, taken).
 func profileWith(counts ...[2]uint64) *profile.Profile {
-	p := &profile.Profile{
-		Benchmark: "t",
-		Pairs:     profile.NewPairCounts(0),
-	}
+	p := &profile.Profile{Benchmark: "t"}
 	for i, c := range counts {
 		p.PCs = append(p.PCs, uint64(i+1)*4)
 		p.Exec = append(p.Exec, c[0])

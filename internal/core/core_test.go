@@ -13,16 +13,17 @@ func buildProfile(branches [][2]uint64, pairs [][3]uint64) *profile.Profile {
 	p := &profile.Profile{
 		Benchmark: "synthetic",
 		InputSets: []string{"ref"},
-		Pairs:     profile.NewPairCounts(0),
 	}
 	for i, b := range branches {
 		p.PCs = append(p.PCs, uint64(i+1)*4)
 		p.Exec = append(p.Exec, b[0])
 		p.Taken = append(p.Taken, b[1])
 	}
+	counts := profile.NewPairCounts(0)
 	for _, e := range pairs {
-		p.Pairs.Add(profile.PairKey(int32(e[0]), int32(e[1])), e[2])
+		counts.Add(profile.PairKey(int32(e[0]), int32(e[1])), e[2])
 	}
+	p.Pairs = counts.List()
 	return p
 }
 

@@ -96,7 +96,7 @@ func AnalyzeGrouped(p *profile.Profile, cfg AnalysisConfig, th classify.Threshol
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	g := grouped.Graph(len(members), threshold)
+	g := grouped.List().Graph(len(members), threshold)
 
 	// Group execution weights for the dynamic averages.
 	exec := make([]uint64, len(members))

@@ -13,8 +13,8 @@ import (
 // The input stream is decoded 9 bytes at a time — an 8-byte key and an
 // opcode byte that picks the destination table, the delta, and whether
 // the key is folded into a small colliding range — so a single input
-// exercises probe chains, growth, word-level clears, and the
-// Range-into-Add merge path that the shard drain uses.
+// exercises probe chains, growth, and the Range-into-Add merge path
+// that Merge uses.
 func FuzzPackedPairTable(f *testing.F) {
 	seed := make([]byte, 0, 9*16)
 	for i := 0; i < 16; i++ {
@@ -52,8 +52,8 @@ func FuzzPackedPairTable(f *testing.F) {
 			ref[key] += delta
 		}
 
-		// Merge all tables into one the way the shard drain does:
-		// Range on the source, Add on the destination.
+		// Merge all tables into one the way Merge does: Range on the
+		// source, Add on the destination.
 		merged := NewPairCounts(0)
 		for _, tb := range tables {
 			tb.Range(func(k, v uint64) bool {
@@ -64,11 +64,6 @@ func FuzzPackedPairTable(f *testing.F) {
 
 		if merged.Len() != len(ref) {
 			t.Fatalf("merged Len = %d, reference map has %d keys", merged.Len(), len(ref))
-		}
-		for k, v := range ref {
-			if got := merged.Get(k); got != v {
-				t.Fatalf("merged Get(%#x) = %d, want %d", k, got, v)
-			}
 		}
 		seen := 0
 		merged.Range(func(k, v uint64) bool {
@@ -81,24 +76,86 @@ func FuzzPackedPairTable(f *testing.F) {
 		if seen != len(ref) {
 			t.Fatalf("merged Range visited %d of %d keys", seen, len(ref))
 		}
+	})
+}
 
-		// Reset must leave each table reusable with its allocation.
-		for _, tb := range tables {
-			tb.Reset()
-			if tb.Len() != 0 {
-				t.Fatal("Reset left entries behind")
+// hashedExtraction is the reference merge of a profiler's counter
+// halves: every counter entry added to a hash table, so a pair stored
+// in both endpoints' counters sums on its second add.
+func hashedExtraction(p *Profiler) *PairCounts {
+	p.shards.drain()
+	out := NewPairCounts(0)
+	for id := range p.pcs {
+		for _, s := range p.nbrOf(int32(id)).slots {
+			if y, c := partner(s); s != 0 {
+				out.Add(PairKey(int32(id), y), uint64(c))
 			}
-			tb.Add(42, 1)
-			if tb.Get(42) != 1 {
-				t.Fatal("table broken after Reset")
+		}
+	}
+	return out
+}
+
+// FuzzProfileExtraction decodes the input into a branch stream over at
+// most 64 pcs, a scan window and a shard count in {1, 2, 3}, and checks
+// the extracted pair list against the hashed merge of the same
+// counters, then pair by pair against the naive reference (window 0)
+// or, with a window, against the serial profiler in Range order.
+func FuzzProfileExtraction(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 1, 3, 2, 1, 3})
+	f.Add([]byte{4, 3, 1, 2, 3, 4, 5, 6, 1, 6, 2, 5, 1, 3})
+	f.Add([]byte("extraction merges both counter halves of every pair"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		shards := 1 + int(data[0])%3
+		window := int(data[1]) % 80 // 0 is unbounded; 64 and above never clip
+		events := data[2:]
+		var opts []Option
+		if window > 0 {
+			opts = append(opts, WithWindow(window))
+		}
+		p := NewProfiler("fuzz", "ref", append(opts, WithShards(shards))...)
+		serial := NewProfiler("fuzz", "ref", opts...)
+		naive := NewNaiveProfiler("fuzz", "ref")
+		for i, b := range events {
+			pc, taken := uint64(b&63+1)*4, b&64 != 0
+			p.Branch(pc, taken, uint64(i))
+			serial.Branch(pc, taken, uint64(i))
+			naive.Branch(pc, taken, uint64(i))
+		}
+		got := p.Profile().Pairs
+		if cap(got.keys) != got.Len() || cap(got.counts) != got.Len() {
+			t.Fatalf("list of %d pairs has capacities %d/%d", got.Len(), cap(got.keys), cap(got.counts))
+		}
+		gotMap := pairMap(got)
+		if len(gotMap) != got.Len() {
+			t.Fatalf("list of %d pairs holds %d distinct keys", got.Len(), len(gotMap))
+		}
+		if want := pairDump(hashedExtraction(p)); pairDump(got) != want {
+			t.Fatalf("bucketed extraction differs from the hashed merge:\n%s\nwant:\n%s", pairDump(got), want)
+		}
+		if window == 0 {
+			want := naive.Profile().Pairs
+			if want.Len() != got.Len() {
+				t.Fatalf("extracted %d pairs, naive reference %d", got.Len(), want.Len())
 			}
+			want.Range(func(k, v uint64) bool {
+				if gotMap[k] != v {
+					t.Fatalf("pair %#x: extracted %d, naive reference %d", k, gotMap[k], v)
+				}
+				return true
+			})
+			return
+		}
+		if want := rangeSeq(serial.Profile().Pairs); rangeSeq(got) != want {
+			t.Fatalf("shards=%d window=%d list differs from serial:\n%s\nwant:\n%s", shards, window, rangeSeq(got), want)
 		}
 	})
 }
 
-// TestMergeOrderInvariance is the determinism property behind the shard
-// drain: merging worker tables in any order yields the identical drained
-// table. Pair counts are commutative sums, and the canonical dump is
+// TestMergeOrderInvariance is the determinism property behind Merge:
+// merging tables in any order yields the identical table. Pair counts are commutative sums, and the canonical dump is
 // layout-independent, so all 120 permutations of five overlapping tables
 // must agree byte for byte.
 func TestMergeOrderInvariance(t *testing.T) {

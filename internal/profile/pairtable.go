@@ -2,27 +2,26 @@ package profile
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
 // PairCounts is an open-addressed hash table from packed id pairs
-// (PairKey) to interleave counts. Profiling performs billions of
-// increments on paper-scale traces; a specialized table is severalfold
-// faster and far smaller than a Go map and keeps full-suite table
-// generation in minutes.
+// (PairKey) to interleave counts: the accumulator for callers that sum
+// duplicate keys — Merge's remapped profiles, grouped analysis, static
+// estimates and the naive reference profiler. A finished table freezes
+// into the PairList a Profile holds (List); the Profiler itself never
+// hashes pairs, since its extraction already yields each pair once.
 //
 // Key 0 marks an empty slot. PairKey never produces 0: it packs the
 // smaller id into the high word and ids in a pair are distinct, so the
 // low word (the larger id) is nonzero.
 //
 // The keys and values live in one backing slab (keys first, values
-// second), so a table costs a single allocation, clears with one
-// word-level clear(), and grows without a second make. Capacity is
-// exact, not rounded to a power of two: slots are selected by
-// multiply-shift range reduction (the "fastrange" idiom), so a table
-// sized for n pairs allocates ~4n/3 slots instead of up to 8n/3 — the
-// extraction table for a large benchmark halves.
+// second), so a table costs a single allocation and grows without a
+// second make. Capacity is exact, not rounded to a power of two: slots
+// are selected by multiply-shift range reduction (the "fastrange"
+// idiom), so a table sized for n pairs allocates ~4n/3 slots instead
+// of up to 8n/3.
 //
 // Each table hashes with a per-instance seed. This is not paranoia:
 // Range yields keys in slot order — i.e. sorted by hash — and feeding
@@ -81,45 +80,6 @@ func (t *PairCounts) alloc(size int) {
 // Len returns the number of distinct pairs stored.
 func (t *PairCounts) Len() int { return t.n }
 
-// Cap returns the number of entries the table can hold before growing.
-func (t *PairCounts) Cap() int { return len(t.keys) * pairMaxLoadN / pairMaxLoadD }
-
-// Reset clears the table for reuse — one word-level clear of the slab —
-// keeping its allocation and seed.
-func (t *PairCounts) Reset() {
-	clear(t.slab)
-	t.n = 0
-}
-
-// pairPool recycles extraction tables: profile extraction is the
-// harness's dominant transient allocation (the table is sized for every
-// interleave pair of a benchmark), and ablations/benchmarks extract
-// hundreds of times.
-var pairPool sync.Pool
-
-// GetPairCounts returns an empty table sized for capacityHint entries,
-// reusing a pooled allocation when one is large enough.
-func GetPairCounts(capacityHint int) *PairCounts {
-	if v := pairPool.Get(); v != nil {
-		t := v.(*PairCounts)
-		if t.Cap() >= capacityHint {
-			return t
-		}
-		// Too small: let it be collected and allocate to size.
-	}
-	return NewPairCounts(capacityHint)
-}
-
-// PutPairCounts resets t and returns it to the pool. The caller must
-// not use t afterwards.
-func PutPairCounts(t *PairCounts) {
-	if t == nil {
-		return
-	}
-	t.Reset()
-	pairPool.Put(t)
-}
-
 // slot hashes the key into the table: seeded xor, Fibonacci multiply,
 // then multiply-shift range reduction onto the exact (not power-of-two)
 // slot count. Reduction is monotone in the hash, which keeps grow's
@@ -148,7 +108,7 @@ func (t *PairCounts) Add(key uint64, delta uint64) {
 		}
 	}
 	if (t.n+1)*pairMaxLoadD > len(t.keys)*pairMaxLoadN {
-		t.grow() //reprolint:allow hotpath amortized doubling; extraction tables are pre-sized exactly and never enter it
+		t.grow() //reprolint:allow hotpath amortized doubling, O(log pairs) times per table
 		i = t.slot(key)
 		for t.keys[i] != 0 {
 			if i++; i == len(t.keys) {
@@ -159,23 +119,6 @@ func (t *PairCounts) Add(key uint64, delta uint64) {
 	t.keys[i] = key
 	t.vals[i] = delta
 	t.n++
-}
-
-// Get returns the count for key (0 if absent).
-func (t *PairCounts) Get(key uint64) uint64 {
-	i := t.slot(key)
-	for {
-		k := t.keys[i]
-		if k == key {
-			return t.vals[i]
-		}
-		if k == 0 {
-			return 0
-		}
-		if i++; i == len(t.keys) {
-			i = 0
-		}
-	}
 }
 
 // Range calls f for every stored pair until f returns false. Iteration
@@ -191,17 +134,17 @@ func (t *PairCounts) Range(f func(key uint64, count uint64) bool) {
 	}
 }
 
-// Clone returns a deep copy (sharing the seed; layouts stay identical).
-func (t *PairCounts) Clone() *PairCounts {
-	size := len(t.keys)
-	c := &PairCounts{
-		slab: append([]uint64(nil), t.slab...),
-		n:    t.n,
-		seed: t.seed,
+// List freezes the table into a PairList: one exactly sized copy of
+// the stored pairs, in the table's slot order.
+func (t *PairCounts) List() PairList {
+	l := PairList{keys: make([]uint64, 0, t.n), counts: make([]uint64, 0, t.n)}
+	for i, k := range t.keys {
+		if k != 0 {
+			l.keys = append(l.keys, k)
+			l.counts = append(l.counts, t.vals[i])
+		}
 	}
-	c.keys = c.slab[:size:size]
-	c.vals = c.slab[size:]
-	return c
+	return l
 }
 
 // grow doubles the table in one backing allocation. Rehashing iterates
@@ -210,7 +153,7 @@ func (t *PairCounts) Clone() *PairCounts {
 // of the doubled table — a linear, clustering-free pass.
 func (t *PairCounts) grow() {
 	oldKeys, oldVals := t.keys, t.vals
-	t.alloc(len(oldKeys) * 2) //reprolint:allow hotpath amortized doubling; extraction tables are pre-sized exactly and never enter it
+	t.alloc(len(oldKeys) * 2) //reprolint:allow hotpath amortized doubling, O(log pairs) times per table
 	for j, k := range oldKeys {
 		if k == 0 {
 			continue

@@ -7,6 +7,19 @@ import (
 	"repro/internal/rng"
 )
 
+// pairMap reads a pair table or list into a map, for tests that look up
+// single counts.
+func pairMap(pairs interface {
+	Range(func(key, count uint64) bool)
+}) map[uint64]uint64 {
+	m := make(map[uint64]uint64)
+	pairs.Range(func(k, v uint64) bool {
+		m[k] = v
+		return true
+	})
+	return m
+}
+
 func TestPairCountsBasic(t *testing.T) {
 	pc := NewPairCounts(0)
 	if pc.Len() != 0 {
@@ -18,8 +31,8 @@ func TestPairCountsBasic(t *testing.T) {
 	if pc.Len() != 2 {
 		t.Fatalf("len = %d", pc.Len())
 	}
-	if pc.Get(1) != 3 || pc.Get(2) != 5 || pc.Get(3) != 0 {
-		t.Fatalf("values wrong: %d %d %d", pc.Get(1), pc.Get(2), pc.Get(3))
+	if got := pairMap(pc); got[1] != 3 || got[2] != 5 || got[3] != 0 {
+		t.Fatalf("values wrong: %d %d %d", got[1], got[2], got[3])
 	}
 }
 
@@ -41,9 +54,10 @@ func TestPairCountsGrowth(t *testing.T) {
 	if pc.Len() != n {
 		t.Fatalf("len = %d, want %d", pc.Len(), n)
 	}
+	got := pairMap(pc)
 	for i := uint64(1); i <= n; i += 997 {
-		if pc.Get(i) != i {
-			t.Fatalf("Get(%d) = %d", i, pc.Get(i))
+		if got[i] != i {
+			t.Fatalf("count of %d = %d", i, got[i])
 		}
 	}
 }
@@ -60,11 +74,6 @@ func TestPairCountsMatchesMap(t *testing.T) {
 	}
 	if pc.Len() != len(ref) {
 		t.Fatalf("len %d != map %d", pc.Len(), len(ref))
-	}
-	for k, v := range ref {
-		if pc.Get(k) != v {
-			t.Fatalf("key %d: %d != %d", k, pc.Get(k), v)
-		}
 	}
 	seen := 0
 	pc.Range(func(k, v uint64) bool {
@@ -94,17 +103,22 @@ func TestPairCountsRangeEarlyStop(t *testing.T) {
 	}
 }
 
+// TestPairCountsClone checks that List freezes an independent copy:
+// later adds to the table leave the list as it was.
 func TestPairCountsClone(t *testing.T) {
 	pc := NewPairCounts(0)
 	pc.Add(7, 3)
-	cl := pc.Clone()
-	cl.Add(7, 1)
-	cl.Add(9, 1)
-	if pc.Get(7) != 3 || pc.Get(9) != 0 {
-		t.Fatal("clone shares storage with original")
+	frozen := pc.List()
+	pc.Add(7, 1)
+	pc.Add(9, 1)
+	if got := pairMap(frozen); len(got) != 1 || got[7] != 3 {
+		t.Fatalf("frozen list changed with its table: %v", got)
 	}
-	if cl.Get(7) != 4 || cl.Get(9) != 1 {
-		t.Fatal("clone values wrong")
+	if got := pairMap(pc.List()); len(got) != 2 || got[7] != 4 || got[9] != 1 {
+		t.Fatalf("list of the updated table wrong: %v", got)
+	}
+	if l := pc.List(); l.Len() != 2 || cap(l.keys) != 2 || cap(l.counts) != 2 {
+		t.Fatalf("List not exactly sized: len %d, caps %d/%d", l.Len(), cap(l.keys), cap(l.counts))
 	}
 }
 
@@ -127,8 +141,9 @@ func TestPairCountsProperty(t *testing.T) {
 			pc.Add(key, 1)
 			ref[key]++
 		}
+		got := pairMap(pc)
 		for k, v := range ref {
-			if pc.Get(k) != v {
+			if got[k] != v {
 				return false
 			}
 		}

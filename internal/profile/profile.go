@@ -52,10 +52,9 @@ type Profile struct {
 	// outcomes per static branch.
 	Exec  []uint64
 	Taken []uint64
-	// Pairs maps PairKey(id,id) to the interleave count of the pair.
-	// The counts must not be mutated after the first BuildGraph: the
-	// graph built for each threshold is memoized and would go stale.
-	Pairs *PairCounts
+	// Pairs holds each interleaving pair once with its count. It is
+	// immutable, so the graphs BuildGraph memoizes never go stale.
+	Pairs PairList
 
 	graphMu sync.Mutex
 	graphs  map[uint64]*graph.Graph // BuildGraph's memo, by threshold
@@ -64,18 +63,15 @@ type Profile struct {
 // NumBranches returns the number of distinct static branches profiled.
 func (p *Profile) NumBranches() int { return len(p.PCs) }
 
-// Release returns the profile's pair table to the package pool for
-// reuse by a later extraction and drops the memoized graphs. Call it
-// only on transient profiles whose analysis is complete; the profile
-// must not be used afterwards.
+// Release drops the profile's pair list and memoized graphs so a
+// transient profile's memory can be collected while its owner lives on.
+// Call it only once the analysis is complete; the profile must not be
+// used afterwards.
 func (p *Profile) Release() {
 	p.graphMu.Lock()
 	p.graphs = nil
 	p.graphMu.Unlock()
-	if p.Pairs != nil {
-		PutPairCounts(p.Pairs)
-		p.Pairs = nil
-	}
+	p.Pairs = PairList{}
 }
 
 // DynamicBranches returns the total dynamic branch count.
@@ -87,9 +83,9 @@ func (p *Profile) DynamicBranches() uint64 {
 	return total
 }
 
-// IDOf returns the dense id of pc, or -1 if pc never executed.
+// IDOf returns the dense id of pc, or -1 if pc never executed. It scans
+// PCs linearly; callers look up a handful of branches, not every one.
 func (p *Profile) IDOf(pc uint64) int32 {
-	// Linear maps are rebuilt rarely; keep an index lazily.
 	for id, x := range p.PCs {
 		if x == pc {
 			return int32(id)
@@ -126,19 +122,47 @@ func (p *Profile) BuildGraph(threshold uint64) *graph.Graph {
 	return g
 }
 
-// Graph builds the conflict graph over ids [0, n) from the counts,
-// keeping only pairs whose count is at least threshold. The table holds
-// each pair once, so pruning the counts before construction is the same
-// as filtering the full graph, without building it.
-func (t *PairCounts) Graph(n int, threshold uint64) *graph.Graph {
-	var pairs []graph.Pair
-	t.Range(func(k, w uint64) bool {
+// PairList is an immutable flat list of distinct interleaving pairs:
+// keys[i] is a PairKey and counts[i] its interleave count. Profiler
+// extraction builds one directly, row by row in ascending smaller id,
+// so its Range order is deterministic; PairCounts.List freezes an
+// accumulated table in that table's slot order. The zero value is the
+// empty list.
+type PairList struct {
+	keys   []uint64
+	counts []uint64
+}
+
+// Len returns the number of distinct pairs.
+func (l PairList) Len() int { return len(l.keys) }
+
+// Range calls f for every pair, in list order, until f returns false.
+func (l PairList) Range(f func(key, count uint64) bool) {
+	for i, k := range l.keys {
+		if !f(k, l.counts[i]) {
+			return
+		}
+	}
+}
+
+// Graph builds the conflict graph over ids [0, n) from the list,
+// keeping only pairs whose count is at least threshold. The list holds
+// each pair once, so pruning the counts before construction is the
+// same as filtering the full graph, without building it.
+func (l PairList) Graph(n int, threshold uint64) *graph.Graph {
+	kept := 0
+	for _, w := range l.counts {
 		if w >= threshold {
-			a, b := UnpackPair(k)
+			kept++
+		}
+	}
+	pairs := make([]graph.Pair, 0, kept)
+	for i, w := range l.counts {
+		if w >= threshold {
+			a, b := UnpackPair(l.keys[i])
 			pairs = append(pairs, graph.Pair{U: a, V: b, W: w})
 		}
-		return true
-	})
+	}
 	return graph.FromPairs(n, pairs)
 }
 
@@ -152,10 +176,8 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("profile: merge of zero profiles")
 	}
-	out := &Profile{
-		Benchmark: profiles[0].Benchmark,
-		Pairs:     NewPairCounts(0),
-	}
+	out := &Profile{Benchmark: profiles[0].Benchmark}
+	pairs := NewPairCounts(0)
 	// Dense ids differ across runs; remap through PCs.
 	idOf := make(map[uint64]int32)
 	intern := func(pc uint64) int32 {
@@ -185,10 +207,11 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 		}
 		p.Pairs.Range(func(k, w uint64) bool {
 			a, b := UnpackPair(k)
-			out.Pairs.Add(PairKey(remap[a], remap[b]), w)
+			pairs.Add(PairKey(remap[a], remap[b]), w)
 			return true
 		})
 	}
+	out.Pairs = pairs.List()
 	return out, nil
 }
 

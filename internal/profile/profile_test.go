@@ -64,13 +64,14 @@ func TestProfilerPaperExample(t *testing.T) {
 	feed(p, 4, 8, 12, 4)
 	prof := p.Profile()
 	idA, idB, idC := prof.IDOf(4), prof.IDOf(8), prof.IDOf(12)
-	if prof.Pairs.Get(PairKey(idA, idB)) != 1 {
+	got := pairMap(prof.Pairs)
+	if got[PairKey(idA, idB)] != 1 {
 		t.Fatal("(A,B) interleave not counted")
 	}
-	if prof.Pairs.Get(PairKey(idA, idC)) != 1 {
+	if got[PairKey(idA, idC)] != 1 {
 		t.Fatal("(A,C) interleave not counted")
 	}
-	if prof.Pairs.Get(PairKey(idB, idC)) != 0 {
+	if got[PairKey(idB, idC)] != 0 {
 		t.Fatal("(B,C) wrongly counted: B and C executed once each")
 	}
 	if prof.Pairs.Len() != 2 {
@@ -91,7 +92,7 @@ func TestProfilerLoopPair(t *testing.T) {
 	key := PairKey(prof.IDOf(4), prof.IDOf(8))
 	// A executes 10 times; executions 2..10 each see B ahead (9), and
 	// B's executions 2..10 each see A ahead (9): total 18.
-	if got := prof.Pairs.Get(key); got != 18 {
+	if got := pairMap(prof.Pairs)[key]; got != 18 {
 		t.Fatalf("pair count = %d, want 18", got)
 	}
 }
@@ -161,9 +162,10 @@ func TestProfilerMatchesNaive(t *testing.T) {
 			t.Fatalf("trial %d: pair counts differ: %d vs %d", trial, pf.Pairs.Len(), pn.Pairs.Len())
 		}
 		mismatch := false
+		got := pairMap(pf.Pairs)
 		pn.Pairs.Range(func(k, v uint64) bool {
 			// Ids are assigned in first-execution order by both.
-			if pf.Pairs.Get(k) != v {
+			if got[k] != v {
 				mismatch = true
 				return false
 			}
@@ -192,8 +194,8 @@ func TestProfilerWindowLimitsDepth(t *testing.T) {
 		t.Fatalf("window 2 counted %d pairs, want 2", total)
 	}
 	// The counted partners are the most recent: 24 and 20.
-	if prof.Pairs.Get(PairKey(prof.IDOf(4), prof.IDOf(24))) != 1 ||
-		prof.Pairs.Get(PairKey(prof.IDOf(4), prof.IDOf(20))) != 1 {
+	if got := pairMap(prof.Pairs); got[PairKey(prof.IDOf(4), prof.IDOf(24))] != 1 ||
+		got[PairKey(prof.IDOf(4), prof.IDOf(20))] != 1 {
 		t.Fatal("window kept the wrong partners")
 	}
 	if p.Window() != 2 {
@@ -215,8 +217,9 @@ func TestProfilerUnboundedEqualsBigWindow(t *testing.T) {
 		t.Fatal("big window changed results")
 	}
 	equal := true
+	windowedCounts := pairMap(pw.Pairs)
 	pu.Pairs.Range(func(k, v uint64) bool {
-		if pw.Pairs.Get(k) != v {
+		if windowedCounts[k] != v {
 			equal = false
 			return false
 		}
@@ -322,10 +325,11 @@ func TestMergeProfiles(t *testing.T) {
 		t.Fatalf("input sets = %v", merged.InputSets)
 	}
 	// Pair (4,8) only from run a, pair (8,12) only from run b.
-	if merged.Pairs.Get(PairKey(merged.IDOf(4), id8)) == 0 {
+	got := pairMap(merged.Pairs)
+	if got[PairKey(merged.IDOf(4), id8)] == 0 {
 		t.Fatal("pair from run a lost")
 	}
-	if merged.Pairs.Get(PairKey(id8, merged.IDOf(12))) == 0 {
+	if got[PairKey(id8, merged.IDOf(12))] == 0 {
 		t.Fatal("pair from run b lost")
 	}
 }

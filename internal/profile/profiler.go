@@ -148,39 +148,8 @@ func (c *nbrCounter) grow() {
 	}
 }
 
-// get returns the count stored for key (0 if absent).
-func (c *nbrCounter) get(key int32) uint32 {
-	if len(c.slots) == 0 {
-		return 0
-	}
-	mask := uint32(len(c.slots) - 1)
-	i := nbrHash(key) & mask
-	kp := uint64(uint32(key)) + 1
-	for {
-		s := c.slots[i]
-		if s>>32 == kp {
-			return uint32(s)
-		}
-		if s == 0 {
-			return 0
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// has reports whether key is stored.
-func (c *nbrCounter) has(key int32) bool { return c.get(key) != 0 }
-
-// each calls f for every (key, count) stored, in slot order. Insertion
-// order is deterministic for a deterministic event stream, so slot
-// order is too — extraction does not need to sort.
-func (c *nbrCounter) each(f func(key int32, count uint32)) {
-	for _, s := range c.slots {
-		if s != 0 {
-			f(int32(uint32(s>>32)-1), uint32(s))
-		}
-	}
-}
+// partner decodes an occupied slot into its partner id and count.
+func partner(s uint64) (int32, uint32) { return int32(uint32(s>>32) - 1), uint32(s) }
 
 // bytes reports the slot array's footprint.
 func (c *nbrCounter) bytes() uint64 { return uint64(len(c.slots)) * 8 }
@@ -429,51 +398,19 @@ func (p *Profiler) nbrOf(id int32) *nbrCounter {
 // never be written.
 var emptyNbr nbrCounter
 
-// distinctPairs counts the exact number of distinct unordered pairs
-// across the per-branch neighbor counters. One pair (a,b) may be stored
-// in a's counter, in b's, or in both; summing the per-counter sizes
-// would double-count the shared ones and over-allocate the extraction
-// table ~2x. A pair is counted from the smaller id's counter when
-// present there, and from the larger id's counter only otherwise.
-func (p *Profiler) distinctPairs() int {
-	p.shards.drain()
-	distinct := 0
-	for id := range p.pcs {
-		a := int32(id)
-		p.nbrOf(a).each(func(b int32, _ uint32) {
-			if b > a || !p.nbrOf(b).has(a) {
-				distinct++
-			}
-		})
-	}
-	return distinct
-}
-
 // Profile extracts the accumulated profile. The Profiler remains usable;
 // further events continue accumulating on top.
 //
-// The returned profile's pair table comes from the package pool
-// (exactly sized, so extraction never rehashes); callers done with a
-// transient profile can hand the table back via Profile.Release.
-//
-// Extraction walks branch ids in ascending order and each counter in
-// its (deterministic) slot order, in both modes: a branch's counter
-// receives the same increment sequence serially and sharded, so the
-// walk — and therefore the extracted profile — is byte-identical for
-// every shard count.
+// Every branch id's counter receives the same increment sequence
+// serially and sharded, so the counters are identical for every shard
+// count, and so is the pair list, which extraction reads from them in
+// fixed id orders and each counter in slot order.
 func (p *Profiler) Profile() *Profile {
 	done := p.metrics.StartMerge()
 	// Quiesce the engine: staged batches are applied (and, sharded, the
 	// workers stopped), after which the counters are complete and safe
 	// to read from this goroutine.
 	p.shards.drain()
-	pairs := GetPairCounts(p.distinctPairs())
-	for id := range p.pcs {
-		a := int32(id)
-		p.nbrOf(a).each(func(b int32, count uint32) {
-			pairs.Add(PairKey(a, b), uint64(count))
-		})
-	}
 	out := &Profile{
 		Benchmark:    p.benchmark,
 		InputSets:    []string{p.inputSet},
@@ -481,10 +418,100 @@ func (p *Profiler) Profile() *Profile {
 		PCs:          append([]uint64(nil), p.pcs...),
 		Exec:         append([]uint64(nil), p.exec...),
 		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        pairs,
+		Pairs:        p.extractPairs(),
 	}
-	done(pairs.Len())
+	done(out.Pairs.Len())
 	return out
+}
+
+// extractPairs merges each unordered pair's two counter halves into a
+// flat list without hashing. Pair (a, b), a < b, may sit in a's counter
+// as an upper entry (partner above its owner) and in b's as a lower
+// entry; the list holds it once, in row a, with the halves summed.
+//
+//  1. Count each row's lower entries: counter x's entry (y, c) with
+//     y < x belongs to row y.
+//  2. Walk the counters in descending id order. Row x's bucket is
+//     complete when counter x is reached (every higher counter has been
+//     placed), so marking x's upper partners and counting the bucket
+//     entries they miss yields the row's exact distinct-pair count;
+//     then x's own lower entries are placed into their rows' buckets
+//     (a counting sort, as graph.FromPairs does), filled from the end
+//     so each bucket ends in ascending partner order.
+//  3. Walk the counters in ascending id order, appending row a's upper
+//     entries in slot order and then its bucket, adding a bucket entry
+//     to the upper entry already appended for the same partner.
+//
+// The list is allocated once at its exact length, and each counter is
+// read front to back: none is probed for another's key.
+func (p *Profiler) extractPairs() PairList {
+	n := len(p.pcs)
+	start := make([]int, n+1)
+	for x := range n {
+		for _, s := range p.nbrOf(int32(x)).slots {
+			if y, _ := partner(s); s != 0 && int(y) < x {
+				start[y+1]++
+			}
+		}
+	}
+	for y := range n {
+		start[y+1] += start[y]
+	}
+
+	// Buckets hold (x+1)<<32 | count, the counter slot encoding with the
+	// owner x in place of the partner.
+	lower := make([]uint64, start[n])
+	at := make([]int, n)
+	copy(at, start[1:])
+	mark := make([]int, n) // per partner: index+1 of the row that last marked it
+	distinct := 0
+	for x := n - 1; x >= 0; x-- {
+		slots := p.nbrOf(int32(x)).slots
+		for _, s := range slots {
+			if y, _ := partner(s); s != 0 && int(y) > x {
+				mark[y] = x + 1
+				distinct++
+			}
+		}
+		for _, e := range lower[start[x]:start[x+1]] {
+			if y, _ := partner(e); mark[y] != x+1 {
+				distinct++
+			}
+		}
+		for _, s := range slots {
+			if y, c := partner(s); s != 0 && int(y) < x {
+				at[y]--
+				lower[at[y]] = uint64(x+1)<<32 | uint64(c)
+			}
+		}
+	}
+
+	keys := make([]uint64, 0, distinct)
+	counts := make([]uint64, 0, distinct)
+	where := mark // per partner: its index in the list, valid when >= the row's first index
+	for i := range where {
+		where[i] = -1
+	}
+	for a := range n {
+		row := len(keys)
+		for _, s := range p.nbrOf(int32(a)).slots {
+			if y, c := partner(s); s != 0 && int(y) > a {
+				where[y] = len(keys)
+				keys = append(keys, PairKey(int32(a), y))
+				counts = append(counts, uint64(c))
+			}
+		}
+		for _, e := range lower[start[a]:start[a+1]] {
+			y, c := partner(e)
+			if i := where[y]; i >= row {
+				counts[i] += uint64(c)
+				continue
+			}
+			keys = append(keys, PairKey(int32(a), y))
+			counts = append(counts, uint64(c))
+		}
+	}
+	return PairList{keys: keys, counts: counts}
 }
 
 // NaiveProfiler is the literal time-stamp formulation from the paper's
@@ -609,7 +636,7 @@ func (p *NaiveProfiler) Profile() *Profile {
 		PCs:          append([]uint64(nil), p.pcs...),
 		Exec:         append([]uint64(nil), p.exec...),
 		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        p.pairs.Clone(),
+		Pairs:        p.pairs.List(),
 	}
 	return out
 }

@@ -10,10 +10,12 @@ import (
 	"repro/internal/rng"
 )
 
-// pairDump renders a pair table canonically: sorted by key, one line per
-// pair. Two tables with identical contents dump identically regardless
-// of seed or layout.
-func pairDump(t *PairCounts) string {
+// pairDump renders a pair table or list canonically: sorted by key, one
+// line per pair. Two tables with identical contents dump identically
+// regardless of seed, layout or list order.
+func pairDump(t interface {
+	Range(func(key, count uint64) bool)
+}) string {
 	type kv struct{ k, v uint64 }
 	var pairs []kv
 	t.Range(func(k, v uint64) bool {
@@ -53,12 +55,23 @@ func synthStream(events int, seed uint64, sinks ...interface {
 	}
 }
 
+// rangeSeq renders a pair list in its own Range order, one line per
+// pair, for comparisons that must also match order.
+func rangeSeq(l PairList) string {
+	var b strings.Builder
+	l.Range(func(k, v uint64) bool {
+		fmt.Fprintf(&b, "%#x:%d\n", k, v)
+		return true
+	})
+	return b.String()
+}
+
 // TestShardedProfilerMatchesSerial is the profiler-level differential
-// test: for shard counts {2, 3, 7, GOMAXPROCS} the extracted profile —
-// pair table contents, per-branch stats — must equal the serial
-// profiler's and the naive reference's exactly.
+// test: for shard counts {1, 2, 3, 7, GOMAXPROCS} the extracted profile
+// — pair contents, their Range order, per-branch stats — must equal the
+// serial profiler's exactly, and its contents the naive reference's.
 func TestShardedProfilerMatchesSerial(t *testing.T) {
-	shardCounts := []int{2, 3, 7, runtime.GOMAXPROCS(0)}
+	shardCounts := []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)}
 
 	serial := NewProfiler("synth", "ref")
 	naive := NewNaiveProfiler("synth", "ref")
@@ -66,6 +79,7 @@ func TestShardedProfilerMatchesSerial(t *testing.T) {
 	want := serial.Profile()
 	defer want.Release()
 	wantDump := pairDump(want.Pairs)
+	wantSeq := rangeSeq(want.Pairs)
 
 	nv := naive.Profile()
 	if got := pairDump(nv.Pairs); got != wantDump {
@@ -84,6 +98,9 @@ func TestShardedProfilerMatchesSerial(t *testing.T) {
 			defer p.Release()
 			if got := pairDump(p.Pairs); got != wantDump {
 				t.Errorf("shards=%d pair table differs from serial", n)
+			}
+			if got := rangeSeq(p.Pairs); got != wantSeq {
+				t.Errorf("shards=%d pair list Range order differs from serial", n)
 			}
 			if p.NumBranches() != want.NumBranches() {
 				t.Errorf("shards=%d static branches = %d, want %d", n, p.NumBranches(), want.NumBranches())

@@ -280,8 +280,8 @@ func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error)
 		PCs:       pcs,
 		Exec:      make([]uint64, len(pcs)),
 		Taken:     make([]uint64, len(pcs)),
-		Pairs:     profile.NewPairCounts(0),
 	}
+	pairs := profile.NewPairCounts(0)
 	est := &Estimate{
 		Prog: p, CFG: g, Forest: forest, Profile: prof,
 		Depth: make([]int, len(pcs)),
@@ -315,12 +315,13 @@ func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error)
 			for j := i + 1; j < len(units); j++ {
 				for _, x := range units[i] {
 					for _, y := range units[j] {
-						prof.Pairs.Add(profile.PairKey(x, y), w)
+						pairs.Add(profile.PairKey(x, y), w)
 					}
 				}
 			}
 		}
 	}
+	prof.Pairs = pairs.List()
 
 	// Branches the loop walk never reached execute (at most) once per
 	// program: straight-line code and dead code. The estimate uses 2,
