@@ -8,11 +8,13 @@ import (
 	"repro/internal/rng"
 )
 
-// applyEvent is one staged profiler event: the executing branch, its
-// interleave partners, and how many branch ids had been assigned.
+// applyEvent is one staged profiler header: the executing branch, its
+// interleave partners, their multiplicity, and how many branch ids had
+// been assigned.
 type applyEvent struct {
 	id       int32
 	partners []int32
+	rep      uint32
 	numIDs   int
 }
 
@@ -38,7 +40,7 @@ func recencyEvents(events int, seed uint64) (out []applyEvent, numIDs int) {
 		}
 		pos := slices.Index(list, id)
 		if pos > 0 {
-			out = append(out, applyEvent{id, slices.Clone(list[:pos]), len(idOf)})
+			out = append(out, applyEvent{id, slices.Clone(list[:pos]), 1, len(idOf)})
 		}
 		copy(list[1:pos+1], list[:pos])
 		list[0] = id
@@ -50,15 +52,34 @@ func recencyEvents(events int, seed uint64) (out []applyEvent, numIDs int) {
 // per-increment reference apply slot for slot: every branch's raw
 // counter array, not a sorted dump, must match for every shard count
 // and batch geometry, including batches that split one event's partner
-// prefix.
+// prefix, both for unit headers and for weighted ones, whose reference
+// adds each partner once per repeat.
 func TestDenseApplySlotLayout(t *testing.T) {
-	events, numIDs := recencyEvents(20_000, 3)
+	unit, numIDs := recencyEvents(20_000, 3)
+	weighted := slices.Clone(unit)
+	r := rng.New(5)
+	for i := range weighted {
+		weighted[i].rep = 1 + uint32(r.Intn(4))
+	}
+	for _, tc := range []struct {
+		prefix string
+		events []applyEvent
+	}{{"", unit}, {"weighted/", weighted}} {
+		testDenseApply(t, tc.prefix, tc.events, numIDs)
+	}
+}
+
+// testDenseApply checks one header list for every shard count and batch
+// geometry; prefix starts the subtest names.
+func testDenseApply(t *testing.T, prefix string, events []applyEvent, numIDs int) {
 	ref := make([]nbrCounter, numIDs)
 	increments := 0
 	for _, e := range events {
-		for _, cur := range e.partners {
-			ref[e.id].addN(cur, 1)
-			increments++
+		for range e.rep {
+			for _, cur := range e.partners {
+				ref[e.id].addN(cur, 1)
+				increments++
+			}
 		}
 	}
 	if increments < 100_000 {
@@ -67,12 +88,12 @@ func TestDenseApplySlotLayout(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 3} {
 		for _, batchCap := range []int{4, 37, 1000, 1 << 16} {
-			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batchCap), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%sshards=%d/batch=%d", prefix, shards, batchCap), func(t *testing.T) {
 				s := newPairShards(shards)
 				s.batchCap = batchCap
 				for _, e := range events {
 					s.numIDs = e.numIDs
-					s.emit(e.id, e.partners)
+					s.emit(e.id, e.partners, e.rep)
 				}
 				s.drain()
 				for id := range ref {

@@ -1,6 +1,10 @@
 package profile
 
-import "repro/internal/obs"
+import (
+	"slices"
+
+	"repro/internal/obs"
+)
 
 // Profiler consumes a branch event stream online and accumulates a
 // Profile. It implements the vm.BranchSink shape, so it can be attached
@@ -18,8 +22,11 @@ import "repro/internal/obs"
 // direct-indexed table (no map), the recency list is a contiguous
 // []int32 scanned forward (no pointer chasing), and interleave counts
 // accumulate in packed open-addressed per-branch tables (one uint64 per
-// slot, no Go map). First-touch discovery and table growth are the only
-// allocating paths and each runs O(static branches) times per run.
+// slot, no Go map). First-touch discovery, table growth and re-staging
+// a branch's changed partner prefix are the only allocating paths.
+//
+// A Profiler accepts at most maxEvents (2^32−1) events, the bound that
+// keeps its 32-bit pair counts exact; Branch panics on the next one.
 type Profiler struct {
 	benchmark string
 	inputSet  string
@@ -58,6 +65,14 @@ type Profiler struct {
 	// the global pair population.
 	shards *pairShards
 
+	// pend[id] coalesces branch id's repeated interleave prefixes: the
+	// window-clipped prefix of its latest execution that had one, and
+	// how many executions since the last emission had exactly that
+	// prefix. A scene-rotation loop re-executes a branch with the same
+	// partners in the same order, so its events stage one weighted
+	// header per change of prefix instead of one per execution.
+	pend []pendingPrefix
+
 	// metrics is the optional observability bundle; mEvents and mPairInc
 	// are its hot-path counters held directly so Branch performs at most
 	// two nil-checked atomic adds per event. All three may be nil.
@@ -68,6 +83,22 @@ type Profiler struct {
 	branches     uint64
 	instructions uint64
 }
+
+// pendingPrefix is one branch's coalesced, not yet emitted prefix,
+// repeated rep times; partners keeps its capacity across re-stagings,
+// and is empty (rep 0) before the branch's first prefix.
+type pendingPrefix struct {
+	partners []int32
+	rep      uint32
+}
+
+// maxEvents is the most events a Profiler accepts. A counter holds a
+// pair's count in the low 32 bits of its slot, and an addition past
+// 2^32−1 would carry into the partner key. Branch A's counter counts
+// partner B at most once per execution of A, so no count exceeds the
+// event count, and a weighted tally (a coalesced prefix times its
+// repeats) is bounded the same way.
+const maxEvents = 1<<32 - 1
 
 // maxDenseWords bounds the direct-indexed pc table: addresses below
 // maxDenseWords*4 (the entire generated-program space) translate with
@@ -225,6 +256,7 @@ func (p *Profiler) Reserve(n int) {
 	p.exec = append(make([]uint64, 0, n), p.exec...)
 	p.taken = append(make([]uint64, 0, n), p.taken...)
 	p.in = append(make([]bool, 0, n), p.in...)
+	p.pend = append(make([]pendingPrefix, 0, n), p.pend...)
 	live := p.list[p.off:]
 	list := make([]int32, n+len(live))
 	copy(list[n:], live)
@@ -241,10 +273,14 @@ func (p *Profiler) Shards() int {
 
 // Branch consumes one dynamic branch event: first-touch discovery,
 // execution counters, the recency-list interleaving scan (the
-// pair-increment inner loop), and the move-to-front update.
+// pair-increment inner loop), and the move-to-front update. It panics
+// on the event past maxEvents.
 //
 //reprolint:hotpath profiler pair-increment scan
 func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
+	if p.branches == maxEvents {
+		panic("profile: Profiler accepts at most 2^32-1 events; its 32-bit pair counts could overflow")
+	}
 	var id int32
 	if w := pc >> 2; pc&3 == 0 && w < uint64(len(p.idOf)) && p.idOf[w] >= 0 {
 		id = p.idOf[w]
@@ -263,9 +299,11 @@ func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
 
 	if p.in[id] {
 		// Count interleavings: every branch ahead of id in the recency
-		// list ran since id's previous execution. The scan doubles as
-		// the pair emission — partners live[0:emit] are exactly the
-		// interleave set (clipped to the window).
+		// list ran since id's previous execution, so partners
+		// live[0:emit] are exactly the interleave set (clipped to the
+		// window). A prefix equal to id's pending one only bumps its
+		// repeat count; a different one emits the pending prefix first,
+		// so id's counter still sees its partners in stream order.
 		live := p.list[p.off:]
 		pos := 0
 		for live[pos] != id {
@@ -276,7 +314,13 @@ func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
 			emit = p.window
 		}
 		if emit > 0 {
-			p.shards.emit(id, live[:emit])
+			if pd := &p.pend[id]; slices.Equal(pd.partners, live[:emit]) { //reprolint:allow hotpath type-parameter instantiation for []int32, not interface boxing
+				pd.rep++
+			} else {
+				p.shards.emit(id, pd.partners, pd.rep)
+				pd.partners = restage(pd.partners, live[:emit])
+				pd.rep = 1
+			}
 			p.mPairInc.Add(uint64(emit))
 		}
 		// Move to front: shift the prefix right one slot over id.
@@ -292,6 +336,19 @@ func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
 	}
 	p.off--
 	p.list[p.off] = id
+}
+
+// restage copies prefix over a pending prefix's buffer, reusing its
+// capacity and otherwise allocating exactly. A stored prefix holds
+// distinct partners its branch's counter also holds, so the buffers
+// together stay within the counters' entry count.
+func restage(buf, prefix []int32) []int32 {
+	if cap(buf) < len(prefix) {
+		buf = make([]int32, len(prefix)) //reprolint:allow hotpath exact-size buffer, when a branch's prefix outgrows its buffer or after Profile dropped it
+	}
+	buf = buf[:len(prefix)]
+	copy(buf, prefix)
+	return buf
 }
 
 // intern resolves pc to a dense id, discovering the branch on first
@@ -346,10 +403,11 @@ func (p *Profiler) growDense(n int) {
 // per static branch; Reserve pre-sizes every buffer it appends to.
 func (p *Profiler) newID(pc uint64) int32 {
 	id := int32(len(p.pcs))
-	p.pcs = append(p.pcs, pc)    //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
-	p.exec = append(p.exec, 0)   //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
-	p.taken = append(p.taken, 0) //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
-	p.in = append(p.in, false)   //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
+	p.pcs = append(p.pcs, pc)                //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
+	p.exec = append(p.exec, 0)               //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
+	p.taken = append(p.taken, 0)             //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
+	p.in = append(p.in, false)               //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
+	p.pend = append(p.pend, pendingPrefix{}) //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.shards.numIDs = len(p.pcs)
 	return id
 }
@@ -401,15 +459,22 @@ var emptyNbr nbrCounter
 // Profile extracts the accumulated profile. The Profiler remains usable;
 // further events continue accumulating on top.
 //
-// Every branch id's counter receives the same increment sequence
-// serially and sharded, so the counters are identical for every shard
-// count, and so is the pair list, which extraction reads from them in
-// fixed id orders and each counter in slot order.
+// Every branch id's counter receives the same weighted headers in the
+// same order serially and sharded, and inserts new keys in the order
+// per-event staging would, so the counters are identical for every
+// shard count, and so is the pair list, which extraction reads from
+// them in fixed id orders and each counter in slot order.
 func (p *Profiler) Profile() *Profile {
 	done := p.metrics.StartMerge()
-	// Quiesce the engine: staged batches are applied (and, sharded, the
-	// workers stopped), after which the counters are complete and safe
-	// to read from this goroutine.
+	// Emit every pending prefix and drop its buffer, which extraction
+	// would otherwise hold alive beside the counters, then quiesce the
+	// engine: staged batches are applied (and, sharded, the workers
+	// stopped), after which the counters are complete and safe to read
+	// from this goroutine.
+	for id, pd := range p.pend {
+		p.shards.emit(int32(id), pd.partners, pd.rep)
+	}
+	clear(p.pend)
 	p.shards.drain()
 	out := &Profile{
 		Benchmark:    p.benchmark,

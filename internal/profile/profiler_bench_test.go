@@ -10,7 +10,10 @@ import (
 // syntheticStream models a scene-structured branch stream: ws branches
 // rotate repeatedly, with occasional switches to a different window of
 // branches — the access pattern the profiler sees from real workloads.
-func syntheticStream(statics, ws, events int) []uint64 {
+// With dropOneIn > 0, about one rotation in dropOneIn drops one random
+// branch, which changes the prefixes of the branches around the gap;
+// with 0 every rotation is exact and almost every prefix repeats.
+func syntheticStream(statics, ws, events, dropOneIn int) []uint64 {
 	r := rng.New(42)
 	// A fixed set of overlapping scene windows, as the workload
 	// generator produces; visits pick among them.
@@ -24,51 +27,69 @@ func syntheticStream(statics, ws, events int) []uint64 {
 		start := starts[r.Intn(scenes)]
 		// One scene visit: rotate the window several times.
 		for rot := 0; rot < 10 && len(pcs) < events; rot++ {
+			drop := -1
+			if dropOneIn > 0 && r.Intn(dropOneIn) == 0 {
+				drop = r.Intn(ws)
+			}
 			for j := 0; j < ws && len(pcs) < events; j++ {
-				pcs = append(pcs, uint64(start+j)*4)
+				if j != drop {
+					pcs = append(pcs, uint64(start+j)*4)
+				}
 			}
 		}
 	}
 	return pcs
 }
 
-// benchProfiler streams a synthetic trace through fresh profilers and
-// reports both branch and pair-increment throughput. Mbranches/s moves
-// with the stream's pair density; Mincr/s is the per-increment rate.
-func benchProfiler(b *testing.B, opts ...Option) {
-	stream := syntheticStream(2000, 200, 1<<18)
-	feedAll := func(p *Profiler) {
-		for j, pc := range stream {
-			p.Branch(pc, j&1 == 0, uint64(j))
-		}
-	}
-	// One untimed pass counts the increments: the extracted pair counts
-	// sum to them.
-	ref := NewProfiler("bench", "ref", opts...)
-	feedAll(ref)
-	prof := ref.Profile()
-	var incr uint64
-	prof.Pairs.Range(func(_, n uint64) bool {
-		incr += n
-		return true
-	})
-	prof.Release()
+// benchProfiler streams synthetic traces through fresh profilers, each
+// run ending in Profile so coalesced prefixes are flushed and counted,
+// and reports branch and pair-increment throughput. Mbranches/s moves
+// with the stream's pair density; Mincr/s is the per-increment rate;
+// coalesced is the fraction of increments whose prefix repeated the
+// branch's previous one and so was never staged. Perturbed rotations
+// (one dropped branch in about one rotation in ten) change more
+// prefixes than exact ones, so more of their increments take the
+// staging and apply path. Churned rotations drop a branch in every
+// rotation, so almost no prefix repeats and the variant measures what
+// coalescing costs a stream without the property.
+func benchProfiler(b *testing.B, window int) {
+	for _, rot := range []struct {
+		name      string
+		dropOneIn int
+	}{{"exact", 0}, {"perturbed", 10}, {"churned", 1}} {
+		b.Run("rotation="+rot.name, func(b *testing.B) {
+			stream := syntheticStream(2000, 200, 1<<18, rot.dropOneIn)
+			var opts []Option
+			if window > 0 {
+				opts = append(opts, WithWindow(window))
+			}
+			ref := newRecencyReference(window)
+			for j, pc := range stream {
+				ref.Branch(pc, false, uint64(j))
+			}
 
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feedAll(NewProfiler("bench", "ref", opts...))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := NewProfiler("bench", "ref", opts...)
+				for j, pc := range stream {
+					p.Branch(pc, j&1 == 0, uint64(j))
+				}
+				p.Profile().Release()
+			}
+			perSec := float64(b.N) / b.Elapsed().Seconds() / 1e6
+			b.ReportMetric(float64(len(stream))*perSec, "Mbranches/s")
+			b.ReportMetric(float64(ref.total)*perSec, "Mincr/s")
+			b.ReportMetric(float64(ref.coalesced)/float64(ref.total), "coalesced")
+		})
 	}
-	perSec := float64(b.N) / b.Elapsed().Seconds() / 1e6
-	b.ReportMetric(float64(len(stream))*perSec, "Mbranches/s")
-	b.ReportMetric(float64(incr)*perSec, "Mincr/s")
 }
 
 // BenchmarkProfilerUnbounded measures exact-profiling throughput.
-func BenchmarkProfilerUnbounded(b *testing.B) { benchProfiler(b) }
+func BenchmarkProfilerUnbounded(b *testing.B) { benchProfiler(b, 0) }
 
 // BenchmarkProfilerWindowed measures the harness's bounded-window
 // configuration.
-func BenchmarkProfilerWindowed(b *testing.B) { benchProfiler(b, WithWindow(400)) }
+func BenchmarkProfilerWindowed(b *testing.B) { benchProfiler(b, 400) }
 
 // BenchmarkProfileExtraction measures Profile() — the merge of the
 // per-branch counter halves into the flat pair list — and reports
@@ -78,7 +99,7 @@ func BenchmarkProfilerWindowed(b *testing.B) { benchProfiler(b, WithWindow(400))
 func BenchmarkProfileExtraction(b *testing.B) {
 	for _, statics := range []int{2000, 15970} {
 		b.Run(fmt.Sprintf("statics=%d", statics), func(b *testing.B) {
-			stream := syntheticStream(statics, 200, 1<<19)
+			stream := syntheticStream(statics, 200, 1<<19, 0)
 			p := NewProfiler("bench", "ref")
 			for j, pc := range stream {
 				p.Branch(pc, j&1 == 0, uint64(j))
@@ -98,7 +119,7 @@ func BenchmarkProfileExtraction(b *testing.B) {
 
 // BenchmarkMerge measures cumulative-profile merging.
 func BenchmarkMerge(b *testing.B) {
-	stream := syntheticStream(2000, 200, 1<<17)
+	stream := syntheticStream(2000, 200, 1<<17, 0)
 	mk := func(input string) *Profile {
 		p := NewProfiler("bench", input)
 		for j, pc := range stream {

@@ -8,14 +8,16 @@ import (
 
 // Flat-table pair accumulation. The profiler's recency scan produces,
 // per event, the executing branch id and a contiguous prefix of the
-// recency list — its interleave partners. Those are bulk-copied (one
-// memmove, no per-key work) into a struct-of-arrays staging batch; a
-// full batch is applied to the per-branch counters grouped by
-// destination, so one branch's counter is brought into cache once per
-// batch and takes every one of its increments while hot, instead of
-// being re-fetched on every event. Grouping is what makes pair counting
-// fast: ungrouped, each event scatters to a different branch's table
-// and every increment pays a cache miss.
+// recency list — its interleave partners. The profiler coalesces a
+// branch's repeats of one prefix into a single weighted header, and
+// each header is bulk-copied (one memmove, no per-key work) into a
+// struct-of-arrays staging batch; a full batch is applied to the
+// per-branch counters grouped by destination, so one branch's counter
+// is brought into cache once per batch and takes every one of its
+// increments while hot, instead of being re-fetched on every event.
+// Grouping is what makes pair counting fast: ungrouped, each event
+// scatters to a different branch's table and every increment pays a
+// cache miss.
 //
 // Sharded mode (P > 1) partitions the counters by executing branch id:
 // worker w owns ids ≡ w (mod P) and applies the batches the producer
@@ -63,13 +65,16 @@ const (
 	batchRecurrence = 1024
 )
 
-// shardBatch is one struct-of-arrays staging unit: event i executed
-// branch ids[i] and its interleave partners are the next lens[i]
-// entries of partners. Every id and partner is below numIDs, the
-// producer's branch-id count when the batch was handed off.
+// shardBatch is one struct-of-arrays staging unit: header i stages
+// branch ids[i]'s interleave prefix, the next lens[i] entries of
+// partners, reps[i] times over (the profiler coalesces a branch's
+// unchanged prefix into one weighted header). Every id and partner is
+// below numIDs, the producer's branch-id count when the batch was
+// handed off.
 type shardBatch struct {
 	ids      []int32
 	lens     []int32
+	reps     []uint32
 	partners []int32
 	numIDs   int
 }
@@ -79,6 +84,7 @@ func newShardBatch(partnersCap int) *shardBatch {
 	return &shardBatch{ //reprolint:allow hotpath per-interval batch provisioning, not per event
 		ids:      make([]int32, 0, eventsCap),   //reprolint:allow hotpath per-interval batch provisioning, not per event
 		lens:     make([]int32, 0, eventsCap),   //reprolint:allow hotpath per-interval batch provisioning, not per event
+		reps:     make([]uint32, 0, eventsCap),  //reprolint:allow hotpath per-interval batch provisioning, not per event
 		partners: make([]int32, 0, partnersCap), //reprolint:allow hotpath per-interval batch provisioning, not per event
 	}
 }
@@ -89,6 +95,7 @@ func (b *shardBatch) grow(partnersCap int) {
 	g := newShardBatch(min(2*cap(b.partners), partnersCap))
 	b.ids = append(g.ids, b.ids...)                //reprolint:allow hotpath batch growth, at most log2(stagingPartners/minBatchPartners) times per profiler
 	b.lens = append(g.lens, b.lens...)             //reprolint:allow hotpath batch growth, at most log2(stagingPartners/minBatchPartners) times per profiler
+	b.reps = append(g.reps, b.reps...)             //reprolint:allow hotpath batch growth, at most log2(stagingPartners/minBatchPartners) times per profiler
 	b.partners = append(g.partners, b.partners...) //reprolint:allow hotpath batch growth, at most log2(stagingPartners/minBatchPartners) times per profiler
 }
 
@@ -96,6 +103,7 @@ func (b *shardBatch) grow(partnersCap int) {
 func (b *shardBatch) reset() {
 	b.ids = b.ids[:0]
 	b.lens = b.lens[:0]
+	b.reps = b.reps[:0]
 	b.partners = b.partners[:0]
 }
 
@@ -114,10 +122,12 @@ type applyScratch struct {
 
 // applyBatch applies one batch to a counter partition, grouped stably
 // by destination row (id/p). Each row's increments are tallied densely
-// by partner id in stream order, then every distinct partner's total is
-// added to the row's counter once, in first-increment order — so new
-// keys enter the counter in exactly the order per-increment adds would
-// insert them. Returns the (possibly grown) partition.
+// by partner id in stream order, a header's partners reps[i] apiece,
+// then every distinct partner's total is added to the row's counter
+// once, in first-increment order — so new keys enter the counter in
+// exactly the order per-increment adds would insert them. A tally
+// never exceeds its pair's count, which the profiler keeps below 2^32
+// (maxEvents). Returns the (possibly grown) partition.
 func applyBatch(b *shardBatch, tabs []nbrCounter, sc *applyScratch, p int) []nbrCounter {
 	n := len(b.ids)
 	if n == 0 {
@@ -170,12 +180,13 @@ func applyBatch(b *shardBatch, tabs []nbrCounter, sc *applyScratch, p int) []nbr
 	for _, r := range sc.touched {
 		distinct := 0
 		for i := sc.head[r]; i >= 0; i = next[i] {
+			rep := b.reps[i]
 			for _, cur := range b.partners[offs[i] : offs[i]+b.lens[i]] {
 				if tally[cur] == 0 {
 					order[distinct] = cur
 					distinct++
 				}
-				tally[cur]++
+				tally[cur] += rep
 			}
 		}
 		t := &tabs[r]
@@ -293,14 +304,16 @@ func (s *pairShards) worker(w int) {
 	s.wg.Done()
 }
 
-// emit stages one event's partner prefix for the owning worker: a bulk
-// append (memmove) into the worker's current batch, flushing when full.
+// emit stages branch id's partner prefix, rep times over, for the
+// owning worker: a bulk append (memmove) into the worker's current
+// batch, flushing when full.
 // A producer's first batch starts at minBatchPartners and doubles when
 // full, up to batchCap and to batchRecurrence × numIDs², so a stream
 // over few branches — a graph kernel's — never stages the whole budget.
 // Oversized prefixes are chunked across batches; counts are preserved
-// because apply walks increments per header.
-func (s *pairShards) emit(id int32, partners []int32) {
+// because apply walks increments per header and every chunk carries
+// rep.
+func (s *pairShards) emit(id int32, partners []int32, rep uint32) {
 	w := int(uint32(id)) % s.p
 	for len(partners) > 0 {
 		b := s.cur[w]
@@ -323,6 +336,7 @@ func (s *pairShards) emit(id int32, partners []int32) {
 		}
 		b.ids = append(b.ids, id)                        //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
 		b.lens = append(b.lens, int32(n))                //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
+		b.reps = append(b.reps, rep)                     //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
 		b.partners = append(b.partners, partners[:n]...) //reprolint:allow hotpath append within fixed batch capacity; flush guarantees room
 		partners = partners[n:]
 	}
