@@ -128,6 +128,9 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 	if bench == "" {
 		return fmt.Errorf("need -bench")
 	}
+	if baseline < 1 {
+		return fmt.Errorf("-baseline %d: the conventional table needs at least 1 entry", baseline)
+	}
 	spec, err := workload.ByName(bench)
 	if err != nil {
 		return err
@@ -265,7 +268,10 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 			return err
 		}
 	}
-	convCost := core.ConventionalCost(prof, baseline, threshold, alloc.Classification)
+	convCost, err := core.ConventionalCost(prof, baseline, threshold, alloc.Classification)
+	if err != nil {
+		return err
+	}
 	occupied, maxLoad := alloc.Map.LoadStats()
 	fmt.Printf("\nallocation into %d entries: conflict cost %d\n", size, alloc.ConflictCost)
 	fmt.Printf("conventional %d-entry cost:  %d\n", baseline, convCost)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,8 +15,19 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // captureStdout runs fn with os.Stdout redirected into a pipe and
-// returns everything it printed.
+// returns everything it printed, failing the test if fn fails.
 func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	out, err := captureRun(t, fn)
+	if err != nil {
+		t.Fatalf("run failed: %v\noutput so far:\n%s", err, out)
+	}
+	return out
+}
+
+// captureRun runs fn with os.Stdout redirected into a pipe and returns
+// everything it printed along with fn's error.
+func captureRun(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -33,11 +45,7 @@ func captureStdout(t *testing.T, fn func() error) string {
 	if cerr := w.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}
-	out := <-done
-	if ferr != nil {
-		t.Fatalf("run failed: %v\noutput so far:\n%s", ferr, out)
-	}
-	return out
+	return <-done, ferr
 }
 
 func checkGolden(t *testing.T, name, got string) {
@@ -177,4 +185,28 @@ func TestGoldenAllocateStaticProgcheck(t *testing.T) {
 		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, 1, false, "", true, true, nil)
 	})
 	checkGolden(t, "li_alloc_static_progcheck.golden", out)
+}
+
+// TestRejectsSmallBaseline checks that a -baseline below 1 fails before
+// anything is profiled, with or without -find-size, and that a
+// classified size search names a baseline too small for its two
+// reserved entries.
+func TestRejectsSmallBaseline(t *testing.T) {
+	for _, findSize := range []bool{false, true} {
+		out, err := captureRun(t, func() error {
+			return run("li", "ref", 0.05, 64, false, findSize, 0, 100, 0, 1, false, "", false, false, nil)
+		})
+		if err == nil || !strings.Contains(err.Error(), "-baseline 0") {
+			t.Errorf("-find-size=%v -baseline 0: error %v", findSize, err)
+		}
+		if out != "" {
+			t.Errorf("-find-size=%v -baseline 0 printed before failing:\n%s", findSize, out)
+		}
+	}
+	_, err := captureRun(t, func() error {
+		return run("li", "ref", 0.05, 64, true, true, 2, 100, 0, 1, false, "", false, false, nil)
+	})
+	if err == nil || !strings.Contains(err.Error(), "baseline size 2 below minimum 3") {
+		t.Errorf("-classify -find-size -baseline 2: error %v", err)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/classify"
@@ -111,6 +112,15 @@ type AllocationConfig struct {
 	ClassThresholds classify.Thresholds
 }
 
+// minSize is the smallest table an allocation fits: with
+// classification, two reserved entries plus one free.
+func (c AllocationConfig) minSize() int {
+	if c.UseClassification {
+		return 3
+	}
+	return 1
+}
+
 func (c AllocationConfig) classThresholds() classify.Thresholds {
 	if c.ClassThresholds == (classify.Thresholds{}) {
 		return classify.Default()
@@ -137,11 +147,7 @@ func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: nil profile")
 	}
-	minSize := 1
-	if cfg.UseClassification {
-		minSize = 3
-	}
-	if cfg.TableSize < minSize {
+	if minSize := cfg.minSize(); cfg.TableSize < minSize {
 		return nil, fmt.Errorf("core: table size %d below minimum %d", cfg.TableSize, minSize)
 	}
 	threshold := cfg.Threshold
@@ -179,7 +185,7 @@ func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
 		Map:            m,
 		Config:         cfg,
 		Graph:          g,
-		ConflictCost:   g.ConflictCost(coloring.Colors),
+		ConflictCost:   coloring.Cost,
 		Classification: cls,
 	}, nil
 }
@@ -222,8 +228,11 @@ func conventionalCostOn(g *graph.Graph, p *profile.Profile, tableSize int) uint6
 // branch allocation must beat (Tables 3 and 4 compare against
 // tableSize 1024). When cls is non-nil, same-class biased conflicts are
 // ignored for consistency with the classified allocation it is compared
-// against.
-func ConventionalCost(p *profile.Profile, tableSize int, threshold uint64, cls *classify.Classification) uint64 {
+// against. tableSize must be at least 1.
+func ConventionalCost(p *profile.Profile, tableSize int, threshold uint64, cls *classify.Classification) (uint64, error) {
+	if tableSize < 1 {
+		return 0, fmt.Errorf("core: conventional table size %d below minimum 1", tableSize)
+	}
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
@@ -231,7 +240,7 @@ func ConventionalCost(p *profile.Profile, tableSize int, threshold uint64, cls *
 	if cls != nil {
 		g = removeSameClassEdges(g, cls)
 	}
-	return conventionalCostOn(g, p, tableSize)
+	return conventionalCostOn(g, p, tableSize), nil
 }
 
 // SizeSearchResult reports a required-BHT-size search (one row of
@@ -247,7 +256,8 @@ type SizeSearchResult struct {
 	// BaselineSize is the conventional table size compared against
 	// (1024 in the paper).
 	BaselineSize int
-	// Colorings counts how many allocations the search performed.
+	// Colorings counts how many sizes the search colored, including
+	// probes it stopped early once their cost passed the baseline.
 	Colorings int
 }
 
@@ -257,13 +267,19 @@ type SizeSearchResult struct {
 // Table 4).
 //
 // The search binary-searches [minSize, baselineSize], then walks
-// downward while smaller sizes still qualify. Greedy coloring is not
-// proven monotone in the table size, so the binary search alone could
-// overshoot; the harness test TestRequiredSizeMatchesExactScan checks
+// downward while smaller sizes still qualify. Every probe shares one
+// graph.Colorer and stops as soon as its running conflict cost passes
+// the baseline cost, which decides it: it does not qualify. Greedy
+// coloring is not proven monotone in the table size, so the binary
+// search alone could overshoot; the harness test TestRequiredSizeMatchesExactScan checks
 // on every Table 3/4 row, with and without classification, that the
 // answer equals an exact upward scan (one Allocate per size from
 // minSize).
 func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig) (SizeSearchResult, error) {
+	minSize := cfg.minSize()
+	if baselineSize < minSize {
+		return SizeSearchResult{}, fmt.Errorf("core: baseline size %d below minimum %d", baselineSize, minSize)
+	}
 	threshold := cfg.Threshold
 	if threshold == 0 {
 		threshold = DefaultThreshold
@@ -283,17 +299,20 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 
 	res := SizeSearchResult{BaselineCost: baseline, BaselineSize: baselineSize}
 
-	minSize := 1
-	if cfg.UseClassification {
-		minSize = 3
+	colorer, err := g.NewColorer(pinned, firstFree)
+	if err != nil {
+		return res, err
 	}
-	costAt := func(size int) (uint64, error) {
-		coloring, err := g.Color(graph.ColoringSpec{K: size, Pinned: pinned, FirstFree: firstFree})
+	// costAt colors size and returns its cost and whether it is within
+	// limit. It stops once the cost passes limit, so the cost is exact
+	// only when within.
+	costAt := func(size int, limit uint64) (uint64, bool, error) {
+		coloring, within, err := colorer.Color(size, limit)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		res.Colorings++
-		return g.ConflictCost(coloring.Colors), nil
+		return coloring.Cost, within, nil
 	}
 
 	// The baseline cost can be zero (tiny program); any size where the
@@ -303,11 +322,11 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 	var bestCost uint64
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		cost, err := costAt(mid)
+		cost, within, err := costAt(mid, baseline)
 		if err != nil {
 			return res, err
 		}
-		if cost <= baseline {
+		if within {
 			best = mid
 			bestCost = cost
 			hi = mid - 1
@@ -319,7 +338,7 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 		// Even baselineSize entries cannot beat the baseline — possible
 		// only if the coloring is worse than PC hashing, which would be
 		// a real finding; report baselineSize with its cost.
-		cost, err := costAt(baselineSize)
+		cost, _, err := costAt(baselineSize, math.MaxUint64)
 		if err != nil {
 			return res, err
 		}
@@ -331,11 +350,11 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 	// monotone, so sizes just below the binary-search answer may also
 	// qualify. Walk down while they do.
 	for s := best - 1; s >= minSize; s-- {
-		cost, err := costAt(s)
+		cost, within, err := costAt(s, baseline)
 		if err != nil {
 			return res, err
 		}
-		if cost > baseline {
+		if !within {
 			break
 		}
 		best = s

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/classify"
+	"repro/internal/profile"
+	"repro/internal/rng"
 )
 
 func TestConventionalIndex(t *testing.T) {
@@ -139,12 +142,26 @@ func TestConventionalCost(t *testing.T) {
 	// Two conflicting branches at PCs 4 and 4+4*16 collide mod 16 but
 	// not mod 32.
 	p := buildProfile(mixed(17, 1000), [][3]uint64{{0, 16, 500}})
-	if c := ConventionalCost(p, 16, 0, nil); c != 500 {
+	if c := mustConventionalCost(t, p, 16, nil); c != 500 {
 		t.Fatalf("mod-16 cost %d, want 500", c)
 	}
-	if c := ConventionalCost(p, 32, 0, nil); c != 0 {
+	if c := mustConventionalCost(t, p, 32, nil); c != 0 {
 		t.Fatalf("mod-32 cost %d, want 0", c)
 	}
+	for _, size := range []int{0, -4} {
+		if _, err := ConventionalCost(p, size, 0, nil); err == nil {
+			t.Errorf("table size %d accepted", size)
+		}
+	}
+}
+
+func mustConventionalCost(t *testing.T, p *profile.Profile, size int, cls *classify.Classification) uint64 {
+	t.Helper()
+	c, err := ConventionalCost(p, size, 0, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestConventionalCostWithClassification(t *testing.T) {
@@ -154,10 +171,10 @@ func TestConventionalCostWithClassification(t *testing.T) {
 	}
 	p := buildProfile(branches, [][3]uint64{{0, 16, 500}})
 	cls := classify.Classify(p, classify.Default())
-	if c := ConventionalCost(p, 16, 0, cls); c != 0 {
+	if c := mustConventionalCost(t, p, 16, cls); c != 0 {
 		t.Fatalf("same-class conflict counted: %d", c)
 	}
-	if c := ConventionalCost(p, 16, 0, nil); c != 500 {
+	if c := mustConventionalCost(t, p, 16, nil); c != 500 {
 		t.Fatalf("unclassified cost %d", c)
 	}
 }
@@ -229,6 +246,29 @@ func TestRequiredBHTSizeWithClassificationShrinks(t *testing.T) {
 	}
 }
 
+func TestRequiredBHTSizeRejectsSmallBaseline(t *testing.T) {
+	p := buildProfile(mixed(8, 1000), cliquePairs(500, 0, 1, 2, 3))
+	for _, tc := range []struct {
+		baseline   int
+		classified bool
+	}{{0, false}, {-1, false}, {0, true}, {2, true}} {
+		if _, err := RequiredBHTSize(p, tc.baseline, AllocationConfig{UseClassification: tc.classified}); err == nil {
+			t.Errorf("baseline %d (classification=%v) accepted", tc.baseline, tc.classified)
+		}
+	}
+	for _, tc := range []struct {
+		baseline   int
+		classified bool
+	}{{1, false}, {3, true}} {
+		res, err := RequiredBHTSize(p, tc.baseline, AllocationConfig{UseClassification: tc.classified})
+		if err != nil {
+			t.Errorf("baseline %d (classification=%v): %v", tc.baseline, tc.classified, err)
+		} else if res.RequiredSize != tc.baseline {
+			t.Errorf("baseline %d (classification=%v): required size %d", tc.baseline, tc.classified, res.RequiredSize)
+		}
+	}
+}
+
 func TestEntryLoadAndStats(t *testing.T) {
 	p := buildProfile(mixed(4, 1000), cliquePairs(500, 0, 1, 2, 3))
 	a, err := Allocate(p, AllocationConfig{TableSize: 4})
@@ -260,5 +300,38 @@ func TestSortedPCsSorted(t *testing.T) {
 		if pcs[i] <= pcs[i-1] {
 			t.Fatal("SortedPCs not ascending")
 		}
+	}
+}
+
+// BenchmarkRequiredBHTSize runs the Table 3 and Table 4 searches on a
+// synthetic profile the size of the largest Table 3 row's (gcc at
+// scale 0.1: 3884 branches): 12 working sets of 120 branches with
+// weights in [100, 1000), every third branch biased.
+func BenchmarkRequiredBHTSize(b *testing.B) {
+	r := rng.New(3)
+	const n, sets, size = 3884, 12, 120
+	branches := mixed(n, 1000)
+	for i := 0; i < n; i += 3 {
+		branches[i][1] = 1000 * uint64(i/3%2)
+	}
+	var pairs [][3]uint64
+	for s := 0; s < sets; s++ {
+		members := r.Perm(n)[:size]
+		for i, u := range members {
+			for _, v := range members[i+1:] {
+				pairs = append(pairs, [3]uint64{uint64(u), uint64(v), uint64(100 + r.Intn(900))})
+			}
+		}
+	}
+	p := buildProfile(branches, pairs)
+	for _, classified := range []bool{false, true} {
+		b.Run(fmt.Sprintf("classification=%v", classified), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RequiredBHTSize(p, 1024, AllocationConfig{UseClassification: classified}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -12,7 +13,7 @@ func mustColor(t *testing.T, g *Graph, spec ColoringSpec) Coloring {
 	if err != nil {
 		t.Fatalf("color: %v", err)
 	}
-	if err := ValidateColors(g, c.Colors, spec.K); err != nil {
+	if err := validateColors(g, c.Colors, spec.K); err != nil {
 		t.Fatalf("invalid coloring: %v", err)
 	}
 	return c
@@ -164,13 +165,13 @@ func TestConflictCostShrinksWithMoreColors(t *testing.T) {
 
 func TestValidateColorsErrors(t *testing.T) {
 	g := FromPairs(2, nil)
-	if err := ValidateColors(g, []int{0}, 2); err == nil {
+	if err := validateColors(g, []int{0}, 2); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if err := ValidateColors(g, []int{0, 5}, 2); err == nil {
+	if err := validateColors(g, []int{0, 5}, 2); err == nil {
 		t.Error("out-of-range color accepted")
 	}
-	if err := ValidateColors(g, []int{-1, 1}, 2); err != nil {
+	if err := validateColors(g, []int{-1, 1}, 2); err != nil {
 		t.Errorf("valid colors rejected: %v", err)
 	}
 }
@@ -205,17 +206,6 @@ func TestColorBetterThanModuloOnStructuredGraph(t *testing.T) {
 	}
 }
 
-func BenchmarkColor(b *testing.B) {
-	r := rng.New(1)
-	g := randomGraph(r, 500, 0.1, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Color(ColoringSpec{K: 64}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestColorDeterministic(t *testing.T) {
 	r := rng.New(77)
 	g := randomGraph(r, 80, 0.3, 50)
@@ -226,6 +216,49 @@ func TestColorDeterministic(t *testing.T) {
 			if first.Colors[u] != again.Colors[u] {
 				t.Fatalf("trial %d: node %d colored %d then %d", trial, u, first.Colors[u], again.Colors[u])
 			}
+		}
+	}
+}
+
+// workingSetGraph builds a graph the size of the largest Table 3 row's
+// (gcc at scale 0.1: 3884 nodes, 86218 edges): 12 working sets of 120
+// nodes drawn from 3884, each a clique with weights in [100, 1000):
+// 85307 edges, most nodes isolated, and a top degree of 353 (gcc's is
+// 352).
+func workingSetGraph() *Graph {
+	r := rng.New(3)
+	const n, sets, size = 3884, 12, 120
+	var ps []Pair
+	for s := 0; s < sets; s++ {
+		members := r.Perm(n)[:size]
+		for i, u := range members {
+			for _, v := range members[i+1:] {
+				ps = append(ps, Pair{int32(u), int32(v), uint64(100 + r.Intn(900))})
+			}
+		}
+	}
+	return FromPairs(n, ps)
+}
+
+// BenchmarkColor colors workingSetGraph at table sizes where the K
+// terms of coloring show, plain and under the classifier's layout
+// (every third node pinned to color 0 or 1, FirstFree 2).
+func BenchmarkColor(b *testing.B) {
+	g := workingSetGraph()
+	pinned := map[int32]int{}
+	for u := int32(0); int(u) < g.N(); u += 3 {
+		pinned[u] = int(u/3) % 2
+	}
+	for _, k := range []int{16, 128, 1024} {
+		for _, layout := range []ColoringSpec{{K: k}, {K: k, Pinned: pinned, FirstFree: 2}} {
+			b.Run(fmt.Sprintf("K=%d/pins=%v", k, layout.Pinned != nil), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := g.Color(layout); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -184,36 +184,62 @@ func FuzzMaximalCliques(f *testing.F) {
 	})
 }
 
-// FuzzColoring checks the coloring contract on arbitrary graphs: every
-// node is colored inside [0, K), and when K exceeds the maximum degree
-// the coloring is conflict-free.
+// FuzzColoring checks Color against colorReference on arbitrary
+// graphs: equal Colors, a running cost equal to ConflictCost, a limit
+// below the cost that stops the call, and a conflict-free coloring
+// when the free colors outnumber every degree. K reaches 1024, so the
+// selector's level bitsets span up to 16 words. pinRaw picks the pin
+// layout: none, the classifier's (nodes pinned to colors 0 and 1,
+// FirstFree 2), arbitrary pins with an arbitrary FirstFree, or a
+// FirstFree alone that leaves at most 64 colors at the top of the
+// table, so the probe rotation wraps across the last word boundaries.
 func FuzzColoring(f *testing.F) {
-	f.Add(uint8(3), []byte{6, 0, 1, 50, 0, 0, 1, 2, 99, 0, 0})
-	f.Add(uint8(1), []byte{9, 4, 5, 1, 1, 1, 5, 6, 1, 0, 0})
-	f.Fuzz(func(t *testing.T, kRaw uint8, data []byte) {
+	f.Add(uint16(2), uint8(0), []byte{6, 0, 1, 50, 0, 0, 1, 2, 99, 0, 0})
+	f.Add(uint16(0), uint8(0), []byte{9, 4, 5, 1, 1, 1, 5, 6, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, kRaw uint16, pinRaw uint8, data []byte) {
 		n, pairs := decodePairs(data)
 		g := FromPairs(n, pairs)
-		k := 1 + int(kRaw)%32
-		col, err := g.Color(ColoringSpec{K: k})
+		spec := ColoringSpec{K: 1 + int(kRaw)%1024}
+		sel := int(pinRaw >> 2)
+		switch pinRaw & 3 {
+		case 1:
+			spec.K = max(spec.K, 3)
+			spec.FirstFree = 2
+			spec.Pinned = map[int32]int{}
+			for u := 0; u < n; u++ {
+				if (u+sel)%3 == 0 {
+					spec.Pinned[int32(u)] = u % 2
+				}
+			}
+		case 2:
+			spec.FirstFree = sel % spec.K
+			spec.Pinned = map[int32]int{}
+			for u := 0; u < n; u++ {
+				if (u*5+sel)%4 == 0 {
+					spec.Pinned[int32(u)] = (u*13 + sel) % spec.K
+				}
+			}
+		case 3:
+			spec.FirstFree = spec.K - 1 - sel%spec.K
+		}
+		c, err := g.NewColorer(spec.Pinned, spec.FirstFree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateColors(g, col.Colors, k); err != nil {
+		checkAgainstReference(t, g, c, spec)
+		if len(spec.Pinned) > 0 {
+			return
+		}
+		col, err := g.Color(spec)
+		if err != nil {
 			t.Fatal(err)
 		}
 		maxDeg := 0
 		for u := int32(0); int(u) < n; u++ {
-			if col.Colors[u] < 0 {
-				t.Fatalf("node %d left uncolored", u)
-			}
-			if d := g.Degree(u); d > maxDeg {
-				maxDeg = d
-			}
+			maxDeg = max(maxDeg, g.Degree(u))
 		}
-		if k > maxDeg {
-			if cost := g.ConflictCost(col.Colors); cost != 0 {
-				t.Fatalf("conflict cost %d despite K=%d > max degree %d", cost, k, maxDeg)
-			}
+		if free := spec.K - spec.FirstFree; free > maxDeg && col.Cost != 0 {
+			t.Fatalf("conflict cost %d despite %d free colors > max degree %d", col.Cost, free, maxDeg)
 		}
 	})
 }

@@ -216,7 +216,7 @@ func TestPropertyColoringConflictFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := ValidateColors(g, col.Colors, k); err != nil {
+		if err := validateColors(g, col.Colors, k); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for u := int32(0); int(u) < n; u++ {

@@ -279,9 +279,10 @@ func TestSizedBenchmarkRows(t *testing.T) {
 // (binary search plus a downward walk) to its definition: on every
 // sized row, with and without classification, it must return the
 // first size, scanning up from the minimum with one Allocate per size,
-// whose allocated cost is at or below the baseline cost. Greedy
-// coloring is not proven monotone in the table size; this test is what
-// stands behind the search's answers.
+// whose allocated cost, recomputed with graph.ConflictCost, is at or
+// below the baseline cost. Greedy coloring is not proven monotone in
+// the table size; this test is what stands behind the search's
+// answers.
 func TestRequiredSizeMatchesExactScan(t *testing.T) {
 	s := NewSuite(Config{Scale: 0.02})
 	cfg := s.Config()
@@ -314,8 +315,19 @@ func TestRequiredSizeMatchesExactScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				scanned++
-				wantSize, wantCost = size, alloc.ConflictCost
-				if alloc.ConflictCost <= res.BaselineCost {
+				// Recompute the cost from the map rather than trust the
+				// cost the colorer summed.
+				colors := make([]int, a.Profile.NumBranches())
+				for id, pc := range a.Profile.PCs {
+					colors[id] = alloc.Map.Index[pc]
+				}
+				cost := alloc.Graph.ConflictCost(colors)
+				if cost != alloc.ConflictCost {
+					t.Fatalf("%s (classification=%v) size %d: Allocate reports cost %d, ConflictCost %d",
+						sb.Label, classified, size, alloc.ConflictCost, cost)
+				}
+				wantSize, wantCost = size, cost
+				if cost <= res.BaselineCost {
 					break
 				}
 			}
