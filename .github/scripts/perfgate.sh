@@ -8,19 +8,16 @@
 #             end-to-end metric worse, or if any perfbench run exits
 #             nonzero (a failed operation, an output digest mismatch, or
 #             a traced-run coverage or gap_frac gate).
-#   sharding  cmd/tables on the whole paper suite, two checks. With one
-#             benchmark worker, -shards P against -shards 1 for P in
-#             {2, nproc}: fails if the median at P is slower than the
-#             median at 1. In the default configuration (P workers and
-#             shards sharing the harness's core budget) against
-#             -shards 1: fails if the default median is more than 10%
-#             slower; with the budget the two schedules are nearly the
-#             same on a loaded suite, so an exact bound would fail on
-#             noise. Either check fails if the output bytes differ.
+#   workers   cmd/tables on the whole paper suite in the default
+#             configuration (GOMAXPROCS benchmark workers) against
+#             -workers 1: fails if the output bytes differ, or if the
+#             default median is more than 10% slower. On a small host the
+#             two schedules can be nearly the same, so an exact bound
+#             would fail on noise.
 #
 # Usage, from anywhere in the repository:
 #
-#   .github/scripts/perfgate.sh <base-rev> [compare] [sharding]
+#   .github/scripts/perfgate.sh <base-rev> [compare] [workers]
 #
 # With no step named, both run. The compare step skips with a notice when
 # the base is empty or all zeros (a push that created the branch), is not
@@ -32,16 +29,16 @@ set -euo pipefail
 
 pairs=3    # alternating base/head pairs of untraced runs
 seconds=8  # measured seconds per workload per run
-repeats=3  # runs of each side of the sharding check
+repeats=3  # runs of each side of the workers check
 
 if [[ $# -lt 1 ]]; then
-	echo "usage: $0 <base-rev> [compare] [sharding]" >&2
+	echo "usage: $0 <base-rev> [compare] [workers]" >&2
 	exit 2
 fi
 base=$1
 shift
 steps=("$@")
-[[ ${#steps[@]} -gt 0 ]] || steps=(compare sharding)
+[[ ${#steps[@]} -gt 0 ]] || steps=(compare workers)
 
 cd "$(git rev-parse --show-toplevel)"
 head=$(pwd)
@@ -122,70 +119,45 @@ compare_step() {
 
 median() { sort -n | awk '{v[NR] = $1} END {print v[int((NR + 1) / 2)]}'; }
 
-sharding_step() {
+workers_step() {
 	local n
 	n=$(nproc)
 	if ((n < 2)); then
-		notice "nproc is $n; skipping the sharding check"
+		notice "nproc is $n; skipping the workers check"
 		return
 	fi
 	go build -o "$tmp/perfgate-tables" ./cmd/tables
-	local p s i t0 t1 m1 mp want=""
-	for p in $(printf '%s\n' 2 "$n" | sort -un); do
-		: >"$out/shards-1-vs-$p.txt"
-		for ((i = 1; i <= repeats; i++)); do
-			local order="1 $p"
-			((i % 2 == 1)) || order="$p 1"
-			for s in $order; do
-				t0=$(date +%s%N)
-				"$tmp/perfgate-tables" -scale 0.1 -quiet -workers 1 -shards "$s" >"$out/tables-shards$s.out"
-				t1=$(date +%s%N)
-				echo "$s $((t1 - t0)) $(sha256sum <"$out/tables-shards$s.out" | cut -d' ' -f1)" |
-					tee -a "$out/shards-1-vs-$p.txt"
-			done
-		done
-		m1=$(awk '$1 == 1 {print $2}' "$out/shards-1-vs-$p.txt" | median)
-		mp=$(awk -v p="$p" '$1 == p {print $2}' "$out/shards-1-vs-$p.txt" | median)
-		echo "sharding: median $((m1 / 1000000)) ms at -shards 1, $((mp / 1000000)) ms at -shards $p"
-		((mp <= m1)) || fail "tables is slower at -shards $p than at -shards 1 (median $((mp / 1000000)) ms vs $((m1 / 1000000)) ms)"
-		[[ -n $want ]] || want=$(awk 'NR == 1 {print $3}' "$out/shards-1-vs-$p.txt")
-		if awk -v h="$want" '$3 != h {bad = 1} END {exit !bad}' "$out/shards-1-vs-$p.txt"; then
-			fail "tables output differs between -shards 1 and -shards $p"
-		fi
-	done
-
-	# The default configuration users run, against -shards 1.
-	local side md
-	: >"$out/default-vs-shards-1.txt"
+	local side i t0 t1 m1 md want
+	: >"$out/default-vs-workers-1.txt"
 	for ((i = 1; i <= repeats; i++)); do
 		local order="default 1"
 		((i % 2 == 1)) || order="1 default"
 		for side in $order; do
 			local args=(-scale 0.1 -quiet)
-			[[ $side == 1 ]] && args+=(-shards 1)
+			[[ $side == 1 ]] && args+=(-workers 1)
 			t0=$(date +%s%N)
 			"$tmp/perfgate-tables" "${args[@]}" >"$out/tables-default-$side.out"
 			t1=$(date +%s%N)
 			echo "$side $((t1 - t0)) $(sha256sum <"$out/tables-default-$side.out" | cut -d' ' -f1)" |
-				tee -a "$out/default-vs-shards-1.txt"
+				tee -a "$out/default-vs-workers-1.txt"
 		done
 	done
-	m1=$(awk '$1 == 1 {print $2}' "$out/default-vs-shards-1.txt" | median)
-	md=$(awk '$1 == "default" {print $2}' "$out/default-vs-shards-1.txt" | median)
-	echo "sharding: median $((md / 1000000)) ms at the defaults, $((m1 / 1000000)) ms at -shards 1"
-	((md * 10 <= m1 * 11)) || fail "tables at the defaults is more than 10% slower than at -shards 1 (median $((md / 1000000)) ms vs $((m1 / 1000000)) ms)"
-	want=$(awk 'NR == 1 {print $3}' "$out/default-vs-shards-1.txt")
-	if awk -v h="$want" '$3 != h {bad = 1} END {exit !bad}' "$out/default-vs-shards-1.txt"; then
-		fail "tables output differs between the defaults and -shards 1"
+	m1=$(awk '$1 == 1 {print $2}' "$out/default-vs-workers-1.txt" | median)
+	md=$(awk '$1 == "default" {print $2}' "$out/default-vs-workers-1.txt" | median)
+	echo "workers: median $((md / 1000000)) ms at the defaults, $((m1 / 1000000)) ms at -workers 1"
+	((md * 10 <= m1 * 11)) || fail "tables at the defaults is more than 10% slower than at -workers 1 (median $((md / 1000000)) ms vs $((m1 / 1000000)) ms)"
+	want=$(awk 'NR == 1 {print $3}' "$out/default-vs-workers-1.txt")
+	if awk -v h="$want" '$3 != h {bad = 1} END {exit !bad}' "$out/default-vs-workers-1.txt"; then
+		fail "tables output differs between the defaults and -workers 1"
 	fi
 }
 
 for step in "${steps[@]}"; do
 	case $step in
 	compare) compare_step ;;
-	sharding) sharding_step ;;
+	workers) workers_step ;;
 	*)
-		echo "perfgate: unknown step $step (want compare or sharding)" >&2
+		echo "perfgate: unknown step $step (want compare or workers)" >&2
 		exit 2
 		;;
 	esac

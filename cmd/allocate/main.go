@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/analysis"
@@ -103,7 +102,6 @@ func main() {
 		baseline  = flag.Int("baseline", 1024, "conventional baseline BHT size")
 		threshold = flag.Uint64("threshold", core.DefaultThreshold, "conflict edge pruning threshold")
 		window    = flag.Int("window", 0, "interleave scan window (0 = exact)")
-		shards    = flag.Int("shards", 0, "pair-count shards (0 = GOMAXPROCS, 1 = serial); output is identical for any value")
 		check     = flag.Bool("check", false, "verify artifact invariants (conflict graph, allocation); non-zero exit on violation")
 		corrupt   = flag.String("corrupt", "", "testing aid: seed a corruption before the checks (graph or alloc); implies -check")
 		metrics   = flag.Bool("metrics", false, "instrument the run and append the metrics registry (text encoding) to the report")
@@ -118,13 +116,13 @@ func main() {
 	if *metrics {
 		reg = obs.NewRegistry()
 	}
-	if err := run(*bench, *inputs, *scale, *size, *useClass, *findSize, *baseline, *threshold, *window, *shards, *check, *corrupt, *static, *progCheck, reg); err != nil {
+	if err := run(*bench, *inputs, *scale, *size, *useClass, *findSize, *baseline, *threshold, *window, *check, *corrupt, *static, *progCheck, reg); err != nil {
 		fmt.Fprintln(os.Stderr, "allocate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(bench, inputs string, scale float64, size int, useClass, findSize bool, baseline int, threshold uint64, window, shards int, check bool, corrupt string, static, progCheck bool, reg *obs.Registry) error {
+func run(bench, inputs string, scale float64, size int, useClass, findSize bool, baseline int, threshold uint64, window int, check bool, corrupt string, static, progCheck bool, reg *obs.Registry) error {
 	if bench == "" {
 		return fmt.Errorf("need -bench")
 	}
@@ -189,10 +187,7 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 			default:
 				return fmt.Errorf("unknown input set %q", name)
 			}
-			if shards <= 0 {
-				shards = runtime.GOMAXPROCS(0)
-			}
-			opts := []profile.Option{profile.WithShards(shards), profile.WithMetrics(m.Profile())}
+			opts := []profile.Option{profile.WithMetrics(m.Profile())}
 			if window > 0 {
 				opts = append(opts, profile.WithWindow(window))
 			}

@@ -68,21 +68,18 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestGoldenAllocate locks down the default allocation report for a
-// small li run, and proves the -shards flag does not change a byte of
-// it.
+// small li run.
 func TestGoldenAllocate(t *testing.T) {
-	for _, shards := range []int{1, 2, 7} {
-		out := captureStdout(t, func() error {
-			return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, shards, false, "", false, false, nil)
-		})
-		checkGolden(t, "li_alloc.golden", out)
-	}
+	out := captureStdout(t, func() error {
+		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, false, "", false, false, nil)
+	})
+	checkGolden(t, "li_alloc.golden", out)
 }
 
 // TestGoldenAllocateCheck covers -check on a healthy allocation.
 func TestGoldenAllocateCheck(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, 2, true, "", false, false, nil)
+		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, true, "", false, false, nil)
 	})
 	checkGolden(t, "li_alloc_check.golden", out)
 }
@@ -90,7 +87,7 @@ func TestGoldenAllocateCheck(t *testing.T) {
 // TestGoldenAllocateClassify covers the Section 5.2 classification path.
 func TestGoldenAllocateClassify(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run("li", "ref", 0.05, 64, true, false, 1024, 100, 0, 1, false, "", false, false, nil)
+		return run("li", "ref", 0.05, 64, true, false, 1024, 100, 0, false, "", false, false, nil)
 	})
 	checkGolden(t, "li_alloc_classify.golden", out)
 }
@@ -99,7 +96,7 @@ func TestGoldenAllocateClassify(t *testing.T) {
 // (Section 5.2): two input sets profiled and merged before allocation.
 func TestGoldenAllocateMergedInputs(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run("li", "ref,a", 0.05, 64, false, false, 1024, 100, 0, 3, false, "", false, false, nil)
+		return run("li", "ref,a", 0.05, 64, false, false, 1024, 100, 0, false, "", false, false, nil)
 	})
 	checkGolden(t, "li_alloc_merged.golden", out)
 }
@@ -109,7 +106,7 @@ func TestGoldenAllocateMergedInputs(t *testing.T) {
 // -check machinery as the profiled one.
 func TestGoldenAllocateStatic(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, 1, true, "", true, false, nil)
+		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, true, "", true, false, nil)
 	})
 	checkGolden(t, "li_alloc_static.golden", out)
 }
@@ -118,7 +115,7 @@ func TestGoldenAllocateStatic(t *testing.T) {
 // reserved biased entries driven by the static bias idioms.
 func TestGoldenAllocateStaticClassify(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run("li", "ref", 0.05, 64, true, false, 1024, 100, 0, 1, false, "", true, false, nil)
+		return run("li", "ref", 0.05, 64, true, false, 1024, 100, 0, false, "", true, false, nil)
 	})
 	checkGolden(t, "li_alloc_static_classify.golden", out)
 }
@@ -126,7 +123,7 @@ func TestGoldenAllocateStaticClassify(t *testing.T) {
 // TestStaticRejectsMergedInputs: the static estimate is a property of
 // one built program; merging input sets has no meaning there.
 func TestStaticRejectsMergedInputs(t *testing.T) {
-	err := run("li", "ref,a", 0.05, 64, false, false, 1024, 100, 0, 1, false, "", true, false, nil)
+	err := run("li", "ref,a", 0.05, 64, false, false, 1024, 100, 0, false, "", true, false, nil)
 	if err == nil {
 		t.Fatal("-static -inputs ref,a unexpectedly succeeded")
 	}
@@ -134,15 +131,14 @@ func TestStaticRejectsMergedInputs(t *testing.T) {
 
 // TestGoldenAllocateMetrics locks down the -metrics dump appended to
 // the allocation report. Frozen clock + zero memory source make the
-// timing series deterministic; the run is pinned serial because shard
-// batch counts depend on shard count.
+// timing series deterministic.
 func TestGoldenAllocateMetrics(t *testing.T) {
 	reg := obs.NewRegistry(
 		obs.WithClock(obs.NewFakeClock(time.Unix(0, 0), 0)),
 		obs.WithMemSource(func() uint64 { return 0 }),
 	)
 	out := captureStdout(t, func() error {
-		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, 1, false, "", false, false, reg)
+		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, false, "", false, false, reg)
 	})
 	checkGolden(t, "li_alloc_metrics.golden", out)
 }
@@ -157,7 +153,7 @@ func TestCorruptFailsCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 		os.Stdout = devnull
-		err = run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, 1, true, target, false, false, nil)
+		err = run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, true, target, false, false, nil)
 		os.Stdout = old
 		if cerr := devnull.Close(); cerr != nil {
 			t.Fatal(cerr)
@@ -173,7 +169,7 @@ func TestCorruptFailsCheck(t *testing.T) {
 // precedes the report.
 func TestGoldenAllocateProgcheck(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, 1, false, "", false, true, nil)
+		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, false, "", false, true, nil)
 	})
 	checkGolden(t, "li_alloc_progcheck.golden", out)
 }
@@ -182,7 +178,7 @@ func TestGoldenAllocateProgcheck(t *testing.T) {
 // facts feed the compile-time estimate.
 func TestGoldenAllocateStaticProgcheck(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, 1, false, "", true, true, nil)
+		return run("li", "ref", 0.05, 64, false, false, 1024, 100, 0, false, "", true, true, nil)
 	})
 	checkGolden(t, "li_alloc_static_progcheck.golden", out)
 }
@@ -194,7 +190,7 @@ func TestGoldenAllocateStaticProgcheck(t *testing.T) {
 func TestRejectsSmallBaseline(t *testing.T) {
 	for _, findSize := range []bool{false, true} {
 		out, err := captureRun(t, func() error {
-			return run("li", "ref", 0.05, 64, false, findSize, 0, 100, 0, 1, false, "", false, false, nil)
+			return run("li", "ref", 0.05, 64, false, findSize, 0, 100, 0, false, "", false, false, nil)
 		})
 		if err == nil || !strings.Contains(err.Error(), "-baseline 0") {
 			t.Errorf("-find-size=%v -baseline 0: error %v", findSize, err)
@@ -204,7 +200,7 @@ func TestRejectsSmallBaseline(t *testing.T) {
 		}
 	}
 	_, err := captureRun(t, func() error {
-		return run("li", "ref", 0.05, 64, true, true, 2, 100, 0, 1, false, "", false, false, nil)
+		return run("li", "ref", 0.05, 64, true, true, 2, 100, 0, false, "", false, false, nil)
 	})
 	if err == nil || !strings.Contains(err.Error(), "baseline size 2 below minimum 3") {
 		t.Errorf("-classify -find-size -baseline 2: error %v", err)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	tables [-scale f] [-table n] [-figure n] [-markdown] [-quiet]
-//	       [-workers n] [-shards n] [-static]
+//	       [-workers n] [-static]
 //	       [-zoo] [-graphs] [-charact] [-predictor list]
 //	       [-cpuprofile f] [-memprofile f]
 //
@@ -57,7 +57,6 @@ func main() {
 		check      = flag.Bool("check", false, "run the internal/analysis artifact verifiers on every produced artifact")
 		progCheck  = flag.Bool("progcheck", false, "verify every compiled program with the static program verifier before it runs; error findings fail the run")
 		workers    = flag.Int("workers", 0, "concurrent benchmark workers (0 = GOMAXPROCS, 1 = serial)")
-		shards     = flag.Int("shards", 0, "cap on intra-benchmark pair-count shards and clique-mining workers, granted from idle cores (0 = GOMAXPROCS, 1 = serial)")
 		metrics    = flag.Bool("metrics", false, "instrument the run and dump the metrics registry (text encoding) to stderr on exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -91,15 +90,14 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	suite := harness.NewSuite(harness.Config{
-		Scale:         *scale,
-		CliqueBudget:  *budget,
-		Check:         *check,
-		Workers:       *workers,
-		ProfileShards: *shards,
-		Progress:      progress,
-		Metrics:       obs.New(reg),
-		Static:        *static,
-		ProgCheck:     *progCheck,
+		Scale:        *scale,
+		CliqueBudget: *budget,
+		Check:        *check,
+		Workers:      *workers,
+		Progress:     progress,
+		Metrics:      obs.New(reg),
+		Static:       *static,
+		ProgCheck:    *progCheck,
 	})
 
 	if *predictor != "" && !*zoo && !*graphs {

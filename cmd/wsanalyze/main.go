@@ -4,7 +4,7 @@
 // Usage:
 //
 //	wsanalyze -bench gcc [-input ref] [-scale f] [-threshold n]
-//	          [-window n] [-shards n] [-definition cliques|partition]
+//	          [-window n] [-definition cliques|partition]
 //	          [-top n] [-charact] [-cpuprofile f] [-memprofile f]
 //	wsanalyze -trace file.bwt [-threshold n] ...
 //	wsanalyze -program file.s [-input ref] ...
@@ -53,7 +53,6 @@ func main() {
 		save        = flag.String("save", "", "save the recorded trace to this file")
 		threshold   = flag.Uint64("threshold", core.DefaultThreshold, "conflict edge pruning threshold")
 		window      = flag.Int("window", 0, "interleave scan window (0 = exact/unbounded)")
-		shards      = flag.Int("shards", 0, "pair-count shards and clique-mining workers (0 = GOMAXPROCS, 1 = serial); output is identical for any value")
 		definition  = flag.String("definition", "cliques", "working-set definition: cliques or partition")
 		top         = flag.Int("top", 5, "print the N largest working sets")
 		coverage    = flag.Float64("coverage", 0, "frequency-filter coverage (0 = the spec's default)")
@@ -104,7 +103,7 @@ func main() {
 	if err := run(runOpts{
 		bench: *bench, input: *input, scale: *scale,
 		traceFile: *traceFile, programFile: *programFile, save: *save,
-		threshold: *threshold, window: *window, shards: *shards,
+		threshold: *threshold, window: *window,
 		definition: *definition, top: *top, coverage: *coverage,
 		check: *check, corrupt: *corrupt, static: *static,
 		charact: *charFlag, progCheck: *progCheck,
@@ -150,7 +149,7 @@ type runOpts struct {
 	scale                        float64
 	traceFile, programFile, save string
 	threshold                    uint64
-	window, shards               int
+	window                       int
 	definition                   string
 	top                          int
 	coverage                     float64
@@ -294,10 +293,6 @@ func run(o runOpts, reg *obs.Registry) error {
 		return fmt.Errorf("unknown definition %q (want cliques or partition)", o.definition)
 	}
 	m := obs.New(reg)
-	shards := o.shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
 	threshold := o.threshold
 	if threshold == 0 {
 		threshold = core.DefaultThreshold
@@ -366,7 +361,7 @@ func run(o runOpts, reg *obs.Registry) error {
 		fmt.Printf("analyzed: %d dynamic (%.2f%%), %d static\n",
 			filter.DynamicKept, 100*filter.Coverage(), filter.StaticKept)
 
-		opts := []profile.Option{profile.WithShards(shards), profile.WithMetrics(m.Profile())}
+		opts := []profile.Option{profile.WithMetrics(m.Profile())}
 		if o.window > 0 {
 			opts = append(opts, profile.WithWindow(o.window))
 			fmt.Printf("interleave scan window: %d (bounded approximation)\n", o.window)
@@ -387,7 +382,6 @@ func run(o runOpts, reg *obs.Registry) error {
 	res, err := core.Analyze(prof, core.AnalysisConfig{
 		Threshold:  threshold,
 		Definition: def,
-		Workers:    shards,
 		Metrics:    m.Clique(),
 	})
 	if err != nil {

@@ -68,21 +68,9 @@ func checkGolden(t *testing.T, name, got string) {
 // statistics, and top sets.
 func TestGoldenProgram(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, shards: 1, definition: "cliques", top: 3}, nil)
+		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, definition: "cliques", top: 3}, nil)
 	})
 	checkGolden(t, "program.golden", out)
-}
-
-// TestGoldenProgramSharded proves the user-facing determinism claim of
-// the -shards flag: several shard counts must reproduce the serial
-// golden byte for byte.
-func TestGoldenProgramSharded(t *testing.T) {
-	for _, shards := range []int{2, 3, 7} {
-		out := captureStdout(t, func() error {
-			return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, shards: shards, definition: "cliques", top: 3}, nil)
-		})
-		checkGolden(t, "program.golden", out)
-	}
 }
 
 // TestGoldenProgramCheck covers the -check path: the verifier line must
@@ -90,7 +78,7 @@ func TestGoldenProgramSharded(t *testing.T) {
 // artifact.
 func TestGoldenProgramCheck(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, shards: 2, definition: "cliques", top: 3, check: true}, nil)
+		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, definition: "cliques", top: 3, check: true}, nil)
 	})
 	checkGolden(t, "program_check.golden", out)
 }
@@ -99,38 +87,32 @@ func TestGoldenProgramCheck(t *testing.T) {
 // definition (-definition partition).
 func TestGoldenProgramPartition(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, shards: 1, definition: "partition", top: 3}, nil)
+		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, definition: "partition", top: 3}, nil)
 	})
 	checkGolden(t, "program_partition.golden", out)
 }
 
 // TestGoldenBench locks down the built-in-benchmark path at a small
-// scale, shards forced serial and sharded in turn.
+// scale.
 func TestGoldenBench(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		out := captureStdout(t, func() error {
-			return run(runOpts{bench: "li", input: "ref", scale: 0.05, threshold: 100, shards: shards, definition: "cliques", top: 3}, nil)
-		})
-		checkGolden(t, "bench_li.golden", out)
-	}
+	out := captureStdout(t, func() error {
+		return run(runOpts{bench: "li", input: "ref", scale: 0.05, threshold: 100, definition: "cliques", top: 3}, nil)
+	})
+	checkGolden(t, "bench_li.golden", out)
 }
 
 // TestGoldenProgramMetrics locks down the -metrics dump appended to the
 // report. The registry gets a frozen clock and a zero memory source so
 // the timing and allocation series are deterministic; the event and
-// pair-increment counters are exact properties of the fixture program.
-// The run is pinned serial (shards=1): operational series like shard
-// batch counts and the queue high-water gauge legitimately depend on
-// shard count and goroutine scheduling, while the serial path is
-// structurally deterministic. Sharded-run counter exactness is covered
-// by the harness observability tests instead.
+// pair-increment counters are exact properties of the fixture program,
+// and so is the staging batch count.
 func TestGoldenProgramMetrics(t *testing.T) {
 	reg := obs.NewRegistry(
 		obs.WithClock(obs.NewFakeClock(time.Unix(0, 0), 0)),
 		obs.WithMemSource(func() uint64 { return 0 }),
 	)
 	out := captureStdout(t, func() error {
-		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, shards: 1, definition: "cliques", top: 3}, reg)
+		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, definition: "cliques", top: 3}, reg)
 	})
 	checkGolden(t, "program_metrics.golden", out)
 }
@@ -141,7 +123,7 @@ func TestGoldenProgramMetrics(t *testing.T) {
 // 0 selects the default, which the static weight model targets.
 func TestGoldenStaticProgram(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", shards: 1, definition: "cliques", top: 3, static: true}, nil)
+		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", definition: "cliques", top: 3, static: true}, nil)
 	})
 	checkGolden(t, "program_static.golden", out)
 }
@@ -150,7 +132,7 @@ func TestGoldenStaticProgram(t *testing.T) {
 // program analyzed at compile time, with the verifier line in place.
 func TestGoldenStaticBench(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run(runOpts{bench: "li", input: "ref", scale: 0.05, shards: 1, definition: "cliques", top: 3, check: true, static: true}, nil)
+		return run(runOpts{bench: "li", input: "ref", scale: 0.05, definition: "cliques", top: 3, check: true, static: true}, nil)
 	})
 	checkGolden(t, "bench_li_static.golden", out)
 }
@@ -158,7 +140,7 @@ func TestGoldenStaticBench(t *testing.T) {
 // TestStaticRejectsTrace: a recorded trace has no program structure to
 // analyze statically.
 func TestStaticRejectsTrace(t *testing.T) {
-	err := run(runOpts{input: "ref", scale: 1.0, traceFile: "some.bwt", shards: 1, definition: "cliques", top: 3, static: true}, nil)
+	err := run(runOpts{input: "ref", scale: 1.0, traceFile: "some.bwt", definition: "cliques", top: 3, static: true}, nil)
 	if err == nil {
 		t.Fatal("-static -trace unexpectedly succeeded")
 	}
@@ -171,7 +153,7 @@ func TestStaticRejectsTrace(t *testing.T) {
 // is byte-identical to program.golden.
 func TestGoldenProgramCharact(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, shards: 1, definition: "cliques", top: 3, charact: true}, nil)
+		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, definition: "cliques", top: 3, charact: true}, nil)
 	})
 	checkGolden(t, "program_charact.golden", out)
 }
@@ -179,7 +161,7 @@ func TestGoldenProgramCharact(t *testing.T) {
 // TestStaticRejectsCharact: characterization needs an executed branch
 // stream, which the compile-time path never produces.
 func TestStaticRejectsCharact(t *testing.T) {
-	err := run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", shards: 1, definition: "cliques", top: 3, static: true, charact: true}, nil)
+	err := run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", definition: "cliques", top: 3, static: true, charact: true}, nil)
 	if err == nil {
 		t.Fatal("-static -charact unexpectedly succeeded")
 	}
@@ -195,7 +177,7 @@ func TestCorruptFailsCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 		os.Stdout = devnull
-		err = run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, shards: 1, definition: "cliques", top: 3, check: true, corrupt: target}, nil)
+		err = run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, definition: "cliques", top: 3, check: true, corrupt: target}, nil)
 		os.Stdout = old
 		if cerr := devnull.Close(); cerr != nil {
 			t.Fatal(cerr)
@@ -211,7 +193,7 @@ func TestCorruptFailsCheck(t *testing.T) {
 // clean fixture passes the gate.
 func TestGoldenProgramProgcheck(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, shards: 1, definition: "cliques", top: 3, progCheck: true}, nil)
+		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", threshold: 40, definition: "cliques", top: 3, progCheck: true}, nil)
 	})
 	checkGolden(t, "program_progcheck.golden", out)
 }
@@ -221,14 +203,14 @@ func TestGoldenProgramProgcheck(t *testing.T) {
 // dead branches from the conflict graph when any are proven).
 func TestGoldenStaticProgcheck(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", shards: 1, definition: "cliques", top: 3, static: true, progCheck: true}, nil)
+		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", definition: "cliques", top: 3, static: true, progCheck: true}, nil)
 	})
 	checkGolden(t, "program_static_progcheck.golden", out)
 }
 
 // TestProgcheckRejectsTrace: a recorded trace has no program to verify.
 func TestProgcheckRejectsTrace(t *testing.T) {
-	err := run(runOpts{input: "ref", scale: 1.0, traceFile: "some.bwt", shards: 1, definition: "cliques", top: 3, progCheck: true}, nil)
+	err := run(runOpts{input: "ref", scale: 1.0, traceFile: "some.bwt", definition: "cliques", top: 3, progCheck: true}, nil)
 	if err == nil {
 		t.Fatal("-progcheck -trace unexpectedly succeeded")
 	}

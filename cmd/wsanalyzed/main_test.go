@@ -411,13 +411,13 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 	}
 	ts := newTestService(t, srv)
 
-	bad := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1, Shards: 1})
+	bad := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1})
 	j := poll(t, ts, bad)
 	if j.Status != "failed" || !strings.Contains(j.Error, "injected failure in "+bad) {
 		t.Fatalf("panicking job: status %q error %q, want failed with the panic text", j.Status, j.Error)
 	}
 
-	good := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1, Shards: 1})
+	good := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1})
 	if j := poll(t, ts, good); j.Status != "done" {
 		t.Fatalf("job after the panic: status %q (%s), want done", j.Status, j.Error)
 	}
@@ -448,7 +448,7 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	srv := newServer(reg, 1)
 	ts := newTestService(t, srv)
 
-	id := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1, Shards: 1})
+	id := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1})
 	if j := poll(t, ts, id); j.Status != "done" {
 		t.Fatalf("job failed: %s", j.Error)
 	}
@@ -486,6 +486,33 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	}
 }
 
+// TestShardsFieldIgnored sends the retired "shards" request field: the
+// JSON decoder ignores unknown fields, so such a client is accepted and
+// gets the same bytes as one that omits it.
+func TestShardsFieldIgnored(t *testing.T) {
+	ts := newTestService(t, newServer(obs.NewRegistry(), 1))
+	plain := poll(t, ts, submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1}))
+	resp, body := postJSON(t, ts.URL+"/analyze", map[string]any{
+		"kind": "table", "table": 1, "scale": 0.02, "workers": 1, "shards": 4,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with shards: status %d, body %s", resp.StatusCode, body)
+	}
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &acc); err != nil {
+		t.Fatal(err)
+	}
+	withShards := poll(t, ts, acc.ID)
+	if plain.Status != "done" || withShards.Status != "done" {
+		t.Fatalf("jobs: %q (%s) and %q (%s), want done", plain.Status, plain.Error, withShards.Status, withShards.Error)
+	}
+	if withShards.Result != plain.Result {
+		t.Fatalf("result with shards differs (%d vs %d bytes)", len(withShards.Result), len(plain.Result))
+	}
+}
+
 // TestValidation covers the request-rejection paths.
 func TestValidation(t *testing.T) {
 	ts := newTestService(t, newServer(obs.NewRegistry(), 1))
@@ -497,7 +524,6 @@ func TestValidation(t *testing.T) {
 		{Kind: "table", Table: 1, Scale: -1},
 		{Kind: "table", Table: 1, Scale: maxScale + 1},
 		{Kind: "table", Table: 1, Workers: -5},
-		{Kind: "table", Table: 1, Shards: -3},
 		{Kind: "table", Table: 1, CliqueBudget: -7},
 	}
 	for _, c := range cases {

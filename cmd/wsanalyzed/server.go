@@ -58,7 +58,6 @@ type analyzeRequest struct {
 	Threshold    uint64  `json:"threshold,omitempty"`
 	CliqueBudget int     `json:"clique_budget,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
-	Shards       int     `json:"shards,omitempty"`
 	Markdown     bool    `json:"markdown,omitempty"`
 	Check        bool    `json:"check,omitempty"`
 }
@@ -109,7 +108,7 @@ func (r *analyzeRequest) validate() error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"clique_budget", r.CliqueBudget}, {"workers", r.Workers}, {"shards", r.Shards}} {
+	}{{"clique_budget", r.CliqueBudget}, {"workers", r.Workers}} {
 		if f.v < 0 {
 			return fmt.Errorf("%s %d is negative", f.name, f.v)
 		}
@@ -156,14 +155,13 @@ func executeJob(req analyzeRequest, m *obs.Metrics) (string, error) {
 		return runProgcheckJob(req.Program)
 	}
 	suite := harness.NewSuite(harness.Config{
-		Scale:         req.Scale,
-		Threshold:     req.Threshold,
-		CliqueBudget:  req.CliqueBudget,
-		Check:         req.Check,
-		Workers:       req.Workers,
-		ProfileShards: req.Shards,
-		ProgCheck:     req.ProgCheck,
-		Metrics:       m,
+		Scale:        req.Scale,
+		Threshold:    req.Threshold,
+		CliqueBudget: req.CliqueBudget,
+		Check:        req.Check,
+		Workers:      req.Workers,
+		ProgCheck:    req.ProgCheck,
+		Metrics:      m,
 	})
 	var buf bytes.Buffer
 	var err error

@@ -114,7 +114,7 @@ func AnalyzeGrouped(p *profile.Profile, cfg AnalysisConfig, th classify.Threshol
 	truncated := false
 	switch cfg.Definition {
 	case MaximalCliques:
-		res := g.MaximalCliquesObs(cfg.CliqueBudget, cfg.IncludeSingletons, cfg.Workers, nil)
+		res := g.MaximalCliquesObs(cfg.CliqueBudget, cfg.IncludeSingletons, 1, nil)
 		cliques, truncated = res.Cliques, res.Truncated
 	case GreedyPartition:
 		cliques = g.GreedyCliquePartition(cfg.IncludeSingletons)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -259,5 +260,28 @@ func TestCliquesOnEmptyGraph(t *testing.T) {
 	res = g.MaximalCliquesObs(0, true, 1, nil)
 	if len(res.Cliques) != 5 {
 		t.Fatalf("empty graph with singletons produced %d, want 5", len(res.Cliques))
+	}
+}
+
+// TestTruncatedCliquesDeterministic exhausts the enumeration budget on
+// a dense random graph: every call must report Truncated and return the
+// serial call's Cliques, whatever workers value it passes.
+func TestTruncatedCliquesDeterministic(t *testing.T) {
+	g := randomGraph(rng.New(7), 60, 2.0/3, 9)
+	const budget = 2000
+	serial := g.MaximalCliquesObs(budget, false, 1, nil)
+	if !serial.Truncated {
+		t.Fatalf("budget %d did not truncate", budget)
+	}
+	want := fmt.Sprint(serial.Cliques)
+	for call := 0; call < 50; call++ {
+		res := g.MaximalCliquesObs(budget, false, 4, nil)
+		if !res.Truncated {
+			t.Fatalf("call %d: budget %d did not truncate", call, budget)
+		}
+		if got := fmt.Sprint(res.Cliques); got != want {
+			t.Fatalf("call %d with workers 4: %d cliques, differing from the serial call's %d",
+				call, len(res.Cliques), len(serial.Cliques))
+		}
 	}
 }

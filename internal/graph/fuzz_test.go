@@ -140,10 +140,8 @@ func FuzzFromPairs(f *testing.F) {
 	})
 }
 
-// FuzzMaximalCliques differentially fuzzes the clique enumerators: on
-// every decoded graph the parallel enumeration (several worker counts)
-// must return exactly the serial result, and each reported set must be
-// a maximal clique.
+// FuzzMaximalCliques fuzzes the clique enumerator: on every decoded
+// graph each reported set must be a maximal clique.
 func FuzzMaximalCliques(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 0, 0, 1, 2, 1, 0, 0, 0, 2, 1, 0, 0})
 	f.Add([]byte{12, 3, 4, 200, 0, 1, 4, 5, 1, 1, 0, 5, 3, 7, 0, 1})
@@ -153,8 +151,8 @@ func FuzzMaximalCliques(f *testing.F) {
 			n = 24 // keep worst-case enumeration bounded per input
 		}
 		g := FromPairs(n, pairs)
-		serial := g.MaximalCliquesObs(0, true, 1, nil)
-		for _, c := range serial.Cliques {
+		res := g.MaximalCliquesObs(0, true, 1, nil)
+		for _, c := range res.Cliques {
 			for i := 0; i < len(c); i++ {
 				for j := i + 1; j < len(c); j++ {
 					if !g.HasEdge(c[i], c[j]) {
@@ -173,12 +171,6 @@ func FuzzMaximalCliques(f *testing.F) {
 				if extends {
 					t.Fatalf("set %v is not maximal (extends with %d)", c, v)
 				}
-			}
-		}
-		for _, workers := range []int{2, 5} {
-			par := g.MaximalCliquesObs(0, true, workers, nil)
-			if fmt.Sprint(par) != fmt.Sprint(serial) {
-				t.Fatalf("workers=%d result differs from serial", workers)
 			}
 		}
 	})

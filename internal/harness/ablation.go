@@ -39,14 +39,11 @@ func (s *Suite) AblationThreshold(benchmarks []string, thresholds []uint64) ([]T
 		if err != nil {
 			return nil, err
 		}
-		workers, release := s.grant()
-		defer release()
 		var rows []ThresholdRow
 		for _, th := range thresholds {
 			res, err := core.Analyze(a.Profile, core.AnalysisConfig{
 				Threshold:    th,
 				CliqueBudget: s.cfg.CliqueBudget,
-				Workers:      workers,
 			})
 			if err != nil {
 				return nil, err
@@ -92,13 +89,10 @@ func (s *Suite) AblationDefinition(benchmarks []string) ([]DefinitionRow, error)
 		if err != nil {
 			return DefinitionRow{}, err
 		}
-		workers, release := s.grant()
-		defer release()
 		mc, err := core.Analyze(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			Definition:   core.MaximalCliques,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      workers,
 		})
 		if err != nil {
 			return DefinitionRow{}, err
@@ -141,12 +135,9 @@ func (s *Suite) AblationGrouped(benchmarks []string) ([]GroupedRow, error) {
 		if err != nil {
 			return GroupedRow{}, err
 		}
-		workers, release := s.grant()
-		defer release()
 		ind, err := core.Analyze(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      workers,
 		})
 		if err != nil {
 			return GroupedRow{}, err
@@ -154,7 +145,6 @@ func (s *Suite) AblationGrouped(benchmarks []string) ([]GroupedRow, error) {
 		grp, err := core.AnalyzeGrouped(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      workers,
 		}, classify.Default())
 		if err != nil {
 			return GroupedRow{}, err
@@ -193,14 +183,11 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 	}
 	// One pass over the filtered stream feeds every window's profiler
 	// (they are independent consumers), so the ablation costs a single
-	// filtered re-execution for all rows. One grant sizes the whole fan:
-	// every profiler's shards and every row's clique workers.
-	shards, release := s.grant()
-	defer release()
+	// filtered re-execution for all rows.
 	profilers := make([]*profile.Profiler, len(windows))
 	fan := make(vm.MultiSink, len(windows))
 	for i, w := range windows {
-		opts := []profile.Option{profile.WithShards(shards)}
+		var opts []profile.Option
 		if w > 0 {
 			opts = append(opts, profile.WithWindow(w))
 		}
@@ -216,7 +203,6 @@ func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, er
 		res, err := core.Analyze(p, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      shards,
 		})
 		if err != nil {
 			return nil, err

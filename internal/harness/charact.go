@@ -66,8 +66,8 @@ func charactTargets() []struct {
 // Charact computes the characterization report over the figure
 // benchmarks and the graph family, one benchmark per worker. Rows are
 // assembled in fixed order, so output is byte-identical for any
-// Workers/ProfileShards setting (the collector consumes the replayed
-// stream, which does not depend on either).
+// Workers setting (the collector consumes the replayed stream, which
+// does not depend on it).
 func (s *Suite) Charact() ([]CharactRow, error) {
 	targets := charactTargets()
 	weight := func(i int) uint64 {

@@ -20,8 +20,7 @@ import (
 // been tested against — data-dependent branches over irregular graph
 // traversals — and the charact report (charact.go) explains whatever
 // gap appears here. Differential tests assert the rendered output is
-// byte-identical across Workers/ProfileShards settings, like every
-// other experiment.
+// byte-identical across Workers settings, like every other experiment.
 
 // GraphArtifacts are the cached products of one graph benchmark run.
 type GraphArtifacts struct {
@@ -85,12 +84,8 @@ func (s *Suite) computeGraph(name string) (*GraphArtifacts, error) {
 	}
 	s.progressf("run graph %s (%s %s, %d nodes, scale %.2f)",
 		spec.Name, spec.Variant(), spec.Kind, spec.Nodes, s.cfg.Scale)
-	shards, release := s.grant()
-	defer release()
 	execSpan := s.stageSpan(spec.Name, "execute")
-	prof := profile.NewProfiler(spec.Name, "ref",
-		profile.WithShards(shards),
-		profile.WithMetrics(s.cfg.Metrics.Profile()))
+	prof := profile.NewProfiler(spec.Name, "ref", profile.WithMetrics(s.cfg.Metrics.Profile()))
 	prof.Reserve(p.NumCondBranches())
 	m, stats, err := spec.RunInto(s.cfg.Scale, prof, s.cfg.Metrics.VM())
 	execSpan.End()

@@ -19,12 +19,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 
 // graphSuite builds a fresh small-scale suite for the graph tests; the
 // graph cache is per suite, so the shared testSuite stays untouched.
-func graphSuite(workers, shards int) *Suite {
-	return NewSuite(Config{Scale: 0.05, Workers: workers, ProfileShards: shards, Metrics: obs.New(obs.NewRegistry())})
+func graphSuite(workers int) *Suite {
+	return NewSuite(Config{Scale: 0.05, Workers: workers, Metrics: obs.New(obs.NewRegistry())})
 }
 
 func TestGraphsShape(t *testing.T) {
-	s := graphSuite(0, 0)
+	s := graphSuite(0)
 	res, err := s.Graphs(predict.KindPAg, predict.KindGshare)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestGraphsCheckedArtifacts(t *testing.T) {
 }
 
 func TestCharactRows(t *testing.T) {
-	s := graphSuite(0, 0)
+	s := graphSuite(0)
 	rows, err := s.Charact()
 	if err != nil {
 		t.Fatal(err)
@@ -128,15 +128,14 @@ func TestCharactRows(t *testing.T) {
 	}
 }
 
-// TestGraphsCharactDifferentialAcrossShards extends the suite's
-// byte-identity requirement to the two new experiments: the rendered
-// graph and characterization reports must not change between the
-// strictly serial suite and one running with GOMAXPROCS workers and
-// profile shards. CI runs this under -race, covering the benchmark
-// fan-out around the graph cache at the same time.
-func TestGraphsCharactDifferentialAcrossShards(t *testing.T) {
-	render := func(workers, shards int) string {
-		s := graphSuite(workers, shards)
+// TestGraphsCharactDifferentialAcrossWorkers extends the suite's
+// byte-identity requirement to the graph and characterization reports:
+// they must not change between the strictly serial suite and one
+// running with GOMAXPROCS workers. CI runs this under -race, covering
+// the benchmark fan-out around the graph cache at the same time.
+func TestGraphsCharactDifferentialAcrossWorkers(t *testing.T) {
+	render := func(workers int) string {
+		s := graphSuite(workers)
 		var b strings.Builder
 		if err := RunGraphs(s, &b, false, predict.KindPAg, predict.KindTAGE); err != nil {
 			t.Fatal(err)
@@ -146,13 +145,13 @@ func TestGraphsCharactDifferentialAcrossShards(t *testing.T) {
 		}
 		return b.String()
 	}
-	serial := render(1, 1)
+	serial := render(1)
 	if !strings.Contains(serial, "[tage]") || !strings.Contains(serial, "bfs-uniform") {
 		t.Fatalf("graph output incomplete:\n%.1000s", serial)
 	}
 	max := runtime.GOMAXPROCS(0)
-	if got := render(max, max); got != serial {
-		t.Errorf("graphs/charact output differs between serial and workers=shards=%d\n--- serial ---\n%.3000s\n--- parallel ---\n%.3000s",
+	if got := render(max); got != serial {
+		t.Errorf("graphs/charact output differs between serial and workers=%d\n--- serial ---\n%.3000s\n--- parallel ---\n%.3000s",
 			max, serial, got)
 	}
 }
@@ -185,7 +184,7 @@ func checkHarnessGolden(t *testing.T, name, got string) {
 // worker counts, and runs.
 func TestGraphsGolden(t *testing.T) {
 	var b strings.Builder
-	if err := RunGraphs(graphSuite(1, 1), &b, false, predict.KindPAg); err != nil {
+	if err := RunGraphs(graphSuite(1), &b, false, predict.KindPAg); err != nil {
 		t.Fatal(err)
 	}
 	checkHarnessGolden(t, "graphs_pag.golden", b.String())
@@ -195,7 +194,7 @@ func TestGraphsGolden(t *testing.T) {
 // same fixed scale.
 func TestCharactGolden(t *testing.T) {
 	var b strings.Builder
-	if err := RunCharact(graphSuite(1, 1), &b, false); err != nil {
+	if err := RunCharact(graphSuite(1), &b, false); err != nil {
 		t.Fatal(err)
 	}
 	checkHarnessGolden(t, "charact.golden", b.String())
@@ -209,7 +208,7 @@ func TestCharactGolden(t *testing.T) {
 // dump is reproducible byte for byte.
 func TestGraphsMetricsGolden(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.05, Workers: 1, Metrics: obs.New(reg)})
 	var b strings.Builder
 	if err := RunGraphs(s, &b, false, predict.KindPAg); err != nil {
 		t.Fatal(err)
@@ -222,7 +221,7 @@ func TestGraphsMetricsGolden(t *testing.T) {
 }
 
 func TestRenderGraphsAndCharact(t *testing.T) {
-	s := graphSuite(0, 0)
+	s := graphSuite(0)
 	res, err := s.Graphs(predict.KindGshare)
 	if err != nil {
 		t.Fatal(err)

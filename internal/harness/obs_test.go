@@ -25,7 +25,7 @@ func TestMetricsDoNotPerturbOutput(t *testing.T) {
 	render := func(m *obs.Metrics) string {
 		// Scale 0.02 keeps the double full-suite run affordable under
 		// -race; the byte-identity property is scale-independent.
-		s := NewSuite(Config{Scale: 0.02, ProfileShards: 3, Metrics: m})
+		s := NewSuite(Config{Scale: 0.02, Metrics: m})
 		var buf bytes.Buffer
 		if err := RunAll(s, &buf, false); err != nil {
 			t.Fatal(err)
@@ -46,7 +46,7 @@ func TestMetricsDoNotPerturbOutput(t *testing.T) {
 // count, and the pair-increment total the pair table's total weight.
 func TestStreamCountersExact(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.05, Workers: 1, Metrics: obs.New(reg)})
 	a, err := s.Artifacts("li", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
@@ -85,43 +85,13 @@ func TestStreamCountersExact(t *testing.T) {
 	}
 }
 
-// TestShardedCountersMatchSerial re-runs the same benchmark with
-// sharded profiling and checks the semantic counters (events, pair
-// increments, merged pairs) are identical to the serial run —
-// sharding must redistribute the work, not change it. Only the
-// operational series (batch counts, queue depth) may differ.
-func TestShardedCountersMatchSerial(t *testing.T) {
-	run := func(shards int) *obs.Registry {
-		reg := metricsRegistry()
-		s := NewSuite(Config{Scale: 0.05, Workers: 1, ProfileShards: shards, Metrics: obs.New(reg)})
-		if _, err := s.Artifacts("li", workload.InputRef); err != nil {
-			t.Fatal(err)
-		}
-		return reg
-	}
-	serial, sharded := run(1), run(3)
-	for _, name := range []string{
-		"wsd_vm_instructions_total",
-		"wsd_profile_events_total",
-		"wsd_profile_pair_increments_total",
-		"wsd_profile_merged_pairs_total",
-	} {
-		if s, p := serial.Counter(name).Value(), sharded.Counter(name).Value(); s != p {
-			t.Errorf("%s: serial %d != sharded %d", name, s, p)
-		}
-	}
-	if sharded.Counter("wsd_profile_shard_batches_total").Value() == 0 {
-		t.Error("sharded run recorded no shard batches")
-	}
-}
-
 // TestFigurePredictFlushExact checks the predictor counters flushed by
 // the figure runner: every simulated configuration contributes each
 // benchmark's full branch stream, so the branch total is rows × configs
 // × per-row branches, and hits + mispredicts must partition it.
 func TestFigurePredictFlushExact(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.02, Workers: 1, Metrics: obs.New(reg)})
 	res, err := s.Figure3()
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +120,7 @@ func TestFigurePredictFlushExact(t *testing.T) {
 // benchmarks it touched.
 func TestStageSpansRecorded(t *testing.T) {
 	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.02, Workers: 1, ProfileShards: 1, Metrics: obs.New(reg)})
+	s := NewSuite(Config{Scale: 0.02, Workers: 1, Metrics: obs.New(reg)})
 	if _, err := s.Table2(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,11 @@ import (
 	"sync"
 )
 
-// coreBudget is a pool of core tokens shared by every goroutine that
-// does harness work: the per-row workers of mapOrdered, and the profiler
-// shard and clique workers a row starts. Tokens held equal the busy
-// goroutines, so the pool keeps a suite from running P rows × P shards
-// on P cores, and keeps concurrent Suites (one per wsanalyzed job) from
-// multiplying each other's parallelism.
+// coreBudget is a pool of core tokens shared by the per-row workers of
+// mapOrdered, the harness's one kind of parallelism: each row's profile
+// and analysis run on its worker's goroutine. Tokens held equal the
+// busy workers, so concurrent Suites (one per wsanalyzed job) share
+// GOMAXPROCS cores instead of multiplying each other's parallelism.
 type coreBudget struct {
 	// capacity is the token count; 0 means runtime.GOMAXPROCS(0) at
 	// each call.
@@ -48,16 +47,6 @@ func (b *coreBudget) give(n int) {
 	b.mu.Lock()
 	b.held -= n
 	b.mu.Unlock()
-}
-
-// grant sizes one intra-benchmark fan-out (profiler shards or clique
-// workers) capped at limit: min(limit, 1 + idle tokens), never above the
-// capacity, and at least 1. The 1 is the caller's own core, so only the
-// extra workers take tokens. The caller must call release once the
-// fan-out is done, usually by defer.
-func (b *coreBudget) grant(limit int) (n int, release func()) {
-	extra := b.take(min(limit, b.size())-1, 0)
-	return 1 + extra, func() { b.give(extra) }
 }
 
 // mapOrdered computes out[i] = f(i) for i in [0, n) using up to

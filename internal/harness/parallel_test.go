@@ -86,10 +86,10 @@ func TestMapOrderedParallelReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestCoreBudgetNeverExceedsCapacity hammers one budget with concurrent
-// grants and worker tokens: the held count never exceeds the capacity,
-// every grant is within [1, limit], a limit of 1 (ProfileShards: 1) is
-// always granted exactly 1, and everything comes back.
+// TestCoreBudgetNeverExceedsCapacity hammers one budget with
+// concurrent takes of up to three tokens and no floor: the held count
+// never exceeds the capacity, every take is within [0, want], and
+// everything comes back.
 func TestCoreBudgetNeverExceedsCapacity(t *testing.T) {
 	const capacity = 3
 	b := &coreBudget{capacity: capacity}
@@ -100,17 +100,15 @@ func TestCoreBudgetNeverExceedsCapacity(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				worker := b.take(1, 0)
-				limit := 1 + (g+i)%5
-				n, release := b.grant(limit)
+				want := 1 + (g+i)%3
+				n := b.take(want, 0)
 				if held := b.heldTokens(); held > capacity {
 					bad.Store(fmt.Sprintf("held %d tokens, capacity %d", held, capacity))
 				}
-				if n < 1 || n > limit || (limit == 1 && n != 1) {
-					bad.Store(fmt.Sprintf("grant(%d) = %d", limit, n))
+				if n < 0 || n > want {
+					bad.Store(fmt.Sprintf("take(%d, 0) = %d", want, n))
 				}
-				release()
-				b.give(worker)
+				b.give(n)
 			}
 		}(g)
 	}
@@ -121,19 +119,10 @@ func TestCoreBudgetNeverExceedsCapacity(t *testing.T) {
 	if held := b.heldTokens(); held != 0 {
 		t.Fatalf("%d tokens still held", held)
 	}
-	if n, release := b.grant(8); n != capacity {
-		t.Fatalf("grant(8) on an idle budget = %d, want %d", n, capacity)
+	if n := b.take(8, 0); n != capacity {
+		t.Fatalf("take(8, 0) on an idle budget = %d, want %d", n, capacity)
 	} else {
-		release()
-	}
-
-	// ProfileShards: 1 gets 1 even from an idle budget.
-	s := NewSuite(Config{ProfileShards: 1})
-	s.cores = &coreBudget{capacity: capacity}
-	if n, release := s.grant(); n != 1 {
-		t.Fatalf("ProfileShards 1 granted %d", n)
-	} else {
-		release()
+		b.give(n)
 	}
 }
 
@@ -205,18 +194,15 @@ func TestMapOrderedDispatchHeaviestFirst(t *testing.T) {
 	}
 }
 
-// TestMapOrderedRecoversPanic panics in a row that holds a grant: in
-// both modes the panic becomes that row's error, and the worker tokens
-// and the grant all return to the budget.
+// TestMapOrderedRecoversPanic panics in one row: in both modes the
+// panic becomes that row's error, and the worker tokens all return to
+// the budget.
 func TestMapOrderedRecoversPanic(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		s := budgetSuite(workers, 3)
-		s.cfg.ProfileShards = 3
 		var calls atomic.Int32
 		_, err := mapOrdered(s, 6, nil, func(i int) (int, error) {
 			calls.Add(1)
-			_, release := s.grant()
-			defer release()
 			if i == 2 {
 				panic("boom")
 			}
@@ -243,7 +229,7 @@ func TestConcurrentSuitesMatchSerial(t *testing.T) {
 		err := RunAll(NewSuite(cfg), &b, false)
 		return b.String(), err
 	}
-	serial, err := render(Config{Scale: 0.05, Workers: 1, ProfileShards: 1})
+	serial, err := render(Config{Scale: 0.05, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +279,7 @@ func TestFusedArtifactsMatchRecorded(t *testing.T) {
 	}
 	filter := trace.FilterByCoverage(tr.Stats(), spec.AnalyzeCoverage)
 	prof := profile.NewProfiler("li", workload.InputRef.Name,
-		profile.WithWindow(2*spec.WorkingSetSize()), profile.WithShards(1))
+		profile.WithWindow(2*spec.WorkingSetSize()))
 	var kept uint64
 	for _, e := range tr.Events {
 		if _, ok := filter.Keep[e.PC]; ok {
@@ -349,11 +335,10 @@ func renderEverything(t *testing.T, cfg Config) string {
 // TestParallelFusedOutputByteIdentical is the harness's headline
 // determinism guarantee: the full rendered output — every table,
 // figure, ablation and extended experiment — is byte-identical between
-// the strictly serial pipeline (one worker, one profile shard) and the
-// parallel one (with the artifact verifiers enabled). Run under -race
+// the strictly serial pipeline (one worker) and the parallel one (with the artifact verifiers enabled). Run under -race
 // in CI, it also shakes out data races in the worker pool.
 func TestParallelFusedOutputByteIdentical(t *testing.T) {
-	serial := renderEverything(t, Config{Scale: 0.05, Workers: 1, ProfileShards: 1})
+	serial := renderEverything(t, Config{Scale: 0.05, Workers: 1})
 	parallel := renderEverything(t, Config{Scale: 0.05, Workers: 4, Check: true})
 	if serial != parallel {
 		t.Fatalf("output differs between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s",

@@ -10,7 +10,7 @@ import (
 // This file composes the full experiment runs cmd/tables emits. The
 // compositions live in the harness so that the determinism tests can
 // assert byte-identical output for the exact byte stream the CLI
-// produces, across worker and shard counts.
+// produces, across worker counts.
 
 // AblationBenchmarks is the representative spread the ablation studies
 // run on: one small, one medium, one large program.

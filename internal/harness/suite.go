@@ -70,12 +70,7 @@ type Config struct {
 	// Results merge in fixed benchmark order, so rendered output does
 	// not depend on it.
 	Workers int
-	// ProfileShards caps the intra-benchmark fan-out: the profiler's
-	// pair-count shards and the maximal-clique enumeration workers. Each
-	// profile or analysis gets min(ProfileShards, 1 + idle cores of the
-	// budget) when it starts, so shards use only cores no benchmark
-	// worker is using. 0 means GOMAXPROCS; 1 runs the exact serial code
-	// paths. Output is byte-identical for any value (DESIGN.md §11).
+	// Deprecated: each profile and clique enumeration runs on its row's goroutine; this field is ignored and remains only because perfbench/ still sets it.
 	ProfileShards int
 	// Deprecated: the harness always streams; this field is ignored and remains only because perfbench/ still sets it.
 	Fused bool
@@ -124,9 +119,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ProfileShards <= 0 {
-		c.ProfileShards = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -194,10 +186,6 @@ func (s *Suite) progressf(format string, args ...any) {
 		s.progMu.Unlock()
 	}
 }
-
-// grant sizes one intra-benchmark fan-out from the core budget, capped
-// at ProfileShards (see coreBudget.grant).
-func (s *Suite) grant() (int, func()) { return s.cores.grant(s.cfg.ProfileShards) }
 
 // dynamicBranches is the estimated dynamic branch count of a benchmark
 // at the suite's scale, the heaviest-first key of mapOrdered; 0 for an
@@ -271,15 +259,12 @@ func (s *Suite) compute(benchmark string, input workload.InputSet) (*Artifacts, 
 	filter := trace.FilterByCoverage(freq.Stats(), spec.AnalyzeCoverage)
 
 	window := s.profileWindow(spec)
-	shards, release := s.grant()
-	defer release()
-	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d, shards %d)",
-		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window, shards)
+	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
+		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window)
 	profSpan := s.stageSpan(spec.Name, "profile")
 	defer profSpan.End()
 	prof := profile.NewProfiler(spec.Name, input.Name,
-		profile.WithWindow(window), profile.WithShards(shards),
-		profile.WithMetrics(s.cfg.Metrics.Profile()))
+		profile.WithWindow(window), profile.WithMetrics(s.cfg.Metrics.Profile()))
 	prof.Reserve(spec.StaticBranches())
 	if _, err := spec.RunInto(runCfg, trace.NewFilterSink(filter.Keep, prof)); err != nil {
 		return nil, fmt.Errorf("harness: profiling %s: %w", spec.Name, err)

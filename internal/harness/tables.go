@@ -63,15 +63,12 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		if err != nil {
 			return Table2Row{}, err
 		}
-		workers, release := s.grant()
-		defer release()
 		s.progressf("working sets %s", name)
 		span := s.stageSpan(name, "analyze")
 		res, err := core.Analyze(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			Definition:   core.MaximalCliques,
 			CliqueBudget: s.cfg.CliqueBudget,
-			Workers:      workers,
 			Metrics:      s.cfg.Metrics.Clique(),
 		})
 		span.End()

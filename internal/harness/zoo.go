@@ -17,7 +17,7 @@ import (
 // paper leaves open — whether working-set-driven allocation still pays
 // once the predictor hashes (gshare), tags (TAGE), or weighs
 // (perceptron) the history — with the same determinism contract as the
-// figures: byte-identical output for any Workers/ProfileShards setting.
+// figures: byte-identical output for any Workers setting.
 
 // ZooRow is one benchmark × predictor kind: misprediction rates under
 // both indexing schemes at each configured table size.

@@ -15,7 +15,11 @@
 //   - config hygiene: numeric literals duplicating named experiment
 //     defaults (the edge-pruning threshold 100, the 99%/1% bias
 //     cutoffs) must reference the defining constant instead (pass
-//     "confighygiene").
+//     "confighygiene");
+//
+//   - no deprecated callers: a function or struct field documented
+//     "Deprecated:" may be referenced only from its declaring file,
+//     test files included (pass "deprecated").
 //
 // Findings can be suppressed with a trailing or preceding comment of the
 // form
@@ -82,6 +86,24 @@ type Package struct {
 	// allow maps file name -> line -> set of suppressed pass names
 	// ("all" suppresses every pass).
 	allow map[string]map[int]map[string]bool
+
+	// tests are the package's _test.go files, type-checked by the
+	// Loader for the passes that also cover tests (deprecated): the
+	// in-package ones together with Files, an external _test package on
+	// its own. Fixture packages built by TypeCheck have none.
+	tests []testUnit
+	// nested marks a package of a module nested below the loaded one
+	// (perfbench/ has its own go.mod). Its tests are not loaded, and the
+	// deprecated pass does not report there: such callers are why a
+	// deprecated name is kept.
+	nested bool
+}
+
+// testUnit is one type-checked set of test files; info also covers the
+// package files checked with them.
+type testUnit struct {
+	files []*ast.File
+	info  *types.Info
 }
 
 // pass is one package-local lint pass.
@@ -115,6 +137,7 @@ type modulePass struct {
 // modulePasses is the interprocedural registry.
 var modulePasses = []modulePass{
 	{"hotpath", SevWarn, checkHotPath},
+	{"deprecated", SevError, checkDeprecated},
 }
 
 // PassNames returns the registered pass names, local passes first.
@@ -222,10 +245,15 @@ func (p *Package) suppressed(pos token.Position, pass string) bool {
 	return false
 }
 
-// collectAllows indexes //reprolint:allow comments by file and line.
+// collectAllows indexes //reprolint:allow comments by file and line,
+// in the package's files and its test files.
 func (p *Package) collectAllows() {
 	p.allow = make(map[string]map[int]map[string]bool)
-	for _, f := range p.Files {
+	files := p.Files
+	for _, u := range p.tests {
+		files = append(files[:len(files):len(files)], u.files...)
+	}
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "//reprolint:allow")
@@ -344,23 +372,29 @@ func isLintableFile(name string) bool {
 }
 
 // Load parses and type-checks the package in dir. Test files are
-// excluded: the passes guard artifact-producing code, and fixtures
-// under testdata intentionally violate them.
+// loaded beside it for the deprecated pass only: the other passes guard
+// artifact-producing code, and fixtures under testdata intentionally
+// violate them.
 func (l *Loader) Load(dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
+	var files, tests []*ast.File
 	for _, e := range ents {
-		if e.IsDir() || !isLintableFile(e.Name()) {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
+		if isLintableFile(name) {
+			files = append(files, f)
+		} else {
+			tests = append(tests, f)
+		}
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
@@ -373,7 +407,47 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	if rel != "." {
 		path = l.Module + "/" + filepath.ToSlash(rel)
 	}
-	return TypeCheck(l.Fset, path, files, l.imp)
+	pkg, err := TypeCheck(l.Fset, path, files, l.imp)
+	if err != nil {
+		return nil, err
+	}
+	for d := dir; len(d) > len(l.Root); d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			pkg.nested = true
+			return pkg, nil
+		}
+	}
+	l.checkTests(pkg, tests)
+	return pkg, nil
+}
+
+// checkTests type-checks pkg's test files: the in-package ones together
+// with pkg's files, an external _test package on its own. Type errors
+// are tolerated, since the compiler is the gate for test code; the
+// partial Info still resolves every reference it reached.
+func (l *Loader) checkTests(pkg *Package, tests []*ast.File) {
+	var in, ext []*ast.File
+	for _, f := range tests {
+		if f.Name.Name == pkg.Types.Name() {
+			in = append(in, f)
+		} else {
+			ext = append(ext, f)
+		}
+	}
+	check := func(path string, files []*ast.File) *types.Info {
+		info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+		conf := types.Config{Importer: l.imp, Error: func(error) {}}
+		_, _ = conf.Check(path, l.Fset, files, info) // errors tolerated, see above
+		return info
+	}
+	if len(in) > 0 {
+		all := append(append([]*ast.File(nil), pkg.Files...), in...)
+		pkg.tests = append(pkg.tests, testUnit{in, check(pkg.Path, all)})
+	}
+	if len(ext) > 0 {
+		pkg.tests = append(pkg.tests, testUnit{ext, check(pkg.Path+"_test", ext)})
+	}
+	pkg.collectAllows()
 }
 
 // TypeCheck type-checks files as package path and wraps them as a

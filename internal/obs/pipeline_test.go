@@ -17,7 +17,7 @@ func TestNilBundle(t *testing.T) {
 	}
 	m.StartSpan("x").End()
 	m.VM().RecordRun(1, 2, 3)
-	m.Clique().Record(1, 2, 3, true)
+	m.Clique().Record(2, 3, true)
 	m.Predict().Record(10, 2)
 	done := m.Profile().StartMerge()
 	done(5) // must be callable
@@ -62,10 +62,9 @@ func TestProfileMetricsStartMerge(t *testing.T) {
 func TestCliqueMetricsRecord(t *testing.T) {
 	r := NewRegistry()
 	m := New(r)
-	m.Clique().Record(4, 100, 7, true)
-	m.Clique().Record(0, 0, 0, false) // zero/false: nothing recorded
+	m.Clique().Record(100, 7, true)
+	m.Clique().Record(0, 0, false) // zero/false: nothing recorded
 	checks := map[string]uint64{
-		"wsd_clique_subtasks_total":    4,
 		"wsd_clique_steps_total":       100,
 		"wsd_clique_cliques_total":     7,
 		"wsd_clique_truncations_total": 1,

@@ -6,208 +6,27 @@ import (
 	"repro/internal/obs"
 )
 
-// predictMetrics builds a standalone PredictMetrics for tests.
-func predictMetrics() *obs.PredictMetrics {
-	return &obs.PredictMetrics{Branches: &obs.Counter{}, Hits: &obs.Counter{}, Mispredicts: &obs.Counter{}}
-}
-
-// TestSimWarmupExclusion is the regression test for the warmup
-// accounting: the first warmup branches train the predictor but never
-// reach the measured counters, the rate, the result, or the metrics.
-func TestSimWarmupExclusion(t *testing.T) {
-	// AlwaysTaken against 5 not-taken (all misses) then 10 taken (all
-	// hits): with warmup 5 the measured rate must be exactly zero.
-	s := NewSimWarmup(AlwaysTaken{}, 5)
-	ic := uint64(0)
-	for i := 0; i < 5; i++ {
-		s.Branch(0x40, false, ic)
-		ic++
-	}
-	if s.Branches() != 0 || s.Mispredicts() != 0 {
-		t.Fatalf("mid-warmup measured counts %d/%d, want 0/0", s.Mispredicts(), s.Branches())
-	}
-	if s.WarmupBranches() != 5 {
-		t.Fatalf("warmup branches %d, want 5", s.WarmupBranches())
-	}
-
-	// A flush that lands mid-warmup must record nothing.
-	m := predictMetrics()
-	s.FlushMetrics(m)
-	if m.Branches.Value() != 0 || m.Mispredicts.Value() != 0 {
-		t.Fatalf("mid-warmup flush recorded %d/%d", m.Mispredicts.Value(), m.Branches.Value())
-	}
-
-	for i := 0; i < 10; i++ {
-		s.Branch(0x40, true, ic)
-		ic++
-	}
-	if s.Branches() != 10 || s.Mispredicts() != 0 {
-		t.Fatalf("measured counts %d/%d, want 0/10", s.Mispredicts(), s.Branches())
-	}
-	if s.MispredictRate() != 0 {
-		t.Fatalf("warmed rate %v, want 0 (warmup misses leaked in)", s.MispredictRate())
-	}
-
-	res := s.Result()
-	if res.Branches != 10 || res.Mispredicts != 0 {
-		t.Fatalf("result measured %d/%d", res.Mispredicts, res.Branches)
-	}
-	if res.WarmupBranches != 5 || res.WarmupMispredicts != 5 {
-		t.Fatalf("result warmup %d/%d, want 5/5", res.WarmupMispredicts, res.WarmupBranches)
-	}
-
-	// The post-warmup flush picks up exactly the measured counts, once.
-	s.FlushMetrics(m)
-	if m.Branches.Value() != 10 || m.Mispredicts.Value() != 0 {
-		t.Fatalf("flush recorded %d/%d, want 0/10", m.Mispredicts.Value(), m.Branches.Value())
+// TestSimFlushMetricsOnce flushes a Sim mid-stream, at the end, and
+// again with nothing new: the metrics must equal the Sim's counters
+// exactly once.
+func TestSimFlushMetricsOnce(t *testing.T) {
+	m := &obs.PredictMetrics{Branches: &obs.Counter{}, Hits: &obs.Counter{}, Mispredicts: &obs.Counter{}}
+	s := NewSim(AlwaysTaken{})
+	for i := 0; i < 30; i++ {
+		s.Branch(0x40, i%3 == 0, uint64(i))
+		if i == 11 {
+			s.FlushMetrics(m)
+		}
 	}
 	s.FlushMetrics(m)
-	if m.Branches.Value() != 10 {
-		t.Fatal("second flush double-counted")
-	}
-}
-
-// TestSimWarmupConsistentAcrossZoo: the exclusion is predictor-
-// independent — for every zoo member, measured counts under warmup W on
-// stream S equal the full-stream counts minus that member's own first-W
-// counts. That identity is exactly "the warmup prefix was excluded and
-// nothing else changed".
-func TestSimWarmupConsistentAcrossZoo(t *testing.T) {
-	const warmup = 100
-	stream := zooFixtureStream(400)
-	for _, kind := range ZooKinds() {
-		t.Run(kind, func(t *testing.T) {
-			full := NewSim(newZooMember(t, kind, PCModIndexer{Entries: zooTestConfig.TableSize}))
-			warmed := NewSimWarmup(newZooMember(t, kind, PCModIndexer{Entries: zooTestConfig.TableSize}), warmup)
-			var prefixMiss uint64
-			for i, e := range stream {
-				full.Branch(e.pc, e.taken, uint64(i))
-				warmed.Branch(e.pc, e.taken, uint64(i))
-				if i == warmup-1 {
-					prefixMiss = full.Mispredicts()
-				}
-			}
-			if warmed.Branches() != full.Branches()-warmup {
-				t.Fatalf("measured branches %d, want %d", warmed.Branches(), full.Branches()-warmup)
-			}
-			if warmed.Mispredicts() != full.Mispredicts()-prefixMiss {
-				t.Fatalf("measured mispredicts %d, want %d", warmed.Mispredicts(), full.Mispredicts()-prefixMiss)
-			}
-			res := warmed.Result()
-			if res.WarmupBranches != warmup || res.WarmupMispredicts != prefixMiss {
-				t.Fatalf("warmup fields %d/%d, want %d/%d", res.WarmupMispredicts, res.WarmupBranches, prefixMiss, warmup)
-			}
-		})
-	}
-}
-
-// TestSimWarmupLongerThanStream: a warmup that never completes reports
-// zero measured branches and a zero rate, not NaN or garbage.
-func TestSimWarmupLongerThanStream(t *testing.T) {
-	s := NewSimWarmup(AlwaysTaken{}, 1000)
-	for i := 0; i < 10; i++ {
-		s.Branch(0x40, false, uint64(i))
-	}
-	if s.Branches() != 0 || s.MispredictRate() != 0 {
-		t.Fatalf("under-warmed sim reported %d branches rate %v", s.Branches(), s.MispredictRate())
-	}
-	if s.WarmupBranches() != 10 {
-		t.Fatalf("warmup consumed %d", s.WarmupBranches())
-	}
-	m := predictMetrics()
 	s.FlushMetrics(m)
-	if m.Branches.Value() != 0 {
-		t.Fatal("under-warmed flush recorded branches")
+	if s.Branches() != 30 || s.Mispredicts() != 20 {
+		t.Fatalf("sim counted %d/%d, want 20/30", s.Mispredicts(), s.Branches())
 	}
-}
-
-// TestSimWarmupWithZooFlushMidWarmup is the regression test for the
-// interaction the zoo path adds on top of the plain warmup accounting:
-// a predictor-state Flush (ZooPredictor.Flush, the context-switch
-// reset) firing inside the warmup window, with FlushMetrics landing
-// mid-warmup, right after warmup, and at the end of the stream. For
-// every zoo member the invariants are:
-//
-//  1. measured counters equal a twin full-stream sim's counters minus
-//     that twin's own first-warmup counts (the exclusion stays exact —
-//     the state reset must not shift the warmup boundary);
-//  2. the metric counters, summed over all three interleaved flushes,
-//     equal the measured counters exactly once — no warmup event leaks
-//     into metrics and no measured event is dropped or double-counted.
-func TestSimWarmupWithZooFlushMidWarmup(t *testing.T) {
-	const warmup = 100
-	const stateFlushAt = 40 // inside the warmup window
-	stream := zooFixtureStream(400)
-	for _, kind := range ZooKinds() {
-		t.Run(kind, func(t *testing.T) {
-			fullP := newZooMember(t, kind, PCModIndexer{Entries: zooTestConfig.TableSize})
-			warmP := newZooMember(t, kind, PCModIndexer{Entries: zooTestConfig.TableSize})
-			full := NewSim(fullP)
-			warmed := NewSimWarmup(warmP, warmup)
-			m := predictMetrics()
-
-			var prefixMiss uint64
-			for i, e := range stream {
-				// Identical Flush schedule on both predictors keeps their
-				// prediction streams in lockstep; only the accounting differs.
-				if i == stateFlushAt {
-					fullP.Flush()
-					warmP.Flush()
-					warmed.FlushMetrics(m) // mid-warmup metrics flush
-					if m.Branches.Value() != 0 || m.Mispredicts.Value() != 0 {
-						t.Fatalf("mid-warmup metrics flush recorded %d/%d, want 0/0",
-							m.Mispredicts.Value(), m.Branches.Value())
-					}
-				}
-				full.Branch(e.pc, e.taken, uint64(i))
-				warmed.Branch(e.pc, e.taken, uint64(i))
-				if i == warmup-1 {
-					prefixMiss = full.Mispredicts()
-				}
-				if i == warmup+10 {
-					warmed.FlushMetrics(m) // shortly after warmup completes
-				}
-			}
-			warmed.FlushMetrics(m) // end of stream
-
-			if warmed.Branches() != full.Branches()-warmup {
-				t.Fatalf("measured branches %d, want %d", warmed.Branches(), full.Branches()-warmup)
-			}
-			if warmed.Mispredicts() != full.Mispredicts()-prefixMiss {
-				t.Fatalf("measured mispredicts %d, want %d (state flush shifted the warmup accounting)",
-					warmed.Mispredicts(), full.Mispredicts()-prefixMiss)
-			}
-			if res := warmed.Result(); res.WarmupBranches != warmup {
-				t.Fatalf("warmup consumed %d branches, want %d", res.WarmupBranches, warmup)
-			}
-			if m.Branches.Value() != warmed.Branches() || m.Mispredicts.Value() != warmed.Mispredicts() {
-				t.Fatalf("metrics totals %d/%d, want the measured %d/%d exactly once",
-					m.Mispredicts.Value(), m.Branches.Value(), warmed.Mispredicts(), warmed.Branches())
-			}
-			// One more flush after quiescence must be a no-op.
-			warmed.FlushMetrics(m)
-			if m.Branches.Value() != warmed.Branches() {
-				t.Fatal("post-quiescence flush double-counted")
-			}
-		})
+	if m.Branches.Value() != s.Branches() || m.Mispredicts.Value() != s.Mispredicts() {
+		t.Fatalf("metrics %d/%d, sim %d/%d", m.Mispredicts.Value(), m.Branches.Value(), s.Mispredicts(), s.Branches())
 	}
-}
-
-// TestSimZeroWarmupIsNewSim: NewSimWarmup(p, 0) behaves exactly like
-// NewSim(p).
-func TestSimZeroWarmupIsNewSim(t *testing.T) {
-	a := NewSim(AlwaysTaken{})
-	b := NewSimWarmup(AlwaysTaken{}, 0)
-	for i := 0; i < 20; i++ {
-		taken := i%3 == 0
-		a.Branch(0x40, taken, uint64(i))
-		b.Branch(0x40, taken, uint64(i))
-	}
-	if a.Branches() != b.Branches() || a.Mispredicts() != b.Mispredicts() {
-		t.Fatalf("zero-warmup sim diverges: %d/%d vs %d/%d",
-			a.Mispredicts(), a.Branches(), b.Mispredicts(), b.Branches())
-	}
-	if r := b.Result(); r.WarmupBranches != 0 || r.WarmupMispredicts != 0 {
-		t.Fatalf("zero-warmup result has warmup fields %+v", r)
+	if m.Hits.Value() != s.Branches()-s.Mispredicts() {
+		t.Fatalf("hits %d, want %d", m.Hits.Value(), s.Branches()-s.Mispredicts())
 	}
 }

@@ -50,10 +50,10 @@ func recencyEvents(events int, seed uint64) (out []applyEvent, numIDs int) {
 
 // TestDenseApplySlotLayout checks the dense per-row apply against a
 // per-increment reference apply slot for slot: every branch's raw
-// counter array, not a sorted dump, must match for every shard count
-// and batch geometry, including batches that split one event's partner
-// prefix, both for unit headers and for weighted ones, whose reference
-// adds each partner once per repeat.
+// counter array, not a sorted dump, must match for every batch
+// geometry, including batches that split one event's partner prefix,
+// both for unit headers and for weighted ones, whose reference adds each
+// partner once per repeat.
 func TestDenseApplySlotLayout(t *testing.T) {
 	unit, numIDs := recencyEvents(20_000, 3)
 	weighted := slices.Clone(unit)
@@ -69,8 +69,8 @@ func TestDenseApplySlotLayout(t *testing.T) {
 	}
 }
 
-// testDenseApply checks one header list for every shard count and batch
-// geometry; prefix starts the subtest names.
+// testDenseApply checks one header list for every batch geometry;
+// prefix starts the subtest names.
 func testDenseApply(t *testing.T, prefix string, events []applyEvent, numIDs int) {
 	ref := make([]nbrCounter, numIDs)
 	increments := 0
@@ -86,33 +86,29 @@ func testDenseApply(t *testing.T, prefix string, events []applyEvent, numIDs int
 		t.Fatalf("stream too sparse: %d increments", increments)
 	}
 
-	for _, shards := range []int{1, 2, 3} {
-		for _, batchCap := range []int{4, 37, 1000, 1 << 16} {
-			t.Run(fmt.Sprintf("%sshards=%d/batch=%d", prefix, shards, batchCap), func(t *testing.T) {
-				s := newPairShards(shards)
-				s.batchCap = batchCap
-				for _, e := range events {
-					s.numIDs = e.numIDs
-					s.emit(e.id, e.partners, e.rep)
+	for _, batchCap := range []int{4, 37, 1000, 1 << 16} {
+		t.Run(fmt.Sprintf("%sbatch=%d", prefix, batchCap), func(t *testing.T) {
+			s := pairAccum{batchCap: batchCap}
+			for _, e := range events {
+				s.numIDs = e.numIDs
+				s.emit(e.id, e.partners, e.rep)
+			}
+			s.flush()
+			for id := range ref {
+				var got nbrCounter
+				if id < len(s.tabs) {
+					got = s.tabs[id]
 				}
-				s.drain()
-				for id := range ref {
-					w, row := id%shards, id/shards
-					var got nbrCounter
-					if row < len(s.tabs[w]) {
-						got = s.tabs[w][row]
-					}
-					if got.n != ref[id].n || len(got.slots) != len(ref[id].slots) {
-						t.Fatalf("branch %d: dense apply %d keys in %d slots, per-increment %d in %d",
-							id, got.n, len(got.slots), ref[id].n, len(ref[id].slots))
-					}
-					for i, slot := range got.slots {
-						if slot != ref[id].slots[i] {
-							t.Fatalf("branch %d slot %d: dense apply %#x, per-increment %#x", id, i, slot, ref[id].slots[i])
-						}
+				if got.n != ref[id].n || len(got.slots) != len(ref[id].slots) {
+					t.Fatalf("branch %d: dense apply %d keys in %d slots, per-increment %d in %d",
+						id, got.n, len(got.slots), ref[id].n, len(ref[id].slots))
+				}
+				for i, slot := range got.slots {
+					if slot != ref[id].slots[i] {
+						t.Fatalf("branch %d slot %d: dense apply %#x, per-increment %#x", id, i, slot, ref[id].slots[i])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -67,8 +67,8 @@ func (r *recencyReference) Branch(pc uint64, _ bool, _ uint64) {
 // Range sequences of the two can be compared.
 func (r *recencyReference) pairList() PairList {
 	p := &Profiler{
-		pcs:    make([]uint64, len(r.counters)),
-		shards: &pairShards{p: 1, tabs: [][]nbrCounter{r.counters}},
+		pcs: make([]uint64, len(r.counters)),
+		acc: pairAccum{tabs: r.counters},
 	}
 	return p.extractPairs()
 }
@@ -102,7 +102,7 @@ func checkSlots(t *testing.T, label string, p *Profiler, got PairList, ref *rece
 // TestDenseApplySlotLayout: scene-rotation streams — exact repeats,
 // a branch dropped in some rotations, scene switches — run through the
 // coalescing Profiler with windows that clip and windows that do not,
-// shards 1, 2 and 3, and a mid-stream Profile followed by more events.
+// and a mid-stream Profile followed by more events.
 // Every raw counter slot array and the pair list's Range sequence must
 // equal a per-increment reference at both extraction points.
 func TestProfilerCoalescingSlotLayout(t *testing.T) {
@@ -113,29 +113,27 @@ func TestProfilerCoalescingSlotLayout(t *testing.T) {
 	}{{"exact", 0}, {"perturbed", 3}} {
 		stream := syntheticStream(4*ws, ws, 10_000, rot.dropOneIn)
 		for _, window := range []int{0, 5, 2 * ws} {
-			for _, shards := range []int{1, 2, 3} {
-				label := fmt.Sprintf("%s/window=%d/shards=%d", rot.name, window, shards)
-				t.Run(label, func(t *testing.T) {
-					opts := []Option{WithShards(shards)}
-					if window > 0 {
-						opts = append(opts, WithWindow(window))
+			label := fmt.Sprintf("%s/window=%d", rot.name, window)
+			t.Run(label, func(t *testing.T) {
+				var opts []Option
+				if window > 0 {
+					opts = append(opts, WithWindow(window))
+				}
+				p := NewProfiler("rot", "ref", opts...)
+				ref := newRecencyReference(window)
+				mid := len(stream) / 2
+				for i, pc := range stream {
+					if i == mid {
+						checkSlots(t, label+" mid-stream", p, p.Profile().Pairs, ref)
 					}
-					p := NewProfiler("rot", "ref", opts...)
-					ref := newRecencyReference(window)
-					mid := len(stream) / 2
-					for i, pc := range stream {
-						if i == mid {
-							checkSlots(t, label+" mid-stream", p, p.Profile().Pairs, ref)
-						}
-						p.Branch(pc, false, uint64(i))
-						ref.Branch(pc, false, uint64(i))
-					}
-					checkSlots(t, label, p, p.Profile().Pairs, ref)
-					if ref.coalesced == 0 || ref.coalesced == ref.total {
-						t.Fatalf("stream coalesces %d of %d increments; want some of each", ref.coalesced, ref.total)
-					}
-				})
-			}
+					p.Branch(pc, false, uint64(i))
+					ref.Branch(pc, false, uint64(i))
+				}
+				checkSlots(t, label, p, p.Profile().Pairs, ref)
+				if ref.coalesced == 0 || ref.coalesced == ref.total {
+					t.Fatalf("stream coalesces %d of %d increments; want some of each", ref.coalesced, ref.total)
+				}
+			})
 		}
 	}
 }
@@ -170,14 +168,13 @@ func TestProfilerEventLimit(t *testing.T) {
 // word of each slot with every partner key intact.
 func TestApplyBatchWeightedTally(t *testing.T) {
 	const half = 1 << 31
-	b := &shardBatch{
+	b := &stagingBatch{
 		ids:      []int32{0, 1, 0},
 		lens:     []int32{2, 1, 1},
 		reps:     []uint32{half, math.MaxUint32, half - 1},
 		partners: []int32{1, 2, 0, 1},
-		numIDs:   3,
 	}
-	tabs := applyBatch(b, nil, &applyScratch{}, 1)
+	tabs := applyBatch(b, 3, nil, &applyScratch{})
 	counts := func(c *nbrCounter) map[int32]uint32 {
 		out := make(map[int32]uint32)
 		for _, s := range c.slots {
@@ -198,23 +195,23 @@ func TestApplyBatchWeightedTally(t *testing.T) {
 		}
 	}
 
-	next := &shardBatch{ids: []int32{0}, lens: []int32{1}, reps: []uint32{half - 1}, partners: []int32{2}, numIDs: 3}
-	tabs = applyBatch(next, tabs, &applyScratch{}, 1)
+	next := &stagingBatch{ids: []int32{0}, lens: []int32{1}, reps: []uint32{half - 1}, partners: []int32{2}}
+	tabs = applyBatch(next, 3, tabs, &applyScratch{})
 	if got := counts(&tabs[0]); got[1] != math.MaxUint32 || got[2] != math.MaxUint32 || len(got) != 2 {
 		t.Fatalf("branch 0 after a second weighted batch: %v", got)
 	}
 }
 
 // decodeRotations turns fuzz bytes into a scene-rotation stream. After
-// three header bytes (shards, window, scene size), each byte is one
-// instruction: switch to another overlapping scene, rotate the scene
+// three header bytes (unused, window, scene size; the first is kept so
+// that committed corpus entries decode to the same streams), each byte
+// is one instruction: switch to another overlapping scene, rotate the scene
 // once with one branch skipped or two neighbours swapped, take a
 // mid-stream checkpoint, or rotate it exactly one to four times. Exact
 // rotations repeat every prefix, so the profiler's multiplicities climb
 // above 1, which random byte streams almost never produce. A
 // checkpoint is marked by a zero pc in the stream.
-func decodeRotations(data []byte) (shards, window int, stream []uint64) {
-	shards = 1 + int(data[0])%3
+func decodeRotations(data []byte) (window int, stream []uint64) {
 	window = int(data[1]) % 24 // 0 is unbounded; scenes hold at most 16 branches
 	ws := 2 + int(data[2])%15
 	start := 0
@@ -250,7 +247,7 @@ func decodeRotations(data []byte) (shards, window int, stream []uint64) {
 			}
 		}
 	}
-	return shards, window, stream
+	return window, stream
 }
 
 // FuzzProfilerCoalescing runs decoded scene-rotation streams through the
@@ -266,15 +263,15 @@ func FuzzProfilerCoalescing(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		shards, window, stream := decodeRotations(data)
-		opts := []Option{WithShards(shards)}
+		window, stream := decodeRotations(data)
+		var opts []Option
 		if window > 0 {
 			opts = append(opts, WithWindow(window))
 		}
 		p := NewProfiler("fuzz", "ref", opts...)
 		ref := newRecencyReference(window)
 		naive := NewNaiveProfiler("fuzz", "ref")
-		label := fmt.Sprintf("shards=%d window=%d", shards, window)
+		label := fmt.Sprintf("window=%d", window)
 		var got PairList
 		for i, pc := range stream {
 			if pc == 0 {

@@ -1,10 +1,45 @@
 package profile
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
 )
+
+// pairDump renders a pair table or list canonically: sorted by key, one
+// line per pair. Two tables with identical contents dump identically
+// regardless of seed, layout or list order.
+func pairDump(t interface {
+	Range(func(key, count uint64) bool)
+}) string {
+	type kv struct{ k, v uint64 }
+	var pairs []kv
+	t.Range(func(k, v uint64) bool {
+		pairs = append(pairs, kv{k, v})
+		return true
+	})
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	var b strings.Builder
+	for _, p := range pairs {
+		a, c := UnpackPair(p.k)
+		fmt.Fprintf(&b, "%d-%d:%d\n", a, c, p.v)
+	}
+	return b.String()
+}
+
+// rangeSeq renders a pair list in its own Range order, one line per
+// pair, for comparisons that must also match order.
+func rangeSeq(l PairList) string {
+	var b strings.Builder
+	l.Range(func(k, v uint64) bool {
+		fmt.Fprintf(&b, "%#x:%d\n", k, v)
+		return true
+	})
+	return b.String()
+}
 
 // counterHas reports whether partner key is stored in c.
 func counterHas(c *nbrCounter, key int32) bool {
@@ -42,33 +77,31 @@ func TestNbrCounterHas(t *testing.T) {
 // slices allocated at exactly their length — extraction sizes the list
 // before filling it rather than over-allocating and copying.
 func TestExtractedListExact(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		p := NewProfiler("t", "ref", WithShards(shards))
-		naive := NewNaiveProfiler("t", "ref")
-		r := rng.New(11)
-		icount := uint64(0)
-		for i := 0; i < 20000; i++ {
-			icount += uint64(r.Intn(5) + 1)
-			pc := uint64(r.Intn(64)+1) * 4
-			taken := r.Intn(2) == 0
-			p.Branch(pc, taken, icount)
-			naive.Branch(pc, taken, icount)
+	p := NewProfiler("t", "ref")
+	naive := NewNaiveProfiler("t", "ref")
+	r := rng.New(11)
+	icount := uint64(0)
+	for i := 0; i < 20000; i++ {
+		icount += uint64(r.Intn(5) + 1)
+		pc := uint64(r.Intn(64)+1) * 4
+		taken := r.Intn(2) == 0
+		p.Branch(pc, taken, icount)
+		naive.Branch(pc, taken, icount)
+	}
+	l := p.Profile().Pairs
+	seen := make(map[uint64]bool, l.Len())
+	l.Range(func(k, _ uint64) bool {
+		if seen[k] {
+			t.Fatalf("key %#x listed twice", k)
 		}
-		l := p.Profile().Pairs
-		seen := make(map[uint64]bool, l.Len())
-		l.Range(func(k, _ uint64) bool {
-			if seen[k] {
-				t.Fatalf("shards=%d: key %#x listed twice", shards, k)
-			}
-			seen[k] = true
-			return true
-		})
-		if want := naive.Profile().Pairs.Len(); l.Len() != want || l.Len() == 0 {
-			t.Fatalf("shards=%d: extracted %d pairs, naive reference counts %d", shards, l.Len(), want)
-		}
-		if cap(l.keys) != l.Len() || cap(l.counts) != l.Len() {
-			t.Fatalf("shards=%d: list of %d pairs has capacities %d/%d", shards, l.Len(), cap(l.keys), cap(l.counts))
-		}
+		seen[k] = true
+		return true
+	})
+	if want := naive.Profile().Pairs.Len(); l.Len() != want || l.Len() == 0 {
+		t.Fatalf("extracted %d pairs, naive reference counts %d", l.Len(), want)
+	}
+	if cap(l.keys) != l.Len() || cap(l.counts) != l.Len() {
+		t.Fatalf("list of %d pairs has capacities %d/%d", l.Len(), cap(l.keys), cap(l.counts))
 	}
 }
 

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -83,7 +82,7 @@ func FuzzPackedPairTable(f *testing.F) {
 // halves: every counter entry added to a hash table, so a pair stored
 // in both endpoints' counters sums on its second add.
 func hashedExtraction(p *Profiler) *PairCounts {
-	p.shards.drain()
+	p.acc.flush()
 	out := NewPairCounts(0)
 	for id := range p.pcs {
 		for _, s := range p.nbrOf(int32(id)).slots {
@@ -96,10 +95,10 @@ func hashedExtraction(p *Profiler) *PairCounts {
 }
 
 // FuzzProfileExtraction decodes the input into a branch stream over at
-// most 64 pcs, a scan window and a shard count in {1, 2, 3}, and checks
-// the extracted pair list against the hashed merge of the same
-// counters, then pair by pair against the naive reference (window 0)
-// or, with a window, against the serial profiler in Range order.
+// most 64 pcs and a scan window (the first byte is unused, so committed
+// corpus entries decode to the same streams), and checks the extracted
+// pair list against the hashed merge of the same counters, then pair by
+// pair against the naive reference (window 0).
 func FuzzProfileExtraction(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 1, 3, 2, 1, 3})
 	f.Add([]byte{4, 3, 1, 2, 3, 4, 5, 6, 1, 6, 2, 5, 1, 3})
@@ -108,20 +107,17 @@ func FuzzProfileExtraction(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		shards := 1 + int(data[0])%3
 		window := int(data[1]) % 80 // 0 is unbounded; 64 and above never clip
 		events := data[2:]
 		var opts []Option
 		if window > 0 {
 			opts = append(opts, WithWindow(window))
 		}
-		p := NewProfiler("fuzz", "ref", append(opts, WithShards(shards))...)
-		serial := NewProfiler("fuzz", "ref", opts...)
+		p := NewProfiler("fuzz", "ref", opts...)
 		naive := NewNaiveProfiler("fuzz", "ref")
 		for i, b := range events {
 			pc, taken := uint64(b&63+1)*4, b&64 != 0
 			p.Branch(pc, taken, uint64(i))
-			serial.Branch(pc, taken, uint64(i))
 			naive.Branch(pc, taken, uint64(i))
 		}
 		got := p.Profile().Pairs
@@ -135,22 +131,19 @@ func FuzzProfileExtraction(f *testing.F) {
 		if want := pairDump(hashedExtraction(p)); pairDump(got) != want {
 			t.Fatalf("bucketed extraction differs from the hashed merge:\n%s\nwant:\n%s", pairDump(got), want)
 		}
-		if window == 0 {
-			want := naive.Profile().Pairs
-			if want.Len() != got.Len() {
-				t.Fatalf("extracted %d pairs, naive reference %d", got.Len(), want.Len())
-			}
-			want.Range(func(k, v uint64) bool {
-				if gotMap[k] != v {
-					t.Fatalf("pair %#x: extracted %d, naive reference %d", k, gotMap[k], v)
-				}
-				return true
-			})
+		if window != 0 {
 			return
 		}
-		if want := rangeSeq(serial.Profile().Pairs); rangeSeq(got) != want {
-			t.Fatalf("shards=%d window=%d list differs from serial:\n%s\nwant:\n%s", shards, window, rangeSeq(got), want)
+		want := naive.Profile().Pairs
+		if want.Len() != got.Len() {
+			t.Fatalf("extracted %d pairs, naive reference %d", got.Len(), want.Len())
 		}
+		want.Range(func(k, v uint64) bool {
+			if gotMap[k] != v {
+				t.Fatalf("pair %#x: extracted %d, naive reference %d", k, gotMap[k], v)
+			}
+			return true
+		})
 	})
 }
 
@@ -208,24 +201,5 @@ func TestMergeOrderInvariance(t *testing.T) {
 	}
 	if want == "" {
 		t.Fatal("empty canonical dump")
-	}
-}
-
-// TestShardDrainOrderInvariance checks the same property one level up:
-// profilers whose shard counts force different worker partitions and
-// merge orders still drain to identical profiles.
-func TestShardDrainOrderInvariance(t *testing.T) {
-	var dumps []string
-	for _, shards := range []int{1, 2, 3, 5, 8} {
-		p := NewProfiler("synth", "ref", WithShards(shards))
-		synthStream(20_000, 1234, p)
-		prof := p.Profile()
-		dumps = append(dumps, fmt.Sprintf("branches=%d\n%s", prof.NumBranches(), pairDump(prof.Pairs)))
-		prof.Release()
-	}
-	for i := 1; i < len(dumps); i++ {
-		if dumps[i] != dumps[0] {
-			t.Fatalf("drained profile differs between shard configs 0 and %d", i)
-		}
 	}
 }

@@ -83,17 +83,6 @@ func (p *Profile) DynamicBranches() uint64 {
 	return total
 }
 
-// IDOf returns the dense id of pc, or -1 if pc never executed. It scans
-// PCs linearly; callers look up a handful of branches, not every one.
-func (p *Profile) IDOf(pc uint64) int32 {
-	for id, x := range p.PCs {
-		if x == pc {
-			return int32(id)
-		}
-	}
-	return -1
-}
-
 // TakenRate returns branch id's taken fraction.
 func (p *Profile) TakenRate(id int32) float64 {
 	if p.Exec[id] == 0 {

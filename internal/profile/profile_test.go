@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -57,13 +58,16 @@ func feed(sink interface {
 	}
 }
 
+// idOf returns the dense id of pc in p, or -1 if pc never executed.
+func idOf(p *Profile, pc uint64) int32 { return int32(slices.Index(p.PCs, pc)) }
+
 func TestProfilerPaperExample(t *testing.T) {
 	// The paper's Figure 1: A B C A. On A's second execution, B and C
 	// have newer time stamps, so pairs (A,B) and (A,C) interleave once.
 	p := NewProfiler("fig1", "ref")
 	feed(p, 4, 8, 12, 4)
 	prof := p.Profile()
-	idA, idB, idC := prof.IDOf(4), prof.IDOf(8), prof.IDOf(12)
+	idA, idB, idC := idOf(prof, 4), idOf(prof, 8), idOf(prof, 12)
 	got := pairMap(prof.Pairs)
 	if got[PairKey(idA, idB)] != 1 {
 		t.Fatal("(A,B) interleave not counted")
@@ -89,7 +93,7 @@ func TestProfilerLoopPair(t *testing.T) {
 	}
 	feed(p, pcs...)
 	prof := p.Profile()
-	key := PairKey(prof.IDOf(4), prof.IDOf(8))
+	key := PairKey(idOf(prof, 4), idOf(prof, 8))
 	// A executes 10 times; executions 2..10 each see B ahead (9), and
 	// B's executions 2..10 each see A ahead (9): total 18.
 	if got := pairMap(prof.Pairs)[key]; got != 18 {
@@ -116,7 +120,7 @@ func TestProfilerExecAndTakenCounts(t *testing.T) {
 	p.Branch(4, true, 2)
 	p.Branch(8, false, 3)
 	prof := p.Profile()
-	idA := prof.IDOf(4)
+	idA := idOf(prof, 4)
 	if prof.Exec[idA] != 3 || prof.Taken[idA] != 2 {
 		t.Fatalf("exec=%d taken=%d", prof.Exec[idA], prof.Taken[idA])
 	}
@@ -194,8 +198,8 @@ func TestProfilerWindowLimitsDepth(t *testing.T) {
 		t.Fatalf("window 2 counted %d pairs, want 2", total)
 	}
 	// The counted partners are the most recent: 24 and 20.
-	if got := pairMap(prof.Pairs); got[PairKey(prof.IDOf(4), prof.IDOf(24))] != 1 ||
-		got[PairKey(prof.IDOf(4), prof.IDOf(20))] != 1 {
+	if got := pairMap(prof.Pairs); got[PairKey(idOf(prof, 4), idOf(prof, 24))] != 1 ||
+		got[PairKey(idOf(prof, 4), idOf(prof, 20))] != 1 {
 		t.Fatal("window kept the wrong partners")
 	}
 	if p.Window() != 2 {
@@ -240,7 +244,7 @@ func TestBuildGraphThreshold(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("threshold 10 edges = %d, want 1", g.NumEdges())
 	}
-	if !g.HasEdge(prof.IDOf(4), prof.IDOf(8)) {
+	if !g.HasEdge(idOf(prof, 4), idOf(prof, 8)) {
 		t.Fatal("surviving edge is wrong")
 	}
 }
@@ -317,7 +321,7 @@ func TestMergeProfiles(t *testing.T) {
 	if merged.NumBranches() != 3 {
 		t.Fatalf("merged statics = %d, want 3", merged.NumBranches())
 	}
-	id8 := merged.IDOf(8)
+	id8 := idOf(merged, 8)
 	if merged.Exec[id8] != 4 {
 		t.Fatalf("merged exec for pc 8 = %d, want 4", merged.Exec[id8])
 	}
@@ -326,10 +330,10 @@ func TestMergeProfiles(t *testing.T) {
 	}
 	// Pair (4,8) only from run a, pair (8,12) only from run b.
 	got := pairMap(merged.Pairs)
-	if got[PairKey(merged.IDOf(4), id8)] == 0 {
+	if got[PairKey(idOf(merged, 4), id8)] == 0 {
 		t.Fatal("pair from run a lost")
 	}
-	if got[PairKey(id8, merged.IDOf(12))] == 0 {
+	if got[PairKey(id8, idOf(merged, 12))] == 0 {
 		t.Fatal("pair from run b lost")
 	}
 }
@@ -376,14 +380,6 @@ func TestSortedPairsOrdering(t *testing.T) {
 		if pairs[i].Count > pairs[i-1].Count {
 			t.Fatal("SortedPairs not descending")
 		}
-	}
-}
-
-func TestIDOfMissing(t *testing.T) {
-	p := NewProfiler("i", "ref")
-	feed(p, 4)
-	if id := p.Profile().IDOf(9999); id != -1 {
-		t.Fatalf("IDOf(missing) = %d", id)
 	}
 }
 

@@ -31,7 +31,6 @@ type Profiler struct {
 	benchmark string
 	inputSet  string
 	window    int
-	numShards int
 
 	// Dense pc -> id translation. VM branch addresses are word-aligned
 	// instruction indexes, so idOf is indexed by pc/4 and covers the
@@ -53,17 +52,16 @@ type Profiler struct {
 	off  int
 	in   []bool
 
-	// shards is the accumulation engine (shard.go): the scan emits each
+	// acc is the accumulation engine (accum.go): the scan emits each
 	// event's partner prefix as one bulk copy into a staging batch, and
 	// batches are applied to per-branch neighbor counters grouped by
-	// destination — synchronously with one shard, by worker goroutines
-	// with more. nbrOf(id) reads a branch's counter in either mode.
+	// destination. nbrOf(id) reads a branch's counter.
 	// One unordered pair (a,b) accumulates partly in a's counter and
 	// partly in b's; the halves are summed at extraction. The per-branch
 	// split plus grouped apply keeps the increment loop's working set to
 	// one branch's neighborhood (a few KB, cache-resident) instead of
 	// the global pair population.
-	shards *pairShards
+	acc pairAccum
 
 	// pend[id] coalesces branch id's repeated interleave prefixes: the
 	// window-clipped prefix of its latest execution that had one, and
@@ -197,22 +195,8 @@ func WithWindow(depth int) Option {
 	return func(p *Profiler) { p.window = depth }
 }
 
-// WithShards selects how many workers accumulate the interleave
-// increments. n <= 1 keeps the serial per-branch counters — the exact
-// pre-sharding code path. n > 1 partitions the counters by executing
-// branch id across n worker goroutines; the merged profile is identical
-// for every n because each branch's counter receives exactly the same
-// increment sequence it would serially (DESIGN.md §15).
-func WithShards(n int) Option {
-	return func(p *Profiler) {
-		if n > 1 {
-			p.numShards = n
-		}
-	}
-}
-
 // WithMetrics attaches an observability bundle: event and pair-increment
-// counters on the hot path, shard queue metrics, and merge timings. A
+// counters on the hot path, the applied-batch count, and merge timings. A
 // nil bundle (the default) keeps every site a no-op.
 func WithMetrics(m *obs.ProfileMetrics) Option {
 	return func(p *Profiler) { p.metrics = m }
@@ -223,6 +207,7 @@ func NewProfiler(benchmark, inputSet string, opts ...Option) *Profiler {
 	p := &Profiler{
 		benchmark: benchmark,
 		inputSet:  inputSet,
+		acc:       pairAccum{batchCap: stagingPartners},
 	}
 	for _, o := range opts {
 		o(p)
@@ -230,17 +215,7 @@ func NewProfiler(benchmark, inputSet string, opts ...Option) *Profiler {
 	if p.metrics != nil {
 		p.mEvents = p.metrics.Events
 		p.mPairInc = p.metrics.PairIncrements
-	}
-	n := p.numShards
-	if n < 1 {
-		n = 1
-	}
-	p.shards = newPairShards(n)
-	if p.metrics != nil {
-		// Serial mode runs the same staging engine, so batch applies are
-		// counted at every P; queue depth only exists with workers.
-		p.shards.batches = p.metrics.ShardBatches
-		p.shards.queueMax = p.metrics.ShardQueueMax
+		p.acc.batches = p.metrics.Batches
 	}
 	return p
 }
@@ -265,11 +240,6 @@ func (p *Profiler) Reserve(n int) {
 
 // Window returns the configured scan window (0 = unbounded).
 func (p *Profiler) Window() int { return p.window }
-
-// Shards returns the configured shard count (1 = serial).
-func (p *Profiler) Shards() int {
-	return p.shards.p
-}
 
 // Branch consumes one dynamic branch event: first-touch discovery,
 // execution counters, the recency-list interleaving scan (the
@@ -317,7 +287,7 @@ func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
 			if pd := &p.pend[id]; slices.Equal(pd.partners, live[:emit]) { //reprolint:allow hotpath type-parameter instantiation for []int32, not interface boxing
 				pd.rep++
 			} else {
-				p.shards.emit(id, pd.partners, pd.rep)
+				p.acc.emit(id, pd.partners, pd.rep)
 				pd.partners = restage(pd.partners, live[:emit])
 				pd.rep = 1
 			}
@@ -408,7 +378,7 @@ func (p *Profiler) newID(pc uint64) int32 {
 	p.taken = append(p.taken, 0)             //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.in = append(p.in, false)               //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.pend = append(p.pend, pendingPrefix{}) //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
-	p.shards.numIDs = len(p.pcs)
+	p.acc.numIDs = len(p.pcs)
 	return id
 }
 
@@ -430,26 +400,24 @@ func (p *Profiler) growFront() {
 func (p *Profiler) Branches() uint64 { return p.branches }
 
 // TableBytes reports the memory held by the interleave accumulation
-// tables (the per-branch counters, in either mode) — the profiler's
-// dominant footprint, read by perfbench's profile.table_mb.
+// tables (the per-branch counters) — the profiler's dominant footprint,
+// read by perfbench's profile.table_mb.
 func (p *Profiler) TableBytes() uint64 {
-	return p.shards.tableBytes()
+	return p.acc.tableBytes()
 }
 
 // SetInstructions records the run's total instruction count (otherwise
 // estimated from the last branch time stamp).
 func (p *Profiler) SetInstructions(n uint64) { p.instructions = n }
 
-// nbrOf returns branch id's neighbor counter in either mode. In sharded
-// mode the counter lives in the owning worker's partition; callers must
-// quiesce the workers first (drain). The returned counter may be empty.
+// nbrOf returns branch id's neighbor counter, which holds the batches
+// applied so far (see pairAccum.flush). The returned counter may be
+// empty.
 func (p *Profiler) nbrOf(id int32) *nbrCounter {
-	w := int(uint32(id)) % p.shards.p
-	row := int(uint32(id)) / p.shards.p
-	if row >= len(p.shards.tabs[w]) {
+	if int(id) >= len(p.acc.tabs) {
 		return &emptyNbr
 	}
-	return &p.shards.tabs[w][row]
+	return &p.acc.tabs[id]
 }
 
 // emptyNbr backs nbrOf for branches that never emitted a pair; it must
@@ -459,23 +427,20 @@ var emptyNbr nbrCounter
 // Profile extracts the accumulated profile. The Profiler remains usable;
 // further events continue accumulating on top.
 //
-// Every branch id's counter receives the same weighted headers in the
-// same order serially and sharded, and inserts new keys in the order
-// per-event staging would, so the counters are identical for every
-// shard count, and so is the pair list, which extraction reads from
-// them in fixed id orders and each counter in slot order.
+// Every branch id's counter inserts new keys in the order per-event
+// staging would, so the counters are identical for every batch
+// geometry, and so is the pair list, which extraction reads from them
+// in fixed id orders and each counter in slot order.
 func (p *Profiler) Profile() *Profile {
 	done := p.metrics.StartMerge()
 	// Emit every pending prefix and drop its buffer, which extraction
-	// would otherwise hold alive beside the counters, then quiesce the
-	// engine: staged batches are applied (and, sharded, the workers
-	// stopped), after which the counters are complete and safe to read
-	// from this goroutine.
+	// would otherwise hold alive beside the counters, then apply the
+	// staged batch, after which the counters are complete.
 	for id, pd := range p.pend {
-		p.shards.emit(int32(id), pd.partners, pd.rep)
+		p.acc.emit(int32(id), pd.partners, pd.rep)
 	}
 	clear(p.pend)
-	p.shards.drain()
+	p.acc.flush()
 	out := &Profile{
 		Benchmark:    p.benchmark,
 		InputSets:    []string{p.inputSet},

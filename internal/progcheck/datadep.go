@@ -1,10 +1,6 @@
 package progcheck
 
-import (
-	"sort"
-
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // BranchClass classifies one static conditional-branch site by what
 // decides its direction. Loop-control branches (latch, exit, guard)
@@ -109,19 +105,6 @@ func (r *Report) classify(i int, in isa.Inst) BranchClass {
 		}
 	}
 	return BranchData
-}
-
-// DataDependentBranches returns the instruction indices of
-// data-dependent conditional branches, sorted.
-func (r *Report) DataDependentBranches() []int {
-	var out []int
-	for i, c := range r.ClassifyBranches() {
-		if c == BranchData {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Summary aggregates the classification counts.

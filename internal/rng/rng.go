@@ -12,20 +12,15 @@ import (
 	"math/bits"
 )
 
-// SplitMix64 is the splitmix64 generator of Steele, Lea and Flood. It has
-// a full 2^64 period, passes BigCrush, and is used both directly and to
-// seed Xoshiro256 state from a single word.
-type SplitMix64 struct {
+// splitMix64 is the splitmix64 generator of Steele, Lea and Flood. It
+// has a full 2^64 period, passes BigCrush, and seeds Xoshiro256 state
+// from a single word.
+type splitMix64 struct {
 	state uint64
 }
 
-// NewSplitMix64 returns a generator seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
 // Next returns the next value in the stream.
-func (s *SplitMix64) Next() uint64 {
+func (s *splitMix64) Next() uint64 {
 	s.state += 0x9e3779b97f4a7c15
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -40,10 +35,10 @@ type Xoshiro256 struct {
 }
 
 // New returns a Xoshiro256 generator whose state is expanded from seed
-// with SplitMix64, as recommended by the xoshiro authors. The expander
+// with splitmix64, as recommended by the xoshiro authors. The expander
 // is a stack value so seeding costs one allocation, not two.
 func New(seed uint64) *Xoshiro256 {
-	sm := SplitMix64{state: seed}
+	sm := splitMix64{state: seed}
 	var x Xoshiro256
 	for i := range x.s {
 		x.s[i] = sm.Next()
@@ -110,14 +105,6 @@ func (x *Xoshiro256) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (x *Xoshiro256) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := x.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Geometric returns a sample from a geometric distribution with success

@@ -7,8 +7,8 @@ import (
 )
 
 func TestSplitMix64Deterministic(t *testing.T) {
-	a := NewSplitMix64(42)
-	b := NewSplitMix64(42)
+	a := splitMix64{state: 42}
+	b := splitMix64{state: 42}
 	for i := 0; i < 100; i++ {
 		if av, bv := a.Next(), b.Next(); av != bv {
 			t.Fatalf("streams diverge at %d: %d != %d", i, av, bv)
@@ -19,7 +19,7 @@ func TestSplitMix64Deterministic(t *testing.T) {
 func TestSplitMix64KnownValues(t *testing.T) {
 	// Reference values for seed 0 from the splitmix64 reference
 	// implementation.
-	s := NewSplitMix64(0)
+	s := splitMix64{state: 0}
 	want := []uint64{
 		0xe220a8397b1dcdaf,
 		0x6e789e6aa1b965f4,
@@ -33,7 +33,8 @@ func TestSplitMix64KnownValues(t *testing.T) {
 }
 
 func TestSplitMix64DistinctSeeds(t *testing.T) {
-	if NewSplitMix64(1).Next() == NewSplitMix64(2).Next() {
+	a, b := splitMix64{state: 1}, splitMix64{state: 2}
+	if a.Next() == b.Next() {
 		t.Fatal("different seeds produced the same first value")
 	}
 }
@@ -180,19 +181,6 @@ func TestPermProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(29)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle changed multiset: %v", xs)
 	}
 }
 
