@@ -32,33 +32,9 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/progcheck"
-	"repro/internal/program"
 	"repro/internal/staticws"
 	"repro/internal/workload"
 )
-
-// verifyProgram runs the static program verifier (-progcheck),
-// printing every finding; error-severity findings reject the program
-// before it executes.
-func verifyProgram(p *program.Program) (*progcheck.Report, error) {
-	r := progcheck.Check(p)
-	errs := 0
-	for _, f := range r.Findings {
-		// Only the gating error findings print here; run the progcheck
-		// command for the full warn/info listing.
-		if f.Severity == progcheck.SevError {
-			fmt.Printf("progcheck: %s\n", f)
-			errs++
-		}
-	}
-	if errs > 0 {
-		return nil, fmt.Errorf("progcheck: %d error findings; program rejected", errs)
-	}
-	sum := r.Summary()
-	fmt.Printf("progcheck: ok (%d findings; %d branch sites: %d resolved, %d dead, %d data-dependent)\n",
-		len(r.Findings), sum.Sites, sum.Resolved, sum.Dead, sum.Data)
-	return r, nil
-}
 
 // verifyAllocation applies the optional seeded corruption, then runs
 // the graph and allocation verifiers (-check).
@@ -137,14 +113,8 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 
 	var prof *profile.Profile
 	if static {
-		in := workload.InputRef
-		switch strings.TrimSpace(inputs) {
-		case "ref", "":
-		case "a":
-			in = workload.InputA
-		case "b":
-			in = workload.InputB
-		default:
+		in, err := workload.InputByName(strings.TrimSpace(inputs))
+		if err != nil {
 			return fmt.Errorf("-static uses one input set's program (got %q)", inputs)
 		}
 		prog, err := spec.Build(in, scale)
@@ -153,14 +123,11 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 		}
 		var facts *staticws.BranchFacts
 		if progCheck {
-			r, err := verifyProgram(prog)
+			r, err := progcheck.Gate(os.Stdout, prog)
 			if err != nil {
 				return err
 			}
-			facts = &staticws.BranchFacts{
-				ResolvedTaken: r.Facts.ResolvedDirections(),
-				Dead:          r.Facts.DeadInsts(),
-			}
+			facts = staticws.FactsFrom(r)
 		}
 		est, err := staticws.AnalyzeWithFacts(prog, facts)
 		if err != nil {
@@ -176,16 +143,9 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 	} else {
 		var profiles []*profile.Profile
 		for _, name := range strings.Split(inputs, ",") {
-			var in workload.InputSet
-			switch strings.TrimSpace(name) {
-			case "ref":
-				in = workload.InputRef
-			case "a":
-				in = workload.InputA
-			case "b":
-				in = workload.InputB
-			default:
-				return fmt.Errorf("unknown input set %q", name)
+			in, err := workload.InputByName(strings.TrimSpace(name))
+			if err != nil {
+				return err
 			}
 			opts := []profile.Option{profile.WithMetrics(m.Profile())}
 			if window > 0 {
@@ -196,7 +156,7 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 				if err != nil {
 					return err
 				}
-				if _, err := verifyProgram(prog); err != nil {
+				if _, err := progcheck.Gate(os.Stdout, prog); err != nil {
 					return err
 				}
 			}
@@ -210,11 +170,11 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 			fmt.Printf("profiled %s/%s: %d dynamic branches, %d static\n",
 				bench, in.Name, stats.CondBranches, profiles[len(profiles)-1].NumBranches())
 		}
-		prof, err = profile.Merge(profiles...)
-		if err != nil {
-			return err
-		}
+		prof = profiles[0]
 		if len(profiles) > 1 {
+			if prof, err = profile.Merge(profiles...); err != nil {
+				return err
+			}
 			fmt.Printf("merged %d profiles: %d static branches\n", len(profiles), prof.NumBranches())
 		}
 	}

@@ -95,16 +95,9 @@ func run(bench, input string, scale float64, predictors string, bht, pht, allocS
 	if err != nil {
 		return err
 	}
-	var in workload.InputSet
-	switch input {
-	case "ref":
-		in = workload.InputRef
-	case "a":
-		in = workload.InputA
-	case "b":
-		in = workload.InputB
-	default:
-		return fmt.Errorf("unknown input set %q", input)
+	in, err := workload.InputByName(input)
+	if err != nil {
+		return err
 	}
 
 	tr, stats, err := spec.Run(workload.RunConfig{Input: in, Scale: scale})

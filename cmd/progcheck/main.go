@@ -284,7 +284,7 @@ func benchTarget(name, inputName string, scale float64) (target, error) {
 	if err != nil {
 		return target{}, err
 	}
-	input, err := inputByName(inputName)
+	input, err := workload.InputByName(inputName)
 	if err != nil {
 		return target{}, err
 	}
@@ -293,16 +293,4 @@ func benchTarget(name, inputName string, scale float64) (target, error) {
 		return target{}, err
 	}
 	return target{name: s.Name + "/" + input.Name, prog: p, seed: input.Seed}, nil
-}
-
-func inputByName(name string) (workload.InputSet, error) {
-	switch name {
-	case "", "ref":
-		return workload.InputRef, nil
-	case "a":
-		return workload.InputA, nil
-	case "b":
-		return workload.InputB, nil
-	}
-	return workload.InputSet{}, fmt.Errorf("unknown input set %q (want ref, a, or b)", name)
 }

@@ -130,18 +130,6 @@ func main() {
 	}
 }
 
-func inputSet(name string) (workload.InputSet, error) {
-	switch name {
-	case "ref":
-		return workload.InputRef, nil
-	case "a":
-		return workload.InputA, nil
-	case "b":
-		return workload.InputB, nil
-	}
-	return workload.InputSet{}, fmt.Errorf("unknown input set %q (want ref, a, or b)", name)
-}
-
 // runOpts carries the CLI flags into run, keeping run testable without
 // a 17-way positional signature.
 type runOpts struct {
@@ -167,7 +155,7 @@ func loadTrace(o runOpts, m *obs.Metrics) (*trace.Trace, float64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		in, err := inputSet(o.input)
+		in, err := workload.InputByName(o.input)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -203,7 +191,7 @@ func loadTrace(o runOpts, m *obs.Metrics) (*trace.Trace, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	in, err := inputSet(o.input)
+	in, err := workload.InputByName(o.input)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -252,34 +240,11 @@ func buildProgram(o runOpts) (*program.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := inputSet(o.input)
+	in, err := workload.InputByName(o.input)
 	if err != nil {
 		return nil, err
 	}
 	return spec.Build(in, o.scale)
-}
-
-// verifyProgram runs the static verifier, printing every finding.
-// Error-severity findings (provable out-of-bounds accesses) reject the
-// program; the report is returned for its proven facts.
-func verifyProgram(p *program.Program) (*progcheck.Report, error) {
-	r := progcheck.Check(p)
-	errs := 0
-	for _, f := range r.Findings {
-		// Only the gating error findings print here; run the progcheck
-		// command for the full warn/info listing.
-		if f.Severity == progcheck.SevError {
-			fmt.Printf("progcheck: %s\n", f)
-			errs++
-		}
-	}
-	if errs > 0 {
-		return nil, fmt.Errorf("progcheck: %d error findings; program rejected", errs)
-	}
-	sum := r.Summary()
-	fmt.Printf("progcheck: ok (%d findings; %d branch sites: %d resolved, %d dead, %d data-dependent)\n",
-		len(r.Findings), sum.Sites, sum.Resolved, sum.Dead, sum.Data)
-	return r, nil
 }
 
 func run(o runOpts, reg *obs.Registry) error {
@@ -309,7 +274,7 @@ func run(o runOpts, reg *obs.Registry) error {
 		if err != nil {
 			return err
 		}
-		if report, err = verifyProgram(prog); err != nil {
+		if report, err = progcheck.Gate(os.Stdout, prog); err != nil {
 			return err
 		}
 	}
@@ -329,14 +294,7 @@ func run(o runOpts, reg *obs.Registry) error {
 		}
 		// Verifier facts, when present, prune resolved and dead branches
 		// from the compile-time conflict graph.
-		var facts *staticws.BranchFacts
-		if report != nil && report.Facts != nil {
-			facts = &staticws.BranchFacts{
-				ResolvedTaken: report.Facts.ResolvedDirections(),
-				Dead:          report.Facts.DeadInsts(),
-			}
-		}
-		est, err := staticws.AnalyzeWithFacts(prog, facts)
+		est, err := staticws.AnalyzeWithFacts(prog, staticws.FactsFrom(report))
 		if err != nil {
 			return err
 		}

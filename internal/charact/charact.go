@@ -19,6 +19,8 @@ package charact
 import (
 	"math"
 	"sort"
+
+	"repro/internal/isa"
 )
 
 // MaxHistory is the deepest conditioning history, in bits. Counts are
@@ -42,17 +44,11 @@ type branchState struct {
 	globalJoint [historySlots][2]uint64
 }
 
-// denseWords bounds the pc>>2-indexed id table, mirroring the dense
-// fast path of trace.FreqCounter; branches above it (or unaligned)
-// fall back to a map.
-const denseWords = 1 << 22
-
 // Collector accumulates per-branch direction statistics from a branch
 // event stream. Not safe for concurrent use; drive it from one replay.
 type Collector struct {
-	dense  []int32 // pc>>2 -> state index + 1; 0 means unseen
-	slow   map[uint64]int32
-	states []branchState
+	ix     isa.PCIndex
+	states []branchState // by ix id
 	global uint32
 	events uint64
 }
@@ -66,8 +62,11 @@ func NewCollector() *Collector { return &Collector{} }
 //
 //reprolint:hotpath charact per-event collector
 func (c *Collector) Branch(pc uint64, taken bool, _ uint64) {
-	idx := c.idOf(pc)
-	st := &c.states[idx]
+	id, ok := c.ix.Lookup(pc)
+	if !ok {
+		id = c.newState(pc)
+	}
+	st := &c.states[id]
 	d := 0
 	if taken {
 		d = 1
@@ -81,54 +80,10 @@ func (c *Collector) Branch(pc uint64, taken bool, _ uint64) {
 	c.events++
 }
 
-// idOf returns the state index for pc, creating it on first sight.
-func (c *Collector) idOf(pc uint64) int32 {
-	if pc&3 == 0 && pc>>2 < denseWords {
-		w := pc >> 2
-		if uint64(len(c.dense)) <= w {
-			c.growDense(w)
-		}
-		if id := c.dense[w]; id != 0 {
-			return id - 1
-		}
-		id := c.newState(pc)
-		c.dense[w] = id + 1
-		return id
-	}
-	if id, ok := c.slow[pc]; ok { //reprolint:allow hotpath map fallback for unaligned/out-of-range PCs, off the generated-code path
-		return id
-	}
-	return c.newStateSlow(pc)
-}
-
-// growDense extends the dense id table to cover word w (amortized by
-// geometric growth, so steady-state Branch calls never allocate).
-func (c *Collector) growDense(w uint64) {
-	newLen := uint64(1024)
-	for newLen <= w {
-		newLen *= 2
-	}
-	if newLen > denseWords {
-		newLen = denseWords
-	}
-	grown := make([]int32, newLen) //reprolint:allow hotpath geometric growth, amortized O(1)
-	copy(grown, c.dense)
-	c.dense = grown
-}
-
+// newState discovers a static branch.
 func (c *Collector) newState(pc uint64) int32 {
-	id := int32(len(c.states))
 	c.states = append(c.states, branchState{pc: pc}) //reprolint:allow hotpath first sight of a static branch, amortized over the dynamic stream
-	return id
-}
-
-func (c *Collector) newStateSlow(pc uint64) int32 {
-	if c.slow == nil {
-		c.slow = make(map[uint64]int32) //reprolint:allow hotpath map fallback init, at most once
-	}
-	id := c.newState(pc)
-	c.slow[pc] = id //reprolint:allow hotpath map fallback insert, once per unaligned static branch
-	return id
+	return c.ix.Intern(pc)
 }
 
 // Events returns the number of consumed branch events.

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/classify"
 	"repro/internal/graph"
+	"repro/internal/isa"
 	"repro/internal/profile"
 )
 
@@ -26,38 +28,25 @@ type AllocationMap struct {
 	// biased branches when classification was used; -1 when unused.
 	ReservedTaken, ReservedNotTaken int
 
-	// dense flattens Index for the per-event hot path: entry at pc/4,
-	// -1 for unallocated. Unaligned or very large PCs (which the VM
-	// never emits) stay in Index and take the cold fallback.
-	dense  []int32
-	sealed bool
+	// ids and entries flatten Index for the per-event hot path: the
+	// entry of an allocated pc is entries[id], id its ids.Lookup.
+	ids     isa.PCIndex
+	entries []int32
+	sealed  bool
 }
 
-// allocMaxDenseWords bounds the dense flattening (4 MiB of int32s).
-const allocMaxDenseWords = 1 << 22
-
-// seal builds the dense lookup from Index. Allocate calls it; literal-
+// seal builds the flat lookup from Index. Allocate calls it; literal-
 // constructed maps (tests, external tools) are sealed lazily on the
 // first EntryFor.
 func (m *AllocationMap) seal() {
-	maxW := -1
-	for pc := range m.Index { //reprolint:allow hotpath one-time flattening on first lookup, never repeated
-		if w := pc >> 2; pc&3 == 0 && w < allocMaxDenseWords {
-			if int(w) > maxW {
-				maxW = int(w)
-			}
-		}
+	pcs := make([]uint64, 0, len(m.Index)) //reprolint:allow hotpath one-time flattening on first lookup, never repeated
+	for pc := range m.Index {              //reprolint:allow hotpath one-time flattening on first lookup, never repeated
+		pcs = append(pcs, pc) //reprolint:allow hotpath one-time flattening on first lookup, never repeated
 	}
-	if maxW >= 0 {
-		m.dense = make([]int32, maxW+1) //reprolint:allow hotpath one-time flattening on first lookup, never repeated
-		for i := range m.dense {
-			m.dense[i] = -1
-		}
-		for pc, e := range m.Index { //reprolint:allow hotpath one-time flattening on first lookup, never repeated
-			if w := pc >> 2; pc&3 == 0 && w < allocMaxDenseWords {
-				m.dense[w] = int32(e)
-			}
-		}
+	slices.Sort(pcs)                    //reprolint:allow hotpath one-time flattening on first lookup, never repeated
+	m.entries = make([]int32, len(pcs)) //reprolint:allow hotpath one-time flattening on first lookup, never repeated
+	for _, pc := range pcs {
+		m.entries[m.ids.Intern(pc)] = int32(m.Index[pc]) //reprolint:allow hotpath one-time flattening on first lookup, never repeated
 	}
 	m.sealed = true
 }
@@ -68,19 +57,8 @@ func (m *AllocationMap) EntryFor(pc uint64) int {
 	if !m.sealed {
 		m.seal()
 	}
-	if w := pc >> 2; pc&3 == 0 && w < uint64(len(m.dense)) {
-		if e := m.dense[w]; e >= 0 {
-			return int(e)
-		}
-		return ConventionalIndex(pc, m.TableSize)
-	}
-	return m.entrySlow(pc)
-}
-
-// entrySlow covers unaligned or out-of-range PCs via the map.
-func (m *AllocationMap) entrySlow(pc uint64) int {
-	if e, ok := m.Index[pc]; ok { //reprolint:allow hotpath cold fallback for unaligned or out-of-range pcs
-		return e
+	if id, ok := m.ids.Lookup(pc); ok {
+		return int(m.entries[id])
 	}
 	return ConventionalIndex(pc, m.TableSize)
 }

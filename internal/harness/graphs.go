@@ -37,35 +37,11 @@ type GraphArtifacts struct {
 	Result []int64
 }
 
-// graphEntry is one graph-cache slot (see entry).
-type graphEntry struct {
-	done chan struct{}
-	a    *GraphArtifacts
-	err  error
-}
-
 // GraphArtifacts runs (or returns the cached run of) one graph
 // benchmark: compile, execute into the profiler, and read the result
 // back. Concurrent requests for one benchmark share a computation.
 func (s *Suite) GraphArtifacts(name string) (*GraphArtifacts, error) {
-	s.graphMu.Lock()
-	if e, ok := s.graphCache[name]; ok {
-		s.graphMu.Unlock()
-		<-e.done
-		return e.a, e.err
-	}
-	e := &graphEntry{done: make(chan struct{})}
-	s.graphCache[name] = e
-	s.graphMu.Unlock()
-
-	e.a, e.err = s.computeGraph(name)
-	if e.err != nil {
-		s.graphMu.Lock()
-		delete(s.graphCache, name)
-		s.graphMu.Unlock()
-	}
-	close(e.done)
-	return e.a, e.err
+	return s.graphs.get(name, func() (*GraphArtifacts, error) { return s.computeGraph(name) })
 }
 
 func (s *Suite) computeGraph(name string) (*GraphArtifacts, error) {
@@ -128,18 +104,7 @@ func (s *Suite) replayGraph(a *GraphArtifacts, sink vm.BranchSink) error {
 // computed, without triggering a computation — the graph counterpart of
 // Cached, used by bench throughput accounting.
 func (s *Suite) GraphCached(name string) (*GraphArtifacts, bool) {
-	s.graphMu.Lock()
-	e, ok := s.graphCache[name]
-	s.graphMu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-		return e.a, e.err == nil
-	default:
-		return nil, false
-	}
+	return s.graphs.cached(name)
 }
 
 // GraphRow is one graph benchmark variant under one predictor kind:

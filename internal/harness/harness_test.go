@@ -41,7 +41,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestArtifactsCachedAndComplete(t *testing.T) {
-	s := NewSuite(Config{Scale: 0.05}) // private: exercises Drop
+	s := NewSuite(Config{Scale: 0.05})
 	a1, err := s.Artifacts("compress", workload.InputRef)
 	if err != nil {
 		t.Fatal(err)
@@ -59,13 +59,8 @@ func TestArtifactsCachedAndComplete(t *testing.T) {
 	if a1.Profile.DynamicBranches() != a1.Filter.DynamicKept {
 		t.Fatal("profile not built from the filtered trace")
 	}
-	s.Drop("compress", workload.InputRef)
-	a3, err := s.Artifacts("compress", workload.InputRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a3 == a1 {
-		t.Fatal("Drop did not evict")
+	if a, ok := s.Cached("compress", workload.InputRef); !ok || a != a1 {
+		t.Fatal("Cached does not return the computed artifacts")
 	}
 }
 

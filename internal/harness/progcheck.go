@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/progcheck"
 	"repro/internal/program"
-	"repro/internal/staticws"
 	"repro/internal/workload"
 )
 
@@ -40,18 +39,6 @@ func (s *Suite) verifyProgram(name string, p *program.Program) (*progcheck.Repor
 	s.progressf("progcheck %s: ok (%d findings; %d sites: %d resolved, %d dead, %d data-dependent)",
 		name, len(r.Findings), sum.Sites, sum.Resolved, sum.Dead, sum.Data)
 	return r, nil
-}
-
-// staticFacts converts a verification report into the pruning facts
-// the compile-time estimator consumes.
-func staticFacts(r *progcheck.Report) *staticws.BranchFacts {
-	if r == nil || r.Facts == nil {
-		return nil
-	}
-	return &staticws.BranchFacts{
-		ResolvedTaken: r.Facts.ResolvedDirections(),
-		Dead:          r.Facts.DeadInsts(),
-	}
 }
 
 // GraphVerifyRow is one graph kernel variant's static branch-site

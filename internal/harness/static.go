@@ -103,7 +103,7 @@ func (s *Suite) staticRow(a *Artifacts) (StaticRow, error) {
 		if err != nil {
 			return row, err
 		}
-		facts = staticFacts(r)
+		facts = staticws.FactsFrom(r)
 	}
 	span := s.stageSpan(a.Spec.Name, "static-analyze")
 	est, err := staticws.AnalyzeWithFacts(prog, facts)

@@ -136,28 +136,16 @@ type Artifacts struct {
 	Profile *profile.Profile
 }
 
-// entry is one cache slot; done closes when the computation finishes,
-// so concurrent requests for the same benchmark wait instead of
-// duplicating the run.
-type entry struct {
-	done chan struct{}
-	a    *Artifacts
-	err  error
-}
-
 // Suite runs experiments with shared per-benchmark caching. Methods are
 // safe for concurrent use; concurrent requests for one benchmark share
 // a single computation.
 type Suite struct {
 	cfg Config
 
-	mu    sync.Mutex
-	cache map[string]*entry
-
-	// graphMu/graphCache is the graph benchmarks' artifact cache, the
-	// same singleflight discipline as cache over GraphArtifacts.
-	graphMu    sync.Mutex
-	graphCache map[string]*graphEntry
+	// artifacts and graphs cache the benchmarks' and the graph
+	// benchmarks' runs, keyed by benchmark/input and by name.
+	artifacts memo[*Artifacts]
+	graphs    memo[*GraphArtifacts]
 
 	progMu sync.Mutex
 
@@ -168,12 +156,7 @@ type Suite struct {
 
 // NewSuite returns a Suite with cfg (unset fields defaulted).
 func NewSuite(cfg Config) *Suite {
-	return &Suite{
-		cfg:        cfg.Defaults(),
-		cache:      make(map[string]*entry),
-		graphCache: make(map[string]*graphEntry),
-		cores:      cores,
-	}
+	return &Suite{cfg: cfg.Defaults(), cores: cores}
 }
 
 // Config returns the effective configuration.
@@ -207,26 +190,9 @@ func (s *Suite) byDynamicBranches(names []string) func(int) uint64 {
 // Artifacts runs (or returns the cached run of) one benchmark under one
 // input set: execute, frequency-filter, and profile.
 func (s *Suite) Artifacts(benchmark string, input workload.InputSet) (*Artifacts, error) {
-	key := benchmark + "/" + input.Name
-	s.mu.Lock()
-	if e, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		<-e.done
-		return e.a, e.err
-	}
-	e := &entry{done: make(chan struct{})}
-	s.cache[key] = e
-	s.mu.Unlock()
-
-	e.a, e.err = s.compute(benchmark, input)
-	if e.err != nil {
-		// Do not cache failures; a later call may retry.
-		s.mu.Lock()
-		delete(s.cache, key)
-		s.mu.Unlock()
-	}
-	close(e.done)
-	return e.a, e.err
+	return s.artifacts.get(benchmark+"/"+input.Name, func() (*Artifacts, error) {
+		return s.compute(benchmark, input)
+	})
 }
 
 func (s *Suite) compute(benchmark string, input workload.InputSet) (*Artifacts, error) {
@@ -323,25 +289,7 @@ func (s *Suite) replayFiltered(a *Artifacts, sink vm.BranchSink) error {
 // computed, without triggering (or waiting on) a computation. The
 // benchmark tooling uses it to enumerate what a run actually touched.
 func (s *Suite) Cached(benchmark string, input workload.InputSet) (*Artifacts, bool) {
-	s.mu.Lock()
-	e, ok := s.cache[benchmark+"/"+input.Name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-		return e.a, e.err == nil
-	default:
-		return nil, false
-	}
-}
-
-// Drop evicts a benchmark's cached artifacts, freeing their memory.
-func (s *Suite) Drop(benchmark string, input workload.InputSet) {
-	s.mu.Lock()
-	delete(s.cache, benchmark+"/"+input.Name)
-	s.mu.Unlock()
+	return s.artifacts.cached(benchmark + "/" + input.Name)
 }
 
 // Table2Benchmarks is the paper's Table 2 row set (gs and tex appear

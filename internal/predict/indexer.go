@@ -1,6 +1,9 @@
 package predict
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/isa"
+)
 
 // Indexer maps a branch PC to a first-level (BHT) table entry. The
 // paper's proposal is precisely a better Indexer: conventional hardware
@@ -52,19 +55,10 @@ func (ix AllocIndexer) Name() string {
 // IdealIndexer gives every static branch a private entry — the
 // interference-free reference the paper approximates with a
 // 2-million-entry BHT. Entries are assigned on first use in encounter
-// order. Branch PCs are word-aligned instruction addresses, so the
-// translation is a flat slice indexed by pc/4 rather than a map; a map
-// fallback covers unaligned or very large PCs, which no VM-generated
-// stream produces.
+// order.
 type IdealIndexer struct {
-	dense []int32        // pc/4 → entry, -1 unassigned
-	high  map[uint64]int // unaligned or out-of-range PCs (cold)
-	n     int
+	ids isa.PCIndex
 }
-
-// idealMaxDenseWords bounds the dense translation table (4 MiB of
-// int32s covers 16 MiB of program text, far beyond any workload here).
-const idealMaxDenseWords = 1 << 22
 
 // NewIdealIndexer returns an empty interference-free indexer.
 func NewIdealIndexer() *IdealIndexer {
@@ -73,55 +67,16 @@ func NewIdealIndexer() *IdealIndexer {
 
 // Index implements Indexer.
 func (ix *IdealIndexer) Index(pc uint64) int {
-	if w := pc >> 2; pc&3 == 0 && w < uint64(len(ix.dense)) {
-		if e := ix.dense[w]; e >= 0 {
-			return int(e)
-		}
+	if e, ok := ix.ids.Lookup(pc); ok {
+		return int(e)
 	}
-	return ix.assign(pc)
-}
-
-// assign handles the first encounter of a branch (and the cold
-// unaligned/out-of-range fallback): it grows the dense table
-// geometrically or falls back to the map, then records the next entry.
-func (ix *IdealIndexer) assign(pc uint64) int {
-	if w := pc >> 2; pc&3 == 0 && w < idealMaxDenseWords {
-		if w >= uint64(len(ix.dense)) {
-			n := 2 * len(ix.dense)
-			if n <= int(w) {
-				n = int(w) + 1
-			}
-			if n < 1024 {
-				n = 1024
-			}
-			grown := make([]int32, n) //reprolint:allow hotpath amortized geometric growth of the dense pc translation
-			for i := range grown {
-				grown[i] = -1
-			}
-			copy(grown, ix.dense)
-			ix.dense = grown
-		}
-		e := ix.n
-		ix.n++
-		ix.dense[w] = int32(e)
-		return e
-	}
-	if e, ok := ix.high[pc]; ok { //reprolint:allow hotpath cold fallback for unaligned or out-of-range pcs
-		return e
-	}
-	if ix.high == nil {
-		ix.high = make(map[uint64]int) //reprolint:allow hotpath cold fallback for unaligned or out-of-range pcs
-	}
-	e := ix.n
-	ix.n++
-	ix.high[pc] = e //reprolint:allow hotpath cold fallback for unaligned or out-of-range pcs
-	return e
+	return int(ix.ids.Intern(pc))
 }
 
 // Size implements Indexer. It reports the entries assigned so far plus
 // one so callers sizing tables lazily stay in range; PAg grows its BHT
 // dynamically under this indexer.
-func (ix *IdealIndexer) Size() int { return ix.n + 1 }
+func (ix *IdealIndexer) Size() int { return ix.ids.Len() + 1 }
 
 // Name implements Indexer.
 func (ix *IdealIndexer) Name() string { return "interference-free" }

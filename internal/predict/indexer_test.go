@@ -2,6 +2,11 @@ package predict
 
 import "testing"
 
+// flatWords is the word bound of the flat range of an isa.PCIndex:
+// aligned PCs below flatWords*4 translate through the slice, the rest
+// through the map.
+const flatWords = 1 << 22
+
 // TestIdealIndexerDensePath exercises the flat-slice fast path: aligned
 // in-range PCs get entries in encounter order, stable across re-lookup,
 // and the dense table grows geometrically without renumbering.
@@ -25,8 +30,8 @@ func TestIdealIndexerDensePath(t *testing.T) {
 		t.Fatalf("Size() = %d, want 201", ix.Size())
 	}
 	// A PC far past the current dense length still lands on the dense
-	// path (within idealMaxDenseWords) and forces a growth step.
-	far := uint64(idealMaxDenseWords-1) * 4
+	// path (within flatWords) and forces a growth step.
+	far := uint64(flatWords-1) * 4
 	e := ix.Index(far)
 	if e != 200 {
 		t.Fatalf("far dense pc entry %d, want 200", e)
@@ -44,7 +49,7 @@ func TestIdealIndexerColdMapFallback(t *testing.T) {
 	dense := ix.Index(4)
 
 	unaligned := uint64(6)
-	huge := uint64(idealMaxDenseWords) * 4 // first word past the ceiling
+	huge := uint64(flatWords) * 4 // first word past the ceiling
 	ua, ha := ix.Index(unaligned), ix.Index(huge)
 	if ua == dense || ha == dense || ua == ha {
 		t.Fatalf("entries collide: dense=%d unaligned=%d huge=%d", dense, ua, ha)
@@ -65,7 +70,7 @@ func TestIdealIndexerColdMapFallback(t *testing.T) {
 // checks the shared entry counter never hands out a duplicate.
 func TestIdealIndexerMixedOrder(t *testing.T) {
 	ix := NewIdealIndexer()
-	pcs := []uint64{4, 6, 8, uint64(idealMaxDenseWords+3) * 4, 12, 2, 16}
+	pcs := []uint64{4, 6, 8, uint64(flatWords+3) * 4, 12, 2, 16}
 	seen := make(map[int]uint64)
 	for _, pc := range pcs {
 		e := ix.Index(pc)

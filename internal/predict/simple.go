@@ -1,6 +1,11 @@
 package predict
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/isa"
+)
 
 // Predictor is a dynamic branch direction predictor. Update is the one
 // call per retired conditional branch: it trains on the resolved
@@ -99,65 +104,31 @@ func (AlwaysTaken) Predict(uint64) bool { return true }
 // Update implements Predictor.
 func (AlwaysTaken) Update(uint64, bool) bool { return true }
 
-// pcBitset is a fixed direction/membership table over word-aligned
-// branch PCs: bit pc/4 of set marks a known branch, the same bit of dir
-// holds its recorded direction. Built once from a map at construction,
-// it turns the per-event lookup into two word loads; unaligned or
-// out-of-range PCs (which no VM-generated stream produces) stay in the
-// originating map.
-type pcBitset struct {
-	set, dir []uint64
-	rest     map[uint64]bool
+// pcDirs is a fixed branch → direction table: known holds the
+// branches, taken those whose direction is taken.
+type pcDirs struct {
+	known, taken isa.PCSet
 }
 
-// pcBitsetMaxWords bounds the dense range (1<<22 word PCs → 512 KiB per
-// bitset at most, sized to the actual maximum in practice).
-const pcBitsetMaxWords = 1 << 22
-
-func newPCBitset(dirs map[uint64]bool) pcBitset {
-	maxW := -1
-	var rest map[uint64]bool
-	for pc := range dirs {
-		if w := pc >> 2; pc&3 == 0 && w < pcBitsetMaxWords {
-			if int(w) > maxW {
-				maxW = int(w)
-			}
-		} else {
-			if rest == nil {
-				rest = make(map[uint64]bool)
-			}
-			rest[pc] = dirs[pc]
+func newPCDirs(dirs map[uint64]bool) pcDirs {
+	var known, taken []uint64
+	for pc, d := range dirs {
+		known = append(known, pc)
+		if d {
+			taken = append(taken, pc)
 		}
 	}
-	b := pcBitset{rest: rest}
-	if maxW >= 0 {
-		words := maxW/64 + 1
-		b.set = make([]uint64, words)
-		b.dir = make([]uint64, words)
-		for pc, d := range dirs {
-			if w := pc >> 2; pc&3 == 0 && w < pcBitsetMaxWords {
-				b.set[w>>6] |= 1 << (w & 63)
-				if d {
-					b.dir[w>>6] |= 1 << (w & 63)
-				}
-			}
-		}
-	}
-	return b
+	slices.Sort(known)
+	slices.Sort(taken)
+	return pcDirs{known: isa.NewPCSet(known), taken: isa.NewPCSet(taken)}
 }
 
-// lookup returns the recorded direction and whether pc is in the set.
-func (b *pcBitset) lookup(pc uint64) (dir, ok bool) {
-	if w := pc >> 2; pc&3 == 0 && w>>6 < uint64(len(b.set)) {
-		mask := uint64(1) << (w & 63)
-		return b.dir[w>>6]&mask != 0, b.set[w>>6]&mask != 0
+// lookup returns the recorded direction and whether pc is known.
+func (b *pcDirs) lookup(pc uint64) (dir, ok bool) {
+	if !b.known.Has(pc) {
+		return false, false
 	}
-	return b.slow(pc)
-}
-
-func (b *pcBitset) slow(pc uint64) (bool, bool) {
-	d, ok := b.rest[pc] //reprolint:allow hotpath cold fallback for unaligned or out-of-range pcs
-	return d, ok
+	return b.taken.Has(pc), true
 }
 
 // ProfileStatic predicts each branch's profile-time majority direction —
@@ -165,14 +136,14 @@ func (b *pcBitset) slow(pc uint64) (bool, bool) {
 // measurement rather than heuristics). Branches unseen at profile time
 // default to taken.
 type ProfileStatic struct {
-	dirs pcBitset
+	dirs pcDirs
 }
 
 // NewProfileStatic builds the predictor from per-branch majority
 // directions. The map is flattened at construction; later mutation of
 // it does not affect the predictor.
 func NewProfileStatic(majorityTaken map[uint64]bool) *ProfileStatic {
-	return &ProfileStatic{dirs: newPCBitset(majorityTaken)}
+	return &ProfileStatic{dirs: newPCDirs(majorityTaken)}
 }
 
 // Name implements Predictor.
@@ -195,7 +166,7 @@ func (p *ProfileStatic) Update(pc uint64, _ bool) bool { return p.Predict(pc) }
 // other branches to an underlying dynamic predictor, which then never
 // sees the biased branches.
 type HybridBiasedStatic struct {
-	staticDir pcBitset // biased branches and their directions
+	staticDir pcDirs // biased branches and their directions
 	dynamic   Predictor
 }
 
@@ -203,7 +174,7 @@ type HybridBiasedStatic struct {
 // given biased branches. The map is flattened at construction; later
 // mutation of it does not affect the predictor.
 func NewHybridBiasedStatic(biased map[uint64]bool, dynamic Predictor) *HybridBiasedStatic {
-	return &HybridBiasedStatic{staticDir: newPCBitset(biased), dynamic: dynamic}
+	return &HybridBiasedStatic{staticDir: newPCDirs(biased), dynamic: dynamic}
 }
 
 // Name implements Predictor.

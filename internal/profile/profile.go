@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/isa"
 )
 
 // PairKey packs an unordered id pair into a map key. The smaller id
@@ -168,18 +169,7 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 	out := &Profile{Benchmark: profiles[0].Benchmark}
 	pairs := NewPairCounts(0)
 	// Dense ids differ across runs; remap through PCs.
-	idOf := make(map[uint64]int32)
-	intern := func(pc uint64) int32 {
-		if id, ok := idOf[pc]; ok {
-			return id
-		}
-		id := int32(len(out.PCs))
-		idOf[pc] = id
-		out.PCs = append(out.PCs, pc)
-		out.Exec = append(out.Exec, 0)
-		out.Taken = append(out.Taken, 0)
-		return id
-	}
+	var ix isa.PCIndex
 	for _, p := range profiles {
 		if p.Benchmark != out.Benchmark {
 			return nil, fmt.Errorf("profile: merging different benchmarks %q and %q", out.Benchmark, p.Benchmark)
@@ -188,7 +178,12 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 		out.Instructions += p.Instructions
 		remap := make([]int32, len(p.PCs))
 		for id, pc := range p.PCs {
-			remap[id] = intern(pc)
+			remap[id] = ix.Intern(pc)
+			if ix.Len() > len(out.PCs) {
+				out.PCs = append(out.PCs, pc)
+				out.Exec = append(out.Exec, 0)
+				out.Taken = append(out.Taken, 0)
+			}
 		}
 		for id := range p.PCs {
 			out.Exec[remap[id]] += p.Exec[id]

@@ -3,6 +3,7 @@ package profile
 import (
 	"slices"
 
+	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
@@ -18,8 +19,8 @@ import (
 // distance, which Table 2 shows is bounded by the (small) working set
 // size in practice.
 //
-// The hot path is flat throughout: pc resolves to a dense id through a
-// direct-indexed table (no map), the recency list is a contiguous
+// The hot path is flat throughout: pc resolves to a dense id through an
+// isa.PCIndex (no map for VM addresses), the recency list is a contiguous
 // []int32 scanned forward (no pointer chasing), and interleave counts
 // accumulate in packed open-addressed per-branch tables (one uint64 per
 // slot, no Go map). First-touch discovery, table growth and re-staging
@@ -32,13 +33,9 @@ type Profiler struct {
 	inputSet  string
 	window    int
 
-	// Dense pc -> id translation. VM branch addresses are word-aligned
-	// instruction indexes, so idOf is indexed by pc/4 and covers the
-	// program text directly; highIDs is the fallback for unaligned or
-	// far-out-of-range addresses fed by synthetic tests.
-	idOf    []int32
-	highIDs map[uint64]int32
-
+	// ix translates pc to the dense id that indexes every per-branch
+	// slice below.
+	ix    isa.PCIndex
 	pcs   []uint64
 	exec  []uint64
 	taken []uint64
@@ -97,12 +94,6 @@ type pendingPrefix struct {
 // event count, and a weighted tally (a coalesced prefix times its
 // repeats) is bounded the same way.
 const maxEvents = 1<<32 - 1
-
-// maxDenseWords bounds the direct-indexed pc table: addresses below
-// maxDenseWords*4 (the entire generated-program space) translate with
-// one load; anything above falls back to the highIDs map so adversarial
-// synthetic pcs cannot balloon the table.
-const maxDenseWords = 1 << 22
 
 // nbrCounter is a small open-addressed counter from partner id to
 // interleave count, packed one entry per uint64 slot: (id+1) in the
@@ -251,11 +242,9 @@ func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
 	if p.branches == maxEvents {
 		panic("profile: Profiler accepts at most 2^32-1 events; its 32-bit pair counts could overflow")
 	}
-	var id int32
-	if w := pc >> 2; pc&3 == 0 && w < uint64(len(p.idOf)) && p.idOf[w] >= 0 {
-		id = p.idOf[w]
-	} else {
-		id = p.intern(pc)
+	id, ok := p.ix.Lookup(pc)
+	if !ok {
+		id = p.newID(pc)
 	}
 	p.exec[id]++
 	if taken {
@@ -321,58 +310,10 @@ func restage(buf, prefix []int32) []int32 {
 	return buf
 }
 
-// intern resolves pc to a dense id, discovering the branch on first
-// touch. Cold: each static branch passes through here once (plus rare
-// dense-table growth), so the appends and map fallback are off the
-// steady-state path; Reserve pre-sizes the buffers.
-func (p *Profiler) intern(pc uint64) int32 {
-	if w := pc >> 2; pc&3 == 0 && w < maxDenseWords {
-		if w >= uint64(len(p.idOf)) {
-			p.growDense(int(w + 1))
-		}
-		if id := p.idOf[w]; id >= 0 {
-			return id
-		}
-		id := p.newID(pc)
-		p.idOf[w] = id
-		return id
-	}
-	if id, ok := p.highIDs[pc]; ok { //reprolint:allow hotpath unaligned-pc fallback, off the VM's word-aligned address space
-		return id
-	}
-	if p.highIDs == nil {
-		p.highIDs = make(map[uint64]int32) //reprolint:allow hotpath unaligned-pc fallback, allocated at most once
-	}
-	id := p.newID(pc)
-	p.highIDs[pc] = id //reprolint:allow hotpath unaligned-pc fallback, once per out-of-range static branch
-	return id
-}
-
-// growDense extends the direct-indexed pc table to cover n words,
-// growing geometrically so a run performs O(log program-size) growths.
-func (p *Profiler) growDense(n int) {
-	size := cap(p.idOf)
-	if size < 1<<10 {
-		size = 1 << 10
-	}
-	for size < n {
-		size *= 2
-	}
-	if size > maxDenseWords {
-		size = maxDenseWords
-	}
-	grown := make([]int32, size) //reprolint:allow hotpath amortized geometric growth, O(log program) times per run
-	copy(grown, p.idOf)
-	for i := len(p.idOf); i < size; i++ {
-		grown[i] = -1
-	}
-	p.idOf = grown
-}
-
-// newID allocates the next dense id and its per-branch state. Runs once
+// newID allocates pc's dense id and its per-branch state. Runs once
 // per static branch; Reserve pre-sizes every buffer it appends to.
 func (p *Profiler) newID(pc uint64) int32 {
-	id := int32(len(p.pcs))
+	id := p.ix.Intern(pc)
 	p.pcs = append(p.pcs, pc)                //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.exec = append(p.exec, 0)               //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.taken = append(p.taken, 0)             //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
@@ -553,11 +494,10 @@ type NaiveProfiler struct {
 	benchmark string
 	inputSet  string
 
-	idOf    []int32
-	highIDs map[uint64]int32
-	pcs     []uint64
-	exec    []uint64
-	taken   []uint64
+	ix    isa.PCIndex
+	pcs   []uint64
+	exec  []uint64
+	taken []uint64
 
 	stamp []uint64 // last time stamp per id
 	seen  []bool   // id has executed at least once
@@ -577,11 +517,9 @@ func NewNaiveProfiler(benchmark, inputSet string) *NaiveProfiler {
 
 // Branch consumes one dynamic branch event.
 func (p *NaiveProfiler) Branch(pc uint64, taken bool, icount uint64) {
-	var id int32
-	if w := pc >> 2; pc&3 == 0 && w < uint64(len(p.idOf)) && p.idOf[w] >= 0 {
-		id = p.idOf[w]
-	} else {
-		id = p.intern(pc)
+	id, ok := p.ix.Lookup(pc)
+	if !ok {
+		id = p.newID(pc)
 	}
 	p.exec[id]++
 	if taken {
@@ -607,54 +545,15 @@ func (p *NaiveProfiler) Branch(pc uint64, taken bool, icount uint64) {
 	p.seen[id] = true
 }
 
-// intern mirrors Profiler.intern for the reference profiler: dense
-// direct-indexed translation with a map fallback, cold per static
-// branch.
-func (p *NaiveProfiler) intern(pc uint64) int32 {
-	newID := func() int32 {
-		id := int32(len(p.pcs))
-		p.pcs = append(p.pcs, pc)      //reprolint:allow hotpath first touch, once per static branch
-		p.exec = append(p.exec, 0)     //reprolint:allow hotpath first touch, once per static branch
-		p.taken = append(p.taken, 0)   //reprolint:allow hotpath first touch, once per static branch
-		p.stamp = append(p.stamp, 0)   //reprolint:allow hotpath first touch, once per static branch
-		p.seen = append(p.seen, false) //reprolint:allow hotpath first touch, once per static branch
-		return id
-	}
-	if w := pc >> 2; pc&3 == 0 && w < maxDenseWords {
-		if w >= uint64(len(p.idOf)) {
-			size := cap(p.idOf)
-			if size < 1<<10 {
-				size = 1 << 10
-			}
-			for size < int(w+1) {
-				size *= 2
-			}
-			if size > maxDenseWords {
-				size = maxDenseWords
-			}
-			grown := make([]int32, size) //reprolint:allow hotpath amortized geometric growth, O(log program) times per run
-			copy(grown, p.idOf)
-			for i := len(p.idOf); i < size; i++ {
-				grown[i] = -1
-			}
-			p.idOf = grown
-		}
-		if id := p.idOf[w]; id >= 0 {
-			return id
-		}
-		id := newID()
-		p.idOf[w] = id
-		return id
-	}
-	if id, ok := p.highIDs[pc]; ok { //reprolint:allow hotpath unaligned-pc fallback, off the VM's word-aligned address space
-		return id
-	}
-	if p.highIDs == nil {
-		p.highIDs = make(map[uint64]int32) //reprolint:allow hotpath unaligned-pc fallback, allocated at most once
-	}
-	id := newID()
-	p.highIDs[pc] = id //reprolint:allow hotpath unaligned-pc fallback, once per out-of-range static branch
-	return id
+// newID allocates pc's dense id and its per-branch state, once per
+// static branch.
+func (p *NaiveProfiler) newID(pc uint64) int32 {
+	p.pcs = append(p.pcs, pc)      //reprolint:allow hotpath first touch, once per static branch
+	p.exec = append(p.exec, 0)     //reprolint:allow hotpath first touch, once per static branch
+	p.taken = append(p.taken, 0)   //reprolint:allow hotpath first touch, once per static branch
+	p.stamp = append(p.stamp, 0)   //reprolint:allow hotpath first touch, once per static branch
+	p.seen = append(p.seen, false) //reprolint:allow hotpath first touch, once per static branch
+	return p.ix.Intern(pc)
 }
 
 // Profile extracts the accumulated profile.

@@ -52,7 +52,7 @@ func (f *Facts) NumResolved() int { return countTrue(f.ResolvedKnown) }
 // as instruction index → direction (true = always taken), and
 // DeadInsts the proven-unreachable instruction indices. Together they
 // are exactly the shape staticws.BranchFacts consumes for pruning the
-// static conflict graph, without either package importing the other.
+// static conflict graph (see staticws.FactsFrom).
 func (f *Facts) ResolvedDirections() map[int]bool {
 	out := make(map[int]bool)
 	for i, known := range f.ResolvedKnown {

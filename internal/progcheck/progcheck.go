@@ -2,6 +2,7 @@ package progcheck
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
@@ -52,6 +53,28 @@ type checker struct {
 	funcLive []bool
 	facts    *Facts
 	findings []Finding
+}
+
+// Gate is the command-line tools' verification gate: it checks p,
+// prints each error finding and then a one-line summary to w, and
+// rejects p if any finding is an error. Run the progcheck command for
+// the full warn/info listing.
+func Gate(w io.Writer, p *program.Program) (*Report, error) {
+	r := Check(p)
+	errs := 0
+	for _, f := range r.Findings {
+		if f.Severity == SevError {
+			fmt.Fprintf(w, "progcheck: %s\n", f)
+			errs++
+		}
+	}
+	if errs > 0 {
+		return nil, fmt.Errorf("progcheck: %d error findings; program rejected", errs)
+	}
+	sum := r.Summary()
+	fmt.Fprintf(w, "progcheck: ok (%d findings; %d branch sites: %d resolved, %d dead, %d data-dependent)\n",
+		len(r.Findings), sum.Sites, sum.Resolved, sum.Dead, sum.Data)
+	return r, nil
 }
 
 // Check verifies p: validation, then interval and reaching-definitions

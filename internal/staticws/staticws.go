@@ -30,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/profile"
+	"repro/internal/progcheck"
 	"repro/internal/program"
 )
 
@@ -144,9 +145,7 @@ func (e *Estimate) BiasCounts() (unknown, taken, notTaken int) {
 }
 
 // BranchFacts carries verifier-proven branch facts into the static
-// estimate. The fields mirror what package progcheck proves, without
-// this package importing the verifier: callers convert its Facts.
-// Proven branches keep their profile nodes — the node set must remain
+// estimate; FactsFrom converts a progcheck report into them. Proven branches keep their profile nodes — the node set must remain
 // exactly Program.CondBranchPCs() — but contribute no conflict pairs:
 // a branch the compiler already knows the direction of needs no
 // two-bit counter, so it cannot contend for one.
@@ -156,6 +155,18 @@ type BranchFacts struct {
 	ResolvedTaken map[int]bool
 	// Dead marks instruction indices proven unreachable.
 	Dead map[int]bool
+}
+
+// FactsFrom returns the pruning facts of a verification report; nil
+// (no pruning) for a nil report or one without facts.
+func FactsFrom(r *progcheck.Report) *BranchFacts {
+	if r == nil || r.Facts == nil {
+		return nil
+	}
+	return &BranchFacts{
+		ResolvedTaken: r.Facts.ResolvedDirections(),
+		Dead:          r.Facts.DeadInsts(),
+	}
 }
 
 // prunedSites counts the facts that name actual conditional branches.

@@ -23,8 +23,9 @@ func TestFreqCounterMatchesTraceStats(t *testing.T) {
 	)
 	var f FreqCounter
 	streamOf(tr, &f)
-	if !reflect.DeepEqual(f.Stats(), tr.Stats()) {
-		t.Fatalf("FreqCounter.Stats diverges from Trace.Stats:\n%+v\n%+v", f.Stats(), tr.Stats())
+	want := []BranchStat{{PC: 4, Count: 3, Taken: 2}, {PC: 8, Count: 2, Taken: 1}, {PC: 12, Count: 1, Taken: 1}}
+	if !reflect.DeepEqual(f.Stats(), want) || !reflect.DeepEqual(tr.Stats(), want) {
+		t.Fatalf("stats:\nstreamed %+v\nrecorded %+v\nwant     %+v", f.Stats(), tr.Stats(), want)
 	}
 	dyn, static := f.Total()
 	if dyn != 6 || static != 3 {
@@ -82,8 +83,7 @@ func TestSelectByCoverageMatchesFilter(t *testing.T) {
 }
 
 // TestFilterSinkMatchesFilteredReplay checks the filter sink passes the
-// exact event subsequence of the keep set's branches, in order, for both
-// the bitset and the literal map-only construction.
+// exact event subsequence of the keep set's branches, in order.
 func TestFilterSinkMatchesFilteredReplay(t *testing.T) {
 	tr := makeTrace(
 		Event{PC: 4, Taken: true, ICount: 1},
@@ -103,11 +103,10 @@ func TestFilterSinkMatchesFilteredReplay(t *testing.T) {
 	if len(want) != 3 {
 		t.Fatalf("keep set %v selects %d events, want 3", res.Keep, len(want))
 	}
-	var bits, literal collectSink
-	streamOf(tr, NewFilterSink(res.Keep, &bits))
-	streamOf(tr, FilterSink{Keep: res.Keep, Sink: &literal})
-	if !reflect.DeepEqual(want, bits.events) || !reflect.DeepEqual(want, literal.events) {
-		t.Fatalf("filtered streams differ:\nwant    %+v\nbitset  %+v\nliteral %+v", want, bits.events, literal.events)
+	var got collectSink
+	streamOf(tr, NewFilterSink(res.Keep, &got))
+	if !reflect.DeepEqual(want, got.events) {
+		t.Fatalf("filtered stream differs:\nwant %+v\ngot  %+v", want, got.events)
 	}
 }
 

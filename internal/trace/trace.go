@@ -9,10 +9,6 @@
 // binary on-disk format so traces can be collected once and re-analyzed.
 package trace
 
-import (
-	"sort"
-)
-
 // Event is one retired conditional branch.
 type Event struct {
 	// PC is the byte address of the static branch instruction.
@@ -90,32 +86,14 @@ func (s BranchStat) TakenRate() float64 {
 	return float64(s.Taken) / float64(s.Count)
 }
 
-// Stats computes per-static-branch statistics, ordered by descending
-// dynamic count (ties broken by PC for determinism).
+// Stats computes per-static-branch statistics, ordered as
+// FreqCounter.Stats orders them.
 func (t *Trace) Stats() []BranchStat {
-	m := make(map[uint64]*BranchStat)
+	var f FreqCounter
 	for _, e := range t.Events {
-		s := m[e.PC]
-		if s == nil {
-			s = &BranchStat{PC: e.PC}
-			m[e.PC] = s
-		}
-		s.Count++
-		if e.Taken {
-			s.Taken++
-		}
+		f.Branch(e.PC, e.Taken, e.ICount)
 	}
-	out := make([]BranchStat, 0, len(m))
-	for _, s := range m {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].PC < out[j].PC
-	})
-	return out
+	return f.Stats()
 }
 
 // FilterResult describes the outcome of a frequency filter.

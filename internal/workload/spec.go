@@ -125,6 +125,20 @@ var (
 	InputB   = InputSet{Name: "b", Seed: 22}
 )
 
+// InputByName returns the common input set called name; the empty name
+// is InputRef, as in RunConfig.
+func InputByName(name string) (InputSet, error) {
+	switch name {
+	case "", InputRef.Name:
+		return InputRef, nil
+	case InputA.Name:
+		return InputA, nil
+	case InputB.Name:
+		return InputB, nil
+	}
+	return InputSet{}, fmt.Errorf("unknown input set %q (want ref, a, or b)", name)
+}
+
 // specs is the benchmark registry, tuned so that the suite's Table 1/2
 // shape (static branch populations, working-set sizes and counts,
 // relative benchmark ordering) follows the paper. gs and tex appear in
