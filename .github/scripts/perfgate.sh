@@ -8,12 +8,12 @@
 #             end-to-end metric worse, or if any perfbench run exits
 #             nonzero (a failed operation, an output digest mismatch, or
 #             a traced-run coverage or gap_frac gate).
-#   workers   cmd/tables on the whole paper suite in the default
-#             configuration (GOMAXPROCS benchmark workers) against
-#             -workers 1: fails if the output bytes differ, or if the
-#             default median is more than 10% slower. On a small host the
-#             two schedules can be nearly the same, so an exact bound
-#             would fail on noise.
+#   workers   cmd/tables on the whole paper suite and on the ablation
+#             studies (-ablations), each in the default configuration
+#             (GOMAXPROCS benchmark workers) against -workers 1: fails if
+#             the output bytes differ, or if the default median is more
+#             than 10% slower. On a small host the two schedules can be
+#             nearly the same, so an exact bound would fail on noise.
 #
 # Usage, from anywhere in the repository:
 #
@@ -119,6 +119,36 @@ compare_step() {
 
 median() { sort -n | awk '{v[NR] = $1} END {print v[int((NR + 1) / 2)]}'; }
 
+# workers_run <name> <tables args...> times tables at the defaults
+# against -workers 1 on one run and compares their medians and bytes.
+workers_run() {
+	local name=$1
+	shift
+	local side i t0 t1 m1 md want log=$out/default-vs-workers-1-$name.txt
+	: >"$log"
+	for ((i = 1; i <= repeats; i++)); do
+		local order="default 1"
+		((i % 2 == 1)) || order="1 default"
+		for side in $order; do
+			local args=(-scale 0.1 -quiet "$@")
+			[[ $side == 1 ]] && args+=(-workers 1)
+			t0=$(date +%s%N)
+			"$tmp/perfgate-tables" "${args[@]}" >"$out/tables-$name-$side.out"
+			t1=$(date +%s%N)
+			echo "$side $((t1 - t0)) $(sha256sum <"$out/tables-$name-$side.out" | cut -d' ' -f1)" |
+				tee -a "$log"
+		done
+	done
+	m1=$(awk '$1 == 1 {print $2}' "$log" | median)
+	md=$(awk '$1 == "default" {print $2}' "$log" | median)
+	echo "workers ($name): median $((md / 1000000)) ms at the defaults, $((m1 / 1000000)) ms at -workers 1"
+	((md * 10 <= m1 * 11)) || fail "tables ($name) at the defaults is more than 10% slower than at -workers 1 (median $((md / 1000000)) ms vs $((m1 / 1000000)) ms)"
+	want=$(awk 'NR == 1 {print $3}' "$log")
+	if awk -v h="$want" '$3 != h {bad = 1} END {exit !bad}' "$log"; then
+		fail "tables ($name) output differs between the defaults and -workers 1"
+	fi
+}
+
 workers_step() {
 	local n
 	n=$(nproc)
@@ -127,29 +157,8 @@ workers_step() {
 		return
 	fi
 	go build -o "$tmp/perfgate-tables" ./cmd/tables
-	local side i t0 t1 m1 md want
-	: >"$out/default-vs-workers-1.txt"
-	for ((i = 1; i <= repeats; i++)); do
-		local order="default 1"
-		((i % 2 == 1)) || order="1 default"
-		for side in $order; do
-			local args=(-scale 0.1 -quiet)
-			[[ $side == 1 ]] && args+=(-workers 1)
-			t0=$(date +%s%N)
-			"$tmp/perfgate-tables" "${args[@]}" >"$out/tables-default-$side.out"
-			t1=$(date +%s%N)
-			echo "$side $((t1 - t0)) $(sha256sum <"$out/tables-default-$side.out" | cut -d' ' -f1)" |
-				tee -a "$out/default-vs-workers-1.txt"
-		done
-	done
-	m1=$(awk '$1 == 1 {print $2}' "$out/default-vs-workers-1.txt" | median)
-	md=$(awk '$1 == "default" {print $2}' "$out/default-vs-workers-1.txt" | median)
-	echo "workers: median $((md / 1000000)) ms at the defaults, $((m1 / 1000000)) ms at -workers 1"
-	((md * 10 <= m1 * 11)) || fail "tables at the defaults is more than 10% slower than at -workers 1 (median $((md / 1000000)) ms vs $((m1 / 1000000)) ms)"
-	want=$(awk 'NR == 1 {print $3}' "$out/default-vs-workers-1.txt")
-	if awk -v h="$want" '$3 != h {bad = 1} END {exit !bad}' "$out/default-vs-workers-1.txt"; then
-		fail "tables output differs between the defaults and -workers 1"
-	fi
+	workers_run paper
+	workers_run ablations -ablations
 }
 
 for step in "${steps[@]}"; do

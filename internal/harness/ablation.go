@@ -6,7 +6,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/profile"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -26,49 +25,6 @@ type ThresholdRow struct {
 	Edges      int
 }
 
-// AblationThreshold measures Table 2 statistics across pruning
-// thresholds. The paper claims thresholds of 100, 500 and 1000 "show no
-// significant difference on the results".
-func (s *Suite) AblationThreshold(benchmarks []string, thresholds []uint64) ([]ThresholdRow, error) {
-	if len(thresholds) == 0 {
-		thresholds = []uint64{50, core.DefaultThreshold, 500, 1000}
-	}
-	perBench, err := mapOrdered(s, len(benchmarks), s.byDynamicBranches(benchmarks), func(i int) ([]ThresholdRow, error) {
-		name := benchmarks[i]
-		a, err := s.Artifacts(name, workload.InputRef)
-		if err != nil {
-			return nil, err
-		}
-		var rows []ThresholdRow
-		for _, th := range thresholds {
-			res, err := core.Analyze(a.Profile, core.AnalysisConfig{
-				Threshold:    th,
-				CliqueBudget: s.cfg.CliqueBudget,
-			})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, ThresholdRow{
-				Benchmark:  name,
-				Threshold:  th,
-				NumSets:    res.NumSets(),
-				AvgStatic:  res.AvgStaticSize(),
-				AvgDynamic: res.AvgDynamicSize(),
-				Edges:      res.Graph.NumEdges(),
-			})
-		}
-		return rows, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []ThresholdRow
-	for _, r := range perBench {
-		rows = append(rows, r...)
-	}
-	return rows, nil
-}
-
 // DefinitionRow compares the two working-set definitions on one
 // benchmark.
 type DefinitionRow struct {
@@ -78,41 +34,6 @@ type DefinitionRow struct {
 	PartitionSets   int
 	PartitionAvg    float64
 	CliqueTruncated bool
-}
-
-// AblationDefinition compares maximal-clique (overlapping) and greedy
-// partition (disjoint) working sets.
-func (s *Suite) AblationDefinition(benchmarks []string) ([]DefinitionRow, error) {
-	return mapOrdered(s, len(benchmarks), s.byDynamicBranches(benchmarks), func(i int) (DefinitionRow, error) {
-		name := benchmarks[i]
-		a, err := s.Artifacts(name, workload.InputRef)
-		if err != nil {
-			return DefinitionRow{}, err
-		}
-		mc, err := core.Analyze(a.Profile, core.AnalysisConfig{
-			Threshold:    s.cfg.Threshold,
-			Definition:   core.MaximalCliques,
-			CliqueBudget: s.cfg.CliqueBudget,
-		})
-		if err != nil {
-			return DefinitionRow{}, err
-		}
-		gp, err := core.Analyze(a.Profile, core.AnalysisConfig{
-			Threshold:  s.cfg.Threshold,
-			Definition: core.GreedyPartition,
-		})
-		if err != nil {
-			return DefinitionRow{}, err
-		}
-		return DefinitionRow{
-			Benchmark:       name,
-			CliqueSets:      mc.NumSets(),
-			CliqueAvgStatic: mc.AvgStaticSize(),
-			PartitionSets:   gp.NumSets(),
-			PartitionAvg:    gp.AvgStaticSize(),
-			CliqueTruncated: mc.Truncated,
-		}, nil
-	})
 }
 
 // GroupedRow compares individual-branch and grouped (pre-classified)
@@ -126,40 +47,6 @@ type GroupedRow struct {
 	BiasedFraction float64
 }
 
-// AblationGrouped measures how collapsing biased branches into class
-// groups (Sections 2/6) shrinks the working sets.
-func (s *Suite) AblationGrouped(benchmarks []string) ([]GroupedRow, error) {
-	return mapOrdered(s, len(benchmarks), s.byDynamicBranches(benchmarks), func(i int) (GroupedRow, error) {
-		name := benchmarks[i]
-		a, err := s.Artifacts(name, workload.InputRef)
-		if err != nil {
-			return GroupedRow{}, err
-		}
-		ind, err := core.Analyze(a.Profile, core.AnalysisConfig{
-			Threshold:    s.cfg.Threshold,
-			CliqueBudget: s.cfg.CliqueBudget,
-		})
-		if err != nil {
-			return GroupedRow{}, err
-		}
-		grp, err := core.AnalyzeGrouped(a.Profile, core.AnalysisConfig{
-			Threshold:    s.cfg.Threshold,
-			CliqueBudget: s.cfg.CliqueBudget,
-		}, classify.Default())
-		if err != nil {
-			return GroupedRow{}, err
-		}
-		return GroupedRow{
-			Benchmark:      name,
-			IndividualSets: ind.NumSets(),
-			IndividualAvg:  ind.AvgStaticSize(),
-			GroupedSets:    grp.Analysis.NumSets(),
-			GroupedAvg:     grp.Analysis.AvgStaticSize(),
-			BiasedFraction: grp.Classification.BiasedDynamicFraction(a.Profile),
-		}, nil
-	})
-}
-
 // WindowRow measures the effect of the profiling scan window.
 type WindowRow struct {
 	Benchmark string
@@ -170,54 +57,151 @@ type WindowRow struct {
 	AvgStatic float64
 }
 
-// AblationWindow profiles one benchmark at several scan windows,
-// quantifying the documented approximation the harness default uses.
-func (s *Suite) AblationWindow(benchmark string, windows []int) ([]WindowRow, error) {
+// ablationThresholds are the pruning thresholds of the threshold
+// ablation. The paper claims thresholds of 100, 500 and 1000 "show no
+// significant difference on the results".
+var ablationThresholds = []uint64{50, core.DefaultThreshold, 500, 1000}
+
+// windowMultiples are the window ablation's scan windows, in units of
+// the benchmark's nominal working-set size; 0 is unbounded (exact).
+var windowMultiples = []int{1, 2, 4, 0}
+
+// ablationRow is one row of RunAblations' schedule: either one
+// benchmark's threshold, definition and grouped measurements, or the
+// window ablation's rows alone.
+type ablationRow struct {
+	threshold  []ThresholdRow
+	definition DefinitionRow
+	grouped    GroupedRow
+	window     []WindowRow
+}
+
+// ablateBenchmark measures one benchmark's Table 2 statistics at every
+// ablation threshold, its two working-set definitions (maximal cliques,
+// overlapping; greedy partition, disjoint) and how collapsing biased
+// branches into class groups (Sections 2/6) shrinks its working sets.
+func (s *Suite) ablateBenchmark(name string) (ablationRow, error) {
+	a, err := s.Artifacts(name, workload.InputRef)
+	if err != nil {
+		return ablationRow{}, err
+	}
+	span := s.stageSpan(name, "ablate")
+	defer span.End()
+	analyze := func(threshold uint64, def core.SetDefinition) (*core.AnalysisResult, error) {
+		return core.Analyze(a.Profile, core.AnalysisConfig{
+			Threshold:    threshold,
+			Definition:   def,
+			CliqueBudget: s.cfg.CliqueBudget,
+		})
+	}
+
+	var row ablationRow
+	for _, th := range ablationThresholds {
+		res, err := analyze(th, core.MaximalCliques)
+		if err != nil {
+			return ablationRow{}, err
+		}
+		row.threshold = append(row.threshold, ThresholdRow{
+			Benchmark:  name,
+			Threshold:  th,
+			NumSets:    res.NumSets(),
+			AvgStatic:  res.AvgStaticSize(),
+			AvgDynamic: res.AvgDynamicSize(),
+			Edges:      res.Graph.NumEdges(),
+		})
+	}
+
+	mc, err := analyze(s.cfg.Threshold, core.MaximalCliques)
+	if err != nil {
+		return ablationRow{}, err
+	}
+	gp, err := analyze(s.cfg.Threshold, core.GreedyPartition)
+	if err != nil {
+		return ablationRow{}, err
+	}
+	row.definition = DefinitionRow{
+		Benchmark:       name,
+		CliqueSets:      mc.NumSets(),
+		CliqueAvgStatic: mc.AvgStaticSize(),
+		PartitionSets:   gp.NumSets(),
+		PartitionAvg:    gp.AvgStaticSize(),
+		CliqueTruncated: mc.Truncated,
+	}
+
+	ind, err := analyze(s.cfg.Threshold, core.MaximalCliques)
+	if err != nil {
+		return ablationRow{}, err
+	}
+	grp, err := core.AnalyzeGrouped(a.Profile, core.AnalysisConfig{
+		Threshold:    s.cfg.Threshold,
+		CliqueBudget: s.cfg.CliqueBudget,
+	}, classify.Default())
+	if err != nil {
+		return ablationRow{}, err
+	}
+	row.grouped = GroupedRow{
+		Benchmark:      name,
+		IndividualSets: ind.NumSets(),
+		IndividualAvg:  ind.AvgStaticSize(),
+		GroupedSets:    grp.Analysis.NumSets(),
+		GroupedAvg:     grp.Analysis.AvgStaticSize(),
+		BiasedFraction: grp.Classification.BiasedDynamicFraction(a.Profile),
+	}
+	return row, nil
+}
+
+// ablateWindows profiles one benchmark at each of windowMultiples' scan
+// windows, quantifying the documented approximation the harness default
+// uses. Each window is its own filtered re-execution, and its profiler
+// is dropped before the next pass starts: the row overlaps other
+// benchmarks' profiles, so only one window's counters and staging
+// batches may be live at a time.
+func (s *Suite) ablateWindows(benchmark string) ([]WindowRow, error) {
 	a, err := s.Artifacts(benchmark, workload.InputRef)
 	if err != nil {
 		return nil, err
 	}
-	if len(windows) == 0 {
-		ws := a.Spec.WorkingSetSize()
-		windows = []int{ws, 2 * ws, 4 * ws, 0}
-	}
-	// One pass over the filtered stream feeds every window's profiler
-	// (they are independent consumers), so the ablation costs a single
-	// filtered re-execution for all rows.
-	profilers := make([]*profile.Profiler, len(windows))
-	fan := make(vm.MultiSink, len(windows))
-	for i, w := range windows {
-		var opts []profile.Option
-		if w > 0 {
-			opts = append(opts, profile.WithWindow(w))
-		}
-		profilers[i] = profile.NewProfiler(benchmark, a.Input.Name, opts...)
-		fan[i] = profilers[i]
-	}
-	if err := s.replayFiltered(a, fan); err != nil {
-		return nil, err
-	}
-	var rows []WindowRow
-	for i, w := range windows {
-		p := profilers[i].Profile()
-		res, err := core.Analyze(p, core.AnalysisConfig{
-			Threshold:    s.cfg.Threshold,
-			CliqueBudget: s.cfg.CliqueBudget,
-		})
+	rows := make([]WindowRow, 0, len(windowMultiples))
+	for _, m := range windowMultiples {
+		row, err := s.ablateWindow(a, m*a.Spec.WorkingSetSize())
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, WindowRow{
-			Benchmark: benchmark,
-			Window:    w,
-			Pairs:     p.Pairs.Len(),
-			Edges:     res.Graph.NumEdges(),
-			NumSets:   res.NumSets(),
-			AvgStatic: res.AvgStaticSize(),
-		})
-		p.Release() // transient: the analysis result is all that is kept
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// ablateWindow profiles a's filtered stream at one scan window (0 =
+// unbounded) and analyzes the profile.
+func (s *Suite) ablateWindow(a *Artifacts, window int) (WindowRow, error) {
+	span := s.stageSpan(a.Spec.Name, "ablate-window")
+	defer span.End()
+	var opts []profile.Option
+	if window > 0 {
+		opts = append(opts, profile.WithWindow(window))
+	}
+	prof := profile.NewProfiler(a.Spec.Name, a.Input.Name, opts...)
+	if err := s.replayFiltered(a, prof); err != nil {
+		return WindowRow{}, err
+	}
+	p := prof.Profile()
+	defer p.Release() // transient: the analysis result is all that is kept
+	res, err := core.Analyze(p, core.AnalysisConfig{
+		Threshold:    s.cfg.Threshold,
+		CliqueBudget: s.cfg.CliqueBudget,
+	})
+	if err != nil {
+		return WindowRow{}, err
+	}
+	return WindowRow{
+		Benchmark: a.Spec.Name,
+		Window:    window,
+		Pairs:     p.Pairs.Len(),
+		Edges:     res.Graph.NumEdges(),
+		NumSets:   res.NumSets(),
+		AvgStatic: res.AvgStaticSize(),
+	}, nil
 }
 
 // RenderAblationThreshold formats threshold-sensitivity rows.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -9,14 +10,40 @@ import (
 
 var ablationSet = []string{"compress", "li"}
 
-func TestAblationThreshold(t *testing.T) {
-	s := testSuite()
-	rows, err := s.AblationThreshold(ablationSet, []uint64{50, 100, 500})
-	if err != nil {
-		t.Fatal(err)
+var (
+	ablationOnce sync.Once
+	ablationRows []ablationRow
+	ablationErr  error
+)
+
+// benchmarkAblations computes ablationSet's per-benchmark ablation rows
+// once on the shared test suite.
+func benchmarkAblations(t *testing.T) []ablationRow {
+	t.Helper()
+	ablationOnce.Do(func() {
+		s := testSuite()
+		for _, name := range ablationSet {
+			row, err := s.ablateBenchmark(name)
+			if err != nil {
+				ablationErr = err
+				return
+			}
+			ablationRows = append(ablationRows, row)
+		}
+	})
+	if ablationErr != nil {
+		t.Fatal(ablationErr)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
+	return ablationRows
+}
+
+func TestAblationThreshold(t *testing.T) {
+	var rows []ThresholdRow
+	for _, r := range benchmarkAblations(t) {
+		if len(r.threshold) != len(ablationThresholds) {
+			t.Fatalf("%s: %d threshold rows, want %d", r.definition.Benchmark, len(r.threshold), len(ablationThresholds))
+		}
+		rows = append(rows, r.threshold...)
 	}
 	// Higher thresholds can only prune edges.
 	for i := 1; i < len(rows); i++ {
@@ -31,10 +58,9 @@ func TestAblationThreshold(t *testing.T) {
 }
 
 func TestAblationDefinition(t *testing.T) {
-	s := testSuite()
-	rows, err := s.AblationDefinition(ablationSet)
-	if err != nil {
-		t.Fatal(err)
+	var rows []DefinitionRow
+	for _, r := range benchmarkAblations(t) {
+		rows = append(rows, r.definition)
 	}
 	for _, r := range rows {
 		if r.CliqueSets == 0 || r.PartitionSets == 0 {
@@ -53,10 +79,9 @@ func TestAblationDefinition(t *testing.T) {
 }
 
 func TestAblationGrouped(t *testing.T) {
-	s := testSuite()
-	rows, err := s.AblationGrouped(ablationSet)
-	if err != nil {
-		t.Fatal(err)
+	var rows []GroupedRow
+	for _, r := range benchmarkAblations(t) {
+		rows = append(rows, r.grouped)
 	}
 	for _, r := range rows {
 		if r.BiasedFraction <= 0 || r.BiasedFraction >= 1 {
@@ -75,7 +100,7 @@ func TestAblationGrouped(t *testing.T) {
 
 func TestAblationWindow(t *testing.T) {
 	s := testSuite()
-	rows, err := s.AblationWindow("compress", nil)
+	rows, err := s.ablateWindows("compress")
 	if err != nil {
 		t.Fatal(err)
 	}

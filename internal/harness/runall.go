@@ -111,35 +111,48 @@ func RunFigure(s *Suite, w io.Writer, figure int, markdown bool) error {
 	return nil
 }
 
-// RunAblations renders the ablation studies to w.
+// RunAblations renders the ablation studies to w. It runs them as one
+// mapOrdered schedule: a row per ablation benchmark computes all three
+// of its per-benchmark studies, and one more row runs li's window
+// ablation, weighted by its passes so that it starts beside the
+// heaviest benchmark row. No row calls mapOrdered again: a nested pool
+// would overdraw the core budget by its one-token floor.
 func RunAblations(s *Suite, w io.Writer, markdown bool) error {
-	th, err := s.AblationThreshold(AblationBenchmarks, nil)
+	n := len(AblationBenchmarks)
+	weight := func(i int) uint64 {
+		if i == n {
+			return uint64(len(windowMultiples)) * s.dynamicBranches("li")
+		}
+		return s.dynamicBranches(AblationBenchmarks[i])
+	}
+	rows, err := mapOrdered(s, n+1, weight, func(i int) (ablationRow, error) {
+		if i == n {
+			win, err := s.ablateWindows("li")
+			return ablationRow{window: win}, err
+		}
+		return s.ablateBenchmark(AblationBenchmarks[i])
+	})
 	if err != nil {
 		return err
+	}
+	var (
+		th  []ThresholdRow
+		def []DefinitionRow
+		grp []GroupedRow
+	)
+	for _, r := range rows[:n] {
+		th = append(th, r.threshold...)
+		def = append(def, r.definition)
+		grp = append(grp, r.grouped)
 	}
 	section(w, "Ablation: pruning threshold sensitivity (paper Section 4.2 claim)")
 	_, _ = io.WriteString(w, RenderAblationThreshold(th, markdown))
-
-	def, err := s.AblationDefinition(AblationBenchmarks)
-	if err != nil {
-		return err
-	}
 	section(w, "Ablation: working-set definition (maximal cliques vs greedy partition)")
 	_, _ = io.WriteString(w, RenderAblationDefinition(def, markdown))
-
-	grp, err := s.AblationGrouped(AblationBenchmarks)
-	if err != nil {
-		return err
-	}
 	section(w, "Ablation: pre-classified branch groups (paper Sections 2/6 extension)")
 	_, _ = io.WriteString(w, RenderAblationGrouped(grp, markdown))
-
-	win, err := s.AblationWindow("li", nil)
-	if err != nil {
-		return err
-	}
 	section(w, "Ablation: interleave scan window (this reproduction's optimization)")
-	_, _ = io.WriteString(w, RenderAblationWindow(win, markdown))
+	_, _ = io.WriteString(w, RenderAblationWindow(rows[n].window, markdown))
 	return nil
 }
 
