@@ -32,7 +32,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/harness"
@@ -127,13 +126,13 @@ func main() {
 		}
 	}
 	if *zoo {
-		if err := harness.RunZoo(suite, os.Stdout, *markdown, splitKinds(*predictor)...); err != nil {
+		if err := harness.RunZoo(suite, os.Stdout, *markdown, harness.SplitZooKinds(*predictor)...); err != nil {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)
 		}
 	}
 	if *graphs {
-		if err := harness.RunGraphs(suite, os.Stdout, *markdown, splitKinds(*predictor)...); err != nil {
+		if err := harness.RunGraphs(suite, os.Stdout, *markdown, harness.SplitZooKinds(*predictor)...); err != nil {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)
 		}
@@ -179,21 +178,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// splitKinds parses the -predictor flag: comma-separated kind names,
-// empty string meaning "all" (the nil slice RunZoo interprets that way).
-func splitKinds(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var kinds []string
-	for _, k := range strings.Split(s, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			kinds = append(kinds, k)
-		}
-	}
-	return kinds
 }
 
 func run(suite *harness.Suite, all bool, table, figure int, markdown bool) error {

@@ -83,7 +83,7 @@ func (r *analyzeRequest) validate() error {
 			return fmt.Errorf("kind %q needs figure 3 or 4, got %d", r.Kind, r.Figure)
 		}
 	case "zoo", "graphs":
-		for _, k := range splitPredictorKinds(r.Predictor) {
+		for _, k := range harness.SplitZooKinds(r.Predictor) {
 			if !predict.ValidZooKind(k) {
 				return fmt.Errorf("kind %q: unknown predictor %q (have %v)", r.Kind, k, predict.ZooKinds())
 			}
@@ -132,21 +132,6 @@ func (r *analyzeRequest) vetProgram() ([]progcheck.Finding, error) {
 	return nil, nil
 }
 
-// splitPredictorKinds parses the comma-separated predictor selection;
-// empty input yields nil, which RunZoo reads as "the whole zoo".
-func splitPredictorKinds(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var kinds []string
-	for _, k := range strings.Split(s, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			kinds = append(kinds, k)
-		}
-	}
-	return kinds
-}
-
 // executeJob runs one analysis request on a fresh Suite and returns the
 // rendered output — the same bytes the corresponding harness.Run* call
 // writes, which the round-trip test asserts.
@@ -179,9 +164,9 @@ func executeJob(req analyzeRequest, m *obs.Metrics) (string, error) {
 	case "static":
 		err = harness.RunStatic(suite, &buf, req.Markdown)
 	case "zoo":
-		err = harness.RunZoo(suite, &buf, req.Markdown, splitPredictorKinds(req.Predictor)...)
+		err = harness.RunZoo(suite, &buf, req.Markdown, harness.SplitZooKinds(req.Predictor)...)
 	case "graphs":
-		err = harness.RunGraphs(suite, &buf, req.Markdown, splitPredictorKinds(req.Predictor)...)
+		err = harness.RunGraphs(suite, &buf, req.Markdown, harness.SplitZooKinds(req.Predictor)...)
 	case "charact":
 		err = harness.RunCharact(suite, &buf, req.Markdown)
 	default:

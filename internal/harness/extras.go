@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/predict"
 	"repro/internal/vm"
@@ -39,91 +38,6 @@ type ComparisonRow struct {
 	InterferenceFree float64
 }
 
-// Comparison runs the related-work predictor comparison over the figure
-// benchmark set, one benchmark per worker.
-func (s *Suite) Comparison() ([]ComparisonRow, error) {
-	return mapOrdered(s, len(FigureBenchmarks), s.byDynamicBranches(FigureBenchmarks), func(i int) (ComparisonRow, error) {
-		a, err := s.Artifacts(FigureBenchmarks[i], workload.InputRef)
-		if err != nil {
-			return ComparisonRow{}, err
-		}
-		s.progressf("comparison sims %s", FigureBenchmarks[i])
-		return s.comparisonRow(a)
-	})
-}
-
-func (s *Suite) comparisonRow(a *Artifacts) (ComparisonRow, error) {
-	row := ComparisonRow{Benchmark: a.Spec.Name}
-
-	alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-		TableSize:         s.cfg.BaselineBHT,
-		Threshold:         s.cfg.Threshold,
-		UseClassification: true,
-	})
-	if err != nil {
-		return row, err
-	}
-
-	conv, err := predict.NewPAg(predict.PCModIndexer{Entries: s.cfg.BaselineBHT}, s.cfg.PHTEntries)
-	if err != nil {
-		return row, err
-	}
-	allocated, err := predict.NewPAg(predict.AllocIndexer{Map: alloc.Map}, s.cfg.PHTEntries)
-	if err != nil {
-		return row, err
-	}
-	agree, err := predict.NewAgree(s.cfg.PHTEntries, s.cfg.BaselineBHT)
-	if err != nil {
-		return row, err
-	}
-	gshare, err := predict.NewGshare(s.cfg.PHTEntries)
-	if err != nil {
-		return row, err
-	}
-	gas, err := predict.NewGAs(4, s.cfg.PHTEntries/4)
-	if err != nil {
-		return row, err
-	}
-	bim, err := predict.NewBimodal(2048)
-	if err != nil {
-		return row, err
-	}
-	pagForComb, err := predict.NewPAg(predict.PCModIndexer{Entries: s.cfg.BaselineBHT}, s.cfg.PHTEntries)
-	if err != nil {
-		return row, err
-	}
-	comb, err := predict.NewCombining(bim, pagForComb, 1024)
-	if err != nil {
-		return row, err
-	}
-	ifree, err := predict.NewPAg(predict.NewIdealIndexer(), s.cfg.PHTEntries)
-	if err != nil {
-		return row, err
-	}
-
-	sims := []*predict.Sim{
-		predict.NewSim(conv), predict.NewSim(allocated), predict.NewSim(agree),
-		predict.NewSim(gshare), predict.NewSim(gas), predict.NewSim(comb),
-		predict.NewSim(ifree),
-	}
-	fan := make(vm.MultiSink, len(sims))
-	for i, sim := range sims {
-		fan[i] = sim
-	}
-	if err := s.replayFull(a, fan); err != nil {
-		return row, err
-	}
-
-	row.Conventional = sims[0].MispredictRate()
-	row.Allocated = sims[1].MispredictRate()
-	row.Agree = sims[2].MispredictRate()
-	row.Gshare = sims[3].MispredictRate()
-	row.GAs = sims[4].MispredictRate()
-	row.Combining = sims[5].MispredictRate()
-	row.InterferenceFree = sims[6].MispredictRate()
-	return row, nil
-}
-
 // PipelineRow holds the modeled execution cost of one benchmark under
 // three predictor configurations.
 type PipelineRow struct {
@@ -139,60 +53,85 @@ type PipelineRow struct {
 	MPKIConventional, MPKIAllocated float64
 }
 
-// PipelineCosts evaluates the pipeline model over the figure
-// benchmarks, one benchmark per worker.
-func (s *Suite) PipelineCosts(model pipeline.Model) ([]PipelineRow, error) {
-	return mapOrdered(s, len(FigureBenchmarks), s.byDynamicBranches(FigureBenchmarks), func(i int) (PipelineRow, error) {
-		name := FigureBenchmarks[i]
-		a, err := s.Artifacts(name, workload.InputRef)
+// Extras runs the related-work predictor comparison over the figure
+// benchmarks, one benchmark per worker, and evaluates model on three of
+// its configurations: conventional, allocated (classified) and
+// interference-free PAg. Each benchmark is replayed once for both.
+func (s *Suite) Extras(model pipeline.Model) ([]ComparisonRow, []PipelineRow, error) {
+	type row struct {
+		cmp  ComparisonRow
+		cost PipelineRow
+	}
+	rows, err := mapOrdered(s, len(FigureBenchmarks), s.byDynamicBranches(FigureBenchmarks), func(i int) (row, error) {
+		a, err := s.Artifacts(FigureBenchmarks[i], workload.InputRef)
 		if err != nil {
-			return PipelineRow{}, err
+			return row{}, err
 		}
-		s.progressf("pipeline costs %s", name)
-
-		alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-			TableSize:         s.cfg.BaselineBHT,
-			Threshold:         s.cfg.Threshold,
-			UseClassification: true,
-		})
-		if err != nil {
-			return PipelineRow{}, err
-		}
-		conv, err := predict.NewPAg(predict.PCModIndexer{Entries: s.cfg.BaselineBHT}, s.cfg.PHTEntries)
-		if err != nil {
-			return PipelineRow{}, err
-		}
-		allocated, err := predict.NewPAg(predict.AllocIndexer{Map: alloc.Map}, s.cfg.PHTEntries)
-		if err != nil {
-			return PipelineRow{}, err
-		}
-		ifree, err := predict.NewPAg(predict.NewIdealIndexer(), s.cfg.PHTEntries)
-		if err != nil {
-			return PipelineRow{}, err
-		}
-		sims := []*predict.Sim{predict.NewSim(conv), predict.NewSim(allocated), predict.NewSim(ifree)}
-		fan := make(vm.MultiSink, len(sims))
-		for i, sim := range sims {
-			fan[i] = sim
-		}
-		if err := s.replayFull(a, fan); err != nil {
-			return PipelineRow{}, err
-		}
-
-		st := a.VMStats
-		costConv := model.Evaluate(st.Instructions, st.CondBranches, st.Taken, sims[0].Mispredicts())
-		costAlloc := model.Evaluate(st.Instructions, st.CondBranches, st.Taken, sims[1].Mispredicts())
-		costIdeal := model.Evaluate(st.Instructions, st.CondBranches, st.Taken, sims[2].Mispredicts())
-		return PipelineRow{
-			Benchmark:        name,
-			CPIConventional:  costConv.CPI(),
-			CPIAllocated:     costAlloc.CPI(),
-			CPIIdeal:         costIdeal.CPI(),
-			Speedup:          pipeline.Speedup(costConv, costAlloc),
-			MPKIConventional: costConv.MPKI(),
-			MPKIAllocated:    costAlloc.MPKI(),
-		}, nil
+		s.progressf("comparison sims %s", FigureBenchmarks[i])
+		cmp, cost, err := s.extrasRow(a, model)
+		return row{cmp, cost}, err
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cmp := make([]ComparisonRow, len(rows))
+	costs := make([]PipelineRow, len(rows))
+	for i, r := range rows {
+		cmp[i], costs[i] = r.cmp, r.cost
+	}
+	return cmp, costs, nil
+}
+
+// extrasRow simulates one benchmark's comparison configurations: the
+// paper's three (paperPredictors over a classified allocation at the
+// baseline size) and the hardware schemes at comparable budgets.
+func (s *Suite) extrasRow(a *Artifacts, model pipeline.Model) (ComparisonRow, PipelineRow, error) {
+	maps, err := s.allocMaps(a.Profile, []int{s.cfg.BaselineBHT}, true)
+	if err != nil {
+		return ComparisonRow{}, PipelineRow{}, err
+	}
+	bim, err := predict.NewBimodal(2048)
+	if err != nil {
+		return ComparisonRow{}, PipelineRow{}, err
+	}
+	pag, err := predict.NewPAg(predict.PCModIndexer{Entries: s.cfg.BaselineBHT}, s.cfg.PHTEntries)
+	if err != nil {
+		return ComparisonRow{}, PipelineRow{}, err
+	}
+	ps := s.paperPredictors(maps)
+	ps.add(predict.NewAgree(s.cfg.PHTEntries, s.cfg.BaselineBHT))
+	ps.add(predict.NewGshare(s.cfg.PHTEntries))
+	ps.add(predict.NewGAs(4, s.cfg.PHTEntries/4))
+	ps.add(predict.NewCombining(bim, pag, 1024))
+	sims, err := s.simulate(a.Spec.Name, func(k vm.BranchSink) error { return s.replayFull(a, k) }, ps)
+	if err != nil {
+		return ComparisonRow{}, PipelineRow{}, err
+	}
+	conv, ifree, allocated := sims[0], sims[1], sims[2]
+	cmp := ComparisonRow{
+		Benchmark:        a.Spec.Name,
+		Conventional:     conv.MispredictRate(),
+		Allocated:        allocated.MispredictRate(),
+		Agree:            sims[3].MispredictRate(),
+		Gshare:           sims[4].MispredictRate(),
+		GAs:              sims[5].MispredictRate(),
+		Combining:        sims[6].MispredictRate(),
+		InterferenceFree: ifree.MispredictRate(),
+	}
+
+	st := a.VMStats
+	costConv := model.Evaluate(st.Instructions, st.CondBranches, st.Taken, conv.Mispredicts())
+	costAlloc := model.Evaluate(st.Instructions, st.CondBranches, st.Taken, allocated.Mispredicts())
+	costIdeal := model.Evaluate(st.Instructions, st.CondBranches, st.Taken, ifree.Mispredicts())
+	return cmp, PipelineRow{
+		Benchmark:        a.Spec.Name,
+		CPIConventional:  costConv.CPI(),
+		CPIAllocated:     costAlloc.CPI(),
+		CPIIdeal:         costIdeal.CPI(),
+		Speedup:          pipeline.Speedup(costConv, costAlloc),
+		MPKIConventional: costConv.MPKI(),
+		MPKIAllocated:    costAlloc.MPKI(),
+	}, nil
 }
 
 // RenderComparison formats the related-work comparison.

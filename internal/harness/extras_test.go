@@ -127,7 +127,7 @@ func TestAblationWindow(t *testing.T) {
 
 func TestComparisonExtras(t *testing.T) {
 	s := testSuite()
-	rows, err := s.Comparison()
+	rows, _, err := s.Extras(pipeline.Deep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestComparisonExtras(t *testing.T) {
 func TestPipelineCosts(t *testing.T) {
 	s := testSuite()
 	model := pipeline.Deep()
-	rows, err := s.PipelineCosts(model)
+	_, rows, err := s.Extras(model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,3 +161,39 @@ func RenderFigure(f *FigureResult, markdown bool) string {
 	}
 	return t.String()
 }
+
+// convAllocRow is one row of a per-kind conv/alloc table: its lead
+// cells, then the PC-modulo and allocated rates at each table size.
+type convAllocRow struct {
+	lead        []string
+	conv, alloc []float64
+}
+
+// renderConvAllocTables formats one table per predictor kind, headed
+// "[kind]": the lead columns, then a conv/alloc column pair per table
+// size, over the rows rows(kind) returns.
+func renderConvAllocTables(kinds []string, sizes []int, lead []string, rows func(kind string) []convAllocRow, markdown bool) string {
+	var out string
+	for _, kind := range kinds {
+		header := append([]string{}, lead...)
+		for _, size := range sizes {
+			header = append(header, fmt.Sprintf("conv-%d", size), fmt.Sprintf("alloc-%d", size))
+		}
+		t := newTextTable(header...)
+		for _, r := range rows(kind) {
+			cells := append([]string{}, r.lead...)
+			for i := range sizes {
+				cells = append(cells, fmt.Sprintf("%.4f", r.conv[i]), fmt.Sprintf("%.4f", r.alloc[i]))
+			}
+			t.add(cells...)
+		}
+		out += fmt.Sprintf("[%s]\n", kind)
+		if markdown {
+			out += t.markdown()
+		} else {
+			out += t.String()
+		}
+		out += "\n"
+	}
+	return out
+}

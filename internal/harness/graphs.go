@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
-	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/vm"
@@ -174,71 +172,24 @@ func (s *Suite) Graphs(kinds ...string) (*GraphsResult, error) {
 }
 
 // graphRows simulates one variant under every (kind, size, indexing)
-// configuration — conventional and allocated indexing share one
-// deterministic replay through a MultiSink, exactly like the zoo. One
-// allocation per table size is shared across predictor kinds.
+// configuration through convAllocRows, exactly like the zoo.
 func (s *Suite) graphRows(a *GraphArtifacts, kinds []string) ([]GraphRow, error) {
-	sizes := s.cfg.AllocBHTSizes
-	allocs := make([]*core.AllocationMap, len(sizes))
-	for i, size := range sizes {
-		alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-			TableSize: size,
-			Threshold: s.cfg.Threshold,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("harness: allocating graph %s at %d: %w", a.Spec.Name, size, err)
-		}
-		allocs[i] = alloc.Map
-	}
-
-	type simPair struct{ conv, alloc *predict.Sim }
-	pairs := make([][]simPair, len(kinds))
-	sinks := make(vm.MultiSink, 0, 2*len(kinds)*len(sizes))
-	for ki, kind := range kinds {
-		pairs[ki] = make([]simPair, len(sizes))
-		for si, size := range sizes {
-			cfg := predict.ZooConfig{TableSize: size, PHTEntries: s.cfg.PHTEntries}
-			conv, err := predict.NewZooPredictor(kind, predict.PCModIndexer{Entries: size}, cfg)
-			if err != nil {
-				return nil, err
-			}
-			allocated, err := predict.NewZooPredictor(kind, predict.AllocIndexer{Map: allocs[si]}, cfg)
-			if err != nil {
-				return nil, err
-			}
-			pairs[ki][si] = simPair{conv: predict.NewSim(conv), alloc: predict.NewSim(allocated)}
-			sinks = append(sinks, pairs[ki][si].conv, pairs[ki][si].alloc)
-		}
-	}
-
-	span := s.stageSpan(a.Spec.Name, "simulate")
-	err := s.replayGraph(a, sinks)
-	span.End()
+	grid, err := s.convAllocRows(a.Spec.Name, a.Profile, func(k vm.BranchSink) error { return s.replayGraph(a, k) }, kinds)
 	if err != nil {
 		return nil, err
 	}
-
-	pm := s.cfg.Metrics.Predict()
-	rows := make([]GraphRow, len(kinds))
-	for ki, kind := range kinds {
-		row := GraphRow{
+	rows := make([]GraphRow, len(grid))
+	for i, r := range grid {
+		rows[i] = GraphRow{
 			Benchmark: a.Spec.PairName(),
 			Variant:   a.Spec.Variant(),
-			Kind:      kind,
+			Kind:      r.Kind,
+			Branches:  r.Branches,
 			Static:    a.Program.NumCondBranches(),
 			TakenRate: a.Stats.TakenRate(),
-			Conv:      make([]float64, len(sizes)),
-			Alloc:     make([]float64, len(sizes)),
+			Conv:      r.Conv,
+			Alloc:     r.Alloc,
 		}
-		for si := range sizes {
-			p := pairs[ki][si]
-			p.conv.FlushMetrics(pm)
-			p.alloc.FlushMetrics(pm)
-			row.Conv[si] = p.conv.MispredictRate()
-			row.Alloc[si] = p.alloc.MispredictRate()
-			row.Branches = p.conv.Branches()
-		}
-		rows[ki] = row
 	}
 	return rows, nil
 }
@@ -248,46 +199,25 @@ func (s *Suite) graphRows(a *GraphArtifacts, kinds []string) ([]GraphRow, error)
 // table size), then a summary of the branchy-vs-avoiding gap and the
 // allocation delta at the smallest and largest sizes.
 func RenderGraphs(res *GraphsResult, markdown bool) string {
-	var out string
-	for _, kind := range res.Kinds {
-		header := []string{"benchmark", "variant", "branches", "taken"}
-		for _, size := range res.Sizes {
-			header = append(header, fmt.Sprintf("conv-%d", size), fmt.Sprintf("alloc-%d", size))
-		}
-		t := newTextTable(header...)
+	out := renderConvAllocTables(res.Kinds, res.Sizes, []string{"benchmark", "variant", "branches", "taken"}, func(kind string) []convAllocRow {
+		var rows []convAllocRow
 		for _, r := range res.Rows[kind] {
-			cells := []string{r.Benchmark, r.Variant,
-				fmt.Sprintf("%d", r.Branches), fmt.Sprintf("%.3f", r.TakenRate)}
-			for i := range res.Sizes {
-				cells = append(cells, fmt.Sprintf("%.4f", r.Conv[i]), fmt.Sprintf("%.4f", r.Alloc[i]))
-			}
-			t.add(cells...)
+			lead := []string{r.Benchmark, r.Variant, fmt.Sprintf("%d", r.Branches), fmt.Sprintf("%.3f", r.TakenRate)}
+			rows = append(rows, convAllocRow{lead: lead, conv: r.Conv, alloc: r.Alloc})
 		}
-		out += fmt.Sprintf("[%s]\n", kind)
-		if markdown {
-			out += t.markdown()
-		} else {
-			out += t.String()
-		}
-		out += "\n"
-	}
+		return rows
+	}, markdown)
 
 	first, last := 0, len(res.Sizes)-1
 	sum := newTextTable("predictor", "branchy conv", "avoiding conv",
 		fmt.Sprintf("alloc delta @%d", res.Sizes[first]),
 		fmt.Sprintf("alloc delta @%d", res.Sizes[last]))
-	improvementAt := func(r GraphRow, i int) float64 {
-		if r.Conv[i] == 0 {
-			return 0
-		}
-		return (r.Conv[i] - r.Alloc[i]) / r.Conv[i]
-	}
 	for _, kind := range res.Kinds {
 		var convB, convA, deltaFirst, deltaLast float64
 		var nB, nA int
 		for _, r := range res.Rows[kind] {
-			deltaFirst += improvementAt(r, first)
-			deltaLast += improvementAt(r, last)
+			deltaFirst += improvement(r.Conv[first], r.Alloc[:first+1])
+			deltaLast += improvement(r.Conv[last], r.Alloc[:last+1])
 			if r.Variant == "branchy" {
 				convB += r.Conv[last]
 				nB++

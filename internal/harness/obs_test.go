@@ -2,10 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pipeline"
+	"repro/internal/predict"
 	"repro/internal/workload"
 )
 
@@ -85,33 +89,143 @@ func TestStreamCountersExact(t *testing.T) {
 	}
 }
 
-// TestFigurePredictFlushExact checks the predictor counters flushed by
-// the figure runner: every simulated configuration contributes each
-// benchmark's full branch stream, so the branch total is rows × configs
-// × per-row branches, and hits + mispredicts must partition it.
+// simulated is what one experiment reports it simulated: Σ rows ×
+// configurations × branches, and the benchmarks it replayed.
+type simulated struct {
+	branches   uint64
+	benchmarks []string
+	// graph marks graph benchmarks, whose artifacts take one VM run
+	// (the profiled execution) instead of two.
+	graph bool
+}
+
+// TestFigurePredictFlushExact reconciles the predictor counters with
+// the rows of every simulating experiment: each configuration consumes
+// its benchmark's full branch stream once, so the branch total is rows
+// × configurations × per-row branches, hits and mispredicts partition
+// it, and every simulated benchmark opens exactly one simulate span
+// around its one replay.
 func TestFigurePredictFlushExact(t *testing.T) {
-	reg := metricsRegistry()
-	s := NewSuite(Config{Scale: 0.02, Workers: 1, Metrics: obs.New(reg)})
-	res, err := s.Figure3()
-	if err != nil {
-		t.Fatal(err)
+	figure := func(res *FigureResult, err error) (simulated, error) {
+		var out simulated
+		if err != nil {
+			return out, err
+		}
+		configs := uint64(2 + len(res.Sizes)) // conventional + interference-free + one per size
+		for _, row := range res.Rows {
+			out.branches += row.Branches * configs
+			out.benchmarks = append(out.benchmarks, row.Benchmark)
+		}
+		return out, nil
 	}
-	configs := uint64(2 + len(res.Sizes)) // conventional + interference-free + one per size
-	var want uint64
-	for _, row := range res.Rows {
-		want += row.Branches * configs
+	cases := []struct {
+		name string
+		run  func(*Suite) (simulated, error)
+	}{
+		{"figure3", func(s *Suite) (simulated, error) { return figure(s.Figure3()) }},
+		{"figure4", func(s *Suite) (simulated, error) { return figure(s.Figure4()) }},
+		{"zoo", func(s *Suite) (simulated, error) {
+			res, err := s.Zoo()
+			if err != nil {
+				return simulated{}, err
+			}
+			out := simulated{benchmarks: FigureBenchmarks}
+			for _, kind := range res.Kinds {
+				for _, row := range res.Rows[kind] {
+					out.branches += row.Branches * uint64(2*len(res.Sizes))
+				}
+			}
+			return out, nil
+		}},
+		{"graphs", func(s *Suite) (simulated, error) {
+			res, err := s.Graphs(predict.KindPAg, predict.KindTAGE)
+			if err != nil {
+				return simulated{}, err
+			}
+			out := simulated{benchmarks: workload.GraphNames(), graph: true}
+			for _, kind := range res.Kinds {
+				for _, row := range res.Rows[kind] {
+					out.branches += row.Branches * uint64(2*len(res.Sizes))
+				}
+			}
+			return out, nil
+		}},
+		{"extras", func(s *Suite) (simulated, error) {
+			rows, _, err := s.Extras(pipeline.Deep())
+			if err != nil {
+				return simulated{}, err
+			}
+			var out simulated
+			for _, row := range rows {
+				a, ok := s.Cached(row.Benchmark, workload.InputRef)
+				if !ok {
+					return out, fmt.Errorf("%s: no artifacts", row.Benchmark)
+				}
+				out.branches += a.VMStats.CondBranches * 7 // the seven compared schemes
+				out.benchmarks = append(out.benchmarks, row.Benchmark)
+			}
+			return out, nil
+		}},
+		{"static", func(s *Suite) (simulated, error) {
+			res, err := s.StaticComparison()
+			if err != nil {
+				return simulated{}, err
+			}
+			var out simulated
+			configs := uint64(2 + 2*len(res.Sizes)) // conventional + interference-free + profiled and static per size
+			for _, row := range res.Rows {
+				out.branches += row.Branches * configs
+				out.benchmarks = append(out.benchmarks, row.Benchmark)
+			}
+			return out, nil
+		}},
 	}
-	branches := reg.Counter("wsd_predict_branches_total").Value()
-	hits := reg.Counter("wsd_predict_hits_total").Value()
-	miss := reg.Counter("wsd_predict_mispredicts_total").Value()
-	if branches != want {
-		t.Errorf("predict branches = %d, want %d (%d rows × %d configs)", branches, want, len(res.Rows), configs)
-	}
-	if hits+miss != branches {
-		t.Errorf("hits %d + mispredicts %d != branches %d", hits, miss, branches)
-	}
-	if miss == 0 {
-		t.Error("no mispredicts recorded; predictors are not that good")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metricsRegistry()
+			s := NewSuite(Config{Scale: 0.02, Workers: 1, Metrics: obs.New(reg)})
+			want, err := tc.run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			branches := reg.Counter("wsd_predict_branches_total").Value()
+			hits := reg.Counter("wsd_predict_hits_total").Value()
+			miss := reg.Counter("wsd_predict_mispredicts_total").Value()
+			if branches != want.branches {
+				t.Errorf("predict branches = %d, want %d", branches, want.branches)
+			}
+			if hits+miss != branches {
+				t.Errorf("hits %d + mispredicts %d != branches %d", hits, miss, branches)
+			}
+			if miss == 0 {
+				t.Error("no mispredicts recorded; predictors are not that good")
+			}
+
+			spans := map[string]uint64{}
+			for _, st := range reg.Snapshot().Stages {
+				if strings.Contains(st.Name, `stage="simulate"`) {
+					spans[st.Name] = st.Count
+				}
+			}
+			for _, b := range want.benchmarks {
+				name := obs.Name("wsd_stage", "benchmark", b, "stage", "simulate")
+				if spans[name] != 1 {
+					t.Errorf("%s: %d simulate spans, want 1", b, spans[name])
+				}
+				delete(spans, name)
+			}
+			if len(spans) != 0 {
+				t.Errorf("simulate spans for benchmarks the rows do not name: %v", spans)
+			}
+			perBenchmark := uint64(3) // pre-count, profiling pass, one replay
+			if want.graph {
+				perBenchmark = 2 // profiled execution, one replay
+			}
+			runs := perBenchmark * uint64(len(want.benchmarks))
+			if got := reg.Counter("wsd_vm_runs_total").Value(); got != runs {
+				t.Errorf("vm runs = %d, want %d", got, runs)
+			}
+		})
 	}
 }
 

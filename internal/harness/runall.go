@@ -156,20 +156,16 @@ func RunAblations(s *Suite, w io.Writer, markdown bool) error {
 	return nil
 }
 
-// RunExtras renders the extended experiments to w.
+// RunExtras renders the extended experiments to w: the related-work
+// comparison and the pipeline costs of its PAg configurations.
 func RunExtras(s *Suite, w io.Writer, markdown bool) error {
-	cmp, err := s.Comparison()
+	model := pipeline.Deep()
+	cmp, costs, err := s.Extras(model)
 	if err != nil {
 		return err
 	}
 	section(w, "Extended: branch allocation vs hardware anti-interference schemes")
 	_, _ = io.WriteString(w, RenderComparison(cmp, markdown))
-
-	model := pipeline.Deep()
-	costs, err := s.PipelineCosts(model)
-	if err != nil {
-		return err
-	}
 	section(w, "Extended: modeled pipeline cost (deeply pipelined front end)")
 	_, _ = io.WriteString(w, RenderPipeline(costs, model, markdown))
 	return nil

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/analysis"
-	"repro/internal/core"
-	"repro/internal/predict"
 	"repro/internal/staticws"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -45,13 +42,6 @@ type StaticRow struct {
 // the conventional baseline.
 func (r StaticRow) ProfiledImprovement() float64 { return improvement(r.Conventional, r.Profiled) }
 func (r StaticRow) StaticImprovement() float64   { return improvement(r.Conventional, r.Static) }
-
-func improvement(conv float64, rates []float64) float64 {
-	if conv == 0 || len(rates) == 0 {
-		return 0
-	}
-	return (conv - rates[len(rates)-1]) / conv
-}
 
 // StaticResult is the complete static-vs-profiled comparison.
 type StaticResult struct {
@@ -114,110 +104,41 @@ func (s *Suite) staticRow(a *Artifacts) (StaticRow, error) {
 	row.LoopBranches = est.LoopBranches()
 	row.MaxDepth = est.MaxDepth()
 
-	conv, err := predict.NewPAg(predict.PCModIndexer{Entries: s.cfg.BaselineBHT}, s.cfg.PHTEntries)
+	sizes := s.cfg.AllocBHTSizes
+	profiled, err := s.allocMaps(a.Profile, sizes, false)
 	if err != nil {
 		return row, err
 	}
-	convSim := predict.NewSim(conv)
-	ifree, err := predict.NewPAg(predict.NewIdealIndexer(), s.cfg.PHTEntries)
+	static, err := s.allocMaps(est.Profile, sizes, false)
+	if err != nil {
+		return row, fmt.Errorf("harness: static estimate: %w", err)
+	}
+	sims, err := s.simulate(a.Spec.Name, func(k vm.BranchSink) error { return s.replayFull(a, k) },
+		s.paperPredictors(append(profiled, static...)))
 	if err != nil {
 		return row, err
 	}
-	ifreeSim := predict.NewSim(ifree)
-
-	newAllocSim := func(p *core.Allocation) (*predict.Sim, error) {
-		pr, err := predict.NewPAg(predict.AllocIndexer{Map: p.Map}, s.cfg.PHTEntries)
-		if err != nil {
-			return nil, err
-		}
-		return predict.NewSim(pr), nil
-	}
-	profSims := make([]*predict.Sim, len(s.cfg.AllocBHTSizes))
-	staticSims := make([]*predict.Sim, len(s.cfg.AllocBHTSizes))
-	for i, size := range s.cfg.AllocBHTSizes {
-		cfg := core.AllocationConfig{TableSize: size, Threshold: s.cfg.Threshold}
-		palloc, err := core.Allocate(a.Profile, cfg)
-		if err != nil {
-			return row, fmt.Errorf("harness: profiled allocation of %s at %d: %w", a.Spec.Name, size, err)
-		}
-		salloc, err := core.Allocate(est.Profile, cfg)
-		if err != nil {
-			return row, fmt.Errorf("harness: static allocation of %s at %d: %w", a.Spec.Name, size, err)
-		}
-		if s.cfg.Check {
-			if err := analysis.VerifyAllocation(a.Profile, palloc); err != nil {
-				return row, fmt.Errorf("harness: %s profiled allocation at %d: %w", a.Spec.Name, size, err)
-			}
-			if err := analysis.VerifyAllocation(est.Profile, salloc); err != nil {
-				return row, fmt.Errorf("harness: %s static allocation at %d: %w", a.Spec.Name, size, err)
-			}
-		}
-		if profSims[i], err = newAllocSim(palloc); err != nil {
-			return row, err
-		}
-		if staticSims[i], err = newAllocSim(salloc); err != nil {
-			return row, err
-		}
-	}
-
-	sinks := make(vm.MultiSink, 0, 2*len(s.cfg.AllocBHTSizes)+2)
-	sinks = append(sinks, convSim, ifreeSim)
-	for _, sim := range profSims {
-		sinks = append(sinks, sim)
-	}
-	for _, sim := range staticSims {
-		sinks = append(sinks, sim)
-	}
-	span = s.stageSpan(a.Spec.Name, "simulate")
-	err = s.replayFull(a, sinks)
-	span.End()
-	if err != nil {
-		return row, err
-	}
-	pm := s.cfg.Metrics.Predict()
-	for _, sim := range sinks {
-		sim.(*predict.Sim).FlushMetrics(pm)
-	}
-
-	row.Conventional = convSim.MispredictRate()
-	row.InterferenceFree = ifreeSim.MispredictRate()
-	row.Branches = convSim.Branches()
-	row.Profiled = make([]float64, len(profSims))
-	row.Static = make([]float64, len(staticSims))
-	for i := range profSims {
-		row.Profiled[i] = profSims[i].MispredictRate()
-		row.Static[i] = staticSims[i].MispredictRate()
-	}
+	row.Conventional = sims[0].MispredictRate()
+	row.InterferenceFree = sims[1].MispredictRate()
+	row.Branches = sims[0].Branches()
+	row.Profiled = rates(sims[2 : 2+len(sizes)])
+	row.Static = rates(sims[2+len(sizes):])
 	return row, nil
 }
 
 // averageStaticRow computes the arithmetic mean across rows.
 func averageStaticRow(rows []StaticRow, sizes int) StaticRow {
-	avg := StaticRow{
-		Benchmark: "average",
-		Profiled:  make([]float64, sizes),
-		Static:    make([]float64, sizes),
+	mean, branches := meanRates(rows, 2+2*sizes, func(r StaticRow) ([]float64, uint64) {
+		return append(append([]float64{r.Conventional, r.InterferenceFree}, r.Profiled...), r.Static...), r.Branches
+	})
+	return StaticRow{
+		Benchmark:        "average",
+		Conventional:     mean[0],
+		Profiled:         mean[2 : 2+sizes],
+		Static:           mean[2+sizes:],
+		InterferenceFree: mean[1],
+		Branches:         branches,
 	}
-	if len(rows) == 0 {
-		return avg
-	}
-	for _, r := range rows {
-		avg.Conventional += r.Conventional
-		avg.InterferenceFree += r.InterferenceFree
-		avg.Branches += r.Branches
-		for i := range r.Profiled {
-			avg.Profiled[i] += r.Profiled[i]
-			avg.Static[i] += r.Static[i]
-		}
-	}
-	n := float64(len(rows))
-	avg.Conventional /= n
-	avg.InterferenceFree /= n
-	for i := range avg.Profiled {
-		avg.Profiled[i] /= n
-		avg.Static[i] /= n
-	}
-	return avg
 }
 
 // RenderStatic formats the static-vs-profiled comparison.

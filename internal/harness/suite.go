@@ -57,10 +57,14 @@ type Config struct {
 	// window used is printed with each profile step and recorded in
 	// EXPERIMENTS.md.
 	ProfileWindow int
-	// Check runs the internal/analysis artifact verifiers on every
-	// conflict graph, working-set extraction, and allocation the suite
-	// produces, failing the experiment on any invariant violation.
-	// Enabled by the tables CLI's -check flag and by tests.
+	// Check runs the internal/analysis artifact verifiers, failing the
+	// experiment on any invariant violation: on Table 2's conflict
+	// graphs and working-set extractions, on Table 3/4's required-size
+	// allocations and their graphs, and on every allocation a predictor
+	// experiment simulates (figures, zoo, graphs, extras, static). It
+	// also compares each graph kernel's result against its Go
+	// reference. The ablation studies are not verified. Enabled by the
+	// tables CLI's -check flag and by tests.
 	Check bool
 	// Workers caps how many benchmarks are processed concurrently
 	// across artifact computation, analysis, and predictor simulation;

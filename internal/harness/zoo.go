@@ -3,8 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
-	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -34,11 +34,10 @@ type ZooRow struct {
 // Improvement returns the fractional misprediction reduction of
 // allocated over conventional indexing at the largest table size.
 func (r ZooRow) Improvement() float64 {
-	if len(r.Conv) == 0 || r.Conv[len(r.Conv)-1] == 0 {
+	if len(r.Conv) == 0 {
 		return 0
 	}
-	last := len(r.Conv) - 1
-	return (r.Conv[last] - r.Alloc[last]) / r.Conv[last]
+	return improvement(r.Conv[len(r.Conv)-1], r.Alloc)
 }
 
 // ZooResult is the complete zoo run: rows grouped by predictor kind in
@@ -67,7 +66,7 @@ func (s *Suite) Zoo(kinds ...string) (*ZooResult, error) {
 			return nil, err
 		}
 		s.progressf("zoo sims %s (%d predictors)", FigureBenchmarks[i], len(selected))
-		return s.zooRows(a, selected)
+		return s.convAllocRows(a.Spec.Name, a.Profile, func(k vm.BranchSink) error { return s.replayFull(a, k) }, selected)
 	})
 	if err != nil {
 		return nil, err
@@ -84,6 +83,22 @@ func (s *Suite) Zoo(kinds ...string) (*ZooResult, error) {
 		res.Averages[kind] = averageZooRow(kind, res.Rows[kind], len(s.cfg.AllocBHTSizes))
 	}
 	return res, nil
+}
+
+// SplitZooKinds parses a comma-separated predictor selection, as the
+// CLIs' -predictor flag and the service's predictor field carry it;
+// empty input yields nil, which Zoo and Graphs read as the whole zoo.
+func SplitZooKinds(s string) []string {
+	if s == "" {
+		return nil
+	}
+	var kinds []string
+	for _, k := range strings.Split(s, ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			kinds = append(kinds, k)
+		}
+	}
+	return kinds
 }
 
 // normalizeZooKinds validates the requested kinds and returns them in
@@ -108,123 +123,25 @@ func normalizeZooKinds(kinds []string) ([]string, error) {
 	return out, nil
 }
 
-// zooRows simulates every (kind, size, indexing) configuration over one
-// benchmark's full branch stream — a single replay drives all sims.
-func (s *Suite) zooRows(a *Artifacts, kinds []string) ([]ZooRow, error) {
-	sizes := s.cfg.AllocBHTSizes
-
-	// One allocation per table size, shared by every predictor kind:
-	// the allocation is a property of the branch working sets, not of
-	// the predictor consuming it. Plain allocation (no classification)
-	// matches Figure 3, the apples-to-apples comparison.
-	allocs := make([]*core.AllocationMap, len(sizes))
-	for i, size := range sizes {
-		alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-			TableSize: size,
-			Threshold: s.cfg.Threshold,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("harness: allocating %s at %d: %w", a.Spec.Name, size, err)
-		}
-		allocs[i] = alloc.Map
-	}
-
-	type simPair struct{ conv, alloc *predict.Sim }
-	pairs := make([][]simPair, len(kinds))
-	sinks := make(vm.MultiSink, 0, 2*len(kinds)*len(sizes))
-	for ki, kind := range kinds {
-		pairs[ki] = make([]simPair, len(sizes))
-		for si, size := range sizes {
-			cfg := predict.ZooConfig{TableSize: size, PHTEntries: s.cfg.PHTEntries}
-			conv, err := predict.NewZooPredictor(kind, predict.PCModIndexer{Entries: size}, cfg)
-			if err != nil {
-				return nil, err
-			}
-			allocated, err := predict.NewZooPredictor(kind, predict.AllocIndexer{Map: allocs[si]}, cfg)
-			if err != nil {
-				return nil, err
-			}
-			pairs[ki][si] = simPair{conv: predict.NewSim(conv), alloc: predict.NewSim(allocated)}
-			sinks = append(sinks, pairs[ki][si].conv, pairs[ki][si].alloc)
-		}
-	}
-
-	span := s.stageSpan(a.Spec.Name, "simulate")
-	err := s.replayFull(a, sinks)
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	pm := s.cfg.Metrics.Predict()
-
-	rows := make([]ZooRow, len(kinds))
-	for ki, kind := range kinds {
-		row := ZooRow{
-			Benchmark: a.Spec.Name,
-			Kind:      kind,
-			Conv:      make([]float64, len(sizes)),
-			Alloc:     make([]float64, len(sizes)),
-		}
-		for si := range sizes {
-			p := pairs[ki][si]
-			p.conv.FlushMetrics(pm)
-			p.alloc.FlushMetrics(pm)
-			row.Conv[si] = p.conv.MispredictRate()
-			row.Alloc[si] = p.alloc.MispredictRate()
-			row.Branches = p.conv.Branches()
-		}
-		rows[ki] = row
-	}
-	return rows, nil
-}
-
 // averageZooRow computes the arithmetic mean across one kind's rows.
 func averageZooRow(kind string, rows []ZooRow, sizes int) ZooRow {
-	avg := ZooRow{Benchmark: "average", Kind: kind, Conv: make([]float64, sizes), Alloc: make([]float64, sizes)}
-	if len(rows) == 0 {
-		return avg
-	}
-	for _, r := range rows {
-		avg.Branches += r.Branches
-		for i := range r.Conv {
-			avg.Conv[i] += r.Conv[i]
-			avg.Alloc[i] += r.Alloc[i]
-		}
-	}
-	n := float64(len(rows))
-	for i := range avg.Conv {
-		avg.Conv[i] /= n
-		avg.Alloc[i] /= n
-	}
-	return avg
+	mean, branches := meanRates(rows, 2*sizes, func(r ZooRow) ([]float64, uint64) {
+		return append(append([]float64{}, r.Conv...), r.Alloc...), r.Branches
+	})
+	return ZooRow{Benchmark: "average", Kind: kind, Conv: mean[:sizes], Alloc: mean[sizes:], Branches: branches}
 }
 
 // RenderZoo formats the zoo run: one table per predictor kind with a
 // conv/alloc column pair per table size, then a cross-zoo summary of the
 // allocated-indexing improvement at the largest size.
 func RenderZoo(res *ZooResult, markdown bool) string {
-	var out string
-	for _, kind := range res.Kinds {
-		header := []string{"benchmark"}
-		for _, size := range res.Sizes {
-			header = append(header, fmt.Sprintf("conv-%d", size), fmt.Sprintf("alloc-%d", size))
-		}
-		t := newTextTable(header...)
+	out := renderConvAllocTables(res.Kinds, res.Sizes, []string{"benchmark"}, func(kind string) []convAllocRow {
+		var rows []convAllocRow
 		for _, r := range append(append([]ZooRow{}, res.Rows[kind]...), res.Averages[kind]) {
-			cells := []string{r.Benchmark}
-			for i := range res.Sizes {
-				cells = append(cells, fmt.Sprintf("%.4f", r.Conv[i]), fmt.Sprintf("%.4f", r.Alloc[i]))
-			}
-			t.add(cells...)
+			rows = append(rows, convAllocRow{lead: []string{r.Benchmark}, conv: r.Conv, alloc: r.Alloc})
 		}
-		out += fmt.Sprintf("[%s]\n", kind)
-		if markdown {
-			out += t.markdown()
-		} else {
-			out += t.String()
-		}
-		out += "\n"
-	}
+		return rows
+	}, markdown)
 
 	sum := newTextTable("predictor", "avg conv", "avg alloc", "improvement")
 	last := len(res.Sizes) - 1
