@@ -18,11 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -46,22 +45,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "branchsim:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "branchsim:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "branchsim:", err)
-			}
-		}()
+	stopProfiling, err := obs.StartProfiling(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "branchsim:", err)
+		os.Exit(1)
 	}
 
 	if err := run(*bench, *input, *scale, *predictors, *bht, *pht, *allocSize, *classifyF, *bimodalN, *tail); err != nil {
@@ -69,21 +56,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "branchsim:", err)
-			os.Exit(1)
-		}
-		runtime.GC() // settle allocations so the heap profile reflects retention
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "branchsim:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "branchsim:", err)
-			os.Exit(1)
-		}
+	if err := stopProfiling(); err != nil {
+		fmt.Fprintln(os.Stderr, "branchsim:", err)
+		os.Exit(1)
 	}
 }
 

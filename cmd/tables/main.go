@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/harness"
@@ -62,22 +60,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tables:", err)
-			}
-		}()
+	stopProfiling, err := obs.StartProfiling(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tables:", err)
+		os.Exit(1)
 	}
 
 	var progress io.Writer = os.Stderr
@@ -162,21 +148,9 @@ func main() {
 		}
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		runtime.GC() // settle allocations so the heap profile reflects retention
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
+	if err := stopProfiling(); err != nil {
+		fmt.Fprintln(os.Stderr, "tables:", err)
+		os.Exit(1)
 	}
 }
 

@@ -26,8 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 
 	"repro/internal/analysis"
@@ -78,22 +76,10 @@ func main() {
 		return
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wsanalyze:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "wsanalyze:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "wsanalyze:", err)
-			}
-		}()
+	stopProfiling, err := obs.StartProfiling(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wsanalyze:", err)
+		os.Exit(1)
 	}
 
 	var reg *obs.Registry
@@ -112,21 +98,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wsanalyze:", err)
-			os.Exit(1)
-		}
-		runtime.GC() // settle allocations so the heap profile reflects retention
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "wsanalyze:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "wsanalyze:", err)
-			os.Exit(1)
-		}
+	if err := stopProfiling(); err != nil {
+		fmt.Fprintln(os.Stderr, "wsanalyze:", err)
+		os.Exit(1)
 	}
 }
 

@@ -22,13 +22,13 @@ func syntheticProfile() *profile.Profile {
 		Exec:      []uint64{1000, 900, 800, 700, 50},
 		Taken:     []uint64{500, 899, 2, 350, 25},
 	}
-	pairs := profile.NewPairCounts(0)
-	pairs.Add(profile.PairKey(0, 1), 500)
-	pairs.Add(profile.PairKey(0, 2), 400)
-	pairs.Add(profile.PairKey(1, 2), 300)
-	pairs.Add(profile.PairKey(0, 3), 200)
-	pairs.Add(profile.PairKey(2, 4), 5) // below threshold, pruned away
-	p.Pairs = pairs.List()
+	p.Pairs = profile.NewPairList(len(p.PCs), []profile.PairCount{
+		{A: 0, B: 1, Count: 500},
+		{A: 0, B: 2, Count: 400},
+		{A: 1, B: 2, Count: 300},
+		{A: 0, B: 3, Count: 200},
+		{A: 2, B: 4, Count: 5}, // below threshold, pruned away
+	})
 	return p
 }
 

@@ -19,11 +19,11 @@ func buildProfile(branches [][2]uint64, pairs [][3]uint64) *profile.Profile {
 		p.Exec = append(p.Exec, b[0])
 		p.Taken = append(p.Taken, b[1])
 	}
-	counts := profile.NewPairCounts(0)
-	for _, e := range pairs {
-		counts.Add(profile.PairKey(int32(e[0]), int32(e[1])), e[2])
+	counts := make([]profile.PairCount, len(pairs))
+	for i, e := range pairs {
+		counts[i] = profile.PairCount{A: int32(e[0]), B: int32(e[1]), Count: e[2]}
 	}
-	p.Pairs = counts.List()
+	p.Pairs = profile.NewPairList(len(branches), counts)
 	return p
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/classify"
+	"repro/internal/graph"
 	"repro/internal/profile"
 )
 
@@ -83,20 +84,44 @@ func AnalyzeGrouped(p *profile.Profile, cfg AnalysisConfig, th classify.Threshol
 
 	// Re-accumulate interleave counts over groups; intra-group pairs
 	// disappear (a group shares one resource, so it cannot conflict
-	// with itself). Thresholds apply to the summed group counts.
-	grouped := profile.NewPairCounts(0)
-	p.Pairs.Range(func(k, w uint64) bool {
-		a, b := profile.UnpackPair(k)
-		if ga, gb := groupOf[a], groupOf[b]; ga != gb {
-			grouped.Add(profile.PairKey(ga, gb), w)
-		}
-		return true
-	})
+	// with itself). Thresholds apply to the summed group counts. Mixed
+	// branches are singleton groups, so a pair of two of them is
+	// already unique and prunes on its own count; only pairs touching a
+	// biased supernode collapse, and those sum per partner group (the
+	// two supernodes' own pair sums under the taken one).
 	threshold := cfg.Threshold
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	g := grouped.List().Graph(len(members), threshold)
+	toTaken := make([]uint64, len(members))
+	toNotTaken := make([]uint64, len(members))
+	var pairs []graph.Pair
+	p.Pairs.Range(func(k, w uint64) bool {
+		a, b := profile.UnpackPair(k)
+		switch ga, gb := groupOf[a], groupOf[b]; {
+		case ga == gb:
+		case ga == takenGroup:
+			toTaken[gb] += w
+		case gb == takenGroup:
+			toTaken[ga] += w
+		case ga == notTakenGroup:
+			toNotTaken[gb] += w
+		case gb == notTakenGroup:
+			toNotTaken[ga] += w
+		case w >= threshold:
+			pairs = append(pairs, graph.Pair{U: ga, V: gb, W: w})
+		}
+		return true
+	})
+	for grp := range members {
+		if w := toTaken[grp]; w >= threshold {
+			pairs = append(pairs, graph.Pair{U: takenGroup, V: int32(grp), W: w})
+		}
+		if w := toNotTaken[grp]; w >= threshold {
+			pairs = append(pairs, graph.Pair{U: notTakenGroup, V: int32(grp), W: w})
+		}
+	}
+	g := graph.FromPairs(len(members), pairs)
 
 	// Group execution weights for the dynamic averages.
 	exec := make([]uint64, len(members))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/classify"
+	"repro/internal/rng"
 )
 
 func TestAnalyzeGroupedCollapsesBiased(t *testing.T) {
@@ -138,5 +139,64 @@ func TestAnalyzeGroupedMemberPartition(t *testing.T) {
 	}
 	if total != p.NumBranches() {
 		t.Fatalf("members cover %d of %d", total, p.NumBranches())
+	}
+}
+
+// TestAnalyzeGroupedMatchesMapReference checks the grouped graph's edge
+// weights against group pairs summed in a map and then pruned, on a
+// random profile with branches in both biased classes and weights
+// around the threshold, so that collapsed pairs cross it only summed.
+func TestAnalyzeGroupedMatchesMapReference(t *testing.T) {
+	r := rng.New(5)
+	const n = 60
+	branches := make([][2]uint64, n)
+	for i := range branches {
+		branches[i] = [2]uint64{1000, [3]uint64{1000, 0, 500}[r.Intn(3)]}
+	}
+	var pairs [][3]uint64
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if r.Intn(3) == 0 {
+				pairs = append(pairs, [3]uint64{uint64(a), uint64(b), uint64(r.Intn(120) + 1)})
+			}
+		}
+	}
+	p := buildProfile(branches, pairs)
+	for _, threshold := range []uint64{1, 100} {
+		res, err := AnalyzeGrouped(p, AnalysisConfig{Threshold: threshold}, classify.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TakenGroup == -1 || res.NotTakenGroup == -1 {
+			t.Fatal("random profile lacks a biased group")
+		}
+		groupOf := make([]int32, n)
+		for g, members := range res.Members {
+			for _, id := range members {
+				groupOf[id] = int32(g)
+			}
+		}
+		ref := make(map[[2]int32]uint64)
+		for _, e := range pairs {
+			ga, gb := groupOf[e[0]], groupOf[e[1]]
+			if ga != gb {
+				ref[[2]int32{min(ga, gb), max(ga, gb)}] += e[2]
+			}
+		}
+		g := res.Analysis.Graph
+		kept := 0
+		for e, w := range ref {
+			if w < threshold {
+				w = 0
+			} else {
+				kept++
+			}
+			if got := g.Weight(e[0], e[1]); got != w {
+				t.Fatalf("threshold %d: edge %v weight %d, map reference %d", threshold, e, got, w)
+			}
+		}
+		if g.NumEdges() != kept {
+			t.Fatalf("threshold %d: %d edges, map reference keeps %d", threshold, g.NumEdges(), kept)
+		}
 	}
 }

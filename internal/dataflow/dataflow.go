@@ -1,11 +1,11 @@
 // Package dataflow is a generic worklist dataflow framework over the
-// basic-block CFGs of package cfg: forward or backward direction, any
-// lattice of facts, iterate-to-fixpoint with optional per-edge
-// refinement and widening. Package progcheck instantiates it with the
-// register-interval lattice (constant/interval propagation, memory
-// bounds, statically-resolved branches) and with reaching definitions
-// (uninitialized-register reads); the framework itself knows nothing
-// about any particular analysis.
+// basic-block CFGs of package cfg: facts flow forward from a function's
+// entry along CFG edges, over any lattice, iterated to a fixpoint with
+// optional per-edge refinement and widening. Package progcheck
+// instantiates it with the register-interval lattice (constant/interval
+// propagation, memory bounds, statically-resolved branches) and with
+// reaching definitions (uninitialized-register reads); the framework
+// itself knows nothing about any particular analysis.
 //
 // Conventions: a Problem's Top is the neutral element of Meet — the
 // initial fact of every non-boundary block, and (for may-analyses with
@@ -15,25 +15,16 @@
 // time from its In fact, which the concrete analyses expose.
 package dataflow
 
-import "repro/internal/cfg"
+import (
+	"slices"
 
-// Direction selects which way facts flow.
-type Direction int
-
-const (
-	// Forward propagates facts from a function's entry along CFG edges.
-	Forward Direction = iota
-	// Backward propagates facts from a function's exits against them.
-	Backward
+	"repro/internal/cfg"
 )
 
-// Problem defines one dataflow analysis over a single function.
+// Problem defines one forward dataflow analysis over a single function.
 // F is the fact attached to each block boundary.
 type Problem[F any] interface {
-	// Direction reports which way facts flow.
-	Direction() Direction
-	// Boundary is the fact at the function entry (Forward) or at every
-	// exit block (Backward).
+	// Boundary is the fact at the function entry.
 	Boundary() F
 	// Top is the neutral element of Meet: the initial fact everywhere
 	// else, absorbed without effect when met with any other fact.
@@ -43,8 +34,8 @@ type Problem[F any] interface {
 	// Equal reports fact equality; the fixpoint iteration stops when a
 	// round of transfers changes no fact.
 	Equal(a, b F) bool
-	// Transfer applies block b's effect: In→Out (Forward), Out→In
-	// (Backward).
+	// Transfer applies block b's effect, mapping its In fact to its Out
+	// fact.
 	Transfer(b *cfg.Block, f F) F
 }
 
@@ -53,9 +44,8 @@ type Problem[F any] interface {
 // taken edge of `bltz r`, r is negative; on the fallthrough, r >= 0.
 // Returning Top marks the edge infeasible (nothing flows).
 type EdgeRefiner[F any] interface {
-	// TransferEdge maps the fact crossing the edge b.Succs[succIdx].
-	// For Forward problems it receives b's Out fact; for Backward, the
-	// successor's In fact.
+	// TransferEdge maps b's Out fact as it crosses the edge
+	// b.Succs[succIdx].
 	TransferEdge(b *cfg.Block, succIdx int, f F) F
 }
 
@@ -80,10 +70,8 @@ const widenAfter = 8
 // ID. Blocks outside the solved function yield the zero value of F,
 // which every Problem in this package makes coincide with Top.
 type Result[F any] struct {
-	// in and out are the facts at each block's entry and exit in
-	// execution order (for Backward problems too: in is the fact at
-	// block entry — the analysis result at its first instruction — and
-	// out the fact at block exit), indexed function-locally.
+	// in and out are the facts at each block's entry and exit, indexed
+	// function-locally.
 	in, out []F
 	// local maps global block ID to the function-local index, -1 for
 	// blocks outside the solved function.
@@ -109,12 +97,11 @@ func (r *Result[F]) OutAt(bi int) F {
 }
 
 // edge is one fact-carrying CFG edge seen from the block whose meet it
-// feeds: from is the local index of the block whose solved fact is
-// read (the predecessor's Out for Forward, the successor's In for
-// Backward), src the local index of the block owning the successor
-// list, and succIdx the edge's index in that list (for refinement).
+// feeds: from is the local index of the predecessor whose Out fact is
+// read, and succIdx the edge's index in its successor list (for
+// refinement).
 type edge struct {
-	from, src, succIdx int32
+	from, succIdx int32
 }
 
 // solver carries the preallocated fixpoint state so the inner loop
@@ -126,8 +113,7 @@ type solver[F any] struct {
 	blocks  []*cfg.Block // the function's blocks, local order
 	// into[b] lists the edges whose facts meet at b.
 	into [][]edge
-	// deps[b] lists the blocks to requeue when b's outflow changes:
-	// successors for Forward, predecessors for Backward.
+	// deps[b] lists the successors to requeue when b's Out fact changes.
 	deps     [][]int32
 	res      *Result[F]
 	boundary []bool // blocks where Boundary() joins the meet
@@ -139,7 +125,6 @@ type solver[F any] struct {
 	qtail    int
 	qlen     int
 	onQueue  []bool
-	forward  bool
 	boundFct F
 	top      F
 }
@@ -168,7 +153,6 @@ func Solve[F any](g *cfg.Graph, fn *cfg.Func, p Problem[F]) *Result[F] {
 		visits:   make([]int32, m),
 		queue:    make([]int32, m+1),
 		onQueue:  make([]bool, m),
-		forward:  p.Direction() == Forward,
 		boundFct: p.Boundary(),
 		top:      p.Top(),
 	}
@@ -188,32 +172,16 @@ func Solve[F any](g *cfg.Graph, fn *cfg.Func, p Problem[F]) *Result[F] {
 			if ls < 0 {
 				continue
 			}
-			if s.forward {
-				s.into[ls] = append(s.into[ls], edge{int32(li), int32(li), int32(si)})
-				s.deps[li] = append(s.deps[li], ls)
-			} else {
-				s.into[li] = append(s.into[li], edge{ls, int32(li), int32(si)})
-				s.deps[ls] = append(s.deps[ls], int32(li))
-			}
+			s.into[ls] = append(s.into[ls], edge{int32(li), int32(si)})
+			s.deps[li] = append(s.deps[li], ls)
 		}
 	}
-	if s.forward {
-		s.boundary[local[fn.EntryBlock]] = true
-	} else {
-		// Backward boundary: blocks with no intra-function successor
-		// edge — ret, halt, and fallthrough-off-the-end blocks.
-		for li := range blocks {
-			if len(s.into[li]) == 0 {
-				s.boundary[li] = true
-			}
-		}
-	}
+	s.boundary[local[fn.EntryBlock]] = true
 
-	// Seed the worklist with every block in a direction-appropriate
-	// order (entry-first for Forward so facts reach loop bodies on the
-	// first sweep). Every block is queued once up front, so a transfer
-	// whose output happens to equal the initial Top still gets its
-	// dependents processed.
+	// Seed the worklist with every block in reverse postorder, so facts
+	// reach loop bodies on the first sweep. Every block is queued once
+	// up front, so a transfer whose output happens to equal the initial
+	// Top still gets its dependents processed.
 	for _, li := range reachOrder(s, local[fn.EntryBlock]) {
 		s.push(li)
 	}
@@ -222,15 +190,15 @@ func Solve[F any](g *cfg.Graph, fn *cfg.Func, p Problem[F]) *Result[F] {
 }
 
 // reachOrder returns local block indices in reverse postorder from the
-// entry (Forward) or postorder (Backward), with any blocks the entry
-// DFS misses appended from their own DFS roots.
+// entry, with any blocks the entry DFS misses appended from their own
+// DFS roots.
 func reachOrder[F any](s *solver[F], entry int32) []int32 {
 	seen := make([]bool, len(s.blocks))
 	post := make([]int32, 0, len(s.blocks))
 	var dfs func(int32)
 	dfs = func(li int32) {
 		seen[li] = true
-		for _, d := range depsOrSuccs(s, li) {
+		for _, d := range s.deps[li] {
 			if !seen[d] {
 				dfs(d)
 			}
@@ -243,26 +211,8 @@ func reachOrder[F any](s *solver[F], entry int32) []int32 {
 			dfs(int32(li))
 		}
 	}
-	if s.forward {
-		for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-			post[i], post[j] = post[j], post[i]
-		}
-	}
+	slices.Reverse(post)
 	return post
-}
-
-// depsOrSuccs walks the DFS along intra-function successor edges
-// regardless of direction (deps holds them for Forward; for Backward
-// the successor of block li is into[li]'s fact source).
-func depsOrSuccs[F any](s *solver[F], li int32) []int32 {
-	if s.forward {
-		return s.deps[li]
-	}
-	succs := make([]int32, 0, len(s.into[li]))
-	for _, e := range s.into[li] {
-		succs = append(succs, e.from)
-	}
-	return succs
 }
 
 // run is the fixpoint loop: pop a block, meet the facts flowing into
@@ -283,40 +233,22 @@ func (s *solver[F]) run() {
 			in = s.p.Meet(in, s.boundFct)
 		}
 		for _, e := range s.into[bi] {
-			var f F
-			if s.forward {
-				f = s.res.out[e.from]
-			} else {
-				f = s.res.in[e.from]
-			}
+			f := s.res.out[e.from]
 			if s.refiner != nil {
-				f = s.refiner.TransferEdge(s.blocks[e.src], int(e.succIdx), f)
+				f = s.refiner.TransferEdge(s.blocks[e.from], int(e.succIdx), f)
 			}
 			in = s.p.Meet(in, f)
 		}
 
 		s.visits[bi]++
-		var prevOut F
-		if s.forward {
-			if s.widener != nil && s.visits[bi] > widenAfter {
-				in = s.widener.Widen(s.res.in[bi], in)
-			}
-			s.res.in[bi] = in
-			prevOut = s.res.out[bi]
-			s.res.out[bi] = s.p.Transfer(b, in)
-			if s.p.Equal(s.res.out[bi], prevOut) {
-				continue
-			}
-		} else {
-			if s.widener != nil && s.visits[bi] > widenAfter {
-				in = s.widener.Widen(s.res.out[bi], in)
-			}
-			s.res.out[bi] = in
-			prevOut = s.res.in[bi]
-			s.res.in[bi] = s.p.Transfer(b, in)
-			if s.p.Equal(s.res.in[bi], prevOut) {
-				continue
-			}
+		if s.widener != nil && s.visits[bi] > widenAfter {
+			in = s.widener.Widen(s.res.in[bi], in)
+		}
+		s.res.in[bi] = in
+		prevOut := s.res.out[bi]
+		s.res.out[bi] = s.p.Transfer(b, in)
+		if s.p.Equal(s.res.out[bi], prevOut) {
+			continue
 		}
 		for _, d := range s.deps[bi] {
 			s.push(d)

@@ -103,57 +103,6 @@ loop:
 	}
 }
 
-// livenessProblem is a test-only backward analysis: the fact is a
-// bitmask of registers whose current value may still be read.
-type livenessProblem struct {
-	g *cfg.Graph
-}
-
-func (p *livenessProblem) Direction() Direction { return Backward }
-func (p *livenessProblem) Boundary() uint32     { return 0 }
-func (p *livenessProblem) Top() uint32          { return 0 }
-func (p *livenessProblem) Meet(a, b uint32) uint32 {
-	return a | b
-}
-func (p *livenessProblem) Equal(a, b uint32) bool { return a == b }
-func (p *livenessProblem) Transfer(b *cfg.Block, live uint32) uint32 {
-	code := p.g.Prog.Code
-	var buf [2]isa.Reg
-	for i := b.End - 1; i >= b.Start; i-- {
-		if r, ok := livenessWritten(code[i]); ok {
-			live &^= 1 << r
-		}
-		for _, r := range ReadRegs(code[i], buf[:0]) {
-			live |= 1 << r
-		}
-	}
-	return live
-}
-
-func livenessWritten(in isa.Inst) (isa.Reg, bool) { return writtenReg(in) }
-
-func TestBackwardLiveness(t *testing.T) {
-	g := mustCFG(t, `
-.name live
-	bgez r5, skip
-	add r6, r1, r1
-skip:
-	halt
-`)
-	fn := g.Funcs[0]
-	res := Solve[uint32](g, fn, &livenessProblem{g: g})
-
-	// At program entry both r5 (read by the branch) and r1 (read on the
-	// fallthrough path) are live; r6 is written before any read.
-	in := res.InAt(g.BlockOf(0).ID)
-	if in&(1<<5) == 0 || in&(1<<1) == 0 {
-		t.Errorf("entry liveness %032b, want r5 and r1 live", in)
-	}
-	if in&(1<<6) != 0 {
-		t.Error("r6 live at entry despite being written before any read")
-	}
-}
-
 func TestReachingDefsDiamond(t *testing.T) {
 	g := mustCFG(t, `
 .name reach

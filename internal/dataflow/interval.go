@@ -410,9 +410,6 @@ func NewIntervals(g *cfg.Graph, fn *cfg.Func, memWords int) *Intervals {
 	return p
 }
 
-// Direction implements Problem.
-func (p *Intervals) Direction() Direction { return Forward }
-
 // Boundary implements Problem.
 func (p *Intervals) Boundary() Regs { return p.entry }
 

@@ -88,7 +88,7 @@ func (s *Suite) ablateBenchmark(name string) (ablationRow, error) {
 	span := s.stageSpan(name, "ablate")
 	defer span.End()
 	analyze := func(threshold uint64, def core.SetDefinition) (*core.AnalysisResult, error) {
-		return core.Analyze(a.Profile, core.AnalysisConfig{
+		return s.analyze(a.Profile, core.AnalysisConfig{
 			Threshold:    threshold,
 			Definition:   def,
 			CliqueBudget: s.cfg.CliqueBudget,
@@ -187,7 +187,7 @@ func (s *Suite) ablateWindow(a *Artifacts, window int) (WindowRow, error) {
 	}
 	p := prof.Profile()
 	defer p.Release() // transient: the analysis result is all that is kept
-	res, err := core.Analyze(p, core.AnalysisConfig{
+	res, err := s.analyze(p, core.AnalysisConfig{
 		Threshold:    s.cfg.Threshold,
 		CliqueBudget: s.cfg.CliqueBudget,
 	})
@@ -211,10 +211,7 @@ func RenderAblationThreshold(rows []ThresholdRow, markdown bool) string {
 		t.add(r.Benchmark, fmt.Sprintf("%d", r.Threshold), fmt.Sprintf("%d", r.Edges),
 			fmt.Sprintf("%d", r.NumSets), fmt.Sprintf("%.0f", r.AvgStatic), fmt.Sprintf("%.0f", r.AvgDynamic))
 	}
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // RenderAblationDefinition formats definition-comparison rows.
@@ -228,10 +225,7 @@ func RenderAblationDefinition(rows []DefinitionRow, markdown bool) string {
 		t.add(r.Benchmark, sets, fmt.Sprintf("%.0f", r.CliqueAvgStatic),
 			fmt.Sprintf("%d", r.PartitionSets), fmt.Sprintf("%.0f", r.PartitionAvg))
 	}
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // RenderAblationGrouped formats grouped-analysis rows.
@@ -243,10 +237,7 @@ func RenderAblationGrouped(rows []GroupedRow, markdown bool) string {
 			fmt.Sprintf("%d", r.GroupedSets), fmt.Sprintf("%.0f", r.GroupedAvg),
 			fmt.Sprintf("%.1f", 100*r.BiasedFraction))
 	}
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // RenderAblationWindow formats window-sensitivity rows.
@@ -260,8 +251,5 @@ func RenderAblationWindow(rows []WindowRow, markdown bool) string {
 		t.add(r.Benchmark, w, fmt.Sprintf("%d", r.Pairs), fmt.Sprintf("%d", r.Edges),
 			fmt.Sprintf("%d", r.NumSets), fmt.Sprintf("%.0f", r.AvgStatic))
 	}
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }

@@ -133,10 +133,7 @@ func RenderCharact(rows []CharactRow, markdown bool) string {
 			fmt.Sprintf("%.1f%%", 100*r.HardFraction),
 		)
 	}
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // RunCharact renders the predictability-characterization report to w.

@@ -148,10 +148,7 @@ func RenderComparison(rows []ComparisonRow, markdown bool) string {
 			fmt.Sprintf("%.4f", r.InterferenceFree),
 		)
 	}
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // RenderPipeline formats the pipeline cost table.
@@ -169,8 +166,5 @@ func RenderPipeline(rows []PipelineRow, model pipeline.Model, markdown bool) str
 	}
 	head := fmt.Sprintf("(model: %d-cycle mispredict penalty, %d-cycle taken bubble)\n",
 		model.MispredictPenalty, model.TakenPenalty)
-	if markdown {
-		return head + t.markdown()
-	}
-	return head + t.String()
+	return head + t.render(markdown)
 }

@@ -53,8 +53,12 @@ func (t *textTable) String() string {
 	return b.String()
 }
 
-// markdown renders the table as GitHub-flavored markdown.
-func (t *textTable) markdown() string {
+// render formats the table as GitHub-flavored markdown when markdown is
+// set and as aligned text otherwise.
+func (t *textTable) render(markdown bool) string {
+	if !markdown {
+		return t.String()
+	}
 	var b strings.Builder
 	b.WriteString("| " + strings.Join(t.header, " | ") + " |\n")
 	sep := make([]string, len(t.header))
@@ -82,10 +86,7 @@ func RenderTable1(rows []Table1Row, markdown bool) string {
 			fmt.Sprintf("%d", r.StaticAnalyzed),
 		)
 	}
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // RenderTable2 formats Table 2 rows.
@@ -103,12 +104,7 @@ func RenderTable2(rows []Table2Row, markdown bool) string {
 			fmt.Sprintf("%d", r.MaxSet),
 		)
 	}
-	out := ""
-	if markdown {
-		out = t.markdown()
-	} else {
-		out = t.String()
-	}
+	out := t.render(markdown)
 	for _, r := range rows {
 		if r.Truncated {
 			out += "\n(+ = clique enumeration budget reached; counts are a lower bound)\n"
@@ -130,10 +126,7 @@ func RenderSizeTable(rows []SizeRow, baseline int, markdown bool) string {
 			fmt.Sprintf("%d", r.BaselineCost),
 		)
 	}
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // RenderFigure formats a figure as a misprediction-rate table.
@@ -156,10 +149,7 @@ func RenderFigure(f *FigureResult, markdown bool) string {
 		addRow(r)
 	}
 	addRow(f.Average)
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // convAllocRow is one row of a per-kind conv/alloc table: its lead
@@ -188,12 +178,7 @@ func renderConvAllocTables(kinds []string, sizes []int, lead []string, rows func
 			t.add(cells...)
 		}
 		out += fmt.Sprintf("[%s]\n", kind)
-		if markdown {
-			out += t.markdown()
-		} else {
-			out += t.String()
-		}
-		out += "\n"
+		out += t.render(markdown) + "\n"
 	}
 	return out
 }

@@ -245,10 +245,7 @@ func RenderGraphs(res *GraphsResult, markdown bool) string {
 		)
 	}
 	out += fmt.Sprintf("[summary: averages across pairs; conv at table size %d]\n", res.Sizes[last])
-	if markdown {
-		return out + sum.markdown()
-	}
-	return out + sum.String()
+	return out + sum.render(markdown)
 }
 
 // RunGraphs renders the graph-workload experiment to w. kinds empty

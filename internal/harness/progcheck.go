@@ -112,10 +112,7 @@ func RenderGraphVerification(rows []GraphVerifyRow, markdown bool) string {
 			fmt.Sprintf("%d", s.Data),
 			fmt.Sprintf("%dw/%di", r.Warns, r.Infos))
 	}
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // RunGraphVerification renders the graph static-verification section.

@@ -172,10 +172,7 @@ func RenderStatic(res *StaticResult, markdown bool) string {
 		addRow(r, true)
 	}
 	addRow(res.Average, false)
-	if markdown {
-		return t.markdown()
-	}
-	return t.String()
+	return t.render(markdown)
 }
 
 // RunStatic renders the static-vs-profiled comparison section to w.

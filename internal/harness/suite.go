@@ -58,12 +58,14 @@ type Config struct {
 	// EXPERIMENTS.md.
 	ProfileWindow int
 	// Check runs the internal/analysis artifact verifiers, failing the
-	// experiment on any invariant violation: on Table 2's conflict
-	// graphs and working-set extractions, on Table 3/4's required-size
-	// allocations and their graphs, and on every allocation a predictor
-	// experiment simulates (figures, zoo, graphs, extras, static). It
-	// also compares each graph kernel's result against its Go
-	// reference. The ablation studies are not verified. Enabled by the
+	// experiment on any invariant violation: on the conflict graphs and
+	// working-set extractions of Table 2 and of every individual-branch
+	// analysis the ablation studies run (thresholds, definitions,
+	// windows), on Table 3/4's required-size allocations and their
+	// graphs, and on every allocation a predictor experiment simulates
+	// (figures, zoo, graphs, extras, static). It also compares each
+	// graph kernel's result against its Go reference. The grouped
+	// ablation's supernode analysis is not verified. Enabled by the
 	// tables CLI's -check flag and by tests.
 	Check bool
 	// Workers caps how many benchmarks are processed concurrently

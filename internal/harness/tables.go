@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/profile"
 	"repro/internal/workload"
 )
 
@@ -65,7 +66,7 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		}
 		s.progressf("working sets %s", name)
 		span := s.stageSpan(name, "analyze")
-		res, err := core.Analyze(a.Profile, core.AnalysisConfig{
+		res, err := s.analyze(a.Profile, core.AnalysisConfig{
 			Threshold:    s.cfg.Threshold,
 			Definition:   core.MaximalCliques,
 			CliqueBudget: s.cfg.CliqueBudget,
@@ -73,15 +74,7 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		})
 		span.End()
 		if err != nil {
-			return Table2Row{}, fmt.Errorf("harness: analyzing %s: %w", name, err)
-		}
-		if s.cfg.Check {
-			if err := analysis.VerifyGraph(res.Graph, s.cfg.Threshold); err != nil {
-				return Table2Row{}, fmt.Errorf("harness: %s: %w", name, err)
-			}
-			if err := analysis.VerifyWorkingSets(res); err != nil {
-				return Table2Row{}, fmt.Errorf("harness: %s: %w", name, err)
-			}
+			return Table2Row{}, err
 		}
 		return Table2Row{
 			Benchmark:  name,
@@ -92,6 +85,25 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 			Truncated:  res.Truncated,
 		}, nil
 	})
+}
+
+// analyze runs working-set analysis of prof under cfg. With
+// Config.Check set, the pruned conflict graph and the working sets are
+// verified before the result is used.
+func (s *Suite) analyze(prof *profile.Profile, cfg core.AnalysisConfig) (*core.AnalysisResult, error) {
+	res, err := core.Analyze(prof, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("harness: analyzing %s: %w", prof.Benchmark, err)
+	}
+	if s.cfg.Check {
+		if err := analysis.VerifyGraph(res.Graph, cfg.Threshold); err != nil {
+			return nil, fmt.Errorf("harness: %s: %w", prof.Benchmark, err)
+		}
+		if err := analysis.VerifyWorkingSets(res); err != nil {
+			return nil, fmt.Errorf("harness: %s: %w", prof.Benchmark, err)
+		}
+	}
+	return res, nil
 }
 
 // SizeRow reproduces one row of Table 3 or 4: the BHT size at which

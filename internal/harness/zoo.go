@@ -154,10 +154,7 @@ func RenderZoo(res *ZooResult, markdown bool) string {
 		)
 	}
 	out += fmt.Sprintf("[summary at table size %d]\n", res.Sizes[last])
-	if markdown {
-		return out + sum.markdown()
-	}
-	return out + sum.String()
+	return out + sum.render(markdown)
 }
 
 // RunZoo renders the predictor zoo experiment to w. kinds empty runs the

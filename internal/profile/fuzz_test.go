@@ -2,19 +2,25 @@ package profile
 
 import (
 	"encoding/binary"
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// FuzzPackedPairTable drives a random insert/merge sequence against the
-// packed flat table and checks the result against a reference Go map.
-// The input stream is decoded 9 bytes at a time — an 8-byte key and an
-// opcode byte that picks the destination table, the delta, and whether
-// the key is folded into a small colliding range — so a single input
-// exercises probe chains, growth, and the Range-into-Add merge path
-// that Merge uses.
-func FuzzPackedPairTable(f *testing.F) {
+// FuzzPairList decodes the input into pair entries over fuzzPairIDs ids
+// and checks NewPairList, and Merge over the entries split across
+// profiles, against a reference Go map. The input is read 9 bytes at a
+// time: an 8-byte record whose two 32-bit halves pick the pair's ids, in
+// either orientation, and an opcode byte that picks the profile the
+// entry lands in, the count, and whether the ids fold into a small range
+// so that the same pair repeats within and across profiles. Each
+// profile numbers the ids in its own rotation, so Merge must remap them
+// through the PCs.
+func FuzzPairList(f *testing.F) {
 	seed := make([]byte, 0, 9*16)
 	for i := 0; i < 16; i++ {
 		var rec [9]byte
@@ -27,67 +33,72 @@ func FuzzPackedPairTable(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const nTables = 4
-		tables := make([]*PairCounts, nTables)
-		for i := range tables {
-			tables[i] = NewPairCounts(0)
-		}
+		const n, nProfiles = fuzzPairIDs, 4
+		var all []PairCount
+		split := make([][]PairCount, nProfiles)
 		ref := make(map[uint64]uint64)
-		for len(data) >= 9 {
-			key := binary.LittleEndian.Uint64(data)
-			op := data[8]
-			data = data[9:]
+		for ; len(data) >= 9; data = data[9:] {
+			rec, op := binary.LittleEndian.Uint64(data), data[8]
+			a, b := int32(uint32(rec)%n), int32(uint32(rec>>32)%n)
 			if op&1 == 0 {
-				// Fold half the keys into a small range so the same key
-				// lands in several tables and merge hits the Add-to-
-				// existing path, not just fresh inserts.
-				key %= 1 << 14
+				a, b = a%8, b%8
 			}
-			if key == 0 {
-				key = 1 // key 0 is the empty-slot sentinel
+			if a == b {
+				continue
 			}
 			delta := uint64(op>>4) + 1
-			tables[int(op>>1)%nTables].Add(key, delta)
-			ref[key] += delta
+			all = append(all, PairCount{A: a, B: b, Count: delta})
+			i := int(op>>1) % nProfiles
+			split[i] = append(split[i], PairCount{A: (a + int32(i)) % n, B: (b + int32(i)) % n, Count: delta})
+			ref[PairKey(a, b)] += delta
 		}
 
-		// Merge all tables into one the way Merge does: Range on the
-		// source, Add on the destination.
-		merged := NewPairCounts(0)
-		for _, tb := range tables {
-			tb.Range(func(k, v uint64) bool {
-				merged.Add(k, v)
-				return true
-			})
+		l := NewPairList(n, all)
+		checkPairListShape(t, l)
+		if got := pairMap(l); !maps.Equal(got, ref) {
+			t.Fatalf("NewPairList holds %d pairs %v, reference map %d pairs %v", len(got), got, len(ref), ref)
 		}
 
-		if merged.Len() != len(ref) {
-			t.Fatalf("merged Len = %d, reference map has %d keys", merged.Len(), len(ref))
-		}
-		seen := 0
-		merged.Range(func(k, v uint64) bool {
-			if ref[k] != v {
-				t.Fatalf("merged Range yields %#x:%d, reference has %d", k, v, ref[k])
+		// Profile i's local id x is global id x-i, so PC (x-i+1)*4.
+		profiles := make([]*Profile, nProfiles)
+		for i := range profiles {
+			p := &Profile{Benchmark: "fuzz", PCs: make([]uint64, n), Exec: make([]uint64, n), Taken: make([]uint64, n)}
+			for x := range p.PCs {
+				p.PCs[x] = uint64((x-i+n)%n+1) * 4
 			}
-			seen++
+			p.Pairs = NewPairList(n, split[i])
+			profiles[i] = p
+		}
+		merged, err := Merge(profiles...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPairListShape(t, merged.Pairs)
+		got := make(map[uint64]uint64, merged.Pairs.Len())
+		merged.Pairs.Range(func(k, v uint64) bool {
+			a, b := UnpackPair(k)
+			got[PairKey(int32(merged.PCs[a]/4-1), int32(merged.PCs[b]/4-1))] = v
 			return true
 		})
-		if seen != len(ref) {
-			t.Fatalf("merged Range visited %d of %d keys", seen, len(ref))
+		if !maps.Equal(got, ref) {
+			t.Fatalf("Merge holds %d pairs %v, reference map %d pairs %v", len(got), got, len(ref), ref)
 		}
 	})
 }
 
-// hashedExtraction is the reference merge of a profiler's counter
-// halves: every counter entry added to a hash table, so a pair stored
-// in both endpoints' counters sums on its second add.
-func hashedExtraction(p *Profiler) *PairCounts {
+// fuzzPairIDs is the id count FuzzPairList's pairs range over.
+const fuzzPairIDs = 64
+
+// mapExtraction is the reference merge of a profiler's counter halves:
+// every counter entry summed into a map, so a pair stored in both
+// endpoints' counters sums on its second entry.
+func mapExtraction(p *Profiler) map[uint64]uint64 {
 	p.acc.flush()
-	out := NewPairCounts(0)
+	out := make(map[uint64]uint64)
 	for id := range p.pcs {
 		for _, s := range p.nbrOf(int32(id)).slots {
 			if y, c := partner(s); s != 0 {
-				out.Add(PairKey(int32(id), y), uint64(c))
+				out[PairKey(int32(id), y)] += uint64(c)
 			}
 		}
 	}
@@ -97,7 +108,7 @@ func hashedExtraction(p *Profiler) *PairCounts {
 // FuzzProfileExtraction decodes the input into a branch stream over at
 // most 64 pcs and a scan window (the first byte is unused, so committed
 // corpus entries decode to the same streams), and checks the extracted
-// pair list against the hashed merge of the same counters, then pair by
+// pair list against the map-summed counters it came from, then pair by
 // pair against the naive reference (window 0).
 func FuzzProfileExtraction(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 1, 3, 2, 1, 3})
@@ -128,8 +139,8 @@ func FuzzProfileExtraction(f *testing.F) {
 		if len(gotMap) != got.Len() {
 			t.Fatalf("list of %d pairs holds %d distinct keys", got.Len(), len(gotMap))
 		}
-		if want := pairDump(hashedExtraction(p)); pairDump(got) != want {
-			t.Fatalf("bucketed extraction differs from the hashed merge:\n%s\nwant:\n%s", pairDump(got), want)
+		if want := mapExtraction(p); !maps.Equal(gotMap, want) {
+			t.Fatalf("bucketed extraction differs from the map-summed counters:\n%v\nwant:\n%v", gotMap, want)
 		}
 		if window != 0 {
 			return
@@ -148,31 +159,52 @@ func FuzzProfileExtraction(f *testing.F) {
 }
 
 // TestMergeOrderInvariance is the determinism property behind Merge:
-// merging tables in any order yields the identical table. Pair counts are commutative sums, and the canonical dump is
-// layout-independent, so all 120 permutations of five overlapping tables
+// merging profiles in any order yields the same pair counts. Merge
+// numbers ids by first appearance, so the canonical dump keys each pair
+// by its PCs, and all 120 permutations of five overlapping profiles
 // must agree byte for byte.
 func TestMergeOrderInvariance(t *testing.T) {
-	const k = 5
+	const k, n = 5, 40
 	r := rng.New(99)
-	tables := make([]*PairCounts, k)
-	for i := range tables {
-		tables[i] = NewPairCounts(0)
-		// Overlapping keyspace: most keys appear in several tables.
-		for j := 0; j < 2000; j++ {
-			key := uint64(r.Intn(700) + 1)
-			tables[i].Add(key, uint64(r.Intn(9)+1))
+	profiles := make([]*Profile, k)
+	for i := range profiles {
+		// Each profile sees its own subset of the PCs, in its own order.
+		p := &Profile{Benchmark: "perm"}
+		for _, x := range r.Perm(n)[:n-2*i] {
+			p.PCs = append(p.PCs, uint64(x+1)*4)
+			p.Exec = append(p.Exec, 1)
+			p.Taken = append(p.Taken, 0)
 		}
+		// Overlapping keyspace: most pairs appear in several profiles.
+		var pairs []PairCount
+		for j := 0; j < 2000; j++ {
+			a, b := int32(r.Intn(len(p.PCs))), int32(r.Intn(len(p.PCs)))
+			if a != b {
+				pairs = append(pairs, PairCount{A: a, B: b, Count: uint64(r.Intn(9) + 1)})
+			}
+		}
+		p.Pairs = NewPairList(len(p.PCs), pairs)
+		profiles[i] = p
 	}
 
 	mergeDump := func(order []int) string {
-		out := NewPairCounts(0)
-		for _, i := range order {
-			tables[i].Range(func(key, v uint64) bool {
-				out.Add(key, v)
-				return true
-			})
+		in := make([]*Profile, len(order))
+		for j, i := range order {
+			in[j] = profiles[i]
 		}
-		return pairDump(out)
+		m, err := Merge(in...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := make([]string, 0, m.Pairs.Len())
+		m.Pairs.Range(func(key, v uint64) bool {
+			a, b := UnpackPair(key)
+			pa, pb := min(m.PCs[a], m.PCs[b]), max(m.PCs[a], m.PCs[b])
+			lines = append(lines, fmt.Sprintf("%#x-%#x:%d", pa, pb, v))
+			return true
+		})
+		slices.Sort(lines)
+		return strings.Join(lines, "\n")
 	}
 
 	var want string
@@ -184,7 +216,7 @@ func TestMergeOrderInvariance(t *testing.T) {
 			if want == "" {
 				want = got
 			} else if got != want {
-				t.Fatalf("merge order %v produced a different drained table", order)
+				t.Fatalf("merge order %v produced different pair counts", order)
 			}
 			perms++
 			return

@@ -16,6 +16,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -53,8 +54,9 @@ type Profile struct {
 	// outcomes per static branch.
 	Exec  []uint64
 	Taken []uint64
-	// Pairs holds each interleaving pair once with its count. It is
-	// immutable, so the graphs BuildGraph memoizes never go stale.
+	// Pairs holds each interleaving pair once with its count, in rows
+	// of ascending smaller id. It is immutable, so the graphs
+	// BuildGraph memoizes never go stale.
 	Pairs PairList
 
 	graphMu sync.Mutex
@@ -113,14 +115,71 @@ func (p *Profile) BuildGraph(threshold uint64) *graph.Graph {
 }
 
 // PairList is an immutable flat list of distinct interleaving pairs:
-// keys[i] is a PairKey and counts[i] its interleave count. Profiler
-// extraction builds one directly, row by row in ascending smaller id,
-// so its Range order is deterministic; PairCounts.List freezes an
-// accumulated table in that table's slot order. The zero value is the
-// empty list.
+// keys[i] is a PairKey and counts[i] its interleave count. It is the one
+// pair-count representation outside the Profiler's per-branch counters:
+// Profiler extraction builds one directly, and every caller that sums
+// duplicate pairs (Merge, static estimates, the naive reference) builds
+// one with NewPairList. Both lay the list out in rows of ascending
+// smaller id, so its Range order depends only on its input. The zero
+// value is the empty list.
 type PairList struct {
 	keys   []uint64
 	counts []uint64
+}
+
+// NewPairList sums pairs over ids [0, n) into an exactly sized list
+// that holds each pair once. pairs may repeat a pair, in either
+// orientation; the pair's count is the sum of its entries. The list
+// runs in rows of ascending smaller id and, within a row, partners in
+// order of first appearance. Construction counting-sorts the entries by
+// smaller id and sums each row through a dense per-partner index, with
+// no hashing and no comparison sort.
+func NewPairList(n int, pairs []PairCount) PairList {
+	off := make([]int, n+1)
+	for _, p := range pairs {
+		off[min(p.A, p.B)+1]++
+	}
+	for a := 0; a < n; a++ {
+		off[a+1] += off[a]
+	}
+	// Bucket the entries by row, in input order within a row.
+	at := slices.Clone(off[:n])
+	keys := make([]uint64, len(pairs))
+	counts := make([]uint64, len(pairs))
+	for _, p := range pairs {
+		a := min(p.A, p.B)
+		keys[at[a]], counts[at[a]] = PairKey(p.A, p.B), p.Count
+		at[a]++
+	}
+	// Sum each row into its partners' first entries, compacting the
+	// buckets in place: while a row is summed, slot[b] is where partner
+	// b's sum sits, and -1 outside its row.
+	slot := at
+	for b := range slot {
+		slot[b] = -1
+	}
+	out := 0
+	for a := 0; a < n; a++ {
+		row := out
+		for i := off[a]; i < off[a+1]; i++ {
+			b := uint32(keys[i])
+			if j := slot[b]; j >= 0 {
+				counts[j] += counts[i]
+				continue
+			}
+			slot[b] = out
+			keys[out], counts[out] = keys[i], counts[i]
+			out++
+		}
+		for _, k := range keys[row:out] {
+			slot[uint32(k)] = -1
+		}
+	}
+	if out < len(keys) {
+		keys = append(make([]uint64, 0, out), keys[:out]...)
+		counts = append(make([]uint64, 0, out), counts[:out]...)
+	}
+	return PairList{keys: keys, counts: counts}
 }
 
 // Len returns the number of distinct pairs.
@@ -167,7 +226,11 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 		return nil, fmt.Errorf("profile: merge of zero profiles")
 	}
 	out := &Profile{Benchmark: profiles[0].Benchmark}
-	pairs := NewPairCounts(0)
+	n := 0
+	for _, p := range profiles {
+		n += p.Pairs.Len()
+	}
+	pairs := make([]PairCount, 0, n)
 	// Dense ids differ across runs; remap through PCs.
 	var ix isa.PCIndex
 	for _, p := range profiles {
@@ -191,11 +254,11 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 		}
 		p.Pairs.Range(func(k, w uint64) bool {
 			a, b := UnpackPair(k)
-			pairs.Add(PairKey(remap[a], remap[b]), w)
+			pairs = append(pairs, PairCount{A: remap[a], B: remap[b], Count: w})
 			return true
 		})
 	}
-	out.Pairs = pairs.List()
+	out.Pairs = NewPairList(len(out.PCs), pairs)
 	return out, nil
 }
 

@@ -502,7 +502,7 @@ type NaiveProfiler struct {
 	stamp []uint64 // last time stamp per id
 	seen  []bool   // id has executed at least once
 
-	pairs        *PairCounts
+	pairs        map[uint64]uint64 // PairKey → interleave count
 	instructions uint64
 }
 
@@ -511,7 +511,7 @@ func NewNaiveProfiler(benchmark, inputSet string) *NaiveProfiler {
 	return &NaiveProfiler{
 		benchmark: benchmark,
 		inputSet:  inputSet,
-		pairs:     NewPairCounts(0),
+		pairs:     make(map[uint64]uint64),
 	}
 }
 
@@ -537,7 +537,7 @@ func (p *NaiveProfiler) Branch(pc uint64, taken bool, icount uint64) {
 				continue
 			}
 			if p.stamp[o] > prev {
-				p.pairs.Add(PairKey(id, o), 1)
+				p.pairs[PairKey(id, o)]++ //reprolint:allow hotpath reference profiler, O(static branches) per event by design
 			}
 		}
 	}
@@ -556,8 +556,19 @@ func (p *NaiveProfiler) newID(pc uint64) int32 {
 	return p.ix.Intern(pc)
 }
 
-// Profile extracts the accumulated profile.
+// Profile extracts the accumulated profile. Its pairs are listed in
+// ascending key order.
 func (p *NaiveProfiler) Profile() *Profile {
+	keys := make([]uint64, 0, len(p.pairs))
+	for k := range p.pairs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	pairs := make([]PairCount, len(keys))
+	for i, k := range keys {
+		a, b := UnpackPair(k)
+		pairs[i] = PairCount{A: a, B: b, Count: p.pairs[k]}
+	}
 	out := &Profile{
 		Benchmark:    p.benchmark,
 		InputSets:    []string{p.inputSet},
@@ -565,7 +576,7 @@ func (p *NaiveProfiler) Profile() *Profile {
 		PCs:          append([]uint64(nil), p.pcs...),
 		Exec:         append([]uint64(nil), p.exec...),
 		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        p.pairs.List(),
+		Pairs:        NewPairList(len(p.pcs), pairs),
 	}
 	return out
 }

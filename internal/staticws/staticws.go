@@ -292,7 +292,7 @@ func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error)
 		Exec:      make([]uint64, len(pcs)),
 		Taken:     make([]uint64, len(pcs)),
 	}
-	pairs := profile.NewPairCounts(0)
+	var pairs []profile.PairCount
 	est := &Estimate{
 		Prog: p, CFG: g, Forest: forest, Profile: prof,
 		Depth: make([]int, len(pcs)),
@@ -326,13 +326,13 @@ func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error)
 			for j := i + 1; j < len(units); j++ {
 				for _, x := range units[i] {
 					for _, y := range units[j] {
-						pairs.Add(profile.PairKey(x, y), w)
+						pairs = append(pairs, profile.PairCount{A: x, B: y, Count: w})
 					}
 				}
 			}
 		}
 	}
-	prof.Pairs = pairs.List()
+	prof.Pairs = profile.NewPairList(len(pcs), pairs)
 
 	// Branches the loop walk never reached execute (at most) once per
 	// program: straight-line code and dead code. The estimate uses 2,
