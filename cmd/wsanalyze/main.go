@@ -231,6 +231,10 @@ func run(o runOpts, reg *obs.Registry) error {
 	default:
 		return fmt.Errorf("unknown definition %q (want cliques or partition)", o.definition)
 	}
+	// The negated range test also rejects NaN; 0 selects the default.
+	if !(o.coverage >= 0 && o.coverage <= 1) {
+		return fmt.Errorf("-coverage %v outside [0, 1]", o.coverage)
+	}
 	m := obs.New(reg)
 	threshold := o.threshold
 	if threshold == 0 {

@@ -3,8 +3,10 @@ package main
 import (
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,8 +106,7 @@ func TestGoldenBench(t *testing.T) {
 // TestGoldenProgramMetrics locks down the -metrics dump appended to the
 // report. The registry gets a frozen clock and a zero memory source so
 // the timing and allocation series are deterministic; the event and
-// pair-increment counters are exact properties of the fixture program,
-// and so is the staging batch count.
+// pair-increment counters are exact properties of the fixture program.
 func TestGoldenProgramMetrics(t *testing.T) {
 	reg := obs.NewRegistry(
 		obs.WithClock(obs.NewFakeClock(time.Unix(0, 0), 0)),
@@ -143,6 +144,17 @@ func TestStaticRejectsTrace(t *testing.T) {
 	err := run(runOpts{input: "ref", scale: 1.0, traceFile: "some.bwt", definition: "cliques", top: 3, static: true}, nil)
 	if err == nil {
 		t.Fatal("-static -trace unexpectedly succeeded")
+	}
+}
+
+// TestRejectsCoverageOutOfRange: a coverage fraction outside [0, 1], or
+// NaN, is an error rather than a silent full-coverage analysis.
+func TestRejectsCoverageOutOfRange(t *testing.T) {
+	for _, c := range []float64{-0.5, 1.5, math.NaN(), math.Inf(1)} {
+		err := run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", definition: "cliques", top: 3, coverage: c}, nil)
+		if err == nil || !strings.Contains(err.Error(), "-coverage") {
+			t.Errorf("-coverage %v: got %v, want a -coverage range error", c, err)
+		}
 	}
 }
 

@@ -154,8 +154,8 @@ func (s *Suite) ablateBenchmark(name string) (ablationRow, error) {
 // windows, quantifying the documented approximation the harness default
 // uses. Each window is its own filtered re-execution, and its profiler
 // is dropped before the next pass starts: the row overlaps other
-// benchmarks' profiles, so only one window's counters and staging
-// batches may be live at a time.
+// benchmarks' profiles, so only one window's counters and pending
+// prefixes may be live at a time.
 func (s *Suite) ablateWindows(benchmark string) ([]WindowRow, error) {
 	a, err := s.Artifacts(benchmark, workload.InputRef)
 	if err != nil {

@@ -34,7 +34,6 @@ func New(r *Registry) *Metrics {
 			clock:          r.Clock(),
 			Events:         r.Counter("wsd_profile_events_total"),
 			PairIncrements: r.Counter("wsd_profile_pair_increments_total"),
-			Batches:        r.Counter("wsd_profile_shard_batches_total"),
 			Merges:         r.Counter("wsd_profile_merges_total"),
 			MergeNanos:     r.Counter("wsd_profile_merge_ns_total"),
 			MergedPairs:    r.Counter("wsd_profile_merged_pairs_total"),
@@ -119,14 +118,13 @@ func (m *VMMetrics) RecordRun(instructions, branches, taken uint64) {
 	m.Taken.Add(taken)
 }
 
-// ProfileMetrics counts profiler events, applied staging batches, and
-// merge work. Events and PairIncrements are bumped on the profiler hot
-// path — they are plain atomic adds on pre-resolved counters.
+// ProfileMetrics counts profiler events and merge work. Events and
+// PairIncrements are bumped on the profiler hot path — they are plain
+// atomic adds on pre-resolved counters.
 type ProfileMetrics struct {
 	clock          Clock
 	Events         *Counter
 	PairIncrements *Counter
-	Batches        *Counter
 	Merges         *Counter
 	MergeNanos     *Counter
 	MergedPairs    *Counter

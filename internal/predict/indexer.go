@@ -1,6 +1,8 @@
 package predict
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/isa"
 )
@@ -16,6 +18,16 @@ type Indexer interface {
 	Size() int
 	// Name identifies the indexing scheme in reports.
 	Name() string
+}
+
+// checkIndexer rejects an indexer that targets no table entries: a
+// PCModIndexer over zero entries would divide by zero on its first
+// Index, and a negative size cannot size a table.
+func checkIndexer(ix Indexer) error {
+	if n := ix.Size(); n < 1 {
+		return fmt.Errorf("predict: %s indexer must target at least 1 entry, got %d", ix.Name(), n)
+	}
+	return nil
 }
 
 // PCModIndexer is the conventional scheme: word PC modulo table size.

@@ -181,6 +181,15 @@ func TestNewZooPredictorErrors(t *testing.T) {
 			t.Errorf("%s accepted non-power-of-two table size", kind)
 		}
 	}
+	// An indexer over no entries is rejected by every kind, before any
+	// Index call could divide by its size.
+	for _, bad := range []Indexer{PCModIndexer{Entries: 0}, PCModIndexer{Entries: -4}, AllocIndexer{Map: &core.AllocationMap{}}} {
+		for _, kind := range ZooKinds() {
+			if _, err := NewZooPredictor(kind, bad, ZooConfig{TableSize: 16}); err == nil {
+				t.Errorf("%s accepted a %s indexer of size %d", kind, bad.Name(), bad.Size())
+			}
+		}
+	}
 	// Defaults fill in PHT and history length.
 	p, err := NewZooPredictor(KindPerceptron, ix, ZooConfig{TableSize: 16})
 	if err != nil {

@@ -93,10 +93,9 @@ const fuzzPairIDs = 64
 // every counter entry summed into a map, so a pair stored in both
 // endpoints' counters sums on its second entry.
 func mapExtraction(p *Profiler) map[uint64]uint64 {
-	p.acc.flush()
 	out := make(map[uint64]uint64)
-	for id := range p.pcs {
-		for _, s := range p.nbrOf(int32(id)).slots {
+	for id := range p.nbr {
+		for _, s := range p.nbr[id].slots {
 			if y, c := partner(s); s != 0 {
 				out[PairKey(int32(id), y)] += uint64(c)
 			}

@@ -49,23 +49,20 @@ type Profiler struct {
 	off  int
 	in   []bool
 
-	// acc is the accumulation engine (accum.go): the scan emits each
-	// event's partner prefix as one bulk copy into a staging batch, and
-	// batches are applied to per-branch neighbor counters grouped by
-	// destination. nbrOf(id) reads a branch's counter.
+	// nbr[id] is branch id's neighbor counter: its interleave count with
+	// every partner, added one emitted prefix at a time (see emit).
 	// One unordered pair (a,b) accumulates partly in a's counter and
-	// partly in b's; the halves are summed at extraction. The per-branch
-	// split plus grouped apply keeps the increment loop's working set to
-	// one branch's neighborhood (a few KB, cache-resident) instead of
-	// the global pair population.
-	acc pairAccum
+	// partly in b's; the halves are summed at extraction. Each emission
+	// touches only its own branch's neighborhood (a few KB,
+	// cache-resident) instead of the global pair population.
+	nbr []nbrCounter
 
 	// pend[id] coalesces branch id's repeated interleave prefixes: the
 	// window-clipped prefix of its latest execution that had one, and
 	// how many executions since the last emission had exactly that
 	// prefix. A scene-rotation loop re-executes a branch with the same
-	// partners in the same order, so its events stage one weighted
-	// header per change of prefix instead of one per execution.
+	// partners in the same order, so its counter takes one weighted add
+	// per partner per change of prefix instead of one per execution.
 	pend []pendingPrefix
 
 	// metrics is the optional observability bundle; mEvents and mPairInc
@@ -91,7 +88,7 @@ type pendingPrefix struct {
 // pair's count in the low 32 bits of its slot, and an addition past
 // 2^32−1 would carry into the partner key. Branch A's counter counts
 // partner B at most once per execution of A, so no count exceeds the
-// event count, and a weighted tally (a coalesced prefix times its
+// event count, and a weighted add (a coalesced prefix times its
 // repeats) is bounded the same way.
 const maxEvents = 1<<32 - 1
 
@@ -187,7 +184,7 @@ func WithWindow(depth int) Option {
 }
 
 // WithMetrics attaches an observability bundle: event and pair-increment
-// counters on the hot path, the applied-batch count, and merge timings. A
+// counters on the hot path, and extraction timings. A
 // nil bundle (the default) keeps every site a no-op.
 func WithMetrics(m *obs.ProfileMetrics) Option {
 	return func(p *Profiler) { p.metrics = m }
@@ -195,18 +192,13 @@ func WithMetrics(m *obs.ProfileMetrics) Option {
 
 // NewProfiler returns an empty Profiler for the named benchmark run.
 func NewProfiler(benchmark, inputSet string, opts ...Option) *Profiler {
-	p := &Profiler{
-		benchmark: benchmark,
-		inputSet:  inputSet,
-		acc:       pairAccum{batchCap: stagingPartners},
-	}
+	p := &Profiler{benchmark: benchmark, inputSet: inputSet}
 	for _, o := range opts {
 		o(p)
 	}
 	if p.metrics != nil {
 		p.mEvents = p.metrics.Events
 		p.mPairInc = p.metrics.PairIncrements
-		p.acc.batches = p.metrics.Batches
 	}
 	return p
 }
@@ -223,6 +215,7 @@ func (p *Profiler) Reserve(n int) {
 	p.taken = append(make([]uint64, 0, n), p.taken...)
 	p.in = append(make([]bool, 0, n), p.in...)
 	p.pend = append(make([]pendingPrefix, 0, n), p.pend...)
+	p.nbr = append(make([]nbrCounter, 0, n), p.nbr...)
 	live := p.list[p.off:]
 	list := make([]int32, n+len(live))
 	copy(list[n:], live)
@@ -276,7 +269,7 @@ func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
 			if pd := &p.pend[id]; slices.Equal(pd.partners, live[:emit]) { //reprolint:allow hotpath type-parameter instantiation for []int32, not interface boxing
 				pd.rep++
 			} else {
-				p.acc.emit(id, pd.partners, pd.rep)
+				p.emit(id, pd.partners, pd.rep)
 				pd.partners = restage(pd.partners, live[:emit])
 				pd.rep = 1
 			}
@@ -319,8 +312,19 @@ func (p *Profiler) newID(pc uint64) int32 {
 	p.taken = append(p.taken, 0)             //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.in = append(p.in, false)               //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.pend = append(p.pend, pendingPrefix{}) //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
-	p.acc.numIDs = len(p.pcs)
+	p.nbr = append(p.nbr, nbrCounter{})      //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	return id
+}
+
+// emit adds branch id's partner prefix, rep times over, to id's counter.
+// A prefix holds distinct partners in stream order, and a counter grows
+// only when it inserts a new key, so its slot layout is the one a
+// per-increment loop over the uncoalesced stream would build.
+func (p *Profiler) emit(id int32, partners []int32, rep uint32) {
+	c := &p.nbr[id]
+	for _, cur := range partners {
+		c.addN(cur, rep)
+	}
 }
 
 // growFront makes room below off for first-touch prepends, keeping the
@@ -344,44 +348,34 @@ func (p *Profiler) Branches() uint64 { return p.branches }
 // tables (the per-branch counters) — the profiler's dominant footprint,
 // read by perfbench's profile.table_mb.
 func (p *Profiler) TableBytes() uint64 {
-	return p.acc.tableBytes()
+	var total uint64
+	for i := range p.nbr {
+		total += p.nbr[i].bytes()
+	}
+	return total
 }
 
 // SetInstructions records the run's total instruction count (otherwise
 // estimated from the last branch time stamp).
 func (p *Profiler) SetInstructions(n uint64) { p.instructions = n }
 
-// nbrOf returns branch id's neighbor counter, which holds the batches
-// applied so far (see pairAccum.flush). The returned counter may be
-// empty.
-func (p *Profiler) nbrOf(id int32) *nbrCounter {
-	if int(id) >= len(p.acc.tabs) {
-		return &emptyNbr
-	}
-	return &p.acc.tabs[id]
-}
-
-// emptyNbr backs nbrOf for branches that never emitted a pair; it must
-// never be written.
-var emptyNbr nbrCounter
-
 // Profile extracts the accumulated profile. The Profiler remains usable;
 // further events continue accumulating on top.
 //
-// Every branch id's counter inserts new keys in the order per-event
-// staging would, so the counters are identical for every batch
-// geometry, and so is the pair list, which extraction reads from them
-// in fixed id orders and each counter in slot order.
+// Every branch id's counter inserts new keys in the order a
+// per-increment loop would, so the counters do not depend on how
+// prefixes were coalesced, and neither does the pair list, which
+// extraction reads from them in fixed id orders and each counter in
+// slot order.
 func (p *Profiler) Profile() *Profile {
 	done := p.metrics.StartMerge()
 	// Emit every pending prefix and drop its buffer, which extraction
-	// would otherwise hold alive beside the counters, then apply the
-	// staged batch, after which the counters are complete.
+	// would otherwise hold alive beside the counters; the counters are
+	// then complete.
 	for id, pd := range p.pend {
-		p.acc.emit(int32(id), pd.partners, pd.rep)
+		p.emit(int32(id), pd.partners, pd.rep)
 	}
 	clear(p.pend)
-	p.acc.flush()
 	out := &Profile{
 		Benchmark:    p.benchmark,
 		InputSets:    []string{p.inputSet},
@@ -419,7 +413,7 @@ func (p *Profiler) extractPairs() PairList {
 	n := len(p.pcs)
 	start := make([]int, n+1)
 	for x := range n {
-		for _, s := range p.nbrOf(int32(x)).slots {
+		for _, s := range p.nbr[x].slots {
 			if y, _ := partner(s); s != 0 && int(y) < x {
 				start[y+1]++
 			}
@@ -437,7 +431,7 @@ func (p *Profiler) extractPairs() PairList {
 	mark := make([]int, n) // per partner: index+1 of the row that last marked it
 	distinct := 0
 	for x := n - 1; x >= 0; x-- {
-		slots := p.nbrOf(int32(x)).slots
+		slots := p.nbr[x].slots
 		for _, s := range slots {
 			if y, _ := partner(s); s != 0 && int(y) > x {
 				mark[y] = x + 1
@@ -465,7 +459,7 @@ func (p *Profiler) extractPairs() PairList {
 	}
 	for a := range n {
 		row := len(keys)
-		for _, s := range p.nbrOf(int32(a)).slots {
+		for _, s := range p.nbr[a].slots {
 			if y, c := partner(s); s != 0 && int(y) > a {
 				where[y] = len(keys)
 				keys = append(keys, PairKey(int32(a), y))

@@ -46,12 +46,12 @@ func syntheticStream(statics, ws, events, dropOneIn int) []uint64 {
 // and reports branch and pair-increment throughput. Mbranches/s moves
 // with the stream's pair density; Mincr/s is the per-increment rate;
 // coalesced is the fraction of increments whose prefix repeated the
-// branch's previous one and so was never staged. Perturbed rotations
-// (one dropped branch in about one rotation in ten) change more
-// prefixes than exact ones, so more of their increments take the
-// staging and apply path. Churned rotations drop a branch in every
-// rotation, so almost no prefix repeats and the variant measures what
-// coalescing costs a stream without the property.
+// branch's previous one and so was added as part of a weighted prefix.
+// Perturbed rotations (one dropped branch in about one rotation in ten)
+// change more prefixes than exact ones, so more of their increments
+// reach the counters one add each. Churned rotations drop a branch in
+// every rotation, so almost no prefix repeats and the variant measures
+// what coalescing costs a stream without the property.
 func benchProfiler(b *testing.B, window int) {
 	for _, rot := range []struct {
 		name      string
