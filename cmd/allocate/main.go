@@ -105,6 +105,9 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 	if baseline < 1 {
 		return fmt.Errorf("-baseline %d: the conventional table needs at least 1 entry", baseline)
 	}
+	if window < 0 {
+		return fmt.Errorf("-window %d: want 0 (exact) or a positive scan window", window)
+	}
 	spec, err := workload.ByName(bench)
 	if err != nil {
 		return err
@@ -121,15 +124,15 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 		if err != nil {
 			return err
 		}
-		var facts *staticws.BranchFacts
+		var facts *progcheck.Facts
 		if progCheck {
 			r, err := progcheck.Gate(os.Stdout, prog)
 			if err != nil {
 				return err
 			}
-			facts = staticws.FactsFrom(r)
+			facts = r.Facts
 		}
-		est, err := staticws.AnalyzeWithFacts(prog, facts)
+		est, err := staticws.Analyze(prog, facts)
 		if err != nil {
 			return err
 		}

@@ -206,3 +206,17 @@ func TestRejectsSmallBaseline(t *testing.T) {
 		t.Errorf("-classify -find-size -baseline 2: error %v", err)
 	}
 }
+
+// TestRejectsNegativeWindow: a negative -window is an error before
+// anything is profiled, not a silent exact scan.
+func TestRejectsNegativeWindow(t *testing.T) {
+	out, err := captureRun(t, func() error {
+		return run("li", "ref", 0.05, 64, false, false, 1024, 100, -3, false, "", false, false, nil)
+	})
+	if err == nil || !strings.Contains(err.Error(), "-window -3") {
+		t.Errorf("-window -3: error %v", err)
+	}
+	if out != "" {
+		t.Errorf("-window -3 printed before failing:\n%s", out)
+	}
+}

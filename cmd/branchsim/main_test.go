@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,6 +90,19 @@ func TestRejectsEmptyBHT(t *testing.T) {
 		})
 		if err == nil || !strings.Contains(err.Error(), "pc-mod indexer") {
 			t.Errorf("-bht %d: got %v, want an indexer size error", bht, err)
+		}
+	}
+}
+
+// TestRejectsBadScale: a negative, NaN or infinite -scale is an error,
+// not a silent run at another size.
+func TestRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+		_, err := captureRun(t, func() error {
+			return run("li", "ref", scale, "taken", 1024, 4096, 1024, false, 2048, 0)
+		})
+		if err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("-scale %v: got %v, want a scale error", scale, err)
 		}
 	}
 }

@@ -235,6 +235,9 @@ func run(o runOpts, reg *obs.Registry) error {
 	if !(o.coverage >= 0 && o.coverage <= 1) {
 		return fmt.Errorf("-coverage %v outside [0, 1]", o.coverage)
 	}
+	if o.window < 0 {
+		return fmt.Errorf("-window %d: want 0 (exact) or a positive scan window", o.window)
+	}
 	m := obs.New(reg)
 	threshold := o.threshold
 	if threshold == 0 {
@@ -243,7 +246,7 @@ func run(o runOpts, reg *obs.Registry) error {
 
 	// -progcheck gates every path that has a program to verify; a
 	// recorded trace has none.
-	var report *progcheck.Report
+	var facts *progcheck.Facts
 	if o.progCheck {
 		if o.traceFile != "" {
 			return fmt.Errorf("-progcheck verifies a program, not a recorded trace")
@@ -252,9 +255,11 @@ func run(o runOpts, reg *obs.Registry) error {
 		if err != nil {
 			return err
 		}
-		if report, err = progcheck.Gate(os.Stdout, prog); err != nil {
+		report, err := progcheck.Gate(os.Stdout, prog)
+		if err != nil {
 			return err
 		}
+		facts = report.Facts
 	}
 
 	var prof *profile.Profile
@@ -272,7 +277,7 @@ func run(o runOpts, reg *obs.Registry) error {
 		}
 		// Verifier facts, when present, prune resolved and dead branches
 		// from the compile-time conflict graph.
-		est, err := staticws.AnalyzeWithFacts(prog, staticws.FactsFrom(report))
+		est, err := staticws.Analyze(prog, facts)
 		if err != nil {
 			return err
 		}

@@ -158,6 +158,15 @@ func TestRejectsCoverageOutOfRange(t *testing.T) {
 	}
 }
 
+// TestRejectsNegativeWindow: a negative scan window is an error rather
+// than a silent exact scan.
+func TestRejectsNegativeWindow(t *testing.T) {
+	err := run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", definition: "cliques", top: 3, window: -5}, nil)
+	if err == nil || !strings.Contains(err.Error(), "-window -5") {
+		t.Errorf("-window -5: got %v, want a -window error", err)
+	}
+}
+
 // TestGoldenProgramCharact locks down the -charact extension of the
 // report: the predictability summary line and the per-branch entropy
 // table appended after the working-set sections. The collector rides

@@ -1,7 +1,7 @@
 // Command wsanalyzed is the long-running service mode of the working-set
 // analysis pipeline: it accepts analysis jobs over HTTP, runs them on
-// the instrumented sharded harness with bounded concurrency, and
-// exposes the observability registry.
+// the instrumented harness with bounded concurrency, and exposes the
+// observability registry.
 //
 // Usage:
 //

@@ -13,7 +13,7 @@
 // The Collector implements vm.BranchSink, so it rides the same
 // MultiSink replay the profiler and the predictor zoo share: one
 // deterministic branch stream feeds every consumer, which is what
-// makes the report byte-identical across worker and shard settings.
+// makes the report byte-identical across worker settings.
 package charact
 
 import (

@@ -4,7 +4,7 @@
 // optional per-edge refinement and widening. Package progcheck
 // instantiates it with the register-interval lattice (constant/interval
 // propagation, memory bounds, statically-resolved branches) and with
-// reaching definitions (uninitialized-register reads); the framework
+// may-defined register sets (uninitialized-register reads); the framework
 // itself knows nothing about any particular analysis.
 //
 // Conventions: a Problem's Top is the neutral element of Meet — the

@@ -2,11 +2,13 @@ package dataflow
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/cfg"
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/rng"
 )
 
 func mustCFG(t *testing.T, src string) *cfg.Graph {
@@ -103,7 +105,7 @@ loop:
 	}
 }
 
-func TestReachingDefsDiamond(t *testing.T) {
+func TestDefinedDiamond(t *testing.T) {
 	g := mustCFG(t, `
 .name reach
 	rand r4
@@ -118,25 +120,23 @@ merge:
 `)
 	fn := g.Funcs[0]
 	// Only RSP defined at entry, as for a program entry function.
-	d := SolveReachingDefs(g, fn, 1<<isa.RSP)
+	res := Solve[RegSet](g, fn, NewDefined(g, 1<<isa.RSP))
 
-	merge := g.BlockOf(6)
-	set := d.InAt(merge.ID)
-	if !d.Defined(set, 1) {
+	set := res.InAt(g.BlockOf(6).ID)
+	if !set.Has(1) {
 		t.Error("r1 undefined at merge despite definitions on both arms")
 	}
-	if d.Defined(set, 3) {
+	if set.Has(3) {
 		t.Error("r3 defined at merge despite no definition anywhere")
 	}
-	if !d.Defined(set, isa.RSP) {
+	if !set.Has(isa.RSP) {
 		t.Error("RSP undefined despite entry coverage")
 	}
 }
 
-// TestReachingDefsEntryNotKilled is the regression test for summarized
-// definition sites: killing r5's definitions must not erase the entry
-// site's coverage of every other register.
-func TestReachingDefsEntryNotKilled(t *testing.T) {
+// TestDefinedEntryNotKilled: a write to one register must not erase
+// the entry state's coverage of every other register.
+func TestDefinedEntryNotKilled(t *testing.T) {
 	g := mustCFG(t, `
 .name kill
 	addi r5, zero, 1
@@ -144,17 +144,192 @@ func TestReachingDefsEntryNotKilled(t *testing.T) {
 	halt
 `)
 	fn := g.Funcs[0]
-	d := SolveReachingDefs(g, fn, ^uint32(0)) // callee: all registers defined at entry
+	res := Solve[RegSet](g, fn, NewDefined(g, ^RegSet(0))) // callee: all registers defined at entry
 
-	b := g.BlockOf(0)
-	set := d.InAt(b.ID)
-	set = d.Apply(set, 0) // defines r5, killing its earlier defs
-	if !d.Defined(set, 31) || !d.Defined(set, 30) {
+	set := res.InAt(g.BlockOf(0).ID)
+	set = Define(set, g.Prog.Code[0]) // defines r5
+	if !set.Has(31) || !set.Has(30) {
 		t.Error("entry definitions of r31/r30 lost after an unrelated write to r5")
 	}
-	if !d.Defined(set, 5) {
+	if !set.Has(5) {
 		t.Error("r5 undefined right after its own definition")
 	}
+}
+
+// TestDefinedMatchesPathOracle checks the may-defined fixpoint against
+// its path semantics: register r is defined before instruction i iff r
+// is in the entry set, r is the zero register, or some path from the
+// function entry to i writes r. The oracle finds such paths by a
+// breadth-first search over (instruction, r written) states along the
+// successor edges Solve uses, on every function of seeded random
+// programs, the FuzzProgCheck seeds and the uninit_read fixture, under
+// three entry sets each.
+func TestDefinedMatchesPathOracle(t *testing.T) {
+	var progs []*program.Program
+	for _, src := range []string{
+		// The FuzzProgCheck seeds (package progcheck).
+		".name loop\n\taddi r1, zero, 8\nL0:\taddi r1, r1, -1\n\tbne r1, zero, L0\n\thalt\n",
+		".name oob\n.mem 16\n\tlui r2, 1\n\taddi r1, zero, 1\n\tst r1, 0(r2)\n\taddi r3, zero, -9\n\tld r4, 0(r3)\n\thalt\n",
+		".name resolved\n\taddi r1, zero, 3\n\tbeq r1, zero, L0\n\thalt\nL0:\taddi r2, zero, 1\n\thalt\n",
+		".name uninit\n\tadd r3, r1, r2\n\thalt\n",
+		".name call\n\taddi r1, zero, 2\n\tcall L0\n\thalt\nL0:\tadd r2, r1, r1\n\tret ra\n",
+		".name rand\n\trand r1\n\tbltz r1, L0\n\taddi r2, zero, 1\nL0:\thalt\n",
+	} {
+		p, err := program.ParseString(src)
+		if err != nil {
+			t.Fatalf("parse seed: %v", err)
+		}
+		progs = append(progs, p)
+	}
+	fixture, err := os.ReadFile("../../cmd/progcheck/testdata/uninit_read.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := program.ParseString(string(fixture))
+	if err != nil {
+		t.Fatalf("parse uninit_read.s: %v", err)
+	}
+	progs = append(progs, p)
+	r := rng.New(20261019)
+	for len(progs) < 10_000 {
+		if p := randomProgram(r); p.Validate() == nil {
+			progs = append(progs, p)
+		}
+	}
+
+	var checks, undefined int
+	for _, p := range progs {
+		g, err := cfg.Build(p)
+		if err != nil {
+			t.Fatalf("%s: cfg: %v", p.Name, err)
+		}
+		for _, fn := range g.Funcs {
+			for _, entry := range []RegSet{0, 1 << isa.RSP, RegSet(r.Uint32())} {
+				c, u := compareDefinedWithOracle(t, g, fn, entry)
+				checks += c
+				undefined += u
+			}
+		}
+		if t.Failed() {
+			return
+		}
+	}
+	if undefined == 0 || undefined == checks {
+		t.Fatalf("vacuous comparison: %d of %d checks undefined", undefined, checks)
+	}
+	t.Logf("%d programs, %d checks, %d undefined", len(progs), checks, undefined)
+}
+
+// compareDefinedWithOracle compares the solved fact before every
+// instruction of fn reachable from its entry with the path oracle, for
+// every register. It returns the number of comparisons and how many
+// found the register undefined.
+func compareDefinedWithOracle(t *testing.T, g *cfg.Graph, fn *cfg.Func, entry RegSet) (checks, undefined int) {
+	t.Helper()
+	code := g.Prog.Code
+	inFn := make([]bool, len(g.Blocks))
+	for _, bi := range fn.Blocks {
+		inFn[bi] = true
+	}
+	// solved[i] is the fact before instruction i, replayed from its
+	// block's In fact.
+	res := Solve[RegSet](g, fn, NewDefined(g, entry))
+	solved := make([]RegSet, len(code))
+	for _, bi := range fn.Blocks {
+		b := g.Blocks[bi]
+		s := res.InAt(bi)
+		for i := b.Start; i < b.End; i++ {
+			solved[i] = s
+			s = Define(s, code[i])
+		}
+	}
+
+	for reg := isa.Reg(0); reg < isa.NumRegs; reg++ {
+		// seen[i][w]: instruction i is reached from the entry on a path
+		// that has (w=1) or has not (w=0) written reg.
+		seen := make([][2]bool, len(code))
+		seen[fn.Entry][0] = true
+		queue := [][2]int{{fn.Entry, 0}}
+		for len(queue) > 0 {
+			i, w := queue[0][0], queue[0][1]
+			queue = queue[1:]
+			if r, ok := writtenReg(code[i]); code[i].Op == isa.OpCall || ok && r == reg {
+				w = 1
+			}
+			b := g.BlockOf(i)
+			next := []int{i + 1}
+			if i == b.Terminator() {
+				next = next[:0]
+				for _, s := range b.Succs {
+					if inFn[s] {
+						next = append(next, g.Blocks[s].Start)
+					}
+				}
+			}
+			for _, j := range next {
+				if !seen[j][w] {
+					seen[j][w] = true
+					queue = append(queue, [2]int{j, w})
+				}
+			}
+		}
+		for i, st := range seen {
+			if !st[0] && !st[1] {
+				continue // not reachable from the entry
+			}
+			want := entry&(1<<reg) != 0 || reg == isa.RZero || st[1]
+			if got := solved[i].Has(reg); got != want {
+				t.Errorf("%s: func at %d, entry %#x: r%d before inst %d: solved %v, paths say %v",
+					g.Prog.Name, fn.Entry, uint32(entry), reg, i, got, want)
+			}
+			checks++
+			if !want {
+				undefined++
+			}
+		}
+	}
+	return checks, undefined
+}
+
+// randomProgram returns a program of 2 to 31 instructions mixing
+// register writes and reads with every kind of control transfer, over
+// a few registers so writes and reads meet; it ends in halt.
+func randomProgram(r *rng.Xoshiro256) *program.Program {
+	n := 2 + r.Intn(30)
+	reg := func() isa.Reg {
+		if r.Intn(4) == 0 {
+			return isa.Reg(r.Intn(isa.NumRegs))
+		}
+		return isa.Reg(r.Intn(6))
+	}
+	code := make([]isa.Inst, n)
+	for i := range code[:n-1] {
+		var in isa.Inst
+		switch k := r.Intn(10); {
+		case k < 3:
+			in = isa.Inst{Op: isa.OpAddI, Rd: reg(), Rs: reg(), Imm: int32(r.Intn(9) - 4)}
+		case k < 5:
+			in = isa.Inst{Op: isa.OpAdd, Rd: reg(), Rs: reg(), Rt: reg()}
+		case k == 5:
+			in = isa.Inst{Op: isa.OpRand, Rd: reg()}
+		case k == 6:
+			ops := []isa.Op{isa.OpBeq, isa.OpBne, isa.OpBltz, isa.OpBgez}
+			target := r.Intn(n)
+			if target == i+1 {
+				target = 0
+			}
+			in = isa.Inst{Op: ops[r.Intn(len(ops))], Rs: reg(), Rt: reg(), Imm: int32(target - i - 1)}
+		case k == 7:
+			in = isa.Inst{Op: isa.OpJump, Imm: int32(r.Intn(n))}
+		case k == 8:
+			in = isa.Inst{Op: isa.OpCall, Imm: int32(r.Intn(n))}
+		default:
+			in = isa.Inst{Op: isa.OpRet, Rs: reg()}
+		}
+		code[i] = in
+	}
+	code[n-1] = isa.Inst{Op: isa.OpHalt}
+	return &program.Program{Name: "random", Code: code, MemWords: 16}
 }
 
 func TestIntervalArithmeticSoundOnOverflow(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/progcheck"
 	"repro/internal/staticws"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -87,16 +88,16 @@ func (s *Suite) staticRow(a *Artifacts) (StaticRow, error) {
 	// With ProgCheck on, the verifier's proven facts prune resolved and
 	// dead branches from the compile-time conflict graph before
 	// allocation.
-	var facts *staticws.BranchFacts
+	var facts *progcheck.Facts
 	if s.cfg.ProgCheck {
 		r, err := s.verifyProgram(a.Spec.Name+"/"+a.Input.Name+" (static)", prog)
 		if err != nil {
 			return row, err
 		}
-		facts = staticws.FactsFrom(r)
+		facts = r.Facts
 	}
 	span := s.stageSpan(a.Spec.Name, "static-analyze")
-	est, err := staticws.AnalyzeWithFacts(prog, facts)
+	est, err := staticws.Analyze(prog, facts)
 	span.End()
 	if err != nil {
 		return row, fmt.Errorf("harness: static analysis of %s: %w", a.Spec.Name, err)

@@ -36,7 +36,7 @@ func TestStaticCoversDynamicWorkingSets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := staticws.Analyze(prog)
+			est, err := staticws.Analyze(prog, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,8 +8,8 @@ import (
 )
 
 // checkAtomicSafety is the atomicsafety pass, guarding the parallel
-// code paths (sharded profiling, the worker pool, the service job
-// queue) against the three concurrency mistakes a refactor most easily
+// code paths (the harness worker pool, the service job queue)
+// against the three concurrency mistakes a refactor most easily
 // introduces:
 //
 //  1. mixed access: a field updated through sync/atomic in one place
@@ -20,7 +20,7 @@ import (
 //     contains a sync primitive, which silently forks the lock;
 //  3. goroutine-captured writes: a goroutine literal writing a
 //     variable of the enclosing function that the function keeps using
-//     after the launch — shard-local state escaping its goroutine.
+//     after the launch — worker-local state escaping its goroutine.
 //     Index writes (results[i] = ...) are exempt: disjoint-index
 //     fan-out is the repo's sanctioned pattern.
 func checkAtomicSafety(p *Package, report func(token.Pos, string)) {

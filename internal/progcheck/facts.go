@@ -42,48 +42,6 @@ func newFacts(n, memSize int) *Facts {
 	}
 }
 
-// NumUnreachable counts instructions proven dead.
-func (f *Facts) NumUnreachable() int { return countTrue(f.Unreachable) }
-
-// NumResolved counts conditional branches proven one-directional.
-func (f *Facts) NumResolved() int { return countTrue(f.ResolvedKnown) }
-
-// ResolvedDirections returns the proven-constant conditional branches
-// as instruction index → direction (true = always taken), and
-// DeadInsts the proven-unreachable instruction indices. Together they
-// are exactly the shape staticws.BranchFacts consumes for pruning the
-// static conflict graph (see staticws.FactsFrom).
-func (f *Facts) ResolvedDirections() map[int]bool {
-	out := make(map[int]bool)
-	for i, known := range f.ResolvedKnown {
-		if known {
-			out[i] = f.ResolvedTaken[i]
-		}
-	}
-	return out
-}
-
-// DeadInsts returns the proven-unreachable instruction indices.
-func (f *Facts) DeadInsts() map[int]bool {
-	out := make(map[int]bool)
-	for i, dead := range f.Unreachable {
-		if dead {
-			out[i] = true
-		}
-	}
-	return out
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // oracle is the vm.Probe that checks Facts against a live execution.
 type oracle struct {
 	f     *Facts

@@ -47,7 +47,8 @@ type checker struct {
 	// ivals[fid] is the solved interval analysis of function fid, nil
 	// for functions never called from live code.
 	ivals []*dataflow.Result[dataflow.Regs]
-	defs  []*dataflow.Defs
+	// defined[fid] is the solved may-defined analysis of function fid.
+	defined []*dataflow.Result[dataflow.RegSet]
 	// funcLive[fid] is true when fid is the entry function or is called
 	// from an interval-reachable block of a live function.
 	funcLive []bool
@@ -77,7 +78,7 @@ func Gate(w io.Writer, p *program.Program) (*Report, error) {
 	return r, nil
 }
 
-// Check verifies p: validation, then interval and reaching-definitions
+// Check verifies p: validation, then interval and may-defined register
 // dataflow over every live function, then the oob / unreachable /
 // resolved / uninit passes. It always returns a Report; a program that
 // fails program.Validate gets a single error finding and no Facts.
@@ -107,7 +108,7 @@ func Check(p *program.Program) *Report {
 		g:        g,
 		memSize:  vm.MemSize(p),
 		ivals:    make([]*dataflow.Result[dataflow.Regs], len(g.Funcs)),
-		defs:     make([]*dataflow.Defs, len(g.Funcs)),
+		defined:  make([]*dataflow.Result[dataflow.RegSet], len(g.Funcs)),
 		funcLive: make([]bool, len(g.Funcs)),
 		facts:    newFacts(len(p.Code), vm.MemSize(p)),
 	}
@@ -138,18 +139,18 @@ func (c *checker) solve() {
 		res := dataflow.Solve[dataflow.Regs](c.g, fn, dataflow.NewIntervals(c.g, fn, c.memSize))
 		c.ivals[fid] = res
 
-		entryDefined := uint32(0)
+		var entry dataflow.RegSet
 		if fn.Entry == 0 {
 			// The VM zeroes every register before the first instruction,
 			// but only RSP carries a *meaningful* value at entry; treating
 			// the rest as undefined flags code that silently leans on
 			// incidental zero-initialization.
-			entryDefined = 1 << isa.RSP
+			entry = 1 << isa.RSP
 		} else {
 			// A callee legitimately receives arguments in any register.
-			entryDefined = ^uint32(0)
+			entry = ^dataflow.RegSet(0)
 		}
-		c.defs[fid] = dataflow.SolveReachingDefs(c.g, fn, entryDefined)
+		c.defined[fid] = dataflow.Solve[dataflow.RegSet](c.g, fn, dataflow.NewDefined(c.g, entry))
 
 		for _, cs := range c.g.Calls {
 			if cs.Caller != fid || c.funcLive[cs.Callee] {
@@ -198,8 +199,7 @@ func (c *checker) walk() {
 // and uninit findings and recording the corresponding proven facts.
 func (c *checker) walkBlock(b *cfg.Block) {
 	regs := c.ivals[b.Fn].InAt(b.ID)
-	d := c.defs[b.Fn]
-	defs := d.InAt(b.ID)
+	defined := c.defined[b.Fn].InAt(b.ID)
 	code := c.prog.Code
 	valid := dataflow.Interval{Lo: 0, Hi: int64(c.memSize) - 1}
 	var rbuf [2]isa.Reg
@@ -207,7 +207,7 @@ func (c *checker) walkBlock(b *cfg.Block) {
 	for i := b.Start; i < b.End; i++ {
 		in := code[i]
 		for _, r := range dataflow.ReadRegs(in, rbuf[:0]) {
-			if !d.Defined(defs, r) {
+			if !defined.Has(r) {
 				c.add(i, "uninit", SevWarn,
 					fmt.Sprintf("read of r%d which no definition reaches", r))
 			}
@@ -237,7 +237,7 @@ func (c *checker) walkBlock(b *cfg.Block) {
 			}
 		}
 		dataflow.ExecInst(&regs, i, in)
-		defs = d.Apply(defs, i)
+		defined = dataflow.Define(defined, in)
 	}
 }
 

@@ -144,49 +144,6 @@ func (e *Estimate) BiasCounts() (unknown, taken, notTaken int) {
 	return
 }
 
-// BranchFacts carries verifier-proven branch facts into the static
-// estimate; FactsFrom converts a progcheck report into them. Proven branches keep their profile nodes — the node set must remain
-// exactly Program.CondBranchPCs() — but contribute no conflict pairs:
-// a branch the compiler already knows the direction of needs no
-// two-bit counter, so it cannot contend for one.
-type BranchFacts struct {
-	// ResolvedTaken maps a conditional-branch instruction index to its
-	// proven constant direction (true = always taken).
-	ResolvedTaken map[int]bool
-	// Dead marks instruction indices proven unreachable.
-	Dead map[int]bool
-}
-
-// FactsFrom returns the pruning facts of a verification report; nil
-// (no pruning) for a nil report or one without facts.
-func FactsFrom(r *progcheck.Report) *BranchFacts {
-	if r == nil || r.Facts == nil {
-		return nil
-	}
-	return &BranchFacts{
-		ResolvedTaken: r.Facts.ResolvedDirections(),
-		Dead:          r.Facts.DeadInsts(),
-	}
-}
-
-// prunedSites counts the facts that name actual conditional branches.
-func (f *BranchFacts) prunedSites(idOf map[int]int32) (resolved, dead int) {
-	if f == nil {
-		return 0, 0
-	}
-	for inst := range f.ResolvedTaken {
-		if _, ok := idOf[inst]; ok {
-			resolved++
-		}
-	}
-	for inst := range f.Dead {
-		if _, ok := idOf[inst]; ok {
-			dead++
-		}
-	}
-	return resolved, dead
-}
-
 // funcSummary is the loop-free view of one function as seen from a
 // call site outside any of its loops: the branches that execute at the
 // caller's loop depth and the loop roots that nest one level deeper.
@@ -223,24 +180,21 @@ type analyzer struct {
 	// members[loopID] memoizes the full interprocedural member set.
 	members map[int][]int32
 
-	// pruned marks profile ids excluded from conflict emission because
-	// verifier facts proved the branch resolved or dead.
-	pruned map[int32]bool
+	// pruned[id] marks profile ids excluded from conflict emission
+	// because verifier facts proved the branch resolved or dead.
+	pruned []bool
 }
 
-// Analyze computes the static working-set estimate of p.
-func Analyze(p *program.Program) (*Estimate, error) {
-	return AnalyzeWithFacts(p, nil)
-}
-
-// AnalyzeWithFacts computes the static working-set estimate of p with
-// verifier-proven branch facts applied: resolved and dead branches are
-// pruned from the conflict graph (they emit no pairs and so claim no
-// counter), resolved branches report their proven direction as bias,
+// Analyze computes the static working-set estimate of p. A non-nil
+// facts, the verifier's proven facts for p (progcheck.Check), prunes
+// resolved and dead branches from the conflict graph: they emit no
+// pairs and so claim no counter, because a branch the compiler already
+// knows the direction of needs no two-bit counter and cannot contend
+// for one. Resolved branches report their proven direction as bias,
 // and dead branches report zero executions. The profile node set is
 // unchanged — still exactly p.CondBranchPCs() — so every downstream
 // consumer and artifact verifier runs on the result as-is.
-func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error) {
+func Analyze(p *program.Program, facts *progcheck.Facts) (*Estimate, error) {
 	g, err := cfg.Build(p)
 	if err != nil {
 		return nil, err
@@ -262,18 +216,12 @@ func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error)
 		callsFree: make(map[int][]int),
 		ctxDepth:  make(map[int]int), ctxOnStack: make(map[int]bool),
 		members: make(map[int][]int32),
-		pruned:  make(map[int32]bool),
+		pruned:  make([]bool, len(pcs)),
 	}
 	if facts != nil {
-		for inst := range facts.ResolvedTaken {
-			if id, ok := idOf[inst]; ok {
-				a.pruned[id] = true
-			}
-		}
-		for inst := range facts.Dead {
-			if id, ok := idOf[inst]; ok {
-				a.pruned[id] = true
-			}
+		for id, pc := range pcs {
+			i := isa.IndexOf(pc)
+			a.pruned[id] = facts.ResolvedKnown[i] || facts.Unreachable[i]
 		}
 	}
 	for _, c := range g.Calls {
@@ -360,26 +308,24 @@ func AnalyzeWithFacts(p *program.Program, facts *BranchFacts) (*Estimate, error)
 		// Proven directions beat idiom guesses, and proven-dead branches
 		// execute exactly never. Applied after the Exec fallback above so
 		// dead branches stay at zero.
-		for inst, taken := range facts.ResolvedTaken {
-			id, ok := idOf[inst]
-			if !ok {
-				continue
+		for id, pc := range pcs {
+			i := isa.IndexOf(pc)
+			if facts.ResolvedKnown[i] {
+				est.PrunedResolved++
+				if facts.ResolvedTaken[i] {
+					est.Bias[id] = BiasTaken
+					prof.Taken[id] = prof.Exec[id]
+				} else {
+					est.Bias[id] = BiasNotTaken
+					prof.Taken[id] = 0
+				}
 			}
-			if taken {
-				est.Bias[id] = BiasTaken
-				prof.Taken[id] = prof.Exec[id]
-			} else {
-				est.Bias[id] = BiasNotTaken
-				prof.Taken[id] = 0
-			}
-		}
-		for inst := range facts.Dead {
-			if id, ok := idOf[inst]; ok {
+			if facts.Unreachable[i] {
+				est.PrunedDead++
 				prof.Exec[id] = 0
 				prof.Taken[id] = 0
 			}
 		}
-		est.PrunedResolved, est.PrunedDead = facts.prunedSites(idOf)
 	}
 	var insts uint64
 	for _, e := range prof.Exec {

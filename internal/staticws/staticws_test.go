@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/profile"
+	"repro/internal/progcheck"
 	"repro/internal/program"
 	"repro/internal/workload"
 )
@@ -92,7 +93,7 @@ func buildLoopWithCalls(t *testing.T) *program.Program {
 
 func TestFixtureConflicts(t *testing.T) {
 	p := buildLoopWithCalls(t)
-	est, err := Analyze(p)
+	est, err := Analyze(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestNestedDepthWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := Analyze(p)
+	est, err := Analyze(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestSeedBenchmarksStaticAllocation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := Analyze(p)
+			est, err := Analyze(p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +344,7 @@ func TestGccFullScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := Analyze(p)
+	est, err := Analyze(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +368,11 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(p)
+	a, err := Analyze(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Analyze(p)
+	b, err := Analyze(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,11 +392,11 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWithFactsPrunes: verifier facts remove proven branches
-// from the conflict graph without perturbing the node set.
-func TestAnalyzeWithFactsPrunes(t *testing.T) {
+// TestAnalyzeFactsPrune: verifier facts remove proven branches from
+// the conflict graph without perturbing the node set.
+func TestAnalyzeFactsPrune(t *testing.T) {
 	p := buildLoopWithCalls(t)
-	plain, err := Analyze(p)
+	plain, err := Analyze(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,11 +418,15 @@ func TestAnalyzeWithFactsPrunes(t *testing.T) {
 	// Pretend the verifier proved leaf1 never taken and the loop-free
 	// branch dead (it can't in this fixture — rand feeds them — but the
 	// pruning contract doesn't care where the facts came from).
-	facts := &BranchFacts{
-		ResolvedTaken: map[int]bool{isa.IndexOf(plain.Profile.PCs[leaf1]): false},
-		Dead:          map[int]bool{isa.IndexOf(plain.Profile.PCs[free]): true},
+	n := len(p.Code)
+	facts := &progcheck.Facts{
+		Unreachable:   make([]bool, n),
+		ResolvedKnown: make([]bool, n),
+		ResolvedTaken: make([]bool, n),
 	}
-	est, err := AnalyzeWithFacts(p, facts)
+	facts.ResolvedKnown[isa.IndexOf(plain.Profile.PCs[leaf1])] = true
+	facts.Unreachable[isa.IndexOf(plain.Profile.PCs[free])] = true
+	est, err := Analyze(p, facts)
 	if err != nil {
 		t.Fatal(err)
 	}

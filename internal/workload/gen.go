@@ -58,6 +58,9 @@ func (s Spec) Build(input InputSet, scale float64) (*program.Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkScale(scale); err != nil {
+		return nil, err
+	}
 	structRng := rng.New(structSeed(s.Name))
 	scheduleRng := rng.New(structSeed(s.Name) ^ (input.Seed * 0x9e3779b97f4a7c15))
 

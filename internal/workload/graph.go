@@ -657,6 +657,9 @@ func (g GraphSpec) Build(scale float64) (*program.Program, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkScale(scale); err != nil {
+		return nil, err
+	}
 	e := newGraphEmitter(g)
 	b := e.b
 

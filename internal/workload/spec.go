@@ -29,6 +29,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -307,6 +308,15 @@ func (s Spec) Validate() error {
 	}
 	if s.AnalyzeCoverage <= 0 || s.AnalyzeCoverage > 1 {
 		return fmt.Errorf("workload %s: AnalyzeCoverage %.4f outside (0,1]", s.Name, s.AnalyzeCoverage)
+	}
+	return nil
+}
+
+// checkScale rejects a scale factor that names no size: negative, NaN
+// or infinite. 0 is valid and means 1.0.
+func checkScale(scale float64) error {
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("workload: scale %v: want a finite factor >= 0 (0 means 1.0)", scale)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -89,6 +91,56 @@ func TestBuildProducesValidProgram(t *testing.T) {
 	want := small().StaticBranches()
 	if got := p.NumCondBranches(); got != want {
 		t.Fatalf("static branches %d, want %d", got, want)
+	}
+}
+
+// TestBuildRejectsBadScale: a scale that names no size is an error in
+// both builders, and 0 keeps its documented meaning, 1.0.
+func TestBuildRejectsBadScale(t *testing.T) {
+	graph := Graphs()[0]
+	for _, tc := range []struct {
+		scale float64
+		ok    bool
+	}{
+		{0, true},
+		{0.5, true},
+		{-1, false},
+		{-0.001, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		_, err := small().Build(InputRef, tc.scale)
+		if (err == nil) != tc.ok {
+			t.Errorf("Spec.Build(scale %v) error = %v, want ok=%v", tc.scale, err, tc.ok)
+		}
+		_, err = graph.Build(tc.scale)
+		if (err == nil) != tc.ok {
+			t.Errorf("GraphSpec.Build(scale %v) error = %v, want ok=%v", tc.scale, err, tc.ok)
+		}
+	}
+
+	zero, err := small().Build(InputRef, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := small().Build(InputRef, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero.Code, one.Code) {
+		t.Error("Spec.Build at scale 0 differs from scale 1.0")
+	}
+	gzero, err := graph.Build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := graph.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gzero.Code, gone.Code) {
+		t.Error("GraphSpec.Build at scale 0 differs from scale 1.0")
 	}
 }
 
