@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -182,51 +181,42 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 		}
 	}
 
-	if useClass {
-		cls := classify.Classify(prof, classify.Default())
-		m, bt, bnt := cls.Counts()
-		fmt.Printf("classification: %d mixed, %d biased-taken, %d biased-not-taken (%.1f%% of dynamic branches biased)\n",
-			m, bt, bnt, 100*cls.BiasedDynamicFraction(prof))
-	}
-
 	cfg := core.AllocationConfig{
 		TableSize:         size,
 		Threshold:         threshold,
 		UseClassification: useClass,
 	}
-
+	var res core.SizeSearchResult
+	var alloc *core.Allocation
 	if findSize {
-		res, err := core.RequiredBHTSize(prof, baseline, cfg)
-		if err != nil {
-			return err
-		}
+		res, err = core.RequiredBHTSize(prof, baseline, cfg)
+		alloc = res.Allocation
+	} else {
+		alloc, err = core.Allocate(prof, cfg)
+	}
+	if err != nil {
+		return err
+	}
+
+	if cls := alloc.Classification; cls != nil {
+		m, bt, bnt := cls.Counts()
+		fmt.Printf("classification: %d mixed, %d biased-taken, %d biased-not-taken (%.1f%% of dynamic branches biased)\n",
+			m, bt, bnt, 100*cls.BiasedDynamicFraction(prof))
+	}
+	if findSize {
 		fmt.Printf("\nconventional %d-entry baseline conflict cost: %d\n", baseline, res.BaselineCost)
 		fmt.Printf("required BHT size: %d (alloc cost %d, %d colorings)\n",
 			res.RequiredSize, res.AllocCost, res.Colorings)
-		if check {
-			c := cfg
-			c.TableSize = res.RequiredSize
-			a, err := core.Allocate(prof, c)
-			if err != nil {
-				return err
-			}
-			if err := verifyAllocation(prof, a, threshold, corrupt); err != nil {
-				return err
-			}
-		}
-		return dumpMetrics(reg)
-	}
-
-	alloc, err := core.Allocate(prof, cfg)
-	if err != nil {
-		return err
 	}
 	if check {
 		if err := verifyAllocation(prof, alloc, threshold, corrupt); err != nil {
 			return err
 		}
 	}
-	convCost, err := core.ConventionalCost(prof, baseline, threshold, alloc.Classification)
+	if findSize {
+		return dumpMetrics(reg)
+	}
+	convCost, err := core.ConventionalCost(prof, baseline, cfg)
 	if err != nil {
 		return err
 	}

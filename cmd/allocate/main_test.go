@@ -220,3 +220,17 @@ func TestRejectsNegativeWindow(t *testing.T) {
 		t.Errorf("-window -3 printed before failing:\n%s", out)
 	}
 }
+
+// TestRejectsRepeatedInput: profiling one input set twice and merging
+// would double every count; the merge names the repeated set instead.
+func TestRejectsRepeatedInput(t *testing.T) {
+	out, err := captureRun(t, func() error {
+		return run("li", "ref,ref", 0.05, 128, false, false, 1024, 100, 0, false, "", false, false, nil)
+	})
+	if err == nil || !strings.Contains(err.Error(), `input set "ref" appears twice`) {
+		t.Errorf("-inputs ref,ref: error %v", err)
+	}
+	if strings.Contains(out, "merged") || strings.Contains(out, "allocation into") {
+		t.Errorf("-inputs ref,ref reported a merged allocation:\n%s", out)
+	}
+}

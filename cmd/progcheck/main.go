@@ -120,14 +120,9 @@ func run(opts options, args []string, stdout io.Writer) (int, error) {
 	)
 	for _, t := range targets {
 		r := progcheck.Check(t.prog)
-		rep := report{Name: t.name, Findings: r.Findings}
-		if r.Graph != nil {
-			rep.Summary = r.Summary()
-		}
+		rep := report{Name: t.name, Findings: r.Findings, Summary: r.Summary()}
 
-		counts := map[progcheck.Severity]int{}
 		for _, f := range r.Findings {
-			counts[f.Severity]++
 			line := t.name + ": " + f.String()
 			fails := f.Severity == progcheck.SevError || (opts.strict && f.Severity.Fails())
 			if fails {
@@ -164,10 +159,7 @@ func run(opts options, args []string, stdout io.Writer) (int, error) {
 		}
 
 		if !opts.jsonOut && opts.writeBaseline == "" {
-			s := rep.Summary
-			fmt.Fprintf(stdout, "%s: %d findings (%d error, %d warn, %d info); %d branch sites: %d latch, %d exit, %d guard, %d resolved, %d dead, %d data-dependent\n",
-				t.name, len(r.Findings), counts[progcheck.SevError], counts[progcheck.SevWarn], counts[progcheck.SevInfo],
-				s.Sites, s.Latch, s.Exit, s.Guard, s.Resolved, s.Dead, s.Data)
+			fmt.Fprintln(stdout, r.SummaryLine(t.name))
 		}
 		reports = append(reports, rep)
 	}

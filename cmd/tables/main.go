@@ -81,7 +81,6 @@ func main() {
 		Workers:      *workers,
 		Progress:     progress,
 		Metrics:      obs.New(reg),
-		Static:       *static,
 		ProgCheck:    *progCheck,
 	})
 
@@ -129,9 +128,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// RunAll already appends the static section when it ran (the suite
-	// is configured with Static); a filtered invocation runs it here.
-	if *static && !runAll {
+	if *static {
 		if err := harness.RunStatic(suite, os.Stdout, *markdown); err != nil {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)

@@ -188,15 +188,10 @@ func runProgcheckJob(src string) (string, error) {
 	}
 	r := progcheck.Check(p)
 	var b bytes.Buffer
-	counts := map[progcheck.Severity]int{}
 	for _, f := range r.Findings {
-		counts[f.Severity]++
 		fmt.Fprintf(&b, "%s: %s\n", p.Name, f)
 	}
-	s := r.Summary()
-	fmt.Fprintf(&b, "%s: %d findings (%d error, %d warn, %d info); %d branch sites: %d latch, %d exit, %d guard, %d resolved, %d dead, %d data-dependent\n",
-		p.Name, len(r.Findings), counts[progcheck.SevError], counts[progcheck.SevWarn], counts[progcheck.SevInfo],
-		s.Sites, s.Latch, s.Exit, s.Guard, s.Resolved, s.Dead, s.Data)
+	fmt.Fprintln(&b, r.SummaryLine(p.Name))
 	return b.String(), nil
 }
 

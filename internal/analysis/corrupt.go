@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -60,12 +61,23 @@ func CorruptWorkingSets(res *core.AnalysisResult) (string, error) {
 	return "", fmt.Errorf("analysis: no working set to corrupt")
 }
 
-// CorruptAllocation moves the first allocated branch to an entry one
-// past the end of the table, violating the index-range invariant.
+// CorruptAllocation moves the lowest allocated pc to an entry one past
+// the end of the table, violating the index-range invariant. The
+// corrupted map replaces a.Map, so predictors read the bad entry too.
 func CorruptAllocation(a *core.Allocation) (string, error) {
-	for _, pc := range a.Map.SortedPCs() {
-		a.Map.Index[pc] = a.Map.TableSize
-		return fmt.Sprintf("moved pc %#x to out-of-range entry %d", pc, a.Map.TableSize), nil
+	m := a.Map
+	pcs := m.PCs()
+	if len(pcs) == 0 {
+		return "", fmt.Errorf("analysis: no allocated branch to corrupt")
 	}
-	return "", fmt.Errorf("analysis: no allocated branch to corrupt")
+	low := slices.Min(pcs)
+	entries := make([]int, len(pcs))
+	for i, pc := range pcs {
+		entries[i] = m.EntryFor(pc)
+		if pc == low {
+			entries[i] = m.TableSize
+		}
+	}
+	a.Map = core.NewAllocationMap(m.TableSize, pcs, entries, m.ReservedTaken, m.ReservedNotTaken)
+	return fmt.Sprintf("moved pc %#x to out-of-range entry %d", low, m.TableSize), nil
 }

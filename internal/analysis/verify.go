@@ -162,7 +162,7 @@ func VerifyAllocation(p *profile.Profile, a *core.Allocation) error {
 
 	colors := make([]int, p.NumBranches())
 	for id, pc := range p.PCs {
-		entry, ok := m.Index[pc]
+		entry, ok := m.Entry(pc)
 		if !ok {
 			return fmt.Errorf("analysis: profiled branch %d (pc %#x) has no allocation entry", id, pc)
 		}

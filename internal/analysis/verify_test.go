@@ -211,11 +211,50 @@ func TestVerifyAllocationRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCorruptAllocationReachesPredictor checks that the corrupted map
+// is the one a predictor reads: exactly one profiled branch's EntryFor
+// leaves the table.
+func TestCorruptAllocationReachesPredictor(t *testing.T) {
+	p, a := allocate(t, false, 8)
+	if _, err := CorruptAllocation(a); err != nil {
+		t.Fatal(err)
+	}
+	bad := 0
+	for _, pc := range p.PCs {
+		if e := a.Map.EntryFor(pc); e < 0 || e >= a.Map.TableSize {
+			bad++
+		}
+	}
+	if bad != 1 {
+		t.Fatalf("%d branches read an out-of-range entry through EntryFor, want 1", bad)
+	}
+}
+
+// reallocate rebuilds a.Map after edit changes its pc-to-entry
+// assignments; a pc edit deletes loses its assignment.
+func reallocate(a *core.Allocation, edit func(entries map[uint64]int)) {
+	m := a.Map
+	entries := make(map[uint64]int, m.Allocated())
+	for _, pc := range m.PCs() {
+		entries[pc] = m.EntryFor(pc)
+	}
+	edit(entries)
+	var pcs []uint64
+	var es []int
+	for _, pc := range m.PCs() {
+		if e, ok := entries[pc]; ok {
+			pcs = append(pcs, pc)
+			es = append(es, e)
+		}
+	}
+	a.Map = core.NewAllocationMap(m.TableSize, pcs, es, m.ReservedTaken, m.ReservedNotTaken)
+}
+
 func TestVerifyAllocationRejectsGratuitousSharing(t *testing.T) {
 	p, a := allocate(t, false, 8)
 	// Branches 0 and 1 conflict; with 8 entries for 5 branches neither
 	// endpoint is saturated, so forcing them together must be rejected.
-	a.Map.Index[p.PCs[1]] = a.Map.Index[p.PCs[0]]
+	reallocate(a, func(entries map[uint64]int) { entries[p.PCs[1]] = entries[p.PCs[0]] })
 	if err := VerifyAllocation(p, a); err == nil {
 		t.Fatal("gratuitous conflict sharing accepted")
 	} else if !strings.Contains(err.Error(), "share entry") {
@@ -226,17 +265,17 @@ func TestVerifyAllocationRejectsGratuitousSharing(t *testing.T) {
 func TestVerifyAllocationRejectsBrokenPinning(t *testing.T) {
 	p, a := allocate(t, true, 8)
 	// Branch 1 is biased taken: it must sit in the reserved entry.
-	if got := a.Map.Index[p.PCs[1]]; got != a.Map.ReservedTaken {
+	if got, _ := a.Map.Entry(p.PCs[1]); got != a.Map.ReservedTaken {
 		t.Fatalf("precondition: biased-taken branch in entry %d", got)
 	}
-	a.Map.Index[p.PCs[1]] = a.Map.TableSize - 1
+	reallocate(a, func(entries map[uint64]int) { entries[p.PCs[1]] = a.Map.TableSize - 1 })
 	if err := VerifyAllocation(p, a); err == nil {
 		t.Fatal("mis-pinned biased branch accepted")
 	}
 
 	// A mixed branch moved onto a reserved entry is also rejected.
 	p2, a2 := allocate(t, true, 8)
-	a2.Map.Index[p2.PCs[0]] = a2.Map.ReservedNotTaken
+	reallocate(a2, func(entries map[uint64]int) { entries[p2.PCs[0]] = a2.Map.ReservedNotTaken })
 	if err := VerifyAllocation(p2, a2); err == nil {
 		t.Fatal("mixed branch on reserved entry accepted")
 	}
@@ -244,7 +283,7 @@ func TestVerifyAllocationRejectsBrokenPinning(t *testing.T) {
 
 func TestVerifyAllocationRejectsMissingBranch(t *testing.T) {
 	p, a := allocate(t, false, 8)
-	delete(a.Map.Index, p.PCs[3])
+	reallocate(a, func(entries map[uint64]int) { delete(entries, p.PCs[3]) })
 	if err := VerifyAllocation(p, a); err == nil {
 		t.Fatal("allocation missing a profiled branch accepted")
 	}

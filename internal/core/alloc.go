@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"repro/internal/classify"
 	"repro/internal/graph"
@@ -16,55 +14,90 @@ import (
 // PCs to BHT entries (paper Section 5). Branches absent from the map —
 // never profiled, e.g. library code under an unmodified ISA — fall back
 // to conventional PC-modulo indexing, as the paper notes they must.
+//
+// A map is one flat table, built once by NewAllocationMap and never
+// changed after: the predictors simulate and the verifier checks the
+// same entries.
 type AllocationMap struct {
 	// TableSize is the BHT entry count the map was built for.
 	TableSize int
-	// Index maps a branch's byte PC to its assigned entry. It is the
-	// construction/reporting representation; EntryFor reads a dense
-	// flattening built on first use, so Index must not be mutated after
-	// simulation starts.
-	Index map[uint64]int
 	// ReservedTaken and ReservedNotTaken are the entries set aside for
 	// biased branches when classification was used; -1 when unused.
 	ReservedTaken, ReservedNotTaken int
 
-	// ids and entries flatten Index for the per-event hot path: the
-	// entry of an allocated pc is entries[id], id its ids.Lookup.
+	// ids numbers the allocated pcs densely: the branch with id i is at
+	// pcs[i] and assigned entries[i].
 	ids     isa.PCIndex
+	pcs     []uint64
 	entries []int32
-	sealed  bool
 }
 
-// seal builds the flat lookup from Index. Allocate calls it; literal-
-// constructed maps (tests, external tools) are sealed lazily on the
-// first EntryFor.
-func (m *AllocationMap) seal() {
-	pcs := make([]uint64, 0, len(m.Index)) //reprolint:allow hotpath one-time flattening on first lookup, never repeated
-	for pc := range m.Index {              //reprolint:allow hotpath one-time flattening on first lookup, never repeated
-		pcs = append(pcs, pc) //reprolint:allow hotpath one-time flattening on first lookup, never repeated
+// NewAllocationMap assigns entries[i] to the branch at pcs[i] in a
+// tableSize-entry BHT. A pc listed twice keeps its last entry. It
+// panics if pcs and entries differ in length.
+func NewAllocationMap(tableSize int, pcs []uint64, entries []int, reservedTaken, reservedNotTaken int) *AllocationMap {
+	if len(pcs) != len(entries) {
+		panic(fmt.Sprintf("core: %d pcs but %d entries", len(pcs), len(entries)))
 	}
-	slices.Sort(pcs)                    //reprolint:allow hotpath one-time flattening on first lookup, never repeated
-	m.entries = make([]int32, len(pcs)) //reprolint:allow hotpath one-time flattening on first lookup, never repeated
-	for _, pc := range pcs {
-		m.entries[m.ids.Intern(pc)] = int32(m.Index[pc]) //reprolint:allow hotpath one-time flattening on first lookup, never repeated
+	m := &AllocationMap{
+		TableSize:        tableSize,
+		ReservedTaken:    reservedTaken,
+		ReservedNotTaken: reservedNotTaken,
+		pcs:              make([]uint64, 0, len(pcs)),
+		entries:          make([]int32, 0, len(pcs)),
 	}
-	m.sealed = true
+	for i, pc := range pcs {
+		id := m.ids.Intern(pc)
+		if int(id) == len(m.pcs) {
+			m.pcs = append(m.pcs, pc)
+			m.entries = append(m.entries, 0)
+		}
+		m.entries[id] = int32(entries[i])
+	}
+	return m
+}
+
+// Entry returns the entry assigned to the branch at pc, and false if pc
+// has no assignment.
+func (m *AllocationMap) Entry(pc uint64) (int, bool) {
+	if id, ok := m.ids.Lookup(pc); ok {
+		return int(m.entries[id]), true
+	}
+	return 0, false
 }
 
 // EntryFor returns the BHT entry for the branch at pc, falling back to
 // PC-modulo indexing for unallocated branches.
 func (m *AllocationMap) EntryFor(pc uint64) int {
-	if !m.sealed {
-		m.seal()
-	}
-	if id, ok := m.ids.Lookup(pc); ok {
-		return int(m.entries[id])
+	if e, ok := m.Entry(pc); ok {
+		return e
 	}
 	return ConventionalIndex(pc, m.TableSize)
 }
 
+// PCs returns the allocated PCs in the order the map was built (profile
+// id order for Allocate). The slice is the map's own; callers must not
+// modify it.
+func (m *AllocationMap) PCs() []uint64 { return m.pcs }
+
 // Allocated returns the number of branches with explicit assignments.
-func (m *AllocationMap) Allocated() int { return len(m.Index) }
+func (m *AllocationMap) Allocated() int { return len(m.pcs) }
+
+// LoadStats summarizes how many branches share each BHT entry: the
+// occupied entries and the most branches in one entry.
+func (m *AllocationMap) LoadStats() (occupied, maxLoad int) {
+	load := make([]int, m.TableSize)
+	for _, e := range m.entries {
+		if e < 0 || int(e) >= m.TableSize {
+			continue
+		}
+		if load[e]++; load[e] == 1 {
+			occupied++
+		}
+		maxLoad = max(maxLoad, load[e])
+	}
+	return occupied, maxLoad
+}
 
 // ConventionalIndex is the baseline hardware mapping: the low-order bits
 // of the instruction fetch address (word-aligned PC modulo table size).
@@ -81,13 +114,11 @@ type AllocationConfig struct {
 	// Threshold prunes conflict edges, as in analysis; 0 selects
 	// DefaultThreshold.
 	Threshold uint64
-	// UseClassification enables the Section 5.2 refinement: conflicts
-	// between same-class highly biased branches are ignored, and biased
-	// branches are pinned to two reserved entries.
+	// UseClassification enables the Section 5.2 refinement at the
+	// paper's 99%/1% bias cutoffs: conflicts between same-class highly
+	// biased branches are ignored, and biased branches are pinned to
+	// two reserved entries.
 	UseClassification bool
-	// ClassThresholds overrides the 99%/1% bias cutoffs when
-	// UseClassification is set; the zero value selects the defaults.
-	ClassThresholds classify.Thresholds
 }
 
 // minSize is the smallest table an allocation fits: with
@@ -97,13 +128,6 @@ func (c AllocationConfig) minSize() int {
 		return 3
 	}
 	return 1
-}
-
-func (c AllocationConfig) classThresholds() classify.Thresholds {
-	if c.ClassThresholds == (classify.Thresholds{}) {
-		return classify.Default()
-	}
-	return c.ClassThresholds
 }
 
 // Allocation is the result of one allocation run.
@@ -120,105 +144,108 @@ type Allocation struct {
 	Classification *classify.Classification
 }
 
-// Allocate computes a branch allocation for p under cfg.
-func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
+// problem is the setup every allocation entry point shares: the pruned
+// conflict graph and, with classification (Section 5.2), the branch
+// classes, the graph without same-class biased conflicts (their
+// histories agree anyway), and the biased branches pinned to two
+// reserved entries.
+type problem struct {
+	p                               *profile.Profile
+	cfg                             AllocationConfig
+	graph                           *graph.Graph
+	cls                             *classify.Classification // nil without classification
+	pinned                          map[int32]int
+	firstFree                       int
+	reservedTaken, reservedNotTaken int // -1 without classification
+}
+
+func newProblem(p *profile.Profile, cfg AllocationConfig) (*problem, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: nil profile")
-	}
-	if minSize := cfg.minSize(); cfg.TableSize < minSize {
-		return nil, fmt.Errorf("core: table size %d below minimum %d", cfg.TableSize, minSize)
 	}
 	threshold := cfg.Threshold
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-
-	g := p.BuildGraph(threshold)
-	cls := classificationFor(p, cfg.UseClassification, cfg.classThresholds())
-
-	spec := graph.ColoringSpec{K: cfg.TableSize}
-	reservedT, reservedNT := -1, -1
-	if cls != nil {
-		g = removeSameClassEdges(g, cls)
-		spec.Pinned, spec.FirstFree, reservedT, reservedNT = biasedPins(cls)
+	pr := &problem{p: p, cfg: cfg, graph: p.BuildGraph(threshold), reservedTaken: -1, reservedNotTaken: -1}
+	if !cfg.UseClassification {
+		return pr, nil
 	}
-
-	coloring, err := g.Color(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	m := &AllocationMap{
-		TableSize:        cfg.TableSize,
-		Index:            make(map[uint64]int, p.NumBranches()),
-		ReservedTaken:    reservedT,
-		ReservedNotTaken: reservedNT,
-	}
-	for id, pc := range p.PCs {
-		m.Index[pc] = coloring.Colors[id]
-	}
-	m.seal()
-
-	return &Allocation{
-		Map:            m,
-		Config:         cfg,
-		Graph:          g,
-		ConflictCost:   coloring.Cost,
-		Classification: cls,
-	}, nil
-}
-
-// removeSameClassEdges applies the Section 5.2 refinement: conflicts
-// between branches in the same highly biased class are dropped; their
-// histories agree anyway.
-func removeSameClassEdges(g *graph.Graph, cls *classify.Classification) *graph.Graph {
-	return g.Filter(func(u, v int32, _ uint64) bool { return !cls.SameBiasedClass(u, v) })
-}
-
-// biasedPins reserves two entries and pins biased branches to them.
-func biasedPins(cls *classify.Classification) (pinned map[int32]int, firstFree, reservedT, reservedNT int) {
-	reservedT, reservedNT = 0, 1
-	pinned = make(map[int32]int)
-	firstFree = 2
+	cls := classify.Classify(p, classify.Default())
+	pr.cls = cls
+	pr.graph = pr.graph.Filter(func(u, v int32, _ uint64) bool { return !cls.SameBiasedClass(u, v) })
+	pr.reservedTaken, pr.reservedNotTaken, pr.firstFree = 0, 1, 2
+	pr.pinned = make(map[int32]int)
 	for id, c := range cls.Classes {
 		switch c {
 		case classify.BiasedTaken:
-			pinned[int32(id)] = reservedT
+			pr.pinned[int32(id)] = pr.reservedTaken
 		case classify.BiasedNotTaken:
-			pinned[int32(id)] = reservedNT
+			pr.pinned[int32(id)] = pr.reservedNotTaken
 		}
 	}
-	return pinned, firstFree, reservedT, reservedNT
+	return pr, nil
 }
 
-// conventionalCostOn scores the baseline PC-modulo mapping at tableSize
-// on an already-built (and classification-pruned) conflict graph.
-func conventionalCostOn(g *graph.Graph, p *profile.Profile, tableSize int) uint64 {
-	colors := make([]int, p.NumBranches())
-	for id, pc := range p.PCs {
+// conventionalCost scores the baseline PC-modulo mapping at tableSize
+// on the problem's graph.
+func (pr *problem) conventionalCost(tableSize int) uint64 {
+	colors := make([]int, pr.p.NumBranches())
+	for id, pc := range pr.p.PCs {
 		colors[id] = ConventionalIndex(pc, tableSize)
 	}
-	return g.ConflictCost(colors)
+	return pr.graph.ConflictCost(colors)
+}
+
+// allocation packages colors (one entry per profile branch id, costing
+// cost) as the allocation into size entries.
+func (pr *problem) allocation(size int, colors []int, cost uint64) *Allocation {
+	cfg := pr.cfg
+	cfg.TableSize = size
+	return &Allocation{
+		Map:            NewAllocationMap(size, pr.p.PCs, colors, pr.reservedTaken, pr.reservedNotTaken),
+		Config:         cfg,
+		Graph:          pr.graph,
+		ConflictCost:   cost,
+		Classification: pr.cls,
+	}
+}
+
+// Allocate computes a branch allocation for p under cfg.
+func Allocate(p *profile.Profile, cfg AllocationConfig) (*Allocation, error) {
+	if minSize := cfg.minSize(); cfg.TableSize < minSize {
+		return nil, fmt.Errorf("core: table size %d below minimum %d", cfg.TableSize, minSize)
+	}
+	pr, err := newProblem(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	colorer, err := pr.graph.NewColorer(pr.pinned, pr.firstFree)
+	if err != nil {
+		return nil, err
+	}
+	coloring, _, err := colorer.Color(cfg.TableSize, math.MaxUint64)
+	if err != nil {
+		return nil, err
+	}
+	return pr.allocation(cfg.TableSize, coloring.Colors, coloring.Cost), nil
 }
 
 // ConventionalCost returns the conflict cost of the baseline PC-modulo
-// mapping at tableSize on p's pruned conflict graph — the quantity
-// branch allocation must beat (Tables 3 and 4 compare against
-// tableSize 1024). When cls is non-nil, same-class biased conflicts are
-// ignored for consistency with the classified allocation it is compared
-// against. tableSize must be at least 1.
-func ConventionalCost(p *profile.Profile, tableSize int, threshold uint64, cls *classify.Classification) (uint64, error) {
+// mapping at tableSize on the conflict graph an allocation under cfg
+// colors — the quantity branch allocation must beat (Tables 3 and 4
+// compare against tableSize 1024). With cfg.UseClassification,
+// same-class biased conflicts are ignored, as the classified allocation
+// ignores them; cfg.TableSize is not used. tableSize must be at least 1.
+func ConventionalCost(p *profile.Profile, tableSize int, cfg AllocationConfig) (uint64, error) {
 	if tableSize < 1 {
 		return 0, fmt.Errorf("core: conventional table size %d below minimum 1", tableSize)
 	}
-	if threshold == 0 {
-		threshold = DefaultThreshold
+	pr, err := newProblem(p, cfg)
+	if err != nil {
+		return 0, err
 	}
-	g := p.BuildGraph(threshold)
-	if cls != nil {
-		g = removeSameClassEdges(g, cls)
-	}
-	return conventionalCostOn(g, p, tableSize), nil
+	return pr.conventionalCost(tableSize), nil
 }
 
 // SizeSearchResult reports a required-BHT-size search (one row of
@@ -237,12 +264,15 @@ type SizeSearchResult struct {
 	// Colorings counts how many sizes the search colored, including
 	// probes it stopped early once their cost passed the baseline.
 	Colorings int
+	// Allocation is the allocation the search accepted at RequiredSize:
+	// the one Allocate returns at that size.
+	Allocation *Allocation
 }
 
 // RequiredBHTSize finds the smallest BHT size at which branch allocation
 // reduces table conflicts below the conventional baselineSize-entry
 // PC-indexed BHT (Section 5.1, Table 3; with cfg.UseClassification,
-// Table 4).
+// Table 4). cfg.TableSize is not used.
 //
 // The search binary-searches [minSize, baselineSize], then walks
 // downward while smaller sizes still qualify. Every probe shares one
@@ -258,38 +288,33 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 	if baselineSize < minSize {
 		return SizeSearchResult{}, fmt.Errorf("core: baseline size %d below minimum %d", baselineSize, minSize)
 	}
-	threshold := cfg.Threshold
-	if threshold == 0 {
-		threshold = DefaultThreshold
+	// Every probed size colors the same pruned graph.
+	pr, err := newProblem(p, cfg)
+	if err != nil {
+		return SizeSearchResult{}, err
 	}
-	// Build the conflict graph and classification once: graphs are
-	// immutable, and every probed size colors the same pruned graph.
-	g := p.BuildGraph(threshold)
-	var cls *classify.Classification
-	var pinned map[int32]int
-	firstFree := 0
-	if cfg.UseClassification {
-		cls = classify.Classify(p, cfg.classThresholds())
-		g = removeSameClassEdges(g, cls)
-		pinned, firstFree, _, _ = biasedPins(cls)
-	}
-	baseline := conventionalCostOn(g, p, baselineSize)
+	baseline := pr.conventionalCost(baselineSize)
 
 	res := SizeSearchResult{BaselineCost: baseline, BaselineSize: baselineSize}
 
-	colorer, err := g.NewColorer(pinned, firstFree)
+	colorer, err := pr.graph.NewColorer(pr.pinned, pr.firstFree)
 	if err != nil {
 		return res, err
 	}
 	// costAt colors size and returns its cost and whether it is within
 	// limit. It stops once the cost passes limit, so the cost is exact
-	// only when within.
+	// only when within; then it keeps a copy of the colors, so the last
+	// accepted probe's colors are at hand when the search ends.
+	var accepted []int
 	costAt := func(size int, limit uint64) (uint64, bool, error) {
 		coloring, within, err := colorer.Color(size, limit)
 		if err != nil {
 			return 0, false, err
 		}
 		res.Colorings++
+		if within {
+			accepted = append(accepted[:0], coloring.Colors...)
+		}
 		return coloring.Cost, within, nil
 	}
 
@@ -320,63 +345,25 @@ func RequiredBHTSize(p *profile.Profile, baselineSize int, cfg AllocationConfig)
 		if err != nil {
 			return res, err
 		}
-		res.RequiredSize = baselineSize
-		res.AllocCost = cost
-		return res, nil
-	}
-	// Downward confirmation walk: greedy coloring is not strictly
-	// monotone, so sizes just below the binary-search answer may also
-	// qualify. Walk down while they do.
-	for s := best - 1; s >= minSize; s-- {
-		cost, within, err := costAt(s, baseline)
-		if err != nil {
-			return res, err
+		best, bestCost = baselineSize, cost
+	} else {
+		// Downward confirmation walk: greedy coloring is not strictly
+		// monotone, so sizes just below the binary-search answer may
+		// also qualify. Walk down while they do.
+		for s := best - 1; s >= minSize; s-- {
+			cost, within, err := costAt(s, baseline)
+			if err != nil {
+				return res, err
+			}
+			if !within {
+				break
+			}
+			best = s
+			bestCost = cost
 		}
-		if !within {
-			break
-		}
-		best = s
-		bestCost = cost
 	}
 	res.RequiredSize = best
 	res.AllocCost = bestCost
+	res.Allocation = pr.allocation(best, accepted, bestCost)
 	return res, nil
-}
-
-// EntryLoad describes how many branches share each BHT entry under an
-// allocation — a utilization report for DESIGN-level debugging and the
-// wsanalyze CLI.
-func (m *AllocationMap) EntryLoad() []int {
-	load := make([]int, m.TableSize)
-	for _, e := range m.Index {
-		if e >= 0 && e < m.TableSize {
-			load[e]++
-		}
-	}
-	return load
-}
-
-// LoadStats summarizes an entry-load distribution: occupied entries and
-// the maximum branches per entry.
-func (m *AllocationMap) LoadStats() (occupied, maxLoad int) {
-	for _, l := range m.EntryLoad() {
-		if l > 0 {
-			occupied++
-		}
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	return occupied, maxLoad
-}
-
-// SortedPCs returns the allocated PCs in ascending order (deterministic
-// iteration for reports and tests).
-func (m *AllocationMap) SortedPCs() []uint64 {
-	pcs := make([]uint64, 0, len(m.Index))
-	for pc := range m.Index {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	return pcs
 }

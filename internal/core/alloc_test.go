@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
-	"repro/internal/classify"
 	"repro/internal/profile"
 	"repro/internal/rng"
 )
@@ -36,7 +36,7 @@ func TestAllocateConflictFreeClique(t *testing.T) {
 		t.Fatalf("conflict cost %d, want 0", a.ConflictCost)
 	}
 	entries := map[int]bool{}
-	for _, pc := range a.Map.SortedPCs() {
+	for _, pc := range a.Map.PCs() {
 		e := a.Map.EntryFor(pc)
 		if entries[e] {
 			t.Fatal("clique members share an entry despite space")
@@ -142,22 +142,25 @@ func TestConventionalCost(t *testing.T) {
 	// Two conflicting branches at PCs 4 and 4+4*16 collide mod 16 but
 	// not mod 32.
 	p := buildProfile(mixed(17, 1000), [][3]uint64{{0, 16, 500}})
-	if c := mustConventionalCost(t, p, 16, nil); c != 500 {
+	if c := mustConventionalCost(t, p, 16, AllocationConfig{}); c != 500 {
 		t.Fatalf("mod-16 cost %d, want 500", c)
 	}
-	if c := mustConventionalCost(t, p, 32, nil); c != 0 {
+	if c := mustConventionalCost(t, p, 32, AllocationConfig{}); c != 0 {
 		t.Fatalf("mod-32 cost %d, want 0", c)
 	}
 	for _, size := range []int{0, -4} {
-		if _, err := ConventionalCost(p, size, 0, nil); err == nil {
+		if _, err := ConventionalCost(p, size, AllocationConfig{}); err == nil {
 			t.Errorf("table size %d accepted", size)
 		}
 	}
+	if _, err := ConventionalCost(nil, 16, AllocationConfig{}); err == nil {
+		t.Error("nil profile accepted")
+	}
 }
 
-func mustConventionalCost(t *testing.T, p *profile.Profile, size int, cls *classify.Classification) uint64 {
+func mustConventionalCost(t *testing.T, p *profile.Profile, size int, cfg AllocationConfig) uint64 {
 	t.Helper()
-	c, err := ConventionalCost(p, size, 0, cls)
+	c, err := ConventionalCost(p, size, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +173,10 @@ func TestConventionalCostWithClassification(t *testing.T) {
 		branches[i] = [2]uint64{1000, 1000} // all biased taken
 	}
 	p := buildProfile(branches, [][3]uint64{{0, 16, 500}})
-	cls := classify.Classify(p, classify.Default())
-	if c := mustConventionalCost(t, p, 16, cls); c != 0 {
+	if c := mustConventionalCost(t, p, 16, AllocationConfig{UseClassification: true}); c != 0 {
 		t.Fatalf("same-class conflict counted: %d", c)
 	}
-	if c := mustConventionalCost(t, p, 16, nil); c != 500 {
+	if c := mustConventionalCost(t, p, 16, AllocationConfig{}); c != 500 {
 		t.Fatalf("unclassified cost %d", c)
 	}
 }
@@ -203,6 +205,9 @@ func TestRequiredBHTSizeFindsCliqueBound(t *testing.T) {
 	}
 	if res.BaselineSize != 1024 {
 		t.Fatalf("baseline size %d", res.BaselineSize)
+	}
+	if a := res.Allocation; a.Map.TableSize != 8 || a.Config.TableSize != 8 || a.ConflictCost != 0 || a.Map.Allocated() != 8 {
+		t.Fatalf("accepted allocation: size %d/%d, cost %d, %d branches", a.Map.TableSize, a.Config.TableSize, a.ConflictCost, a.Map.Allocated())
 	}
 }
 
@@ -275,31 +280,38 @@ func TestEntryLoadAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	load := a.Map.EntryLoad()
-	total := 0
-	for _, l := range load {
-		total += l
-	}
-	if total != 4 {
-		t.Fatalf("entry load total %d", total)
-	}
 	occupied, maxLoad := a.Map.LoadStats()
 	if occupied != 4 || maxLoad != 1 {
 		t.Fatalf("occupied=%d maxLoad=%d", occupied, maxLoad)
 	}
+	// Three branches in entry 2, one in entry 0, one out of range (not
+	// counted).
+	m := NewAllocationMap(4, []uint64{4, 8, 12, 16, 20}, []int{2, 2, 0, 2, 4}, -1, -1)
+	if occupied, maxLoad := m.LoadStats(); occupied != 2 || maxLoad != 3 {
+		t.Fatalf("occupied=%d maxLoad=%d, want 2/3", occupied, maxLoad)
+	}
 }
 
-func TestSortedPCsSorted(t *testing.T) {
+func TestAllocationMapPCs(t *testing.T) {
 	p := buildProfile(mixed(5, 100), nil)
 	a, err := Allocate(p, AllocationConfig{TableSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcs := a.Map.SortedPCs()
-	for i := 1; i < len(pcs); i++ {
-		if pcs[i] <= pcs[i-1] {
-			t.Fatal("SortedPCs not ascending")
-		}
+	if !slices.Equal(a.Map.PCs(), p.PCs) || a.Map.Allocated() != len(p.PCs) {
+		t.Fatalf("PCs = %v, want the profile's %v", a.Map.PCs(), p.PCs)
+	}
+	// A repeated pc keeps its last entry and is listed once; an absent
+	// one has no entry.
+	m := NewAllocationMap(8, []uint64{12, 4, 12}, []int{1, 2, 3}, -1, -1)
+	if !slices.Equal(m.PCs(), []uint64{12, 4}) {
+		t.Fatalf("PCs = %v, want [12 4]", m.PCs())
+	}
+	if e, ok := m.Entry(12); !ok || e != 3 {
+		t.Fatalf("Entry(12) = %d, %v; want 3, true", e, ok)
+	}
+	if _, ok := m.Entry(8); ok {
+		t.Fatal("Entry(8) found an unallocated pc")
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/classify"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -211,12 +210,4 @@ func Analyze(p *profile.Profile, cfg AnalysisConfig) (*AnalysisResult, error) {
 		Truncated:        truncated,
 		IsolatedBranches: isolated,
 	}, nil
-}
-
-// classificationFor returns the classification to use given cfg, or nil.
-func classificationFor(p *profile.Profile, useClassification bool, th classify.Thresholds) *classify.Classification {
-	if !useClassification {
-		return nil
-	}
-	return classify.Classify(p, th)
 }

@@ -23,22 +23,8 @@ type Coloring struct {
 	Cost uint64
 }
 
-// ColoringSpec configures Color.
-type ColoringSpec struct {
-	// K is the number of available colors; must be >= 1.
-	K int
-	// Pinned maps node ids to fixed colors in [0, K). The classifier
-	// pins highly biased branches to reserved entries (Section 5.2).
-	Pinned map[int32]int
-	// FirstFree is the lowest color unpinned nodes may take. Setting it
-	// to 2 with biased branches pinned to colors 0 and 1 keeps the
-	// reserved entries "separated from others", as Section 5.2
-	// specifies. Zero means all colors are available.
-	FirstFree int
-}
-
-// Color computes a minimum-conflict coloring of g following the
-// register-allocation recipe the paper adapts (Section 5.1):
+// Colorer computes minimum-conflict colorings of one graph following
+// the register-allocation recipe the paper adapts (Section 5.1):
 //
 //  1. Simplify: repeatedly remove a node with fewer than K uncolored,
 //     unpinned neighbors (such a node can always be colored
@@ -52,23 +38,18 @@ type ColoringSpec struct {
 //     the color minimizing summed interleave weight to same-colored
 //     neighbors.
 //
-// It costs O(n log n) to prepare (see Colorer) and then
-// O(n + m + K + n·K/64) to color. The returned Coloring always assigns
-// every node a color.
-func (g *Graph) Color(spec ColoringSpec) (Coloring, error) {
-	c, err := g.NewColorer(spec.Pinned, spec.FirstFree)
-	if err != nil {
-		return Coloring{}, err
-	}
-	col, _, err := c.Color(spec.K, math.MaxUint64)
-	return col, err
-}
-
-// Colorer colors one graph under fixed pins at any number of table
-// sizes. It holds the setup that does not depend on K (the pins, each
-// node's degree, the spill order and the cost of same-colored pinned
-// pairs) and scratch that every Color call reuses, so a size search
-// pays for both once. A Colorer is not safe for concurrent use.
+// Pinned nodes keep fixed colors: the classifier pins highly biased
+// branches to reserved entries (Section 5.2). Unpinned nodes take
+// colors from firstFree up; with biased branches pinned to colors 0 and
+// 1, firstFree 2 keeps the reserved entries "separated from others", as
+// Section 5.2 specifies.
+//
+// A Colorer colors under its fixed pins at any number of table sizes.
+// It holds the setup that does not depend on K (the pins, each node's
+// degree, the spill order and the cost of same-colored pinned pairs)
+// and scratch that every Color call reuses, so a size search pays for
+// both once: O(n log n + m) to prepare, then O(n + m + K + n·K/64) per
+// coloring. A Colorer is not safe for concurrent use.
 type Colorer struct {
 	g         *Graph
 	firstFree int
@@ -95,8 +76,9 @@ type Colorer struct {
 	sel              selector
 }
 
-// NewColorer prepares g for coloring with the given pins and lowest
-// free color (see ColoringSpec). It costs O(n log n + m).
+// NewColorer prepares g for coloring with pinned (node id to fixed
+// color) and firstFree, the lowest color unpinned nodes may take; zero
+// makes every color available.
 func (g *Graph) NewColorer(pinned map[int32]int, firstFree int) (*Colorer, error) {
 	if firstFree < 0 {
 		return nil, fmt.Errorf("graph: FirstFree %d is negative", firstFree)
@@ -162,8 +144,8 @@ func (g *Graph) NewColorer(pinned map[int32]int, firstFree int) (*Colorer, error
 	return c, nil
 }
 
-// Color colors the graph with k colors, as Graph.Color describes. It
-// stops as soon as the running conflict cost exceeds limit and then
+// Color colors the graph with k colors, as Colorer describes, and
+// always assigns every node a color. It stops as soon as the running conflict cost exceeds limit and then
 // reports within false with a partial coloring whose Cost is only known
 // to exceed limit; math.MaxUint64 never stops. The returned Colors is
 // the Colorer's buffer, which the next call overwrites.

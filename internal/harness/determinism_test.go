@@ -37,10 +37,11 @@ func renderRun(t *testing.T, check bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pc := range alloc.Map.SortedPCs() {
-		fmt.Fprintf(&b, "%#x -> %d\n", pc, alloc.Map.Index[pc])
+	for _, pc := range alloc.Map.PCs() {
+		fmt.Fprintf(&b, "%#x -> %d\n", pc, alloc.Map.EntryFor(pc))
 	}
-	fmt.Fprintf(&b, "load %v\n", alloc.Map.EntryLoad())
+	occupied, maxLoad := alloc.Map.LoadStats()
+	fmt.Fprintf(&b, "load %d occupied, max %d\n", occupied, maxLoad)
 	return b.String()
 }
 

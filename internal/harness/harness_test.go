@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -303,6 +304,7 @@ func TestRequiredSizeMatchesExactScan(t *testing.T) {
 			// size and its cost; the scan falls through to the same.
 			var wantSize int
 			var wantCost uint64
+			var want *core.Allocation
 			for size := minSize; size <= cfg.BaselineBHT; size++ {
 				ac.TableSize = size
 				alloc, err := core.Allocate(a.Profile, ac)
@@ -314,14 +316,14 @@ func TestRequiredSizeMatchesExactScan(t *testing.T) {
 				// cost the colorer summed.
 				colors := make([]int, a.Profile.NumBranches())
 				for id, pc := range a.Profile.PCs {
-					colors[id] = alloc.Map.Index[pc]
+					colors[id], _ = alloc.Map.Entry(pc)
 				}
 				cost := alloc.Graph.ConflictCost(colors)
 				if cost != alloc.ConflictCost {
 					t.Fatalf("%s (classification=%v) size %d: Allocate reports cost %d, ConflictCost %d",
 						sb.Label, classified, size, alloc.ConflictCost, cost)
 				}
-				wantSize, wantCost = size, cost
+				wantSize, wantCost, want = size, cost, alloc
 				if cost <= res.BaselineCost {
 					break
 				}
@@ -329,6 +331,22 @@ func TestRequiredSizeMatchesExactScan(t *testing.T) {
 			if res.RequiredSize != wantSize || res.AllocCost != wantCost {
 				t.Errorf("%s (classification=%v): search found size %d cost %d, exact scan size %d cost %d (baseline cost %d)",
 					sb.Label, classified, res.RequiredSize, res.AllocCost, wantSize, wantCost, res.BaselineCost)
+			}
+			// The allocation the search returns is the scan's Allocate
+			// at that size, entry for entry.
+			got := res.Allocation
+			if got.Map.TableSize != want.Map.TableSize || got.ConflictCost != want.ConflictCost ||
+				got.Map.ReservedTaken != want.Map.ReservedTaken || !slices.Equal(got.Map.PCs(), want.Map.PCs()) {
+				t.Errorf("%s (classification=%v): search allocation size %d cost %d over %d branches, scan's size %d cost %d over %d",
+					sb.Label, classified, got.Map.TableSize, got.ConflictCost, got.Map.Allocated(),
+					want.Map.TableSize, want.ConflictCost, want.Map.Allocated())
+			}
+			for _, pc := range want.Map.PCs() {
+				if g, w := got.Map.EntryFor(pc), want.Map.EntryFor(pc); g != w {
+					t.Errorf("%s (classification=%v): pc %#x in entry %d, scan's Allocate puts it in %d",
+						sb.Label, classified, pc, g, w)
+					break
+				}
 			}
 			if wantSize > minSize {
 				nontrivial++

@@ -34,13 +34,7 @@ func RunAll(s *Suite, w io.Writer, markdown bool) error {
 	if err := RunFigure(s, w, 3, markdown); err != nil {
 		return err
 	}
-	if err := RunFigure(s, w, 4, markdown); err != nil {
-		return err
-	}
-	if s.Config().Static {
-		return RunStatic(s, w, markdown)
-	}
-	return nil
+	return RunFigure(s, w, 4, markdown)
 }
 
 func section(w io.Writer, title string) {

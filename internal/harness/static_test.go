@@ -76,7 +76,7 @@ func TestStaticCoversDynamicWorkingSets(t *testing.T) {
 				entries := make(map[int]bool)
 				for _, id := range ws.Branches {
 					pc := a.Profile.PCs[id]
-					entry, ok := alloc.Map.Index[pc]
+					entry, ok := alloc.Map.Entry(pc)
 					if !ok {
 						t.Fatalf("set %d: branch %#x not allocated by the static map", i, pc)
 					}

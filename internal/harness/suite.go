@@ -47,16 +47,6 @@ type Config struct {
 	// AllocBHTSizes are the allocated-BHT sizes of the figures
 	// (paper: 16, 128, 1024).
 	AllocBHTSizes []int
-	// ProfileWindow bounds the interleave scan depth: 0 picks an
-	// adaptive default of twice each benchmark's nominal working-set
-	// size; -1 disables the bound (the paper's exact formulation).
-	// Interleavings deeper than the window are not counted; with the
-	// default window those are dominated by long-range scene-to-scene
-	// pairs far below the pruning threshold, so the analysis keeps its
-	// shape while profiling time and pair memory drop severalfold. The
-	// window used is printed with each profile step and recorded in
-	// EXPERIMENTS.md.
-	ProfileWindow int
 	// Check runs the internal/analysis artifact verifiers, failing the
 	// experiment on any invariant violation: on the conflict graphs and
 	// working-set extractions of Table 2 and of every individual-branch
@@ -90,19 +80,15 @@ type Config struct {
 	// it costs nothing; enabled it never changes any rendered result
 	// (the differential suite runs with it on).
 	Metrics *obs.Metrics
-	// Static appends the static-vs-profiled comparison (profile-free
-	// allocation from the compile-time estimate, package staticws) to
-	// RunAll output.
-	Static bool
 	// ProgCheck verifies every compiled program with the static program
 	// verifier (package progcheck) before it runs, failing the
 	// computation on error-severity findings (provable out-of-bounds
 	// accesses). Warn/info findings — dead code, resolved branches — are
 	// reported through Progress but do not fail: the seed benchmarks
 	// legitimately carry scene schedules that leave functions uncalled
-	// at small scales. With Static set, the verifier's proven facts also
-	// prune resolved and dead branches from the compile-time conflict
-	// graph.
+	// at small scales. In the static comparison (RunStatic) the
+	// verifier's proven facts also prune resolved and dead branches from
+	// the compile-time conflict graph.
 	ProgCheck bool
 }
 
@@ -230,7 +216,7 @@ func (s *Suite) compute(benchmark string, input workload.InputSet) (*Artifacts, 
 	}
 	filter := trace.FilterByCoverage(freq.Stats(), spec.AnalyzeCoverage)
 
-	window := s.profileWindow(spec)
+	window := profileWindow(spec)
 	s.progressf("profile %s: %d dynamic branches (%d static, %.2f%% analyzed, window %d)",
 		spec.Name, filter.DynamicKept, filter.StaticKept, 100*filter.Coverage(), window)
 	profSpan := s.stageSpan(spec.Name, "profile")
@@ -252,16 +238,14 @@ func (s *Suite) compute(benchmark string, input workload.InputSet) (*Artifacts, 
 	}, nil
 }
 
-// profileWindow resolves the interleave scan window for one spec.
-func (s *Suite) profileWindow(spec workload.Spec) int {
-	window := s.cfg.ProfileWindow
-	switch {
-	case window < 0:
-		return 0 // exact, unbounded
-	case window == 0:
-		return 2 * spec.WorkingSetSize()
-	}
-	return window
+// profileWindow is the interleave scan window for one spec: twice its
+// nominal working-set size. Interleavings deeper than the window are
+// not counted; those are dominated by long-range scene-to-scene pairs
+// far below the pruning threshold, so the analysis keeps its shape
+// while profiling time and pair memory drop severalfold. The window is
+// printed with each profile step and recorded in EXPERIMENTS.md.
+func profileWindow(spec workload.Spec) int {
+	return 2 * spec.WorkingSetSize()
 }
 
 // stageSpan opens a per-benchmark stage span (no-op without metrics).

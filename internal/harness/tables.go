@@ -145,18 +145,10 @@ func (s *Suite) sizeTable(classified bool) ([]SizeRow, error) {
 			return SizeRow{}, fmt.Errorf("harness: sizing %s: %w", sb.Label, err)
 		}
 		if s.cfg.Check {
-			alloc, err := core.Allocate(a.Profile, core.AllocationConfig{
-				TableSize:         res.RequiredSize,
-				Threshold:         s.cfg.Threshold,
-				UseClassification: classified,
-			})
-			if err != nil {
-				return SizeRow{}, fmt.Errorf("harness: verifying %s: %w", sb.Label, err)
-			}
-			if err := analysis.VerifyGraph(alloc.Graph, s.cfg.Threshold); err != nil {
+			if err := analysis.VerifyGraph(res.Allocation.Graph, s.cfg.Threshold); err != nil {
 				return SizeRow{}, fmt.Errorf("harness: %s: %w", sb.Label, err)
 			}
-			if err := analysis.VerifyAllocation(a.Profile, alloc); err != nil {
+			if err := analysis.VerifyAllocation(a.Profile, res.Allocation); err != nil {
 				return SizeRow{}, fmt.Errorf("harness: %s: %w", sb.Label, err)
 			}
 		}

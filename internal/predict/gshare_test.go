@@ -46,12 +46,7 @@ func (o *gshareOracle) update(pc uint64, taken bool) {
 // agrees, and the set of touched PHT entries (the aliasing footprint)
 // matches exactly.
 func TestGshareMatchesOracleMap(t *testing.T) {
-	alloc := &core.AllocationMap{
-		TableSize:        64,
-		Index:            map[uint64]int{0x40: 0, 0x44: 1, 0x48: 2, 0x4c: 3, 0x80: 0},
-		ReservedTaken:    -1,
-		ReservedNotTaken: -1,
-	}
+	alloc := core.NewAllocationMap(64, []uint64{0x40, 0x44, 0x48, 0x4c, 0x80}, []int{0, 1, 2, 3, 0}, -1, -1)
 	indexers := map[string]Indexer{
 		"pc-mod":    PCModIndexer{Entries: 64},
 		"allocated": AllocIndexer{Map: alloc},
@@ -112,12 +107,7 @@ func TestGshareAliasingCounts(t *testing.T) {
 		t.Fatalf("pc-mod collisions = %d, want 1", got)
 	}
 	// Allocation separates the colliding pair.
-	m := &core.AllocationMap{
-		TableSize:        entries,
-		Index:            map[uint64]int{0x40: 0, 0x40 + 4*entries: 1, 0x44: 2, 0x48: 3},
-		ReservedTaken:    -1,
-		ReservedNotTaken: -1,
-	}
+	m := core.NewAllocationMap(entries, []uint64{0x40, 0x40 + 4*entries, 0x44, 0x48}, []int{0, 1, 2, 3}, -1, -1)
 	if got := countCollisions(AllocIndexer{Map: m}); got != 0 {
 		t.Fatalf("allocated collisions = %d, want 0", got)
 	}

@@ -92,12 +92,7 @@ func TestIdealIndexerAssignsPrivateEntries(t *testing.T) {
 }
 
 func TestAllocIndexer(t *testing.T) {
-	m := &core.AllocationMap{
-		TableSize:        8,
-		Index:            map[uint64]int{4: 5},
-		ReservedTaken:    -1,
-		ReservedNotTaken: -1,
-	}
+	m := core.NewAllocationMap(8, []uint64{4}, []int{5}, -1, -1)
 	ix := AllocIndexer{Map: m}
 	if ix.Index(4) != 5 || ix.Size() != 8 || ix.Name() != "allocated" {
 		t.Fatal("alloc indexer wrong")
@@ -226,10 +221,7 @@ func TestPAgInterferenceHurtsAndPrivateEntriesHelp(t *testing.T) {
 
 func TestPAgAllocationAvoidsInterference(t *testing.T) {
 	// Same colliding pair, but an allocation map separates them.
-	m := &core.AllocationMap{
-		TableSize: 16,
-		Index:     map[uint64]int{4: 0, 4 + 4*16: 1},
-	}
+	m := core.NewAllocationMap(16, []uint64{4, 4 + 4*16}, []int{0, 1}, 0, 0)
 	pcs := []uint64{4, 4 + 4*16}
 	dir := func(pc uint64, i int) bool {
 		if pc == 4 {

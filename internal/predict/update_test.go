@@ -35,11 +35,13 @@ func contractStream(n int) []event {
 // private entries of a 16-entry table and leaves the rest on the
 // PC-modulo fallback.
 func contractAllocMap() *core.AllocationMap {
-	m := &core.AllocationMap{TableSize: 16, Index: map[uint64]int{}, ReservedTaken: -1, ReservedNotTaken: -1}
+	var pcs []uint64
+	var entries []int
 	for site := 0; site < 40; site += 2 {
-		m.Index[uint64(0x100+4*site)] = site / 2 % 16
+		pcs = append(pcs, uint64(0x100+4*site))
+		entries = append(entries, site/2%16)
 	}
-	return m
+	return core.NewAllocationMap(16, pcs, entries, -1, -1)
 }
 
 // TestUpdateReturnsPrediction is the differential test of the Predictor

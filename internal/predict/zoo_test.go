@@ -147,12 +147,7 @@ func TestZooSnapshotDeterminism(t *testing.T) {
 // TestZooAllocatedVariants: every member constructs and runs with an
 // AllocIndexer, the substitution the research question is about.
 func TestZooAllocatedVariants(t *testing.T) {
-	m := &core.AllocationMap{
-		TableSize:        zooTestConfig.TableSize,
-		Index:            map[uint64]int{0x40: 0, 0x80: 1, 0xc0: 2},
-		ReservedTaken:    -1,
-		ReservedNotTaken: -1,
-	}
+	m := core.NewAllocationMap(zooTestConfig.TableSize, []uint64{0x40, 0x80, 0xc0}, []int{0, 1, 2}, -1, -1)
 	stream := zooFixtureStream(150)
 	for _, kind := range ZooKinds() {
 		t.Run(kind, func(t *testing.T) {

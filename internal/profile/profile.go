@@ -220,7 +220,9 @@ func (l PairList) Graph(n int, threshold uint64) *graph.Graph {
 // profile/input mismatch (Section 5.2): "the branch conflict graphs of
 // several profiles from different input data can be merged until the
 // resulting graph indicates that most part of the program has been
-// exercised."
+// exercised." An input set may appear once: merging it twice would
+// double its counts and push sub-threshold pairs over the pruning
+// threshold. Profiles that record no input set merge unchecked.
 func Merge(profiles ...*Profile) (*Profile, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("profile: merge of zero profiles")
@@ -237,7 +239,12 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 		if p.Benchmark != out.Benchmark {
 			return nil, fmt.Errorf("profile: merging different benchmarks %q and %q", out.Benchmark, p.Benchmark)
 		}
-		out.InputSets = append(out.InputSets, p.InputSets...)
+		for _, in := range p.InputSets {
+			if slices.Contains(out.InputSets, in) {
+				return nil, fmt.Errorf("profile: input set %q appears twice in the merge", in)
+			}
+			out.InputSets = append(out.InputSets, in)
+		}
 		out.Instructions += p.Instructions
 		remap := make([]int32, len(p.PCs))
 		for id, pc := range p.PCs {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -345,6 +346,22 @@ func TestMergeRejectsMixedBenchmarks(t *testing.T) {
 	feed(p2, 4)
 	if _, err := Merge(p1.Profile(), p2.Profile()); err == nil {
 		t.Fatal("merge of different benchmarks allowed")
+	}
+}
+
+func TestMergeRejectsRepeatedInputSet(t *testing.T) {
+	p1 := NewProfiler("m", "ref")
+	feed(p1, 4, 8, 4, 8)
+	p2 := NewProfiler("m", "a")
+	feed(p2, 8, 12)
+	_, err := Merge(p1.Profile(), p2.Profile(), p1.Profile())
+	if err == nil || !strings.Contains(err.Error(), `"ref"`) {
+		t.Fatalf("merge with input set ref twice: error %v", err)
+	}
+	// Profiles without a recorded input set still merge.
+	anon := &Profile{Benchmark: "m", PCs: []uint64{4}, Exec: []uint64{1}, Taken: []uint64{0}, Pairs: NewPairList(1, nil)}
+	if _, err := Merge(anon, anon); err != nil {
+		t.Fatalf("merge of profiles with no input sets: %v", err)
 	}
 }
 

@@ -107,9 +107,13 @@ func (r *Report) classify(i int, in isa.Inst) BranchClass {
 	return BranchData
 }
 
-// Summary aggregates the classification counts.
+// Summary aggregates the classification counts; it is zero for a
+// report with no Graph (validation failed before analysis).
 func (r *Report) Summary() BranchSummary {
 	var s BranchSummary
+	if r.Graph == nil {
+		return s
+	}
 	for _, c := range r.ClassifyBranches() {
 		s.Sites++
 		switch c {

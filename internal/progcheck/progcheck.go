@@ -78,6 +78,19 @@ func Gate(w io.Writer, p *program.Program) (*Report, error) {
 	return r, nil
 }
 
+// SummaryLine is the one-line verdict on the program checked as name:
+// its finding counts by severity and its branch-site classification.
+func (r *Report) SummaryLine(name string) string {
+	counts := map[Severity]int{}
+	for _, f := range r.Findings {
+		counts[f.Severity]++
+	}
+	s := r.Summary()
+	return fmt.Sprintf("%s: %d findings (%d error, %d warn, %d info); %d branch sites: %d latch, %d exit, %d guard, %d resolved, %d dead, %d data-dependent",
+		name, len(r.Findings), counts[SevError], counts[SevWarn], counts[SevInfo],
+		s.Sites, s.Latch, s.Exit, s.Guard, s.Resolved, s.Dead, s.Data)
+}
+
 // Check verifies p: validation, then interval and may-defined register
 // dataflow over every live function, then the oob / unreachable /
 // resolved / uninit passes. It always returns a Report; a program that

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"repro/internal/cfg"
-	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/profile"
@@ -529,14 +528,6 @@ func (a *analyzer) inductionReg(l *cfg.Loop, r isa.Reg) bool {
 		}
 	}
 	return false
-}
-
-// Classification derives the classify.Classification the allocator
-// consumes from the estimate's static biases, using the same default
-// thresholds the profiled path uses (the pseudo-profile's Taken counts
-// are constructed to land on the right side of them).
-func (e *Estimate) Classification() *classify.Classification {
-	return classify.Classify(e.Profile, classify.Default())
 }
 
 // Describe returns a one-line structural summary for reports.

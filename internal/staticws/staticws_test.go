@@ -152,7 +152,7 @@ func TestFixtureConflicts(t *testing.T) {
 	}
 	// The half-taken estimate keeps unknown-bias branches mixed under
 	// the default classifier thresholds.
-	if cls := est.Classification(); cls.Classes[free] != classify.Mixed {
+	if cls := classify.Classify(est.Profile, classify.Default()); cls.Classes[free] != classify.Mixed {
 		t.Errorf("loop-free unknown branch classified %v, want Mixed", cls.Classes[free])
 	}
 
@@ -169,7 +169,7 @@ func TestFixtureConflicts(t *testing.T) {
 
 	// The pseudo-profile's Taken counts land the latch in the
 	// biased-taken class under the default thresholds.
-	cls := est.Classification()
+	cls := classify.Classify(est.Profile, classify.Default())
 	if cls.Classes[latch] != classify.BiasedTaken {
 		t.Errorf("classified latch = %v, want BiasedTaken", cls.Classes[latch])
 	}

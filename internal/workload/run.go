@@ -15,9 +15,6 @@ type RunConfig struct {
 	// the spec's default dynamic size; larger values approach the
 	// paper's full runs.
 	Scale float64
-	// MaxInstructions optionally truncates the run, mirroring the
-	// paper's 500M-instruction cap; 0 means unlimited.
-	MaxInstructions uint64
 	// Metrics, when non-nil, receives the VM's aggregate throughput
 	// totals for the run.
 	Metrics *obs.VMMetrics
@@ -36,11 +33,7 @@ func (c RunConfig) input() InputSet {
 func (s Spec) Run(cfg RunConfig) (*trace.Trace, vm.Stats, error) {
 	input := cfg.input()
 	rec := trace.NewRecorder(s.Name, input.Name)
-	expected := s.DynamicBranches(cfg.Scale)
-	if cfg.MaxInstructions != 0 && expected > cfg.MaxInstructions {
-		expected = cfg.MaxInstructions // branches cannot outnumber instructions
-	}
-	rec.Reserve(int(expected))
+	rec.Reserve(int(s.DynamicBranches(cfg.Scale)))
 	stats, err := s.RunInto(cfg, rec)
 	if err != nil {
 		return nil, stats, err
@@ -58,10 +51,9 @@ func (s Spec) RunInto(cfg RunConfig, sink vm.BranchSink) (vm.Stats, error) {
 		return vm.Stats{}, err
 	}
 	return vm.Run(p, vm.Config{
-		MaxInstructions: cfg.MaxInstructions,
-		DataSeed:        input.Seed,
-		Sink:            sink,
-		Metrics:         cfg.Metrics,
+		DataSeed: input.Seed,
+		Sink:     sink,
+		Metrics:  cfg.Metrics,
 	})
 }
 

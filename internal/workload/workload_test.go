@@ -272,16 +272,6 @@ func TestScaleGrowsRun(t *testing.T) {
 	}
 }
 
-func TestMaxInstructionsTruncates(t *testing.T) {
-	_, stats, err := small().Run(RunConfig{MaxInstructions: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Instructions != 5000 || stats.Halted {
-		t.Fatalf("truncation failed: %d halted=%v", stats.Instructions, stats.Halted)
-	}
-}
-
 func TestBiasMixIsRealized(t *testing.T) {
 	// The generated biased branches must actually classify as biased at
 	// the paper's 99%/1% thresholds, and the realized mix must roughly
@@ -524,22 +514,5 @@ func TestRunReservesEventBuffer(t *testing.T) {
 	}
 	if len(tr.Events) <= est && cap(tr.Events) != est {
 		t.Fatalf("buffer cap %d != reserved estimate %d (regrew or never reserved)", cap(tr.Events), est)
-	}
-}
-
-// TestRunReserveClampedByMaxInstructions checks the reservation never
-// exceeds a truncated run's instruction cap.
-func TestRunReserveClampedByMaxInstructions(t *testing.T) {
-	s := small()
-	const maxInstr = 500
-	tr, stats, err := s.Run(RunConfig{MaxInstructions: maxInstr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Instructions > maxInstr {
-		t.Fatalf("run retired %d instructions past the cap", stats.Instructions)
-	}
-	if cap(tr.Events) > 2*maxInstr {
-		t.Fatalf("buffer cap %d ignores the %d-instruction cap", cap(tr.Events), maxInstr)
 	}
 }
