@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -143,12 +144,21 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 		}
 		prof = est.Profile
 	} else {
-		var profiles []*profile.Profile
+		// Resolve every input first: a repeated set would double its
+		// counts, so it is refused before any VM run.
+		var ins []workload.InputSet
 		for _, name := range strings.Split(inputs, ",") {
 			in, err := workload.InputByName(strings.TrimSpace(name))
 			if err != nil {
 				return err
 			}
+			if slices.Contains(ins, in) {
+				return fmt.Errorf("input set %q appears twice in -inputs %q", in.Name, inputs)
+			}
+			ins = append(ins, in)
+		}
+		var profiles []*profile.Profile
+		for _, in := range ins {
 			opts := []profile.Option{profile.WithMetrics(m.Profile())}
 			if window > 0 {
 				opts = append(opts, profile.WithWindow(window))

@@ -222,7 +222,8 @@ func TestRejectsNegativeWindow(t *testing.T) {
 }
 
 // TestRejectsRepeatedInput: profiling one input set twice and merging
-// would double every count; the merge names the repeated set instead.
+// would double every count; run names the repeated set before it
+// profiles any input.
 func TestRejectsRepeatedInput(t *testing.T) {
 	out, err := captureRun(t, func() error {
 		return run("li", "ref,ref", 0.05, 128, false, false, 1024, 100, 0, false, "", false, false, nil)
@@ -230,7 +231,7 @@ func TestRejectsRepeatedInput(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `input set "ref" appears twice`) {
 		t.Errorf("-inputs ref,ref: error %v", err)
 	}
-	if strings.Contains(out, "merged") || strings.Contains(out, "allocation into") {
-		t.Errorf("-inputs ref,ref reported a merged allocation:\n%s", out)
+	if strings.Contains(out, "profiled") || strings.Contains(out, "merged") || strings.Contains(out, "allocation into") {
+		t.Errorf("-inputs ref,ref profiled before rejecting the repeat:\n%s", out)
 	}
 }

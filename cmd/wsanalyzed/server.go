@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strings"
 	"sync"
 
@@ -132,22 +133,24 @@ func (r *analyzeRequest) vetProgram() ([]progcheck.Finding, error) {
 	return nil, nil
 }
 
-// executeJob runs one analysis request on a fresh Suite and returns the
-// rendered output — the same bytes the corresponding harness.Run* call
-// writes, which the round-trip test asserts.
-func executeJob(req analyzeRequest, m *obs.Metrics) (string, error) {
-	if req.Kind == "progcheck" {
-		return runProgcheckJob(req.Program)
+// config is the harness configuration a request runs under.
+func (r *analyzeRequest) config() harness.Config {
+	return harness.Config{
+		Scale:        r.Scale,
+		Threshold:    r.Threshold,
+		CliqueBudget: r.CliqueBudget,
+		Check:        r.Check,
+		Workers:      r.Workers,
+		ProgCheck:    r.ProgCheck,
 	}
-	suite := harness.NewSuite(harness.Config{
-		Scale:        req.Scale,
-		Threshold:    req.Threshold,
-		CliqueBudget: req.CliqueBudget,
-		Check:        req.Check,
-		Workers:      req.Workers,
-		ProgCheck:    req.ProgCheck,
-		Metrics:      m,
-	})
+}
+
+// executeJob runs one analysis request on suite, which jobs with the
+// same configuration share (nil for kind progcheck, which needs none),
+// and returns the rendered output: the same bytes the corresponding
+// harness.Run* call writes on a new Suite, which the round-trip tests
+// assert.
+func executeJob(req analyzeRequest, suite *harness.Suite) (string, error) {
 	var buf bytes.Buffer
 	var err error
 	switch req.Kind {
@@ -169,6 +172,8 @@ func executeJob(req analyzeRequest, m *obs.Metrics) (string, error) {
 		err = harness.RunGraphs(suite, &buf, req.Markdown, harness.SplitZooKinds(req.Predictor)...)
 	case "charact":
 		err = harness.RunCharact(suite, &buf, req.Markdown)
+	case "progcheck":
+		return runProgcheckJob(req.Program)
 	default:
 		err = fmt.Errorf("unknown kind %q", req.Kind)
 	}
@@ -205,18 +210,25 @@ type job struct {
 	Error  string         `json:"error,omitempty"`
 }
 
+// maxFinishedJobs caps the finished job records the server keeps, with
+// their rendered results: past it, the record that finished first is
+// evicted, and its GET /jobs/{id} answers 404. Queued and running jobs
+// are never evicted.
+const maxFinishedJobs = 256
+
 // server is the wsanalyzed HTTP service: it accepts analysis jobs, runs
 // them on the instrumented harness with bounded concurrency, and serves
 // job state plus the metrics registry.
 type server struct {
-	reg     *obs.Registry
-	metrics *obs.Metrics
-	sem     chan struct{} // bounds concurrently executing jobs
+	reg    *obs.Registry
+	suites *suiteCache
+	sem    chan struct{} // bounds concurrently executing jobs
 
 	mu       sync.Mutex
 	draining bool
 	jobs     map[string]*job
-	order    []string // submission order, for deterministic listings
+	order    []string // retained jobs in submission order, for deterministic listings
+	finished []string // retained finished jobs, first finished first
 	nextID   int
 	wg       sync.WaitGroup // tracks submitted-but-unfinished jobs
 
@@ -241,7 +253,7 @@ func newServer(reg *obs.Registry, maxConcurrent int) *server {
 	}
 	return &server{
 		reg:       reg,
-		metrics:   obs.New(reg),
+		suites:    newSuiteCache(reg, obs.New(reg)),
 		sem:       make(chan struct{}, maxConcurrent),
 		jobs:      make(map[string]*job),
 		submitted: reg.Counter("wsd_jobs_submitted_total"),
@@ -383,6 +395,7 @@ func (s *server) runJob(j *job) {
 		j.Status = "done"
 		j.Result = out
 	}
+	s.retire(j.ID)
 	s.mu.Unlock()
 	if err != nil {
 		s.failed.Inc()
@@ -391,20 +404,40 @@ func (s *server) runJob(j *job) {
 	}
 }
 
-// execute runs one job, turning a panic in the start hook or the
-// pipeline into the job's error so that one bad job fails alone
-// instead of taking the process down. Panics on goroutines the
-// pipeline starts itself are not caught here.
+// execute runs one job on its configuration's shared suite, held from
+// here until the job ends, and turns a panic in the start hook or the
+// pipeline into the job's error, so that one bad job fails alone
+// instead of taking the process down. The harness recovers a panic on
+// any of its row goroutines into its caller, so every panic a job
+// raises ends here or as a row's error.
 func (s *server) execute(id string, req analyzeRequest) (out string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("job panicked: %v", r)
 		}
 	}()
+	var suite *harness.Suite
+	if req.Kind != "progcheck" {
+		var release func()
+		suite, release = s.suites.acquire(req.config())
+		defer release()
+	}
 	if s.startHook != nil {
 		s.startHook(id)
 	}
-	return executeJob(req, s.metrics)
+	return executeJob(req, suite)
+}
+
+// retire records id as finished and evicts the first-finished records
+// past maxFinishedJobs. Callers hold s.mu.
+func (s *server) retire(id string) {
+	s.finished = append(s.finished, id)
+	if len(s.finished) > maxFinishedJobs {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, old)
+		s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == old })
+	}
 }
 
 func (s *server) handleJobs(w http.ResponseWriter, _ *http.Request) {
