@@ -1,16 +1,19 @@
 // Command reprolint runs the repository's static-analysis passes (see
 // internal/lint) over the module as one unit: the package-local
 // invariant passes (determinism, looporder, entropy, errcheck,
-// confighygiene, atomicsafety, branchless) plus the interprocedural
-// hotpath pass, which follows the static call graph from
-// //reprolint:hotpath root annotations.
+// confighygiene, atomicsafety, branchless) plus the module passes:
+// hotpath, which follows the static call graph from
+// //reprolint:hotpath root annotations, and deprecated and testonly,
+// which resolve references across the module, test files included.
 //
 // Usage:
 //
 //	reprolint [-pass name] [-json] [-baseline file] [-write-baseline file] [packages...]
 //
 // Package patterns are module-relative directories or `...` globs; the
-// default is ./... from the module root. Findings print in a stable
+// default is ./... from the module root. The whole module is analyzed
+// whatever the patterns, so that the module passes see every caller,
+// and findings are reported for the matching packages. Findings print in a stable
 // total order (file, line, column, pass) as
 //
 //	path:line:col: severity: pass: message
@@ -37,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -109,8 +113,12 @@ func run(root string, patterns []string, opts options, stdout, stderr io.Writer)
 	if err != nil {
 		return 0, err
 	}
+	all, err := loader.PackageDirs(append([]string{"./..."}, patterns...))
+	if err != nil {
+		return 0, err
+	}
 	var pkgs []*lint.Package
-	for _, dir := range dirs {
+	for _, dir := range all {
 		pkg, err := loader.Load(dir)
 		if err != nil {
 			return 0, err
@@ -118,15 +126,13 @@ func run(root string, patterns []string, opts options, stdout, stderr io.Writer)
 		pkgs = append(pkgs, pkg)
 	}
 	findings := lint.NewModule(pkgs).Findings()
-	if opts.passFilter != "" {
-		kept := findings[:0]
-		for _, f := range findings {
-			if f.Pass == opts.passFilter {
-				kept = append(kept, f)
-			}
+	kept := findings[:0]
+	for _, f := range findings {
+		if (opts.passFilter == "" || f.Pass == opts.passFilter) && slices.Contains(dirs, filepath.Dir(f.Pos.Filename)) {
+			kept = append(kept, f)
 		}
-		findings = kept
 	}
+	findings = kept
 
 	lines := make([]string, len(findings))
 	for i, f := range findings {
@@ -221,10 +227,10 @@ func run(root string, patterns []string, opts options, stdout, stderr io.Writer)
 	if !opts.quiet {
 		if opts.checkBaseline {
 			fmt.Fprintf(stderr, "reprolint: %d failing (%d stale baseline), %d advisory, %d baselined finding(s) in %d package(s)\n",
-				failing, stale, advisory, baselined, len(pkgs))
+				failing, stale, advisory, baselined, len(dirs))
 		} else {
 			fmt.Fprintf(stderr, "reprolint: %d failing, %d advisory, %d baselined finding(s) in %d package(s)\n",
-				failing, advisory, baselined, len(pkgs))
+				failing, advisory, baselined, len(dirs))
 		}
 	}
 	return failing, nil

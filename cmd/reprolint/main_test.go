@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
@@ -129,5 +131,53 @@ func TestRepoTreeCleanModuloBaseline(t *testing.T) {
 	}
 	if failing != 0 {
 		t.Errorf("tree has %d finding(s) not in LINT.baseline:\n%s", failing, stdout.String())
+	}
+}
+
+// TestReadmeNamesEveryPass keeps README.md's "Static analysis" section
+// in step with the registry: every registered pass is named there.
+func TestReadmeNamesEveryPass(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n## Static analysis\n")
+	if !ok {
+		t.Fatal(`README.md has no "## Static analysis" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, name := range lint.PassNames() {
+		if !strings.Contains(section, "*"+name+"*") {
+			t.Errorf("README.md Static analysis section does not name pass *%s*", name)
+		}
+	}
+}
+
+// TestPassFilterTestOnly checks that -pass testonly is accepted and
+// keeps only the fixture's seeded test-only export.
+func TestPassFilterTestOnly(t *testing.T) {
+	if !knownPass("testonly") {
+		t.Fatal("-pass testonly rejected")
+	}
+	got, failing := runFixture(t, options{quiet: true, passFilter: "testonly"})
+	want := "internal/seed/seed.go:6:6: error: testonly: seed.Twice is exported but no non-test file references it; " +
+		"delete or unexport it, or mark it //reprolint:allow testonly <reason>\n"
+	if failing != 1 || got != want {
+		t.Errorf("-pass testonly: %d failing, output:\n%s\nwant:\n%s", failing, got, want)
+	}
+}
+
+// TestPatternsFilterFindings checks that a run over part of the module
+// reports only the matching packages' findings.
+func TestPatternsFilterFindings(t *testing.T) {
+	for pattern, want := range map[string]string{".": "hotpath", "./internal/seed": "testonly"} {
+		var stdout, stderr bytes.Buffer
+		failing, err := run(fixtureRoot(t), []string{pattern}, options{quiet: true}, &stdout, &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failing != 1 || !strings.Contains(stdout.String(), ": "+want+": ") {
+			t.Errorf("pattern %s: %d failing, want one %s finding:\n%s", pattern, failing, want, stdout.String())
+		}
 	}
 }

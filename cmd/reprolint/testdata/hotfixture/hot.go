@@ -1,6 +1,6 @@
-// Package hotfixture is a reprolint negative-test fixture: a module
-// with a seeded hot-path allocation the hotpath pass must catch. CI
-// runs reprolint against it and fails if the exit status is 0.
+// Package hotfixture is a reprolint negative-test fixture: a module with
+// a seeded hot-path allocation, and a test-only export in internal/seed.
+// CI runs reprolint against it and fails if the exit status is 0.
 package hotfixture
 
 // Dispatch plays the VM event loop's role in miniature.

@@ -208,6 +208,7 @@ type job struct {
 	Req    analyzeRequest `json:"request"`
 	Result string         `json:"result,omitempty"`
 	Error  string         `json:"error,omitempty"`
+	seq    int            // submission order, for deterministic listings
 }
 
 // maxFinishedJobs caps the finished job records the server keeps, with
@@ -227,7 +228,6 @@ type server struct {
 	mu       sync.Mutex
 	draining bool
 	jobs     map[string]*job
-	order    []string // retained jobs in submission order, for deterministic listings
 	finished []string // retained finished jobs, first finished first
 	nextID   int
 	wg       sync.WaitGroup // tracks submitted-but-unfinished jobs
@@ -356,9 +356,8 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nextID++
-	j := &job{ID: fmt.Sprintf("job-%d", s.nextID), Status: "queued", Req: req}
+	j := &job{ID: fmt.Sprintf("job-%d", s.nextID), Status: "queued", Req: req, seq: s.nextID}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
 	s.wg.Add(1)
 	s.mu.Unlock()
 
@@ -436,7 +435,6 @@ func (s *server) retire(id string) {
 		old := s.finished[0]
 		s.finished = s.finished[1:]
 		delete(s.jobs, old)
-		s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == old })
 	}
 }
 
@@ -446,17 +444,18 @@ func (s *server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 		ID     string `json:"id"`
 		Status string `json:"status"`
 		Kind   string `json:"kind"`
+		seq    int
 	}
-	list := make([]summary, 0, len(s.order))
-	for _, id := range s.order {
-		j := s.jobs[id]
+	list := make([]summary, 0, len(s.jobs))
+	for _, j := range s.jobs {
 		kind := j.Req.Kind
 		if kind == "" {
 			kind = "all"
 		}
-		list = append(list, summary{j.ID, j.Status, kind})
+		list = append(list, summary{j.ID, j.Status, kind, j.seq})
 	}
 	s.mu.Unlock()
+	slices.SortFunc(list, func(a, b summary) int { return a.seq - b.seq })
 	writeJSON(w, http.StatusOK, struct {
 		Jobs []summary `json:"jobs"`
 	}{list})

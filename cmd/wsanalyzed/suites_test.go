@@ -208,7 +208,8 @@ func TestPanicKeepsSharedSuite(t *testing.T) {
 
 // TestFinishedJobsEvicted runs more jobs than the job table keeps, with
 // one held running throughout: the first-finished records are evicted
-// (404, gone from GET /jobs), and the running job never is.
+// (404, gone from GET /jobs), the running job never is, and GET /jobs
+// lists exactly the retained jobs in submission order.
 func TestFinishedJobsEvicted(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := newServer(reg, 2)
@@ -279,5 +280,16 @@ func TestFinishedJobsEvicted(t *testing.T) {
 	}
 	if gone != extra+1 {
 		t.Errorf("%d job records evicted, want %d", gone, extra+1)
+	}
+	want := []string{held}
+	for _, id := range ids {
+		if listed[id] {
+			want = append(want, id)
+		}
+	}
+	for i, l := range list.Jobs {
+		if l.ID != want[i] {
+			t.Fatalf("GET /jobs entry %d is %s, want %s: not in submission order", i, l.ID, want[i])
+		}
 	}
 }

@@ -117,7 +117,14 @@ func TestEndToEndCumulativeProfiles(t *testing.T) {
 	if merged.NumBranches() < pa.NumBranches() || merged.NumBranches() < pb.NumBranches() {
 		t.Fatal("merged profile lost branches")
 	}
-	if merged.DynamicBranches() != pa.DynamicBranches()+pb.DynamicBranches() {
+	var dynamic uint64
+	for _, e := range merged.Exec {
+		dynamic += e
+	}
+	for _, e := range append(pa.Exec, pb.Exec...) {
+		dynamic -= e
+	}
+	if dynamic != 0 {
 		t.Fatal("merged dynamic counts do not add up")
 	}
 	// A cumulative allocation must still work.

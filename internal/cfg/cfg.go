@@ -82,16 +82,6 @@ type Graph struct {
 // BlockOf returns the block containing instruction index i.
 func (g *Graph) BlockOf(i int) *Block { return g.Blocks[g.blockAt[i]] }
 
-// FuncOf returns the function owning instruction index i, or nil when
-// the instruction is unreachable from every entry point.
-func (g *Graph) FuncOf(i int) *Func {
-	fn := g.Blocks[g.blockAt[i]].Fn
-	if fn < 0 {
-		return nil
-	}
-	return g.Funcs[fn]
-}
-
 // Unreachable returns the IDs of blocks not reachable from any entry
 // point — dead code a compiler would never allocate branches for.
 func (g *Graph) Unreachable() []int {

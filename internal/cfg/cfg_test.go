@@ -229,8 +229,8 @@ func TestIDomOfLoopBody(t *testing.T) {
 	fn := g.Funcs[0]
 	dom := g.Dominators(fn)
 	// The entry block dominates everything in main and is its own idom.
-	if got := dom.IDom(fn.EntryBlock); got != fn.EntryBlock {
-		t.Errorf("IDom(entry) = %d, want entry %d", got, fn.EntryBlock)
+	if l := dom.local[fn.EntryBlock]; dom.idom[l] != l {
+		t.Errorf("idom(entry) = local %d, want entry %d", dom.idom[l], l)
 	}
 	for _, b := range fn.Blocks {
 		if !dom.Dominates(fn.EntryBlock, b) {

@@ -23,12 +23,6 @@ type DomTree struct {
 	depth []int
 }
 
-// IDom returns the global block ID of b's immediate dominator. The
-// entry block is its own immediate dominator.
-func (d *DomTree) IDom(b int) int {
-	return d.fn.Blocks[d.idom[d.local[b]]]
-}
-
 // Dominates reports whether block a dominates block b (reflexively).
 // Both must belong to the tree's function.
 func (d *DomTree) Dominates(a, b int) bool {

@@ -105,13 +105,6 @@ type BranchChar struct {
 	GlobalCond [MaxHistory]float64
 }
 
-// HistorySensitivity is the entropy removed by the best MaxHistory-bit
-// history — how much of the branch's apparent randomness a
-// history-based predictor can see through.
-func (b BranchChar) HistorySensitivity() float64 {
-	return b.Entropy - math.Min(b.LocalCond[MaxHistory-1], b.GlobalCond[MaxHistory-1])
-}
-
 // Report is a finished characterization.
 type Report struct {
 	// Branches holds one entry per static branch, sorted by PC.

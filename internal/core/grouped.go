@@ -38,9 +38,6 @@ type GroupedResult struct {
 	TakenGroup, NotTakenGroup int32
 }
 
-// NumGroups returns the grouped graph's node count.
-func (r *GroupedResult) NumGroups() int { return len(r.Members) }
-
 // AnalyzeGrouped runs grouped working-set analysis over p. The analysis
 // configuration is interpreted as in Analyze; thresholds apply to the
 // re-accumulated group edge weights.

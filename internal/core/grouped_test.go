@@ -21,8 +21,8 @@ func TestAnalyzeGroupedCollapsesBiased(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Groups: taken supernode, not-taken supernode, 2 mixed = 4 nodes.
-	if res.NumGroups() != 4 {
-		t.Fatalf("groups = %d, want 4", res.NumGroups())
+	if len(res.Members) != 4 {
+		t.Fatalf("groups = %d, want 4", len(res.Members))
 	}
 	if res.TakenGroup == -1 || res.NotTakenGroup == -1 {
 		t.Fatal("biased groups missing")

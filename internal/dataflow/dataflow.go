@@ -87,15 +87,6 @@ func (r *Result[F]) InAt(bi int) F {
 	return zero
 }
 
-// OutAt returns the fact at the exit of global block ID bi.
-func (r *Result[F]) OutAt(bi int) F {
-	if li := r.local[bi]; li >= 0 {
-		return r.out[li]
-	}
-	var zero F
-	return zero
-}
-
 // edge is one fact-carrying CFG edge seen from the block whose meet it
 // feeds: from is the local index of the predecessor whose Out fact is
 // read, and succIdx the edge's index in its successor list (for

@@ -39,7 +39,7 @@ done:
 
 	// After the two addis, r2 is the constant 8.
 	brBlock := g.BlockOf(2)
-	out := res.OutAt(brBlock.ID)
+	out := res.out[res.local[brBlock.ID]]
 	if v, ok := out.R[2].IsConst(); !ok || v != 8 {
 		t.Errorf("r2 at branch = %s, want [8]", out.R[2])
 	}
@@ -68,12 +68,12 @@ neg:
 	res := Solve[Regs](g, fn, NewIntervals(g, fn, 4096))
 
 	// Fallthrough: r1 >= 0 flowed into r2.
-	ft := res.OutAt(g.BlockOf(2).ID)
+	ft := res.out[res.local[g.BlockOf(2).ID]]
 	if ft.R[2].Lo != 0 || ft.R[2].Hi != math.MaxInt64 {
 		t.Errorf("fallthrough r2 = %s, want [0,+inf]", ft.R[2])
 	}
 	// Taken: r1 < 0 flowed into r3.
-	tk := res.OutAt(g.BlockOf(4).ID)
+	tk := res.out[res.local[g.BlockOf(4).ID]]
 	if tk.R[3].Lo != math.MinInt64 || tk.R[3].Hi != -1 {
 		t.Errorf("taken r3 = %s, want [-inf,-1]", tk.R[3])
 	}
@@ -204,7 +204,7 @@ func TestDefinedMatchesPathOracle(t *testing.T) {
 			t.Fatalf("%s: cfg: %v", p.Name, err)
 		}
 		for _, fn := range g.Funcs {
-			for _, entry := range []RegSet{0, 1 << isa.RSP, RegSet(r.Uint32())} {
+			for _, entry := range []RegSet{0, 1 << isa.RSP, RegSet(r.Uint64() >> 32)} {
 				c, u := compareDefinedWithOracle(t, g, fn, entry)
 				checks += c
 				undefined += u

@@ -201,9 +201,6 @@ type Regs struct {
 	R    [isa.NumRegs]Interval
 }
 
-// Interval returns the bound on register r.
-func (rs *Regs) Interval(r isa.Reg) Interval { return rs.R[r] }
-
 // set writes an interval, preserving the hardwired zero register.
 func (rs *Regs) set(r isa.Reg, iv Interval) {
 	if r != isa.RZero {

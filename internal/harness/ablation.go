@@ -95,11 +95,17 @@ func (s *Suite) ablateBenchmark(name string) (ablationRow, error) {
 		})
 	}
 
+	// mc is the maximal-clique analysis at Config.Threshold, which the
+	// threshold, definition and grouped studies all report.
 	var row ablationRow
+	var mc *core.AnalysisResult
 	for _, th := range ablationThresholds {
 		res, err := analyze(th, core.MaximalCliques)
 		if err != nil {
 			return ablationRow{}, err
+		}
+		if th == s.cfg.Threshold {
+			mc = res
 		}
 		row.threshold = append(row.threshold, ThresholdRow{
 			Benchmark:  name,
@@ -111,9 +117,10 @@ func (s *Suite) ablateBenchmark(name string) (ablationRow, error) {
 		})
 	}
 
-	mc, err := analyze(s.cfg.Threshold, core.MaximalCliques)
-	if err != nil {
-		return ablationRow{}, err
+	if mc == nil {
+		if mc, err = analyze(s.cfg.Threshold, core.MaximalCliques); err != nil {
+			return ablationRow{}, err
+		}
 	}
 	gp, err := analyze(s.cfg.Threshold, core.GreedyPartition)
 	if err != nil {
@@ -128,10 +135,6 @@ func (s *Suite) ablateBenchmark(name string) (ablationRow, error) {
 		CliqueTruncated: mc.Truncated,
 	}
 
-	ind, err := analyze(s.cfg.Threshold, core.MaximalCliques)
-	if err != nil {
-		return ablationRow{}, err
-	}
 	grp, err := core.AnalyzeGrouped(a.Profile, core.AnalysisConfig{
 		Threshold:    s.cfg.Threshold,
 		CliqueBudget: s.cfg.CliqueBudget,
@@ -141,8 +144,8 @@ func (s *Suite) ablateBenchmark(name string) (ablationRow, error) {
 	}
 	row.grouped = GroupedRow{
 		Benchmark:      name,
-		IndividualSets: ind.NumSets(),
-		IndividualAvg:  ind.AvgStaticSize(),
+		IndividualSets: mc.NumSets(),
+		IndividualAvg:  mc.AvgStaticSize(),
 		GroupedSets:    grp.Analysis.NumSets(),
 		GroupedAvg:     grp.Analysis.AvgStaticSize(),
 		BiasedFraction: grp.Classification.BiasedDynamicFraction(a.Profile),

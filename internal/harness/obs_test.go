@@ -73,11 +73,12 @@ func TestStreamCountersExact(t *testing.T) {
 	if got := counter("wsd_profile_events_total"); got != a.Filter.DynamicKept {
 		t.Errorf("profile events = %d, want filtered dynamic count %d", got, a.Filter.DynamicKept)
 	}
-	var pairWeight, pairCount uint64
-	for _, pc := range a.Profile.SortedPairs() {
-		pairWeight += pc.Count
-		pairCount++
-	}
+	var pairWeight uint64
+	a.Profile.Pairs.Range(func(_, w uint64) bool {
+		pairWeight += w
+		return true
+	})
+	pairCount := uint64(a.Profile.Pairs.Len())
 	if got := counter("wsd_profile_pair_increments_total"); got != pairWeight {
 		t.Errorf("pair increments = %d, want pair-table total weight %d", got, pairWeight)
 	}

@@ -308,7 +308,7 @@ func TestFusedArtifactsMatchRecorded(t *testing.T) {
 	if pg.Instructions != pw.Instructions {
 		t.Fatalf("instructions %d vs reference %d", pg.Instructions, pw.Instructions)
 	}
-	if !reflect.DeepEqual(pg.SortedPairs(), pw.SortedPairs()) {
+	if !reflect.DeepEqual(pg.Pairs, pw.Pairs) {
 		t.Fatal("interleave pair counts differ from the reference")
 	}
 }

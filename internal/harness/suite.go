@@ -278,7 +278,7 @@ func (s *Suite) replayFiltered(a *Artifacts, sink vm.BranchSink) error {
 // Cached returns a benchmark's artifacts only if they are already
 // computed, without triggering (or waiting on) a computation. The
 // benchmark tooling uses it to enumerate what a run actually touched.
-func (s *Suite) Cached(benchmark string, input workload.InputSet) (*Artifacts, bool) {
+func (s *Suite) Cached(benchmark string, input workload.InputSet) (*Artifacts, bool) { //reprolint:allow testonly called from perfbench/bench_test.go, which the Loader does not load
 	return s.artifacts.cached(benchmark + "/" + input.Name)
 }
 

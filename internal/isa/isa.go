@@ -148,15 +148,6 @@ func (op Op) IsCondBranch() bool {
 	return false
 }
 
-// IsControl reports whether op redirects the PC (conditionally or not).
-func (op Op) IsControl() bool {
-	switch op {
-	case OpBeq, OpBne, OpBltz, OpBgez, OpJump, OpCall, OpRet, OpHalt:
-		return true
-	}
-	return false
-}
-
 // Inst is one instruction word. Instructions occupy 4 bytes of address
 // space each; the PC of instruction i is 4*i plus the program base.
 type Inst struct {

@@ -56,26 +56,6 @@ func TestIsCondBranch(t *testing.T) {
 	}
 }
 
-func TestIsControl(t *testing.T) {
-	control := []Op{OpBeq, OpBne, OpBltz, OpBgez, OpJump, OpCall, OpRet, OpHalt}
-	for _, op := range control {
-		if !op.IsControl() {
-			t.Errorf("%v not reported as control", op)
-		}
-	}
-	if OpAdd.IsControl() || OpStore.IsControl() {
-		t.Error("ALU/memory op reported as control")
-	}
-}
-
-func TestEveryCondBranchIsControl(t *testing.T) {
-	for op := Op(0); op < numOps; op++ {
-		if op.IsCondBranch() && !op.IsControl() {
-			t.Errorf("%v is a conditional branch but not control", op)
-		}
-	}
-}
-
 func TestPCRoundTrip(t *testing.T) {
 	f := func(idx uint16) bool {
 		return IndexOf(PCOf(int(idx))) == int(idx)

@@ -17,14 +17,23 @@ import (
 // Declarations are collected from the loaded packages: run the pass over
 // the whole module (./...) to see every one.
 func checkDeprecated(m *Module, report func(*Package, token.Pos, string)) {
-	decls := make(map[token.Position]string) // declaring identifier -> qualified name
+	refs := m.refs()
+	flag := func(pkg *Package, id *ast.Ident, name string) {
+		at := absPosition(pkg.Fset, id.Pos())
+		for _, r := range refs[at] {
+			if r.pkg.tested && absPosition(r.pkg.Fset, r.id.Pos()).Filename != at.Filename {
+				report(r.pkg, r.id.Pos(), fmt.Sprintf("%s is deprecated; only its declaring file %s may reference it",
+					name, filepath.Base(at.Filename)))
+			}
+		}
+	}
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					if isDeprecated(d.Doc) {
-						decls[absPosition(pkg.Fset, d.Name.Pos())] = pkg.Types.Name() + "." + d.Name.Name
+						flag(pkg, d.Name, pkg.Types.Name()+"."+d.Name.Name)
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
@@ -32,50 +41,17 @@ func checkDeprecated(m *Module, report func(*Package, token.Pos, string)) {
 						if !ok {
 							continue
 						}
-						st, ok := ts.Type.(*ast.StructType)
-						if !ok {
-							continue
-						}
-						for _, field := range st.Fields.List {
-							if !isDeprecated(field.Doc) {
-								continue
-							}
-							for _, n := range field.Names {
-								decls[absPosition(pkg.Fset, n.Pos())] = pkg.Types.Name() + "." + ts.Name.Name + "." + n.Name
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							for _, field := range st.Fields.List {
+								for _, n := range field.Names {
+									if isDeprecated(field.Doc) {
+										flag(pkg, n, pkg.Types.Name()+"."+ts.Name.Name+"."+n.Name)
+									}
+								}
 							}
 						}
 					}
 				}
-			}
-		}
-	}
-	if len(decls) == 0 {
-		return
-	}
-	for _, pkg := range m.Pkgs {
-		if pkg.nested {
-			continue
-		}
-		units := append([]testUnit{{pkg.Files, pkg.Info}}, pkg.tests...)
-		for _, u := range units {
-			for _, f := range u.files {
-				file := absPosition(pkg.Fset, f.Pos()).Filename
-				ast.Inspect(f, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					obj := u.info.Uses[id]
-					if obj == nil || !obj.Pos().IsValid() {
-						return true
-					}
-					at := absPosition(pkg.Fset, obj.Pos())
-					if name, ok := decls[at]; ok && at.Filename != file {
-						report(pkg, id.Pos(), fmt.Sprintf("%s is deprecated; only its declaring file %s may reference it",
-							name, filepath.Base(at.Filename)))
-					}
-					return true
-				})
 			}
 		}
 	}

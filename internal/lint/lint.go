@@ -1,25 +1,24 @@
 // Package lint implements reprolint, the repository's static-analysis
 // pass (see cmd/reprolint). It is built only on the standard library's
-// go/ast, go/parser, go/token and go/types packages, and encodes three
-// repo-specific invariants:
+// go/ast, go/parser, go/token and go/types packages. Its passes, in
+// registry order (PassNames):
 //
-//   - determinism: artifact-producing code must not let map iteration
-//     order or ambient entropy (time, math/rand) leak into results
-//     (pass "determinism" and pass "entropy"); pass "looporder" extends
-//     this with a taint walk catching map-range-derived values that
-//     reach an output sink after the loop without a sort;
-//
-//   - unchecked errors: error returns in internal/ and cmd/ must be
-//     consumed or explicitly discarded with `_ =` (pass "errcheck");
-//
-//   - config hygiene: numeric literals duplicating named experiment
-//     defaults (the edge-pruning threshold 100, the 99%/1% bias
-//     cutoffs) must reference the defining constant instead (pass
-//     "confighygiene");
-//
-//   - no deprecated callers: a function or struct field documented
-//     "Deprecated:" may be referenced only from its declaring file,
-//     test files included (pass "deprecated").
+//   - determinism, looporder and entropy: artifact-producing code must
+//     not let map iteration order or ambient entropy (time, math/rand)
+//     leak into results; looporder's taint walk catches map-range-derived
+//     values that reach an output sink after the loop without a sort;
+//   - errcheck: error returns in internal/ and cmd/ are consumed or
+//     explicitly discarded with `_ =`;
+//   - confighygiene: numeric literals duplicating named experiment
+//     defaults reference the defining constant instead;
+//   - atomicsafety: no mixed atomic and plain field access, lock copies
+//     or escaping goroutine-captured writes;
+//   - branchless (advisory): branch-free spellings of predictor idioms;
+//   - hotpath: no allocation, map access, boxing or locking in code
+//     reachable from a //reprolint:hotpath root;
+//   - deprecated: a function or struct field documented "Deprecated:"
+//     is referenced only from its declaring file, test files included;
+//   - testonly: every export under internal/ has a non-test reference.
 //
 // Findings can be suppressed with a trailing or preceding comment of the
 // form
@@ -88,15 +87,17 @@ type Package struct {
 	allow map[string]map[int]map[string]bool
 
 	// tests are the package's _test.go files, type-checked by the
-	// Loader for the passes that also cover tests (deprecated): the
-	// in-package ones together with Files, an external _test package on
-	// its own. Fixture packages built by TypeCheck have none.
+	// Loader for the passes that also cover tests (deprecated, testonly):
+	// the in-package ones together with Files, an external _test package
+	// on its own.
 	tests []testUnit
-	// nested marks a package of a module nested below the loaded one
-	// (perfbench/ has its own go.mod). Its tests are not loaded, and the
-	// deprecated pass does not report there: such callers are why a
-	// deprecated name is kept.
-	nested bool
+	// tested marks a package of the loaded module itself, which the
+	// Loader checks with its tests. A package of a module nested below it
+	// (perfbench/ has its own go.mod) is loaded without them, only as a
+	// source of references: such callers are why a deprecated name is
+	// kept, so neither deprecated nor testonly reports there, nor in a
+	// fixture package built by TypeCheck.
+	tested bool
 }
 
 // testUnit is one type-checked set of test files; info also covers the
@@ -138,6 +139,7 @@ type modulePass struct {
 var modulePasses = []modulePass{
 	{"hotpath", SevWarn, checkHotPath},
 	{"deprecated", SevError, checkDeprecated},
+	{"testonly", SevError, checkTestOnly},
 }
 
 // PassNames returns the registered pass names, local passes first.
@@ -152,22 +154,14 @@ func PassNames() []string {
 	return names
 }
 
-// Findings runs every pass over p alone and returns unsuppressed
-// findings in the canonical order. Interprocedural passes see a
-// one-package module; use NewModule to analyze several packages
-// together.
-func (p *Package) Findings() []Finding { return NewModule([]*Package{p}).Findings() }
-
-// Lint runs every pass over pkg alone; it is Findings by its older name.
-func Lint(pkg *Package) []Finding { return pkg.Findings() }
-
 // Module is a set of loaded packages analyzed together. The
 // interprocedural passes (hotpath) resolve calls across every package
 // in the module; package-local passes run per package.
 type Module struct {
 	Pkgs []*Package
 
-	graph *callGraph // built lazily by CallGraph
+	graph *callGraph               // built lazily by CallGraph
+	index map[token.Position][]ref // built lazily by refs
 }
 
 // NewModule wraps pkgs for whole-module analysis. The packages should
@@ -372,9 +366,9 @@ func isLintableFile(name string) bool {
 }
 
 // Load parses and type-checks the package in dir. Test files are
-// loaded beside it for the deprecated pass only: the other passes guard
-// artifact-producing code, and fixtures under testdata intentionally
-// violate them.
+// loaded beside it for the deprecated and testonly passes only: the
+// other passes guard artifact-producing code, and fixtures under
+// testdata intentionally violate them.
 func (l *Loader) Load(dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -413,7 +407,6 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	}
 	for d := dir; len(d) > len(l.Root); d = filepath.Dir(d) {
 		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			pkg.nested = true
 			return pkg, nil
 		}
 	}
@@ -447,6 +440,7 @@ func (l *Loader) checkTests(pkg *Package, tests []*ast.File) {
 	if len(ext) > 0 {
 		pkg.tests = append(pkg.tests, testUnit{ext, check(pkg.Path+"_test", ext)})
 	}
+	pkg.tested = true
 	pkg.collectAllows()
 }
 

@@ -29,7 +29,7 @@ func lintFixture(t *testing.T, pkgPath, src string) []lint.Finding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkg.Findings()
+	return lint.NewModule([]*lint.Package{pkg}).Findings()
 }
 
 // expect asserts that findings contains exactly the given pass names on

@@ -37,7 +37,7 @@ type FakeClock struct {
 
 // NewFakeClock returns a FakeClock starting at start, advancing by step
 // per Now call.
-func NewFakeClock(start time.Time, step time.Duration) *FakeClock {
+func NewFakeClock(start time.Time, step time.Duration) *FakeClock { //reprolint:allow testonly golden-timing fixture
 	return &FakeClock{now: start, step: step}
 }
 
@@ -52,7 +52,7 @@ func (c *FakeClock) Now() time.Time {
 }
 
 // Advance moves the clock forward by d without counting as a Now call.
-func (c *FakeClock) Advance(d time.Duration) {
+func (c *FakeClock) Advance(d time.Duration) { //reprolint:allow testonly golden-timing fixture
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.now = c.now.Add(d)

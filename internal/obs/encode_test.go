@@ -41,7 +41,7 @@ func fixtureSnapshot() Snapshot {
 	)
 	r.Counter("wsd_vm_runs_total").Add(3)
 	r.Counter("wsd_profile_events_total").Add(1234)
-	r.Gauge("wsd_jobs_running").Set(2)
+	r.Gauge("wsd_jobs_running").Add(2)
 
 	sp := r.StartSpan(Name("wsd_stage", "benchmark", "li", "stage", "execute"))
 	mem = 2048

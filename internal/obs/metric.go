@@ -37,31 +37,10 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
 // Add adds d (negative to decrement).
 func (g *Gauge) Add(d int64) {
 	if g != nil {
 		g.v.Add(d)
-	}
-}
-
-// SetMax raises the gauge to v if v exceeds the current value — a
-// lock-free high-water mark.
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
 	}
 }
 

@@ -17,9 +17,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	}
 
 	var g *Gauge
-	g.Set(3)
 	g.Add(-1)
-	g.SetMax(9)
 	if g.Value() != 0 {
 		t.Error("nil Gauge has nonzero value")
 	}
@@ -52,24 +50,6 @@ func TestCounter(t *testing.T) {
 	c.Add(41)
 	if got := c.Value(); got != 42 {
 		t.Errorf("Counter = %d, want 42", got)
-	}
-}
-
-func TestGaugeSetMax(t *testing.T) {
-	var g Gauge
-	g.SetMax(5)
-	g.SetMax(3) // lower: ignored
-	if got := g.Value(); got != 5 {
-		t.Errorf("after SetMax(5), SetMax(3): %d, want 5", got)
-	}
-	g.SetMax(11)
-	if got := g.Value(); got != 11 {
-		t.Errorf("after SetMax(11): %d, want 11", got)
-	}
-	g.Set(-2)
-	g.Add(1)
-	if got := g.Value(); got != -1 {
-		t.Errorf("Set(-2)+Add(1) = %d, want -1", got)
 	}
 }
 
@@ -114,7 +94,8 @@ func TestMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Add(2)
-				g.SetMax(int64(w*perWorker + i))
+				g.Add(int64(w + 1))
+				g.Add(-int64(w))
 				h.Observe(uint64(i))
 			}
 		}()
@@ -123,8 +104,8 @@ func TestMetricsConcurrent(t *testing.T) {
 	if got := c.Value(); got != 2*workers*perWorker {
 		t.Errorf("Counter = %d, want %d", got, 2*workers*perWorker)
 	}
-	if got := g.Value(); got != workers*perWorker-1 {
-		t.Errorf("Gauge high-water = %d, want %d", got, workers*perWorker-1)
+	if got := g.Value(); got != workers*perWorker {
+		t.Errorf("Gauge = %d, want %d", got, workers*perWorker)
 	}
 	if got := h.snapshot("h").Count; got != workers*perWorker {
 		t.Errorf("Histogram count = %d, want %d", got, workers*perWorker)

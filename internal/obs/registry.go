@@ -46,14 +46,14 @@ type RegistryOption func(*Registry)
 
 // WithClock injects the clock used by spans and timers. Tests pass a
 // FakeClock (step 0) so every timing field encodes as zero.
-func WithClock(c Clock) RegistryOption {
+func WithClock(c Clock) RegistryOption { //reprolint:allow testonly golden-timing fixture
 	return func(r *Registry) { r.clock = c }
 }
 
 // WithMemSource injects the cumulative-heap-allocation reader used for
 // span allocation deltas. Tests inject a constant source so the
 // alloc_bytes fields are deterministic.
-func WithMemSource(f func() uint64) RegistryOption {
+func WithMemSource(f func() uint64) RegistryOption { //reprolint:allow testonly golden-timing fixture
 	return func(r *Registry) { r.memSource = f }
 }
 

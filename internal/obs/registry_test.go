@@ -121,7 +121,7 @@ func TestSnapshotSorted(t *testing.T) {
 	r := NewRegistry()
 	for _, n := range []string{"z", "a", "m"} {
 		r.Counter(n).Inc()
-		r.Gauge("g_" + n).Set(1)
+		r.Gauge("g_" + n).Add(1)
 	}
 	snap := r.Snapshot()
 	for i := 1; i < len(snap.Counters); i++ {

@@ -25,10 +25,6 @@ type Model struct {
 	TakenPenalty uint64
 }
 
-// Default returns a five-stage-pipeline-like model: 5-cycle redirect,
-// taken-branch bubble hidden.
-func Default() Model { return Model{MispredictPenalty: 5} }
-
 // Deep returns a deeply pipelined model of the kind the paper's
 // introduction argues for: a 15-cycle redirect and a 1-cycle taken
 // bubble.

@@ -26,7 +26,7 @@ func TestEvaluateBasic(t *testing.T) {
 }
 
 func TestEvaluateClampsInsaneInputs(t *testing.T) {
-	m := Default()
+	m := Model{MispredictPenalty: 5}
 	c := m.Evaluate(100, 10, 50, 99)
 	if c.Taken != 10 || c.Mispredicts != 10 {
 		t.Fatalf("clamping failed: %+v", c)
@@ -34,7 +34,7 @@ func TestEvaluateClampsInsaneInputs(t *testing.T) {
 }
 
 func TestPerfectPredictionCostsBase(t *testing.T) {
-	m := Default() // no taken penalty
+	m := Model{MispredictPenalty: 5} // no taken penalty
 	c := m.Evaluate(5000, 1000, 700, 0)
 	if c.Cycles != 5000 {
 		t.Fatalf("cycles = %d, want base 5000", c.Cycles)
@@ -45,7 +45,7 @@ func TestPerfectPredictionCostsBase(t *testing.T) {
 }
 
 func TestDeepPipelineHurtsMore(t *testing.T) {
-	shallow := Default().Evaluate(10000, 1000, 600, 100)
+	shallow := Model{MispredictPenalty: 5}.Evaluate(10000, 1000, 600, 100)
 	deep := Deep().Evaluate(10000, 1000, 600, 100)
 	if deep.Cycles <= shallow.Cycles {
 		t.Fatalf("deep (%d) not costlier than shallow (%d)", deep.Cycles, shallow.Cycles)
@@ -53,7 +53,7 @@ func TestDeepPipelineHurtsMore(t *testing.T) {
 }
 
 func TestSpeedup(t *testing.T) {
-	m := Default()
+	m := Model{MispredictPenalty: 5}
 	worse := m.Evaluate(1000, 100, 50, 40)
 	better := m.Evaluate(1000, 100, 50, 10)
 	s := Speedup(worse, better)
@@ -73,7 +73,7 @@ func TestZeroInstructionMetrics(t *testing.T) {
 }
 
 func TestStringMentionsCPI(t *testing.T) {
-	c := Default().Evaluate(1000, 100, 50, 10)
+	c := Model{MispredictPenalty: 5}.Evaluate(1000, 100, 50, 10)
 	if !strings.Contains(c.String(), "CPI") {
 		t.Fatalf("String() = %q", c.String())
 	}

@@ -108,9 +108,3 @@ func (p *PAg) Snapshot() string {
 	}
 	return b.String()
 }
-
-// HistoryBits returns the local history length.
-func (p *PAg) HistoryBits() uint { return p.histBits }
-
-// BHTSize returns the current first-level table size.
-func (p *PAg) BHTSize() int { return len(p.bht) }

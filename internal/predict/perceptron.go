@@ -70,9 +70,6 @@ func (p *Perceptron) Name() string {
 	return fmt.Sprintf("perceptron(%s/%d,h=%d)", p.indexer.Name(), p.rows, p.hlen)
 }
 
-// Theta returns the training threshold (exported for tests).
-func (p *Perceptron) Theta() int32 { return p.theta }
-
 // output computes the dot product for the row at w: bias plus each
 // weight signed by its history bit (+w for taken, -w for not-taken).
 // The per-bit sign is branchless: x in {+1,-1} from the history bit.

@@ -94,11 +94,11 @@ func TestPerceptronTrainingStopsPastTheta(t *testing.T) {
 	}
 	row := p.row(0x40)
 	out := p.output(row)
-	if out <= p.Theta() {
-		t.Fatalf("output %d never cleared theta %d", out, p.Theta())
+	if out <= p.theta {
+		t.Fatalf("output %d never cleared theta %d", out, p.theta)
 	}
-	if out > 2*p.Theta() {
-		t.Fatalf("output %d kept training past the gate (theta %d)", out, p.Theta())
+	if out > 2*p.theta {
+		t.Fatalf("output %d kept training past the gate (theta %d)", out, p.theta)
 	}
 	if row[0] == perceptronWMax {
 		t.Fatal("bias railed — the theta gate is not engaging")
@@ -156,8 +156,8 @@ func TestPerceptronTheta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Theta() != 44 {
-		t.Fatalf("Theta() = %d", p.Theta())
+	if p.theta != 44 {
+		t.Fatalf("theta = %d", p.theta)
 	}
 }
 

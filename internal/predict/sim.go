@@ -38,9 +38,6 @@ func (s *Sim) Branch(pc uint64, taken bool, _ uint64) {
 	}
 }
 
-// Predictor returns the wrapped predictor.
-func (s *Sim) Predictor() Predictor { return s.p }
-
 // Branches returns the number of conditional branches simulated.
 func (s *Sim) Branches() uint64 { return s.branches }
 
@@ -55,9 +52,6 @@ func (s *Sim) MispredictRate() float64 {
 	}
 	return float64(s.mispredicts) / float64(s.branches)
 }
-
-// Accuracy returns 1 - MispredictRate.
-func (s *Sim) Accuracy() float64 { return 1 - s.MispredictRate() }
 
 // SimResult snapshots a finished simulation.
 type SimResult struct {

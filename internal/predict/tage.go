@@ -91,13 +91,6 @@ var tageTagRot = func() (rot [tageTables]uint) {
 	return rot
 }()
 
-// TageHistoryLengths returns the component history lengths, shortest
-// first (exported for tests and reports).
-func TageHistoryLengths() []uint {
-	l := tageHistLengths
-	return l[:]
-}
-
 // NewTAGE builds a TAGE whose base and component tables each hold
 // entries slots (power of two > 1), with PC components routed through
 // ix, which must target at least 1 entry.

@@ -12,7 +12,7 @@ import (
 // strictly increasing, start short enough to warm quickly, and fit the
 // 64-bit history register.
 func TestTageHistoryLengthsMonotone(t *testing.T) {
-	ls := TageHistoryLengths()
+	ls := tageHistLengths[:]
 	if len(ls) != tageTables {
 		t.Fatalf("%d lengths for %d tables", len(ls), tageTables)
 	}

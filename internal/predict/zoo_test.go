@@ -190,8 +190,8 @@ func TestNewZooPredictorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := perceptronTheta(16); p.(*Perceptron).Theta() != want {
-		t.Fatalf("default history not applied: theta %d, want %d", p.(*Perceptron).Theta(), want)
+	if want := perceptronTheta(16); p.(*Perceptron).theta != want {
+		t.Fatalf("default history not applied: theta %d, want %d", p.(*Perceptron).theta, want)
 	}
 }
 

@@ -17,7 +17,6 @@ package profile
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -75,15 +74,6 @@ func (p *Profile) Release() {
 	p.graphs = nil
 	p.graphMu.Unlock()
 	p.Pairs = PairList{}
-}
-
-// DynamicBranches returns the total dynamic branch count.
-func (p *Profile) DynamicBranches() uint64 {
-	var total uint64
-	for _, e := range p.Exec {
-		total += e
-	}
-	return total
 }
 
 // TakenRate returns branch id's taken fraction.
@@ -267,27 +257,6 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 	}
 	out.Pairs = NewPairList(len(out.PCs), pairs)
 	return out, nil
-}
-
-// SortedPairs returns the interleave pairs ordered by descending count
-// (ties by key), for reports.
-func (p *Profile) SortedPairs() []PairCount {
-	out := make([]PairCount, 0, p.Pairs.Len())
-	p.Pairs.Range(func(k, w uint64) bool {
-		a, b := UnpackPair(k)
-		out = append(out, PairCount{A: a, B: b, Count: w})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
 }
 
 // PairCount is one interleaving pair with its count.

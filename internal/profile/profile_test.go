@@ -128,8 +128,8 @@ func TestProfilerExecAndTakenCounts(t *testing.T) {
 	if r := prof.TakenRate(idA); r < 0.66 || r > 0.67 {
 		t.Fatalf("taken rate %v", r)
 	}
-	if prof.DynamicBranches() != 4 {
-		t.Fatalf("dynamic = %d", prof.DynamicBranches())
+	if exec := prof.Exec[idOf(prof, 8)]; exec != 1 {
+		t.Fatalf("exec(8) = %d", exec)
 	}
 	if prof.NumBranches() != 2 {
 		t.Fatalf("static = %d", prof.NumBranches())
@@ -203,8 +203,8 @@ func TestProfilerWindowLimitsDepth(t *testing.T) {
 		got[PairKey(idOf(prof, 4), idOf(prof, 20))] != 1 {
 		t.Fatal("window kept the wrong partners")
 	}
-	if p.Window() != 2 {
-		t.Fatalf("Window() = %d", p.Window())
+	if p.window != 2 {
+		t.Fatalf("window = %d", p.window)
 	}
 }
 
@@ -379,7 +379,7 @@ func TestMergeSingleIsIdentityShaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.NumBranches() != orig.NumBranches() || merged.DynamicBranches() != orig.DynamicBranches() {
+	if merged.NumBranches() != orig.NumBranches() || !slices.Equal(merged.Exec, orig.Exec) {
 		t.Fatal("single merge changed totals")
 	}
 }
@@ -392,11 +392,19 @@ func TestSortedPairsOrdering(t *testing.T) {
 	}
 	pcs = append(pcs, 12, 4, 12, 4)
 	feed(p, pcs...)
-	pairs := p.Profile().SortedPairs()
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].Count > pairs[i-1].Count {
-			t.Fatal("SortedPairs not descending")
+	// Range runs in rows of ascending smaller id, each pair once.
+	seen := make(map[uint64]bool)
+	row := int32(0)
+	p.Profile().Pairs.Range(func(k, _ uint64) bool {
+		a, b := UnpackPair(k)
+		if a < row || a >= b || seen[k] {
+			t.Fatalf("pair (%d,%d) out of row order, unordered or repeated", a, b)
 		}
+		row, seen[k] = a, true
+		return true
+	})
+	if len(seen) != 2 { // 4 with 8, and 4 with 12
+		t.Fatalf("%d distinct pairs, want 2", len(seen))
 	}
 }
 

@@ -222,9 +222,6 @@ func (p *Profiler) Reserve(n int) {
 	p.list, p.off = list, n
 }
 
-// Window returns the configured scan window (0 = unbounded).
-func (p *Profiler) Window() int { return p.window }
-
 // Branch consumes one dynamic branch event: first-touch discovery,
 // execution counters, the recency-list interleaving scan (the
 // pair-increment inner loop), and the move-to-front update. It panics
@@ -501,7 +498,7 @@ type NaiveProfiler struct {
 }
 
 // NewNaiveProfiler returns the reference profiler.
-func NewNaiveProfiler(benchmark, inputSet string) *NaiveProfiler {
+func NewNaiveProfiler(benchmark, inputSet string) *NaiveProfiler { //reprolint:allow testonly reference profiler the differential tests compare against
 	return &NaiveProfiler{
 		benchmark: benchmark,
 		inputSet:  inputSet,
@@ -552,7 +549,7 @@ func (p *NaiveProfiler) newID(pc uint64) int32 {
 
 // Profile extracts the accumulated profile. Its pairs are listed in
 // ascending key order.
-func (p *NaiveProfiler) Profile() *Profile {
+func (p *NaiveProfiler) Profile() *Profile { //reprolint:allow testonly reference profiler the differential tests compare against
 	keys := make([]uint64, 0, len(p.pairs))
 	for k := range p.pairs {
 		keys = append(keys, k)

@@ -27,17 +27,6 @@ type Report struct {
 	Facts *Facts
 }
 
-// Failed reports whether any finding fails the check (severity error
-// or warn).
-func (r *Report) Failed() bool {
-	for _, f := range r.Findings {
-		if f.Severity.Fails() {
-			return true
-		}
-	}
-	return false
-}
-
 // checker carries the per-program analysis state while findings are
 // collected.
 type checker struct {

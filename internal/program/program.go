@@ -133,9 +133,6 @@ func (b *Builder) setErr(format string, args ...any) {
 	}
 }
 
-// Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.code) }
-
 // ReserveMem ensures the program's data memory is at least words words.
 func (b *Builder) ReserveMem(words int) {
 	if words > b.memWords {

@@ -107,8 +107,8 @@ func TestBuilderErrSticks(t *testing.T) {
 	if b.Err() == nil {
 		t.Fatal("Err() nil after double bind")
 	}
-	if b.Len() != 0 {
-		t.Fatalf("emits after error were not ignored: len=%d", b.Len())
+	if len(b.code) != 0 {
+		t.Fatalf("emits after error were not ignored: len=%d", len(b.code))
 	}
 }
 

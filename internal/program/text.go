@@ -31,7 +31,7 @@ import (
 )
 
 // Format renders p as parseable assembly text.
-func Format(p *Program) string {
+func Format(p *Program) string { //reprolint:allow testonly the printer the Parse round-trip tests invert
 	// Collect every control-transfer target so it gets a label.
 	targets := make(map[int]string)
 	addTarget := func(idx int) {
@@ -83,12 +83,6 @@ func Format(p *Program) string {
 		}
 	}
 	return b.String()
-}
-
-// WriteTo writes the formatted program to w.
-func WriteTo(w io.Writer, p *Program) error {
-	_, err := io.WriteString(w, Format(p))
-	return err
 }
 
 // ParseString assembles src; a convenience wrapper over Parse.

@@ -198,14 +198,3 @@ func TestFormatIsStable(t *testing.T) {
 		t.Fatal("format not deterministic")
 	}
 }
-
-func TestWriteTo(t *testing.T) {
-	p := parseString(t, "\thalt\n")
-	var sb strings.Builder
-	if err := WriteTo(&sb, p); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "halt") {
-		t.Fatal("WriteTo lost content")
-	}
-}

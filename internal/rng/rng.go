@@ -63,9 +63,6 @@ func (x *Xoshiro256) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32-bit value.
-func (x *Xoshiro256) Uint32() uint32 { return uint32(x.Uint64() >> 32) }
-
 // Intn returns a value uniformly distributed in [0, n). It panics if
 // n <= 0. The implementation uses Lemire's multiply-shift reduction,
 // accepting its negligible bias in exchange for determinism and speed.
@@ -105,26 +102,6 @@ func (x *Xoshiro256) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p (the count of failures before the first success). It is
-// used to generate heavy-tailed loop trip counts.
-func (x *Xoshiro256) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric with non-positive p")
-	}
-	n := 0
-	for !x.Bool(p) {
-		n++
-		if n >= 1<<20 { // safety bound; p is never tiny in practice
-			break
-		}
-	}
-	return n
 }
 
 // Zipf samples ranks in [0, n) with a Zipf-like distribution of exponent

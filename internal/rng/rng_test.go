@@ -184,32 +184,6 @@ func TestPermProperty(t *testing.T) {
 	}
 }
 
-func TestGeometricBasic(t *testing.T) {
-	r := New(31)
-	if g := r.Geometric(1); g != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", g)
-	}
-	sum := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += r.Geometric(0.5)
-	}
-	mean := float64(sum) / n
-	// Mean of failures-before-success at p=0.5 is (1-p)/p = 1.
-	if math.Abs(mean-1) > 0.05 {
-		t.Fatalf("Geometric(0.5) mean %v, want ~1", mean)
-	}
-}
-
-func TestGeometricPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
-		}
-	}()
-	New(1).Geometric(0)
-}
-
 func TestZipfRange(t *testing.T) {
 	r := New(37)
 	z := NewZipf(r, 10, 1.0)
@@ -245,15 +219,4 @@ func TestZipfPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	NewZipf(New(1), 0, 1)
-}
-
-func TestUint32NotConstant(t *testing.T) {
-	r := New(43)
-	first := r.Uint32()
-	for i := 0; i < 10; i++ {
-		if r.Uint32() != first {
-			return
-		}
-	}
-	t.Fatal("Uint32 appears constant")
 }

@@ -63,7 +63,7 @@ type Bias uint8
 
 const (
 	// BiasUnknown means no idiom matched; the branch is estimated mixed.
-	BiasUnknown Bias = iota
+	BiasUnknown Bias = iota //reprolint:allow testonly the implicit zero value of Bias
 	// BiasTaken marks loop-closing induction-variable compares: a
 	// backward branch to a containing loop's header testing a register
 	// the loop itself increments or decrements. Such branches are taken

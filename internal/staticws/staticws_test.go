@@ -130,9 +130,10 @@ func TestFixtureConflicts(t *testing.T) {
 		profile.PairKey(leaf1, leaf2): Weight(1),
 	}
 	got := map[uint64]uint64{}
-	for _, pc := range est.Profile.SortedPairs() {
-		got[profile.PairKey(pc.A, pc.B)] = pc.Count
-	}
+	est.Profile.Pairs.Range(func(k, w uint64) bool {
+		got[k] = w
+		return true
+	})
 	if !reflect.DeepEqual(got, wantPairs) {
 		t.Errorf("static pairs = %v, want %v", got, wantPairs)
 	}
@@ -229,9 +230,10 @@ func TestNestedDepthWeights(t *testing.T) {
 		profile.PairKey(outerLatch, innerLatch): Weight(1),
 	}
 	got := map[uint64]uint64{}
-	for _, pc := range est.Profile.SortedPairs() {
-		got[profile.PairKey(pc.A, pc.B)] = pc.Count
-	}
+	est.Profile.Pairs.Range(func(k, w uint64) bool {
+		got[k] = w
+		return true
+	})
 	if !reflect.DeepEqual(got, wantPairs) {
 		t.Errorf("static pairs = %v, want %v", got, wantPairs)
 	}
@@ -381,7 +383,7 @@ func TestDeterminism(t *testing.T) {
 		!reflect.DeepEqual(a.Profile.Taken, b.Profile.Taken) {
 		t.Fatal("static profiles diverge between runs")
 	}
-	if !reflect.DeepEqual(a.Profile.SortedPairs(), b.Profile.SortedPairs()) {
+	if !reflect.DeepEqual(a.Profile.Pairs, b.Profile.Pairs) {
 		t.Fatal("static pair weights diverge between runs")
 	}
 	if !reflect.DeepEqual(a.Depth, b.Depth) || !reflect.DeepEqual(a.Bias, b.Bias) {
@@ -443,9 +445,10 @@ func TestAnalyzeFactsPrune(t *testing.T) {
 		profile.PairKey(latch, leaf2): Weight(1),
 	}
 	got := map[uint64]uint64{}
-	for _, pc := range est.Profile.SortedPairs() {
-		got[profile.PairKey(pc.A, pc.B)] = pc.Count
-	}
+	est.Profile.Pairs.Range(func(k, w uint64) bool {
+		got[k] = w
+		return true
+	})
 	if !reflect.DeepEqual(got, wantPairs) {
 		t.Errorf("pruned pairs = %v, want %v", got, wantPairs)
 	}

@@ -132,7 +132,7 @@ func (s Spec) drawSites(r *rng.Xoshiro256) []branchSite {
 			// Mostly short, local-history-predictable periods; a tail
 			// of longer loop-exit style periods.
 			var m int
-			if r.Float64() < 0.8 {
+			if r.Bool(0.8) {
 				m = 2 + r.Intn(9) // 2..10
 			} else {
 				m = 16 + r.Intn(33) // 16..48

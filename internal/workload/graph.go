@@ -45,12 +45,6 @@ const (
 	KernelTri = "tri" // degree-threshold triangle counting
 )
 
-// GraphKinds returns the generator kinds in canonical order.
-func GraphKinds() []string { return []string{GraphUniform, GraphPowerLaw, GraphGrid} }
-
-// GraphKernels returns the kernel names in canonical order.
-func GraphKernels() []string { return []string{KernelBFS, KernelCC, KernelTri} }
-
 // maxGraphNodes bounds generated graphs so that fuzzed specs cannot
 // demand gigabyte adjacency matrices (the triangle kernel materializes
 // an n×n matrix in VM memory).
@@ -221,8 +215,6 @@ type csrGraph struct {
 	off []int32 // n+1 entries, off[n] == len(adj)
 	adj []int32
 }
-
-func (c csrGraph) edges() int { return len(c.adj) / 2 }
 
 // isqrt returns the integer square root of n.
 func isqrt(n int) int {

@@ -189,8 +189,8 @@ func TestGraphValidateRejects(t *testing.T) {
 // shared normalization of the quick property and the native fuzz
 // target.
 func quickGraphSpec(kind, kernel uint8, nodes, degree uint16, seed uint64, avoiding bool, threshold uint8) GraphSpec {
-	kinds := GraphKinds()
-	kernels := GraphKernels()
+	kinds := []string{GraphUniform, GraphPowerLaw, GraphGrid}
+	kernels := []string{KernelBFS, KernelCC, KernelTri}
 	g := GraphSpec{
 		Kind:     kinds[int(kind)%len(kinds)],
 		Kernel:   kernels[int(kernel)%len(kernels)],

@@ -69,9 +69,6 @@ type BiasMix struct {
 	Random float64
 }
 
-// DefaultMix is a population typical of integer code.
-var DefaultMix = BiasMix{BiasedTaken: 0.30, BiasedNotTaken: 0.20, Periodic: 0.38, Random: 0.12}
-
 // Spec parameterizes one synthetic benchmark.
 type Spec struct {
 	// Name is the benchmark identity (matches the paper's Table 1).
