@@ -1,4 +1,4 @@
-// Command branchsim is the study's sim-bpred analogue: it replays a
+// Command branchsim is the study's sim-bpred analogue: it runs a
 // benchmark's branch stream through one or more predictors and reports
 // misprediction rates.
 //
@@ -8,16 +8,20 @@
 //	          [-bht 1024] [-pht 4096] [-alloc-size 1024] [-classify]
 //	          [-tail n] [-cpuprofile f] [-memprofile f]
 //
-// The pag-alloc predictor first profiles the same run and builds a
-// branch allocation, mirroring the paper's compile-time flow. -tail n
-// prints the last n branch events of the stream (a bounded ring, so it
-// costs O(n) memory regardless of run length).
+// The benchmark executes twice, mirroring the paper's separate
+// profiling and sim-bpred runs: the first run gathers per-branch
+// statistics (for the profile-guided static predictor) and, when
+// pag-alloc is listed, the interleave profile its branch allocation is
+// built from; the second drives every predictor at once. -tail n prints
+// the last n branch events of the stream (a bounded ring, so it costs
+// O(n) memory regardless of run length).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -25,6 +29,7 @@ import (
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -75,26 +80,48 @@ func run(bench, input string, scale float64, predictors string, bht, pht, allocS
 		return err
 	}
 
-	tr, stats, err := spec.Run(workload.RunConfig{Input: in, Scale: scale})
+	names := strings.Split(predictors, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	runCfg := workload.RunConfig{Input: in, Scale: scale}
+	var freq trace.FreqCounter
+	var profiler *profile.Profiler
+	var sink vm.BranchSink = &freq
+	if slices.Contains(names, "pag-alloc") {
+		profiler = profile.NewProfiler(spec.Name, in.Name)
+		sink = vm.MultiSink{&freq, profiler}
+	}
+	stats, err := spec.RunInto(runCfg, sink)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s/%s: %d instructions, %d conditional branches (%.1f%% taken)\n",
 		bench, in.Name, stats.Instructions, stats.CondBranches, 100*stats.TakenRate())
+	var prof *profile.Profile
+	if profiler != nil {
+		profiler.SetInstructions(stats.Instructions)
+		prof = profiler.Profile()
+	}
 
 	var sims []*predict.Sim
-	for _, name := range strings.Split(predictors, ",") {
-		p, err := buildPredictor(strings.TrimSpace(name), tr, bht, pht, allocSize, useClass, bimodalN)
+	var sinks vm.MultiSink
+	for _, name := range names {
+		p, err := buildPredictor(name, &freq, prof, bht, pht, allocSize, useClass, bimodalN)
 		if err != nil {
 			return err
 		}
-		sims = append(sims, predict.NewSim(p))
+		sim := predict.NewSim(p)
+		sims = append(sims, sim)
+		sinks = append(sinks, sim)
 	}
-
-	for _, e := range tr.Events {
-		for _, s := range sims {
-			s.Branch(e.PC, e.Taken, e.ICount)
-		}
+	var ring *trace.Ring
+	if tail > 0 {
+		ring = trace.NewRing(tail)
+		sinks = append(sinks, ring)
+	}
+	if _, err := spec.RunInto(runCfg, sinks); err != nil {
+		return err
 	}
 
 	fmt.Println()
@@ -103,9 +130,7 @@ func run(bench, input string, scale float64, predictors string, bht, pht, allocS
 		fmt.Printf("%-40s mispredict %.4f  (%d/%d)\n", r.Name, r.Rate(), r.Mispredicts, r.Branches)
 	}
 
-	if tail > 0 {
-		ring := trace.NewRing(tail)
-		tr.Replay(ring)
+	if ring != nil {
 		fmt.Printf("\nlast %d of %d branch events:\n", len(ring.Tail()), ring.Total())
 		for _, e := range ring.Tail() {
 			fmt.Printf("  icount=%-12d pc=%#x taken=%v\n", e.ICount, e.PC, e.Taken)
@@ -114,14 +139,16 @@ func run(bench, input string, scale float64, predictors string, bht, pht, allocS
 	return nil
 }
 
-func buildPredictor(name string, tr *trace.Trace, bht, pht, allocSize int, useClass bool, bimodalN int) (predict.Predictor, error) {
+// buildPredictor builds the named predictor. freq holds the first
+// run's per-branch statistics; prof is that run's interleave profile,
+// non-nil whenever pag-alloc is among the predictors.
+func buildPredictor(name string, freq *trace.FreqCounter, prof *profile.Profile, bht, pht, allocSize int, useClass bool, bimodalN int) (predict.Predictor, error) {
 	switch name {
 	case "pag":
 		return predict.NewPAg(predict.PCModIndexer{Entries: bht}, pht)
 	case "pag-ideal":
 		return predict.NewPAg(predict.NewIdealIndexer(), pht)
 	case "pag-alloc":
-		prof := profileOf(tr)
 		alloc, err := core.Allocate(prof, core.AllocationConfig{
 			TableSize:         allocSize,
 			UseClassification: useClass,
@@ -138,7 +165,7 @@ func buildPredictor(name string, tr *trace.Trace, bht, pht, allocSize int, useCl
 		return predict.NewGAg(pht)
 	case "static":
 		dirs := make(map[uint64]bool)
-		for _, st := range tr.Stats() {
+		for _, st := range freq.Stats() {
 			dirs[st.PC] = st.TakenRate() >= 0.5
 		}
 		return predict.NewProfileStatic(dirs), nil
@@ -146,13 +173,4 @@ func buildPredictor(name string, tr *trace.Trace, bht, pht, allocSize int, useCl
 		return predict.AlwaysTaken{}, nil
 	}
 	return nil, fmt.Errorf("unknown predictor %q", name)
-}
-
-// profileOf runs the interleave profiler over the recorded trace — the
-// paper's profile pass, reusing the same run the evaluation replays.
-func profileOf(tr *trace.Trace) *profile.Profile {
-	p := profile.NewProfiler(tr.Benchmark, tr.InputSet)
-	tr.Replay(p)
-	p.SetInstructions(tr.Instructions)
-	return p.Profile()
 }

@@ -1,17 +1,19 @@
 // Command wsanalyze runs branch working set analysis (paper Section 4)
-// on a built-in benchmark or a recorded trace file.
+// on a built-in benchmark or an assembly program.
 //
 // Usage:
 //
 //	wsanalyze -bench gcc [-input ref] [-scale f] [-threshold n]
 //	          [-window n] [-definition cliques|partition]
 //	          [-top n] [-charact] [-cpuprofile f] [-memprofile f]
-//	wsanalyze -trace file.bwt [-threshold n] ...
 //	wsanalyze -program file.s [-input ref] ...
 //	wsanalyze -static -bench gcc ...
 //
-// It prints the working-set summary (the benchmark's Table 2 row) and
-// the largest sets, and can dump the recorded trace with -save.
+// It executes the program twice, as the experiment harness does: a
+// frequency pre-count selects the analyzed branches, and a second run
+// streams their events into the interleave profiler. It prints the
+// working-set summary (the benchmark's Table 2 row) and the largest
+// sets.
 // -charact appends the predictability characterization: the stream's
 // mean direction entropy before and after history conditioning, and a
 // per-branch bias/entropy line for the -top hottest branches.
@@ -46,9 +48,7 @@ func main() {
 		bench       = flag.String("bench", "", "built-in benchmark to run (see -list)")
 		input       = flag.String("input", "ref", "input set: ref, a, or b")
 		scale       = flag.Float64("scale", 1.0, "workload scale factor")
-		traceFile   = flag.String("trace", "", "analyze a recorded trace file instead of running a benchmark")
 		programFile = flag.String("program", "", "run and analyze an assembly program file instead of a built-in benchmark")
-		save        = flag.String("save", "", "save the recorded trace to this file")
 		threshold   = flag.Uint64("threshold", core.DefaultThreshold, "conflict edge pruning threshold")
 		window      = flag.Int("window", 0, "interleave scan window (0 = exact/unbounded)")
 		definition  = flag.String("definition", "cliques", "working-set definition: cliques or partition")
@@ -88,8 +88,8 @@ func main() {
 	}
 	if err := run(runOpts{
 		bench: *bench, input: *input, scale: *scale,
-		traceFile: *traceFile, programFile: *programFile, save: *save,
-		threshold: *threshold, window: *window,
+		programFile: *programFile,
+		threshold:   *threshold, window: *window,
 		definition: *definition, top: *top, coverage: *coverage,
 		check: *check, corrupt: *corrupt, static: *static,
 		charact: *charFlag, progCheck: *progCheck,
@@ -105,120 +105,110 @@ func main() {
 }
 
 // runOpts carries the CLI flags into run, keeping run testable without
-// a 17-way positional signature.
+// a 14-way positional signature.
 type runOpts struct {
-	bench, input                 string
-	scale                        float64
-	traceFile, programFile, save string
-	threshold                    uint64
-	window                       int
-	definition                   string
-	top                          int
-	coverage                     float64
-	check                        bool
-	corrupt                      string
-	static                       bool
-	charact                      bool
-	progCheck                    bool
+	bench, input string
+	scale        float64
+	programFile  string
+	threshold    uint64
+	window       int
+	definition   string
+	top          int
+	coverage     float64
+	check        bool
+	corrupt      string
+	static       bool
+	charact      bool
+	progCheck    bool
 }
 
-func loadTrace(o runOpts, m *obs.Metrics) (*trace.Trace, float64, error) {
-	coverage := o.coverage
-	if o.programFile != "" {
-		prog, err := buildProgram(o)
-		if err != nil {
-			return nil, 0, err
-		}
-		in, err := workload.InputByName(o.input)
-		if err != nil {
-			return nil, 0, err
-		}
-		rec := trace.NewRecorder(prog.Name, in.Name)
-		stats, err := vm.Run(prog, vm.Config{DataSeed: in.Seed, Sink: rec, Metrics: m.VM()})
-		if err != nil {
-			return nil, 0, err
-		}
-		if coverage == 0 {
-			coverage = 1.0
-		}
-		return rec.Finish(stats.Instructions), coverage, nil
-	}
-	if o.traceFile != "" {
-		f, err := os.Open(o.traceFile)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer f.Close()
-		tr, err := trace.Read(f)
-		if err != nil {
-			return nil, 0, err
-		}
-		if coverage == 0 {
-			coverage = 1.0
-		}
-		return tr, coverage, nil
-	}
-	if o.bench == "" {
-		return nil, 0, fmt.Errorf("need -bench, -trace, or -program (try -list)")
-	}
-	spec, err := workload.ByName(o.bench)
-	if err != nil {
-		return nil, 0, err
-	}
+// target is the program under analysis and what its runs need.
+type target struct {
+	prog     *program.Program
+	input    workload.InputSet
+	name     string  // the run's name in reports
+	coverage float64 // frequency-filter coverage to analyze
+}
+
+// loadTarget loads the program under analysis: a parsed assembly file
+// with -program, or the built benchmark with -bench. A -coverage of 0
+// analyzes all of a -program file and a benchmark's Table 1 target.
+func loadTarget(o runOpts) (target, error) {
 	in, err := workload.InputByName(o.input)
 	if err != nil {
-		return nil, 0, err
+		return target{}, err
 	}
-	tr, _, err := spec.Run(workload.RunConfig{Input: in, Scale: o.scale, Metrics: m.VM()})
-	if err != nil {
-		return nil, 0, err
-	}
-	if o.save != "" {
-		f, err := os.Create(o.save)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := trace.Write(f, tr); err != nil {
-			_ = f.Close() // the Write failure is the error to report
-			return nil, 0, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, 0, err
-		}
-		fmt.Printf("trace saved to %s (%d events)\n", o.save, len(tr.Events))
-	}
-	if coverage == 0 {
-		coverage = spec.AnalyzeCoverage
-	}
-	return tr, coverage, nil
-}
-
-// buildProgram loads the program under analysis: a parsed assembly file
-// with -program, or the built benchmark program.
-func buildProgram(o runOpts) (*program.Program, error) {
+	t := target{input: in, coverage: o.coverage}
 	if o.programFile != "" {
 		f, err := os.Open(o.programFile)
 		if err != nil {
-			return nil, err
+			return target{}, err
 		}
-		prog, err := program.Parse(f)
+		t.prog, err = program.Parse(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		return prog, err
+		if err != nil {
+			return target{}, err
+		}
+		t.name = t.prog.Name
+		if t.coverage == 0 {
+			t.coverage = 1.0
+		}
+		return t, nil
 	}
 	if o.bench == "" {
-		return nil, fmt.Errorf("need -bench or -program (try -list)")
+		return target{}, fmt.Errorf("need -bench or -program (try -list)")
 	}
 	spec, err := workload.ByName(o.bench)
 	if err != nil {
-		return nil, err
+		return target{}, err
 	}
-	in, err := workload.InputByName(o.input)
+	t.name = spec.Name
+	if t.coverage == 0 {
+		t.coverage = spec.AnalyzeCoverage
+	}
+	t.prog, err = spec.Build(in, o.scale)
+	return t, err
+}
+
+// profileRun executes t twice: a frequency pre-count selects the
+// branches covering the requested fraction of the stream, then a
+// second run streams their events into the profiler and, with
+// -charact, the characterization collector. The VM is deterministic,
+// so both runs deliver one stream; only the first counts toward the
+// VM metrics.
+func profileRun(o runOpts, t target, m *obs.Metrics) (*profile.Profile, *charact.Collector, error) {
+	var freq trace.FreqCounter
+	stats, err := vm.Run(t.prog, vm.Config{DataSeed: t.input.Seed, Sink: &freq, Metrics: m.VM()})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return spec.Build(in, o.scale)
+	filter := trace.FilterByCoverage(freq.Stats(), t.coverage)
+	fmt.Printf("benchmark %s (input %s): %d dynamic branches, %d static\n",
+		t.name, t.input.Name, filter.DynamicTotal, filter.StaticTotal)
+	fmt.Printf("analyzed: %d dynamic (%.2f%%), %d static\n",
+		filter.DynamicKept, 100*filter.Coverage(), filter.StaticKept)
+
+	opts := []profile.Option{profile.WithMetrics(m.Profile())}
+	if o.window > 0 {
+		opts = append(opts, profile.WithWindow(o.window))
+		fmt.Printf("interleave scan window: %d (bounded approximation)\n", o.window)
+	}
+	p := profile.NewProfiler(t.name, t.input.Name, opts...)
+	var sink vm.BranchSink = p
+	var col *charact.Collector
+	if o.charact {
+		// The collector rides the very stream the profiler consumes,
+		// so the characterization describes the analyzed branches.
+		col = charact.NewCollector()
+		sink = vm.MultiSink{p, col}
+	}
+	if _, err := vm.Run(t.prog, vm.Config{DataSeed: t.input.Seed, Sink: trace.NewFilterSink(filter.Keep, sink)}); err != nil {
+		return nil, nil, err
+	}
+	p.SetInstructions(stats.Instructions)
+	return p.Profile(), col, nil
 }
 
 func run(o runOpts, reg *obs.Registry) error {
@@ -244,18 +234,16 @@ func run(o runOpts, reg *obs.Registry) error {
 		threshold = core.DefaultThreshold
 	}
 
-	// -progcheck gates every path that has a program to verify; a
-	// recorded trace has none.
+	if o.static && o.charact {
+		return fmt.Errorf("-charact needs an executed branch stream; drop -static")
+	}
+	t, err := loadTarget(o)
+	if err != nil {
+		return err
+	}
 	var facts *progcheck.Facts
 	if o.progCheck {
-		if o.traceFile != "" {
-			return fmt.Errorf("-progcheck verifies a program, not a recorded trace")
-		}
-		prog, err := buildProgram(o)
-		if err != nil {
-			return err
-		}
-		report, err := progcheck.Gate(os.Stdout, prog)
+		report, err := progcheck.Gate(os.Stdout, t.prog)
 		if err != nil {
 			return err
 		}
@@ -265,23 +253,13 @@ func run(o runOpts, reg *obs.Registry) error {
 	var prof *profile.Profile
 	var col *charact.Collector
 	if o.static {
-		if o.traceFile != "" {
-			return fmt.Errorf("-static analyzes a program, not a recorded trace")
-		}
-		if o.charact {
-			return fmt.Errorf("-charact needs an executed branch stream; drop -static")
-		}
-		prog, err := buildProgram(o)
-		if err != nil {
-			return err
-		}
 		// Verifier facts, when present, prune resolved and dead branches
 		// from the compile-time conflict graph.
-		est, err := staticws.Analyze(prog, facts)
+		est, err := staticws.Analyze(t.prog, facts)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("benchmark %s: compile-time analysis, no execution\n", prog.Name)
+		fmt.Printf("benchmark %s: compile-time analysis, no execution\n", t.prog.Name)
 		fmt.Println(est.CFG)
 		fmt.Printf("loops: %d\n", len(est.Forest.Loops))
 		fmt.Println(est.Describe())
@@ -290,34 +268,8 @@ func run(o runOpts, reg *obs.Registry) error {
 				est.PrunedResolved, est.PrunedDead)
 		}
 		prof = est.Profile
-	} else {
-		tr, cov, err := loadTrace(o, m)
-		if err != nil {
-			return err
-		}
-
-		filter := trace.FilterByCoverage(tr.Stats(), cov)
-		fmt.Printf("benchmark %s (input %s): %d dynamic branches, %d static\n",
-			tr.Benchmark, tr.InputSet, filter.DynamicTotal, filter.StaticTotal)
-		fmt.Printf("analyzed: %d dynamic (%.2f%%), %d static\n",
-			filter.DynamicKept, 100*filter.Coverage(), filter.StaticKept)
-
-		opts := []profile.Option{profile.WithMetrics(m.Profile())}
-		if o.window > 0 {
-			opts = append(opts, profile.WithWindow(o.window))
-			fmt.Printf("interleave scan window: %d (bounded approximation)\n", o.window)
-		}
-		p := profile.NewProfiler(tr.Benchmark, tr.InputSet, opts...)
-		var sink vm.BranchSink = p
-		if o.charact {
-			// The collector rides the very stream the profiler consumes,
-			// so the characterization describes the analyzed branches.
-			col = charact.NewCollector()
-			sink = vm.MultiSink{p, col}
-		}
-		tr.Replay(trace.NewFilterSink(filter.Keep, sink))
-		p.SetInstructions(tr.Instructions)
-		prof = p.Profile()
+	} else if prof, col, err = profileRun(o, t, m); err != nil {
+		return err
 	}
 
 	res, err := core.Analyze(prof, core.AnalysisConfig{

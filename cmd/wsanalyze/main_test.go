@@ -138,15 +138,6 @@ func TestGoldenStaticBench(t *testing.T) {
 	checkGolden(t, "bench_li_static.golden", out)
 }
 
-// TestStaticRejectsTrace: a recorded trace has no program structure to
-// analyze statically.
-func TestStaticRejectsTrace(t *testing.T) {
-	err := run(runOpts{input: "ref", scale: 1.0, traceFile: "some.bwt", definition: "cliques", top: 3, static: true}, nil)
-	if err == nil {
-		t.Fatal("-static -trace unexpectedly succeeded")
-	}
-}
-
 // TestRejectsCoverageOutOfRange: a coverage fraction outside [0, 1], or
 // NaN, is an error rather than a silent full-coverage analysis.
 func TestRejectsCoverageOutOfRange(t *testing.T) {
@@ -227,12 +218,4 @@ func TestGoldenStaticProgcheck(t *testing.T) {
 		return run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", definition: "cliques", top: 3, static: true, progCheck: true}, nil)
 	})
 	checkGolden(t, "program_static_progcheck.golden", out)
-}
-
-// TestProgcheckRejectsTrace: a recorded trace has no program to verify.
-func TestProgcheckRejectsTrace(t *testing.T) {
-	err := run(runOpts{input: "ref", scale: 1.0, traceFile: "some.bwt", definition: "cliques", top: 3, progCheck: true}, nil)
-	if err == nil {
-		t.Fatal("-progcheck -trace unexpectedly succeeded")
-	}
 }

@@ -399,6 +399,75 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestQueueCapRejectsFlood holds every run slot busy, then submits
+// maxQueuedJobs+k more jobs: exactly k are refused with 429 and a
+// Retry-After, and every accepted job finishes once the slots free up.
+func TestQueueCapRejectsFlood(t *testing.T) {
+	const maxConcurrent, k = 2, 3
+	reg := obs.NewRegistry()
+	srv := newServer(reg, maxConcurrent)
+	started := make(chan string, maxConcurrent+maxQueuedJobs+k)
+	release := make(chan struct{})
+	srv.startHook = func(id string) {
+		started <- id
+		<-release
+	}
+	ts := newTestService(t, srv)
+	req := analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1}
+
+	var accepted []string
+	for range maxConcurrent {
+		accepted = append(accepted, submit(t, ts, req))
+	}
+	for range maxConcurrent {
+		select {
+		case <-started:
+		case <-time.After(30 * time.Second):
+			t.Fatal("running jobs never started")
+		}
+	}
+	rejected := 0
+	for range maxQueuedJobs + k {
+		resp, body := postJSON(t, ts.URL+"/analyze", req)
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			var acc struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(body, &acc); err != nil {
+				t.Fatal(err)
+			}
+			accepted = append(accepted, acc.ID)
+		case http.StatusTooManyRequests:
+			rejected++
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("429 without a Retry-After header")
+			}
+		default:
+			t.Fatalf("submit: status %d, body %s", resp.StatusCode, body)
+		}
+	}
+	if rejected != k {
+		t.Errorf("%d submissions refused, want %d", rejected, k)
+	}
+	if got := reg.Counter("wsd_jobs_rejected_total").Value(); got != k {
+		t.Errorf("rejected counter = %d, want %d", got, k)
+	}
+
+	close(release)
+	srv.waitIdle()
+	for _, id := range accepted {
+		var j job
+		getJSON(t, ts.URL+"/jobs/"+id, &j)
+		if j.Status != "done" {
+			t.Errorf("job %s: status %q (%s), want done", id, j.Status, j.Error)
+		}
+	}
+	if got := reg.Gauge("wsd_jobs_queued").Value(); got != 0 {
+		t.Errorf("queued gauge = %d after the flood drained, want 0", got)
+	}
+}
+
 // TestPanickingJobFailsAlone injects a panic through the start hook:
 // the job must read failed with the panic text and be counted, and the
 // server must keep running jobs and answering /healthz.

@@ -217,6 +217,11 @@ type job struct {
 // are never evicted.
 const maxFinishedJobs = 256
 
+// maxQueuedJobs caps the accepted jobs waiting for a run slot. Past it a
+// submission is refused with 429 and a Retry-After, so a flood of POSTs
+// cannot grow the job records and their goroutines without bound.
+const maxQueuedJobs = 64
+
 // server is the wsanalyzed HTTP service: it accepts analysis jobs, runs
 // them on the instrumented harness with bounded concurrency, and serves
 // job state plus the metrics registry.
@@ -345,9 +350,9 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The draining check, the job registration, and the WaitGroup add
-	// happen under one lock so a drainer that has observed "draining set"
-	// can rely on wg covering every accepted job.
+	// The draining check, the queue cap, the job registration, and the
+	// WaitGroup add happen under one lock so a drainer that has observed
+	// "draining set" can rely on wg covering every accepted job.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -355,6 +360,17 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining; not accepting jobs"})
 		return
 	}
+	// The queued gauge rises only here, under s.mu, so the cap holds;
+	// runJob lowers it as each job takes a run slot.
+	if s.queued.Value() >= maxQueuedJobs {
+		s.mu.Unlock()
+		s.rejected.Inc()
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, errorBody{
+			Error: fmt.Sprintf("%d jobs already queued; retry later", maxQueuedJobs)})
+		return
+	}
+	s.queued.Add(1)
 	s.nextID++
 	j := &job{ID: fmt.Sprintf("job-%d", s.nextID), Status: "queued", Req: req, seq: s.nextID}
 	s.jobs[j.ID] = j
@@ -362,7 +378,6 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	s.submitted.Inc()
-	s.queued.Add(1)
 	go s.runJob(j)
 
 	writeJSON(w, http.StatusAccepted, struct {

@@ -232,6 +232,10 @@ func TestFinishedJobsEvicted(t *testing.T) {
 	const extra = 5
 	ids := make([]string, maxFinishedJobs+extra)
 	for i := range ids {
+		// One run slot is free; stay under the queue cap while it drains.
+		for reg.Gauge("wsd_jobs_queued").Value() >= maxQueuedJobs {
+			time.Sleep(time.Millisecond)
+		}
 		ids[i] = submit(t, ts, analyzeRequest{Kind: "progcheck", Program: prog})
 	}
 	for deadline := time.Now().Add(60 * time.Second); counter(reg, "wsd_jobs_completed_total") < uint64(len(ids)); {

@@ -19,8 +19,8 @@
 //   - internal/workload: a 13-benchmark synthetic suite whose
 //     control-flow shape is tuned to the paper's SPECint95/UNIX
 //     measurements;
-//   - internal/trace, internal/profile: branch traces and the
-//     interleave profiler;
+//   - internal/trace, internal/profile: the branch event stream's
+//     frequency filter and the interleave profiler;
 //   - internal/graph, internal/classify, internal/core: the conflict
 //     graph, taken-rate classification, working-set analysis and the
 //     branch allocator (the paper's contribution);
@@ -28,9 +28,11 @@
 //     indexing;
 //   - internal/harness: the experiment definitions;
 //   - cmd/tables, cmd/wsanalyze, cmd/allocate, cmd/branchsim: CLIs;
-//   - examples/: runnable walkthroughs of the public API.
+//   - examples/: runnable walkthroughs that drive those packages
+//     directly.
 //
-// This package is a thin facade over those pieces for programmatic use;
-// see api.go. Start with README.md, DESIGN.md (system inventory and
-// per-experiment index) and EXPERIMENTS.md (paper-vs-measured results).
+// This package holds no code: only this overview and the end-to-end
+// tests that walk the pipeline across the packages above. Start with
+// README.md, DESIGN.md (system inventory and per-experiment index) and
+// EXPERIMENTS.md (paper-vs-measured results).
 package repro

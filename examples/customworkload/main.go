@@ -9,11 +9,11 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/program"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -98,22 +98,20 @@ func main() {
 	fmt.Printf("built %q: %d instructions, %d static conditional branches\n",
 		prog.Name, len(prog.Code), prog.NumCondBranches())
 
-	// Run with a recorder and an online profiler attached at once.
-	rec := trace.NewRecorder(prog.Name, "demo")
-	prof := profile.NewProfiler(prog.Name, "demo")
-	stats, err := vm.Run(prog, vm.Config{
-		DataSeed: 42,
-		Sink:     vm.MultiSink{rec, prof},
-	})
+	// The profiling run: the online interleave profiler rides the
+	// execution.
+	const seed = 42
+	profiler := profile.NewProfiler(prog.Name, "demo")
+	stats, err := vm.Run(prog, vm.Config{DataSeed: seed, Sink: profiler})
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof.SetInstructions(stats.Instructions)
-	tr := rec.Finish(stats.Instructions)
+	profiler.SetInstructions(stats.Instructions)
+	prof := profiler.Profile()
 	fmt.Printf("executed %d instructions, %d branches (%.1f%% taken)\n",
 		stats.Instructions, stats.CondBranches, 100*stats.TakenRate())
 
-	analysis, err := repro.Analyze(prof.Profile(), repro.AnalysisConfig{})
+	analysis, err := core.Analyze(prof, core.AnalysisConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -124,18 +122,24 @@ func main() {
 	}
 
 	// A small allocated BHT suffices for two ~25-branch working sets.
-	alloc, err := repro.Allocate(prof.Profile(), repro.AllocationConfig{TableSize: 64})
+	alloc, err := core.Allocate(prof, core.AllocationConfig{TableSize: 64})
 	if err != nil {
 		log.Fatal(err)
 	}
-	allocated, err := repro.SimulatePAg(tr, 64, 1024, alloc)
+	// The evaluation run: the same seed replays the profiled stream
+	// through the conventional and the allocated PAg at once.
+	conv, err := predict.NewPAg(predict.PCModIndexer{Entries: 64}, 1024)
 	if err != nil {
 		log.Fatal(err)
 	}
-	conv, err := repro.SimulatePAg(tr, 64, 1024, nil)
+	allocated, err := predict.NewPAg(predict.AllocIndexer{Map: alloc.Map}, 1024)
 	if err != nil {
+		log.Fatal(err)
+	}
+	convSim, allocSim := predict.NewSim(conv), predict.NewSim(allocated)
+	if _, err := vm.Run(prog, vm.Config{DataSeed: seed, Sink: vm.MultiSink{convSim, allocSim}}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nPAg-64 conventional: %.4f mispredict, allocated: %.4f (conflict cost %d)\n",
-		conv.Rate(), allocated.Rate(), alloc.ConflictCost)
+		convSim.Result().Rate(), allocSim.Result().Rate(), alloc.ConflictCost)
 }

@@ -1,4 +1,4 @@
-// Predictor comparison: replays one benchmark's branch stream through
+// Predictor comparison: runs one benchmark's branch stream through
 // the whole predictor zoo — the paper's PAg configurations plus the
 // classic baselines its related-work section discusses (bimodal, GAg,
 // gshare, profile-guided static) — and prints a ranked accuracy table.
@@ -12,9 +12,12 @@ import (
 	"log"
 	"sort"
 
-	"repro"
 	"repro/internal/classify"
+	"repro/internal/core"
 	"repro/internal/predict"
+	"repro/internal/profile"
+	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 const (
@@ -24,22 +27,28 @@ const (
 )
 
 func main() {
-	tr, err := repro.Run(benchmark, repro.RunConfig{Scale: 0.5})
+	spec, err := workload.ByName(benchmark)
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec, err := repro.Benchmark(benchmark)
+	// The profiling run: a bounded scan window (2x the nominal working
+	// set) keeps profiling linear; see DESIGN.md on the approximation.
+	cfg := workload.RunConfig{Scale: 0.5}
+	profiler := profile.NewProfiler(spec.Name, workload.InputRef.Name,
+		profile.WithWindow(2*spec.WorkingSetSize()))
+	stats, err := spec.RunInto(cfg, profiler)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := repro.ProfileTrace(tr, 2*spec.WorkingSetSize())
-	fmt.Printf("%s: %d dynamic branches, %d static\n\n", benchmark, len(tr.Events), prof.NumBranches())
+	profiler.SetInstructions(stats.Instructions)
+	prof := profiler.Profile()
+	fmt.Printf("%s: %d dynamic branches, %d static\n\n", benchmark, stats.CondBranches, prof.NumBranches())
 
-	alloc, err := repro.Allocate(prof, repro.AllocationConfig{TableSize: bhtSize})
+	alloc, err := core.Allocate(prof, core.AllocationConfig{TableSize: bhtSize})
 	if err != nil {
 		log.Fatal(err)
 	}
-	classAlloc, err := repro.Allocate(prof, repro.AllocationConfig{TableSize: bhtSize, UseClassification: true})
+	classAlloc, err := core.Allocate(prof, core.AllocationConfig{TableSize: bhtSize, UseClassification: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,14 +91,16 @@ func main() {
 		predict.AlwaysTaken{},
 	}
 
+	// The evaluation run: the deterministic VM delivers the profiled
+	// stream again, to every predictor at once.
 	sims := make([]*predict.Sim, len(zoo))
+	sinks := make(vm.MultiSink, len(zoo))
 	for i, p := range zoo {
 		sims[i] = predict.NewSim(p)
+		sinks[i] = sims[i]
 	}
-	for _, e := range tr.Events {
-		for _, s := range sims {
-			s.Branch(e.PC, e.Taken, e.ICount)
-		}
+	if _, err := spec.RunInto(cfg, sinks); err != nil {
+		log.Fatal(err)
 	}
 
 	results := make([]predict.Result, len(sims))

@@ -14,76 +14,54 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/predict"
+	"repro/internal/profile"
+	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
-const benchmark = "ss"
+const (
+	benchmark = "ss"
+	scale     = 0.5
+	table     = 256
+)
 
 func main() {
-	scale := 0.5
-
-	trA, err := repro.Run(benchmark, repro.RunConfig{Input: repro.InputA, Scale: scale})
+	spec, err := workload.ByName(benchmark)
 	if err != nil {
 		log.Fatal(err)
 	}
-	trB, err := repro.Run(benchmark, repro.RunConfig{Input: repro.InputB, Scale: scale})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Profile each run. The bounded scan window (2x the nominal working
-	// set) keeps profiling linear on this large benchmark; see
-	// DESIGN.md on the approximation.
-	spec, err := repro.Benchmark(benchmark)
-	if err != nil {
-		log.Fatal(err)
-	}
-	window := 2 * spec.WorkingSetSize()
-	profA := repro.ProfileTrace(trA, window)
-	profB := repro.ProfileTrace(trB, window)
+	profA := profileRun(spec, workload.InputA)
+	profB := profileRun(spec, workload.InputB)
 	fmt.Printf("%s: input a profiles %d static branches, input b %d\n",
 		benchmark, profA.NumBranches(), profB.NumBranches())
 
-	merged, err := repro.MergeProfiles(profA, profB)
+	merged, err := profile.Merge(profA, profB)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("cumulative profile: %d static branches from %v\n\n",
 		merged.NumBranches(), merged.InputSets)
 
-	const table = 256
-	allocA, err := repro.Allocate(profA, repro.AllocationConfig{TableSize: table})
+	allocA, err := core.Allocate(profA, core.AllocationConfig{TableSize: table})
 	if err != nil {
 		log.Fatal(err)
 	}
-	allocMerged, err := repro.Allocate(merged, repro.AllocationConfig{TableSize: table})
+	allocMerged, err := core.Allocate(merged, core.AllocationConfig{TableSize: table})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	rate := func(tr *repro.Trace, alloc *repro.Allocation) float64 {
-		r, err := repro.SimulatePAg(tr, table, 4096, alloc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r.Rate()
-	}
-	conv := func(tr *repro.Trace) float64 {
-		r, err := repro.SimulatePAg(tr, table, 4096, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r.Rate()
-	}
+	conv := predict.PCModIndexer{Entries: table}
+	onA := simulate(spec, workload.InputA, conv, predict.AllocIndexer{Map: allocA.Map})
+	onB := simulate(spec, workload.InputB, conv, predict.AllocIndexer{Map: allocA.Map}, predict.AllocIndexer{Map: allocMerged.Map})
+	selfRate, crossRate, cumulRate := onA[1], onB[1], onB[2]
 
-	selfRate := rate(trA, allocA)
-	crossRate := rate(trB, allocA)
-	cumulRate := rate(trB, allocMerged)
-
-	fmt.Printf("conventional PAg-%d on input a:              %.4f\n", table, conv(trA))
+	fmt.Printf("conventional PAg-%d on input a:              %.4f\n", table, onA[0])
 	fmt.Printf("alloc(profile a) on input a (self):           %.4f\n", selfRate)
 	fmt.Println()
-	fmt.Printf("conventional PAg-%d on input b:              %.4f\n", table, conv(trB))
+	fmt.Printf("conventional PAg-%d on input b:              %.4f\n", table, onB[0])
 	fmt.Printf("alloc(profile a) on input b (mismatched):     %.4f\n", crossRate)
 	fmt.Printf("alloc(cumulative a+b) on input b:             %.4f\n", cumulRate)
 	fmt.Println()
@@ -93,4 +71,42 @@ func main() {
 	default:
 		fmt.Println("unexpected: cumulative profile did not help on this run.")
 	}
+}
+
+// profileRun executes the benchmark on one input with the interleave
+// profiler attached. The bounded scan window (2x the nominal working
+// set) keeps profiling linear on this large benchmark; see DESIGN.md on
+// the approximation.
+func profileRun(spec workload.Spec, in workload.InputSet) *profile.Profile {
+	p := profile.NewProfiler(spec.Name, in.Name, profile.WithWindow(2*spec.WorkingSetSize()))
+	stats, err := spec.RunInto(workload.RunConfig{Input: in, Scale: scale}, p)
+	if err != nil {
+		log.Fatal(err)
+	}
+	p.SetInstructions(stats.Instructions)
+	return p.Profile()
+}
+
+// simulate executes the benchmark on one input, driving a PAg per
+// first-level indexer from the one run, and returns their
+// misprediction rates in indexer order.
+func simulate(spec workload.Spec, in workload.InputSet, indexers ...predict.Indexer) []float64 {
+	sims := make([]*predict.Sim, len(indexers))
+	sinks := make(vm.MultiSink, len(indexers))
+	for i, ix := range indexers {
+		p, err := predict.NewPAg(ix, 4096)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sims[i] = predict.NewSim(p)
+		sinks[i] = sims[i]
+	}
+	if _, err := spec.RunInto(workload.RunConfig{Input: in, Scale: scale}, sinks); err != nil {
+		log.Fatal(err)
+	}
+	rates := make([]float64, len(sims))
+	for i, s := range sims {
+		rates[i] = s.Result().Rate()
+	}
+	return rates
 }

@@ -1,40 +1,51 @@
-// Quickstart: the full pipeline of the paper on one benchmark in ~40
-// lines — run a workload, profile branch interleaving, extract the
-// branch working sets, build a branch allocation, and compare predictor
-// accuracy with and without it.
+// Quickstart: the full pipeline of the paper on one benchmark — run a
+// workload with the interleave profiler attached, extract the branch
+// working sets, build a branch allocation, and compare predictor
+// accuracy with and without it on a second run of the same stream.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/predict"
+	"repro/internal/profile"
+	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 func main() {
-	// 1. Execute a benchmark and record its conditional-branch trace.
-	tr, err := repro.Run("compress", repro.RunConfig{Scale: 0.5})
+	// 1. Profile: execute a benchmark with the interleave profiler
+	//    attached, which time-stamps every conditional branch and counts
+	//    pairwise interleavings.
+	spec, err := workload.ByName("compress")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ran %s: %d dynamic conditional branches\n", tr.Benchmark, len(tr.Events))
-
-	// 2. Profile: time-stamp interleaving -> pairwise conflict counts.
-	prof := repro.ProfileTrace(tr, 0)
+	cfg := workload.RunConfig{Scale: 0.5}
+	profiler := profile.NewProfiler(spec.Name, workload.InputRef.Name)
+	stats, err := spec.RunInto(cfg, profiler)
+	if err != nil {
+		log.Fatal(err)
+	}
+	profiler.SetInstructions(stats.Instructions)
+	prof := profiler.Profile()
+	fmt.Printf("ran %s: %d dynamic conditional branches\n", spec.Name, stats.CondBranches)
 	fmt.Printf("profiled %d static branches, %d interleaving pairs\n",
 		prof.NumBranches(), prof.Pairs.Len())
 
-	// 3. Branch working set analysis (paper Section 4).
-	analysis, err := repro.Analyze(prof, repro.AnalysisConfig{})
+	// 2. Branch working set analysis (paper Section 4).
+	analysis, err := core.Analyze(prof, core.AnalysisConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("working sets: %d, average size %.0f static / %.0f dynamic, largest %d\n",
 		analysis.NumSets(), analysis.AvgStaticSize(), analysis.AvgDynamicSize(), analysis.MaxSetSize())
 
-	// 4. Branch allocation (paper Section 5): color the conflict graph
+	// 3. Branch allocation (paper Section 5): color the conflict graph
 	//    into a 1024-entry BHT.
-	alloc, err := repro.Allocate(prof, repro.AllocationConfig{TableSize: 1024})
+	alloc, err := core.Allocate(prof, core.AllocationConfig{TableSize: 1024})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,20 +53,28 @@ func main() {
 	fmt.Printf("allocation: %d branches over %d entries (max %d per entry), conflict cost %d\n",
 		alloc.Map.Allocated(), occupied, maxLoad, alloc.ConflictCost)
 
-	// 5. Compare predictors on the same stream: conventional PC-indexed
-	//    PAg vs. allocation-indexed PAg vs. interference-free.
-	conv, err := repro.SimulatePAg(tr, 1024, 4096, nil)
-	if err != nil {
+	// 4. Compare predictors on the same stream: conventional PC-indexed
+	//    PAg vs. allocation-indexed PAg vs. interference-free. The VM is
+	//    deterministic, so a second run replays the profiled stream.
+	var sims []*predict.Sim
+	var sinks vm.MultiSink
+	for _, ix := range []predict.Indexer{
+		predict.PCModIndexer{Entries: 1024},
+		predict.AllocIndexer{Map: alloc.Map},
+		predict.NewIdealIndexer(),
+	} {
+		p, err := predict.NewPAg(ix, 4096)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sim := predict.NewSim(p)
+		sims = append(sims, sim)
+		sinks = append(sinks, sim)
+	}
+	if _, err := spec.RunInto(cfg, sinks); err != nil {
 		log.Fatal(err)
 	}
-	allocated, err := repro.SimulatePAg(tr, 1024, 4096, alloc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ifree, err := repro.SimulateInterferenceFree(tr, 4096)
-	if err != nil {
-		log.Fatal(err)
-	}
+	conv, allocated, ifree := sims[0].Result(), sims[1].Result(), sims[2].Result()
 	fmt.Println()
 	fmt.Printf("conventional PAg-1024:   %.4f mispredict rate\n", conv.Rate())
 	fmt.Printf("allocated PAg-1024:      %.4f\n", allocated.Rate())

@@ -1,30 +1,79 @@
 package repro
 
-// End-to-end integration tests over the public facade: each test walks a
-// complete flow a library adopter would run, across module boundaries
-// (workload → vm → trace → profile → core → predict).
+// End-to-end integration tests: each test walks a complete flow a
+// library adopter would run, across module boundaries (workload → vm →
+// profile → core → predict). A flow that needs the branch stream twice
+// executes the benchmark twice; the VM is deterministic.
 
 import (
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/predict"
+	"repro/internal/profile"
+	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 const itScale = 0.15
 
-func TestEndToEndAnalysisPipeline(t *testing.T) {
-	tr, err := Run("compress", RunConfig{Scale: itScale})
+// profileRun executes a benchmark on one input at itScale with the
+// interleave profiler attached and returns the profile and the run's VM
+// statistics.
+func profileRun(t *testing.T, name string, in workload.InputSet) (*profile.Profile, vm.Stats) {
+	t.Helper()
+	spec, err := workload.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Events) == 0 {
-		t.Fatal("empty trace")
+	p := profile.NewProfiler(spec.Name, in.Name)
+	stats, err := spec.RunInto(workload.RunConfig{Input: in, Scale: itScale}, p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	p.SetInstructions(stats.Instructions)
+	return p.Profile(), stats
+}
 
-	prof := ProfileTrace(tr, 0)
+// pagRates executes a benchmark once at itScale, driving a
+// 4096-entry-PHT PAg per first-level indexer, and returns their
+// misprediction rates in order.
+func pagRates(t *testing.T, name string, indexers ...predict.Indexer) []float64 {
+	t.Helper()
+	spec, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := make([]*predict.Sim, len(indexers))
+	sinks := make(vm.MultiSink, len(indexers))
+	for i, ix := range indexers {
+		p, err := predict.NewPAg(ix, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims[i] = predict.NewSim(p)
+		sinks[i] = sims[i]
+	}
+	if _, err := spec.RunInto(workload.RunConfig{Scale: itScale}, sinks); err != nil {
+		t.Fatal(err)
+	}
+	rates := make([]float64, len(sims))
+	for i, s := range sims {
+		rates[i] = s.Result().Rate()
+	}
+	return rates
+}
+
+func TestEndToEndAnalysisPipeline(t *testing.T) {
+	prof, stats := profileRun(t, "compress", workload.InputRef)
+	if stats.CondBranches == 0 {
+		t.Fatal("empty run")
+	}
 	if prof.NumBranches() == 0 {
 		t.Fatal("empty profile")
 	}
 
-	res, err := Analyze(prof, AnalysisConfig{})
+	res, err := core.Analyze(prof, core.AnalysisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,53 +90,37 @@ func TestEndToEndAnalysisPipeline(t *testing.T) {
 }
 
 func TestEndToEndAllocationBeatsConventional(t *testing.T) {
-	tr, err := Run("li", RunConfig{Scale: itScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := ProfileTrace(tr, 0)
+	prof, _ := profileRun(t, "li", workload.InputRef)
 
-	alloc, err := Allocate(prof, AllocationConfig{TableSize: 1024})
+	alloc, err := core.Allocate(prof, core.AllocationConfig{TableSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	conv, err := SimulatePAg(tr, 1024, 4096, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocated, err := SimulatePAg(tr, 1024, 4096, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ifree, err := SimulateInterferenceFree(tr, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rates := pagRates(t, "li",
+		predict.PCModIndexer{Entries: 1024}, predict.AllocIndexer{Map: alloc.Map}, predict.NewIdealIndexer())
+	conv, allocated, ifree := rates[0], rates[1], rates[2]
 
-	if allocated.Rate() > conv.Rate() {
-		t.Fatalf("allocation (%.4f) worse than conventional (%.4f)", allocated.Rate(), conv.Rate())
+	if allocated > conv {
+		t.Fatalf("allocation (%.4f) worse than conventional (%.4f)", allocated, conv)
 	}
-	if ifree.Rate() > conv.Rate() {
-		t.Fatalf("interference-free (%.4f) worse than conventional (%.4f)", ifree.Rate(), conv.Rate())
+	if ifree > conv {
+		t.Fatalf("interference-free (%.4f) worse than conventional (%.4f)", ifree, conv)
 	}
 	// The paper's Figure 3 claim: allocated 1024 approximates
 	// interference-free for a mid-sized program.
-	if allocated.Rate() > ifree.Rate()+0.01 {
-		t.Fatalf("allocated 1024 (%.4f) far from interference-free (%.4f)", allocated.Rate(), ifree.Rate())
+	if allocated > ifree+0.01 {
+		t.Fatalf("allocated 1024 (%.4f) far from interference-free (%.4f)", allocated, ifree)
 	}
 }
 
 func TestEndToEndClassificationShrinksTables(t *testing.T) {
-	prof, err := ProfileBenchmark("m88ksim", RunConfig{Scale: itScale})
+	prof, _ := profileRun(t, "m88ksim", workload.InputRef)
+	plain, err := core.Allocate(prof, core.AllocationConfig{TableSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Allocate(prof, AllocationConfig{TableSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	classified, err := Allocate(prof, AllocationConfig{TableSize: 64, UseClassification: true})
+	classified, err := core.Allocate(prof, core.AllocationConfig{TableSize: 64, UseClassification: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +135,9 @@ func TestEndToEndClassificationShrinksTables(t *testing.T) {
 func TestEndToEndCumulativeProfiles(t *testing.T) {
 	// Section 5.2: profiles from two inputs merge into one cumulative
 	// profile covering both runs' branch populations.
-	pa, err := ProfileBenchmark("perl", RunConfig{Input: InputA, Scale: itScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := ProfileBenchmark("perl", RunConfig{Input: InputB, Scale: itScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeProfiles(pa, pb)
+	pa, _ := profileRun(t, "perl", workload.InputA)
+	pb, _ := profileRun(t, "perl", workload.InputB)
+	merged, err := profile.Merge(pa, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,45 +155,42 @@ func TestEndToEndCumulativeProfiles(t *testing.T) {
 		t.Fatal("merged dynamic counts do not add up")
 	}
 	// A cumulative allocation must still work.
-	if _, err := Allocate(merged, AllocationConfig{TableSize: 128}); err != nil {
+	if _, err := core.Allocate(merged, core.AllocationConfig{TableSize: 128}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEndToEndBenchmarkRegistry(t *testing.T) {
-	names := Benchmarks()
+	names := workload.Names()
 	if len(names) != 13 {
 		t.Fatalf("suite size %d", len(names))
 	}
-	spec, err := Benchmark("gcc")
+	spec, err := workload.ByName("gcc")
 	if err != nil || spec.Name != "gcc" {
-		t.Fatalf("Benchmark(gcc): %v %v", spec.Name, err)
+		t.Fatalf("ByName(gcc): %v %v", spec.Name, err)
 	}
-	if _, err := Benchmark("missing"); err == nil {
+	if _, err := workload.ByName("missing"); err == nil {
 		t.Fatal("unknown benchmark accepted")
-	}
-	if _, err := Run("missing", RunConfig{}); err == nil {
-		t.Fatal("Run of unknown benchmark accepted")
-	}
-	if _, err := ProfileBenchmark("missing", RunConfig{}); err == nil {
-		t.Fatal("ProfileBenchmark of unknown benchmark accepted")
 	}
 }
 
 func TestEndToEndWindowedProfileKeepsShape(t *testing.T) {
-	tr, err := Run("pgp", RunConfig{Scale: itScale})
+	spec, err := workload.ByName("pgp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := ProfileTrace(tr, 0)
-	spec, _ := Benchmark("pgp")
-	windowed := ProfileTrace(tr, 2*spec.WorkingSetSize())
+	// Both profilers ride one run, so they see one stream.
+	exactP := profile.NewProfiler(spec.Name, workload.InputRef.Name)
+	windowedP := profile.NewProfiler(spec.Name, workload.InputRef.Name, profile.WithWindow(2*spec.WorkingSetSize()))
+	if _, err := spec.RunInto(workload.RunConfig{Scale: itScale}, vm.MultiSink{exactP, windowedP}); err != nil {
+		t.Fatal(err)
+	}
 
-	exactRes, err := Analyze(exact, AnalysisConfig{})
+	exactRes, err := core.Analyze(exactP.Profile(), core.AnalysisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	windowedRes, err := Analyze(windowed, AnalysisConfig{})
+	windowedRes, err := core.Analyze(windowedP.Profile(), core.AnalysisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,16 +202,5 @@ func TestEndToEndWindowedProfileKeepsShape(t *testing.T) {
 	ratio := windowedRes.AvgStaticSize() / exactRes.AvgStaticSize()
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("windowed avg size drifted: %v vs %v", windowedRes.AvgStaticSize(), exactRes.AvgStaticSize())
-	}
-}
-
-func TestEndToEndSuiteFacade(t *testing.T) {
-	s := NewSuite(SuiteConfig{Scale: 0.05}, nil)
-	rows, err := s.Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 13 {
-		t.Fatalf("rows = %d", len(rows))
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/profile"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -258,9 +259,9 @@ func TestConcurrentSuitesMatchSerial(t *testing.T) {
 }
 
 // TestFusedArtifactsMatchRecorded checks the streamed artifacts against
-// a reference built here from a recorded trace: the trace's own
-// statistics select the keep set, and a plain loop over its events feeds
-// the kept ones to a serial profiler. VM stats, every filter count, the
+// a reference built here from the run's collected events: their own
+// statistics select the keep set, and a plain loop over them feeds the
+// kept ones to a serial profiler. VM stats, every filter count, the
 // keep set, the per-branch vectors and the pair counts must all agree.
 func TestFusedArtifactsMatchRecorded(t *testing.T) {
 	s := NewSuite(Config{Scale: 0.05})
@@ -273,15 +274,23 @@ func TestFusedArtifactsMatchRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, stats, err := spec.Run(workload.RunConfig{Input: workload.InputRef, Scale: 0.05})
+	var events []trace.Event
+	stats, err := spec.RunInto(workload.RunConfig{Input: workload.InputRef, Scale: 0.05},
+		vm.BranchFunc(func(pc uint64, taken bool, icount uint64) {
+			events = append(events, trace.Event{PC: pc, ICount: icount, Taken: taken})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	filter := trace.FilterByCoverage(tr.Stats(), spec.AnalyzeCoverage)
+	var freq trace.FreqCounter
+	for _, e := range events {
+		freq.Branch(e.PC, e.Taken, e.ICount)
+	}
+	filter := trace.FilterByCoverage(freq.Stats(), spec.AnalyzeCoverage)
 	prof := profile.NewProfiler("li", workload.InputRef.Name,
 		profile.WithWindow(2*spec.WorkingSetSize()))
 	var kept uint64
-	for _, e := range tr.Events {
+	for _, e := range events {
 		if _, ok := filter.Keep[e.PC]; ok {
 			prof.Branch(e.PC, e.Taken, e.ICount)
 			kept++

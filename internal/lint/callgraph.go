@@ -22,11 +22,10 @@ import (
 //     declaration (a closure created in a hot function is assumed to
 //     run in hot context).
 //
-// Functions are keyed by their fully qualified name rather than object
-// identity: the source importer type-checks each directly loaded
-// package independently, so one function can be represented by several
-// *types.Func instances, but its full name (and the full-path spelling
-// of its signature) is stable across instances.
+// Functions are keyed by their fully qualified name, which is also the
+// deterministic order hot functions are reported in; interface dispatch
+// matches concrete methods by name and the full-path spelling of their
+// signature.
 //
 // Hot roots are declared in the code itself with a
 //

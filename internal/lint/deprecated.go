@@ -19,11 +19,11 @@ import (
 func checkDeprecated(m *Module, report func(*Package, token.Pos, string)) {
 	refs := m.refs()
 	flag := func(pkg *Package, id *ast.Ident, name string) {
-		at := absPosition(pkg.Fset, id.Pos())
-		for _, r := range refs[at] {
-			if r.pkg.tested && absPosition(r.pkg.Fset, r.id.Pos()).Filename != at.Filename {
+		file := pkg.Fset.File(id.Pos())
+		for _, r := range refs[id.Pos()] {
+			if r.pkg.tested && r.pkg.Fset.File(r.id.Pos()) != file {
 				report(r.pkg, r.id.Pos(), fmt.Sprintf("%s is deprecated; only its declaring file %s may reference it",
-					name, filepath.Base(at.Filename)))
+					name, filepath.Base(file.Name())))
 			}
 		}
 	}
@@ -69,15 +69,4 @@ func isDeprecated(doc *ast.CommentGroup) bool {
 		}
 	}
 	return false
-}
-
-// absPosition resolves pos with an absolute file name, so a declaration
-// parsed by the loader and the same one parsed again by the source
-// importer compare equal.
-func absPosition(fset *token.FileSet, pos token.Pos) token.Position {
-	p := fset.Position(pos)
-	if abs, err := filepath.Abs(p.Filename); err == nil {
-		p.Filename = abs
-	}
-	return p
 }

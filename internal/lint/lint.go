@@ -160,8 +160,8 @@ func PassNames() []string {
 type Module struct {
 	Pkgs []*Package
 
-	graph *callGraph               // built lazily by CallGraph
-	index map[token.Position][]ref // built lazily by refs
+	graph *callGraph          // built lazily by CallGraph
+	index map[token.Pos][]ref // built lazily by refs
 }
 
 // NewModule wraps pkgs for whole-module analysis. The packages should
@@ -275,13 +275,18 @@ func (p *Package) collectAllows() {
 	}
 }
 
-// Loader loads and type-checks packages of one module, sharing the
-// FileSet and the (caching) source importer across packages.
+// Loader loads and type-checks the packages of one module, each once.
+// It is itself the types.Importer its packages are checked with: a path
+// under Module is served from the Loader's own memoized load, so every
+// reference to a module declaration resolves to the one object in the
+// declaring package's Defs, at one position; any other path goes to the
+// (caching) source importer.
 type Loader struct {
 	Root   string // module root directory
 	Module string // module path from go.mod
 	Fset   *token.FileSet
-	imp    types.Importer
+	std    types.Importer
+	pkgs   map[string]*Package // by import path; nil while being checked
 }
 
 // NewLoader returns a Loader for the module rooted at dir (the
@@ -306,8 +311,22 @@ func NewLoader(dir string) (*Loader, error) {
 		Root:   dir,
 		Module: module,
 		Fset:   fset,
-		imp:    importer.ForCompiler(fset, "source", nil),
+		std:    importer.ForCompiler(fset, "source", nil),
+		pkgs:   make(map[string]*Package),
 	}, nil
+}
+
+// Import implements types.Importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.Module)
+	if !ok || (rel != "" && rel[0] != '/') {
+		return l.std.Import(path)
+	}
+	pkg, err := l.load(path, filepath.Join(l.Root, filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
 }
 
 // PackageDirs expands patterns ("./...", "./cmd/...", or plain package
@@ -370,29 +389,6 @@ func isLintableFile(name string) bool {
 // other passes guard artifact-producing code, and fixtures under
 // testdata intentionally violate them.
 func (l *Loader) Load(dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files, tests []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		if isLintableFile(name) {
-			files = append(files, f)
-		} else {
-			tests = append(tests, f)
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
 	rel, err := filepath.Rel(l.Root, dir)
 	if err != nil {
 		return nil, err
@@ -401,17 +397,69 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	if rel != "." {
 		path = l.Module + "/" + filepath.ToSlash(rel)
 	}
-	pkg, err := TypeCheck(l.Fset, path, files, l.imp)
-	if err != nil {
-		return nil, err
+	pkg, err := l.load(path, dir)
+	if err != nil || pkg.tested {
+		return pkg, err
 	}
 	for d := dir; len(d) > len(l.Root); d = filepath.Dir(d) {
 		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
 			return pkg, nil
 		}
 	}
+	tests, err := l.parseDir(dir, true)
+	if err != nil {
+		return nil, err
+	}
 	l.checkTests(pkg, tests)
 	return pkg, nil
+}
+
+// load type-checks the non-test files of the package at import path
+// path, once: later loads and imports of path share the result.
+func (l *Loader) load(path, dir string) (*Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("lint: import cycle through %s", path)
+		}
+		return pkg, nil
+	}
+	files, err := l.parseDir(dir, false)
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	l.pkgs[path] = nil
+	pkg, err := TypeCheck(l.Fset, path, files, l)
+	if err != nil {
+		delete(l.pkgs, path)
+		return nil, err
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// parseDir parses dir's _test.go files when tests is set, and its other
+// .go files otherwise.
+func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || isLintableFile(name) == tests {
+			continue
+		}
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // checkTests type-checks pkg's test files: the in-package ones together
@@ -429,7 +477,7 @@ func (l *Loader) checkTests(pkg *Package, tests []*ast.File) {
 	}
 	check := func(path string, files []*ast.File) *types.Info {
 		info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
-		conf := types.Config{Importer: l.imp, Error: func(error) {}}
+		conf := types.Config{Importer: l, Error: func(error) {}}
 		_, _ = conf.Check(path, l.Fset, files, info) // errors tolerated, see above
 		return info
 	}

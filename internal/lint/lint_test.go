@@ -5,6 +5,9 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -384,5 +387,52 @@ func TestPassNames(t *testing.T) {
 		if !strings.Contains(names, want) {
 			t.Errorf("pass %q not registered (have: %s)", want, names)
 		}
+	}
+}
+
+// TestLoaderSharesModuleObjects loads a two-package module from outside
+// this one. The Loader serves module imports from its own loads, so b's
+// use of a.F must resolve to the very object in a's Defs. b loads first,
+// so a is first reached through the import.
+func TestLoaderSharesModuleObjects(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module example.com/m\n\ngo 1.22\n",
+		"a/a.go": "package a\n\nfunc F() int { return 1 }\n",
+		"b/b.go": "package b\n\nimport \"example.com/m/a\"\n\nvar X = a.F()\n",
+	} {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := loader.Load(filepath.Join(root, "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := loader.Load(filepath.Join(root, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var def, use types.Object
+	for id, obj := range a.Info.Defs {
+		if id.Name == "F" {
+			def = obj
+		}
+	}
+	for id, obj := range b.Info.Uses {
+		if id.Name == "F" {
+			use = obj
+		}
+	}
+	if def == nil || use != def {
+		t.Fatalf("b's a.F resolves to %v, want a's own object %v", use, def)
 	}
 }

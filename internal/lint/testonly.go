@@ -20,7 +20,7 @@ type ref struct {
 // of the loaded packages, mapped to its references from every loaded
 // file, test files included. It is the one walk over every file and
 // test unit behind the deprecated and testonly passes.
-func (m *Module) refs() map[token.Position][]ref {
+func (m *Module) refs() map[token.Pos][]ref {
 	if m.index != nil {
 		return m.index
 	}
@@ -28,7 +28,7 @@ func (m *Module) refs() map[token.Position][]ref {
 	for _, pkg := range m.Pkgs {
 		loaded[pkg.Path] = true
 	}
-	m.index = make(map[token.Position][]ref)
+	m.index = make(map[token.Pos][]ref)
 	for _, pkg := range m.Pkgs {
 		for i, u := range append([]testUnit{{pkg.Files, pkg.Info}}, pkg.tests...) {
 			for _, f := range u.files {
@@ -42,8 +42,7 @@ func (m *Module) refs() map[token.Position][]ref {
 						(obj.Parent() != nil && obj.Parent() != obj.Pkg().Scope()) {
 						return true
 					}
-					at := absPosition(pkg.Fset, obj.Pos())
-					m.index[at] = append(m.index[at], ref{pkg, id, i > 0})
+					m.index[obj.Pos()] = append(m.index[obj.Pos()], ref{pkg, id, i > 0})
 					return true
 				})
 			}
@@ -78,12 +77,11 @@ func checkTestOnly(m *Module, report func(*Package, token.Pos, string)) {
 				}
 			}
 			for _, obj := range objs {
-				at := absPosition(pkg.Fset, obj.Pos())
-				if !obj.Exported() || viaIface[at] {
+				if !obj.Exported() || viaIface[obj.Pos()] {
 					continue
 				}
 				live := false
-				for _, r := range refs[at] {
+				for _, r := range refs[obj.Pos()] {
 					live = live || !r.test
 				}
 				if live {
@@ -107,7 +105,7 @@ func checkTestOnly(m *Module, report func(*Package, token.Pos, string)) {
 // sigKey, since each loaded package has its own type objects; a generic
 // interface's methods, whose signatures mention its type parameters,
 // match by name alone.
-func satisfying(m *Module) map[token.Position]bool {
+func satisfying(m *Module) map[token.Pos]bool {
 	ifaces := map[string]map[string]string{"fmt.Stringer": {"String": "String()(string)"}}
 	for _, pkg := range m.Pkgs {
 		for _, objs := range []map[*ast.Ident]types.Object{pkg.Info.Defs, pkg.Info.Uses} {
@@ -131,7 +129,7 @@ func satisfying(m *Module) map[token.Position]bool {
 			}
 		}
 	}
-	used := make(map[token.Position]bool)
+	used := make(map[token.Pos]bool)
 	for _, pkg := range m.Pkgs {
 		for _, name := range pkg.Types.Scope().Names() {
 			tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName)
@@ -148,7 +146,7 @@ func satisfying(m *Module) map[token.Position]bool {
 				}
 				if len(impl) == len(ms) {
 					for _, pos := range impl {
-						used[absPosition(pkg.Fset, pos)] = true
+						used[pos] = true
 					}
 				}
 			}

@@ -1,12 +1,10 @@
 package trace
 
-// This file holds the streaming (fused single-pass) counterparts of the
-// recorded-trace operations: a frequency pre-counter that computes the
-// per-branch statistics FilterByCoverage takes without retaining events,
-// a keep-set filter sink that narrows a live stream to the analyzed
-// branches, and a bounded ring that retains only the tail of a stream
-// for trace dumps. Together they let a run fan out through vm.MultiSink
-// to the profiler and predictor sims with no full-trace residency.
+// This file holds the stream sinks: a frequency pre-counter that
+// computes the per-branch statistics FilterByCoverage takes, a keep-set
+// filter that narrows a live stream to the analyzed branches, and a
+// bounded ring that retains only the tail of a stream. Each fans out
+// through vm.MultiSink beside the profiler and predictor sims.
 
 import (
 	"slices"
@@ -23,9 +21,8 @@ type Sink interface {
 }
 
 // FreqCounter accumulates per-static-branch execution counts from a
-// live stream — the frequency pre-count pass of fused execution. Its
-// memory is O(static branches), against O(dynamic branches) for a
-// recorded trace. The zero value is ready to use.
+// live stream — the frequency pre-count pass. Its memory is O(static
+// branches). The zero value is ready to use.
 type FreqCounter struct {
 	ix    isa.PCIndex
 	stats []BranchStat // by ix id
@@ -103,9 +100,8 @@ func (f FilterSink) Branch(pc uint64, taken bool, icount uint64) {
 }
 
 // Ring retains the most recent events of a stream in a fixed-size
-// buffer. It is the fused-mode answer to trace dumps: where the
-// recording path can save a full trace, a streaming run attaches a Ring
-// and keeps only the bounded tail (e.g. for branchsim's -tail output).
+// buffer, so a run can print its tail (branchsim's -tail output) in
+// O(n) memory.
 type Ring struct {
 	buf   []Event
 	next  int

@@ -5,27 +5,27 @@ import (
 	"testing"
 )
 
-// streamOf feeds every event of tr through sink, as a live run would.
-func streamOf(tr *Trace, sink Sink) {
-	for _, e := range tr.Events {
+// streamOf feeds every event through sink, as a live run would.
+func streamOf(events []Event, sink Sink) {
+	for _, e := range events {
 		sink.Branch(e.PC, e.Taken, e.ICount)
 	}
 }
 
 func TestFreqCounterMatchesTraceStats(t *testing.T) {
-	tr := makeTrace(
-		Event{PC: 4, Taken: true, ICount: 1},
-		Event{PC: 8, Taken: false, ICount: 2},
-		Event{PC: 4, Taken: false, ICount: 3},
-		Event{PC: 12, Taken: true, ICount: 4},
-		Event{PC: 4, Taken: true, ICount: 5},
-		Event{PC: 8, Taken: true, ICount: 6},
-	)
+	events := []Event{
+		{PC: 4, Taken: true, ICount: 1},
+		{PC: 8, Taken: false, ICount: 2},
+		{PC: 4, Taken: false, ICount: 3},
+		{PC: 12, Taken: true, ICount: 4},
+		{PC: 4, Taken: true, ICount: 5},
+		{PC: 8, Taken: true, ICount: 6},
+	}
 	var f FreqCounter
-	streamOf(tr, &f)
+	streamOf(events, &f)
 	want := []BranchStat{{PC: 4, Count: 3, Taken: 2}, {PC: 8, Count: 2, Taken: 1}, {PC: 12, Count: 1, Taken: 1}}
-	if !reflect.DeepEqual(f.Stats(), want) || !reflect.DeepEqual(tr.Stats(), want) {
-		t.Fatalf("stats:\nstreamed %+v\nrecorded %+v\nwant     %+v", f.Stats(), tr.Stats(), want)
+	if !reflect.DeepEqual(f.Stats(), want) {
+		t.Fatalf("stats:\ngot  %+v\nwant %+v", f.Stats(), want)
 	}
 	dyn, static := f.Total()
 	if dyn != 6 || static != 3 {
@@ -43,10 +43,10 @@ func TestFreqCounterTieBreakByPC(t *testing.T) {
 	}
 }
 
-// TestSelectByCoverageMatchesFilter checks that the selection step, the
-// filter over recorded statistics and the filter over streamed
-// statistics agree on exactly which branches are analyzed and how many
-// executions that covers.
+// TestSelectByCoverageMatchesFilter checks that the selection step and
+// the filter agree on exactly which branches are analyzed and how many
+// executions that covers, and that the keep set covers that many events
+// of the stream.
 func TestSelectByCoverageMatchesFilter(t *testing.T) {
 	var events []Event
 	for i := 0; i < 90; i++ {
@@ -56,22 +56,17 @@ func TestSelectByCoverageMatchesFilter(t *testing.T) {
 		events = append(events, Event{PC: 8, ICount: uint64(90 + i)})
 	}
 	events = append(events, Event{PC: 12, ICount: 99})
-	tr := makeTrace(events...)
-	var freq FreqCounter
-	streamOf(tr, &freq)
+	stats := statsOf(events...)
 
 	for _, coverage := range []float64{0.5, 0.9, 0.95, 1.0} {
-		res := FilterByCoverage(tr.Stats(), coverage)
-		keep, dynKept := SelectByCoverage(tr.Stats(), coverage)
+		res := FilterByCoverage(stats, coverage)
+		keep, dynKept := SelectByCoverage(stats, coverage)
 		if !reflect.DeepEqual(keep, res.Keep) || len(keep) != res.StaticKept || dynKept != res.DynamicKept {
 			t.Fatalf("coverage %v: select kept %v (%d dynamic), filter kept %v (%d/%d)",
 				coverage, keep, dynKept, res.Keep, res.StaticKept, res.DynamicKept)
 		}
-		if streamed := FilterByCoverage(freq.Stats(), coverage); !reflect.DeepEqual(streamed, res) {
-			t.Fatalf("coverage %v: streamed filter %+v, recorded %+v", coverage, streamed, res)
-		}
 		var covered uint64
-		for _, e := range tr.Events {
+		for _, e := range events {
 			if _, ok := res.Keep[e.PC]; ok {
 				covered++
 			}
@@ -85,17 +80,17 @@ func TestSelectByCoverageMatchesFilter(t *testing.T) {
 // TestFilterSinkMatchesFilteredReplay checks the filter sink passes the
 // exact event subsequence of the keep set's branches, in order.
 func TestFilterSinkMatchesFilteredReplay(t *testing.T) {
-	tr := makeTrace(
-		Event{PC: 4, Taken: true, ICount: 1},
-		Event{PC: 8, Taken: false, ICount: 2},
-		Event{PC: 4, Taken: false, ICount: 3},
-		Event{PC: 12, Taken: true, ICount: 4},
-		Event{PC: 4, Taken: true, ICount: 5},
-	)
-	res := FilterByCoverage(tr.Stats(), 0.6) // keeps PC 4 only (3 of 5 dynamic)
+	events := []Event{
+		{PC: 4, Taken: true, ICount: 1},
+		{PC: 8, Taken: false, ICount: 2},
+		{PC: 4, Taken: false, ICount: 3},
+		{PC: 12, Taken: true, ICount: 4},
+		{PC: 4, Taken: true, ICount: 5},
+	}
+	res := FilterByCoverage(statsOf(events...), 0.6) // keeps PC 4 only (3 of 5 dynamic)
 
 	var want []Event
-	for _, e := range tr.Events {
+	for _, e := range events {
 		if _, ok := res.Keep[e.PC]; ok {
 			want = append(want, e)
 		}
@@ -104,34 +99,9 @@ func TestFilterSinkMatchesFilteredReplay(t *testing.T) {
 		t.Fatalf("keep set %v selects %d events, want 3", res.Keep, len(want))
 	}
 	var got collectSink
-	streamOf(tr, NewFilterSink(res.Keep, &got))
+	streamOf(events, NewFilterSink(res.Keep, &got))
 	if !reflect.DeepEqual(want, got.events) {
 		t.Fatalf("filtered stream differs:\nwant %+v\ngot  %+v", want, got.events)
-	}
-}
-
-func TestRecorderReserve(t *testing.T) {
-	r := NewRecorder("b", "in")
-	r.Reserve(100)
-	r.Branch(4, true, 1)
-	tr0 := r.Finish(10)
-	if cap(tr0.Events) < 100 {
-		t.Fatalf("cap = %d after Reserve(100)", cap(tr0.Events))
-	}
-
-	// Reserve below current capacity must not shrink or reallocate.
-	r2 := NewRecorder("b", "in")
-	r2.Reserve(50)
-	for i := 0; i < 40; i++ {
-		r2.Branch(4, false, uint64(i))
-	}
-	before := cap(r2.trace.Events)
-	r2.Reserve(10)
-	if cap(r2.trace.Events) != before {
-		t.Fatalf("Reserve(10) changed cap %d -> %d", before, cap(r2.trace.Events))
-	}
-	if len(r2.trace.Events) != 40 {
-		t.Fatalf("Reserve dropped events: len = %d", len(r2.trace.Events))
 	}
 }
 

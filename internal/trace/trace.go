@@ -1,12 +1,16 @@
-// Package trace models conditional-branch execution traces.
+// Package trace holds the conditional-branch event stream and the
+// operations on it that the pipeline shares.
 //
-// A trace is the interface between the execution substrate (package vm
-// running package workload programs) and everything the paper builds:
-// the working-set profiler, the allocator, and the predictors all consume
-// the (pc, taken, instruction-count) event stream defined here. The
-// package also implements the static-branch frequency filter behind
-// Table 1's "percentage of dynamic branches analyzed" and a compact
-// binary on-disk format so traces can be collected once and re-analyzed.
+// The stream is the interface between the execution substrate (package
+// vm running package workload programs) and everything the paper
+// builds: the working-set profiler, the allocator, and the predictors
+// all consume the (pc, taken, instruction-count) events a run delivers
+// to a sink. Nothing retains a whole stream: the VM is deterministic, so
+// a consumer that needs the stream twice executes the program twice.
+// The package implements the static-branch frequency filter behind
+// Table 1's "percentage of dynamic branches analyzed" (a FreqCounter
+// pass, FilterByCoverage, then a FilterSink on the second pass) and a
+// bounded Ring for printing a stream's tail.
 package trace
 
 // Event is one retired conditional branch.
@@ -18,57 +22,6 @@ type Event struct {
 	ICount uint64
 	// Taken is the resolved direction.
 	Taken bool
-}
-
-// Trace is a recorded branch stream with its provenance.
-type Trace struct {
-	// Benchmark names the program that produced the trace.
-	Benchmark string
-	// InputSet names the input-set variant (e.g. "a", "b").
-	InputSet string
-	// Instructions is the total retired instruction count of the run.
-	Instructions uint64
-	// Events holds the branch stream in execution order.
-	Events []Event
-}
-
-// Recorder accumulates events from a vm run; it implements vm.BranchSink
-// by structural match (Branch method).
-type Recorder struct {
-	trace Trace
-}
-
-// NewRecorder returns a Recorder for the named benchmark and input set.
-func NewRecorder(benchmark, inputSet string) *Recorder {
-	return &Recorder{trace: Trace{Benchmark: benchmark, InputSet: inputSet}}
-}
-
-// Reserve pre-sizes the event buffer for an expected dynamic-branch
-// count, eliminating append regrowth over the run. Workload specs know
-// their schedule length, so the recording path can reserve exactly.
-func (r *Recorder) Reserve(events int) {
-	if events <= 0 || events <= cap(r.trace.Events) {
-		return
-	}
-	grown := make([]Event, len(r.trace.Events), events)
-	copy(grown, r.trace.Events)
-	r.trace.Events = grown
-}
-
-// Branch records one event.
-//
-//reprolint:hotpath trace recording sink
-func (r *Recorder) Branch(pc uint64, taken bool, icount uint64) {
-	r.trace.Events = append(r.trace.Events, Event{PC: pc, ICount: icount, Taken: taken}) //reprolint:allow hotpath Reserve pre-sizes the buffer; growth only without a reservation
-}
-
-// Finish stamps the run's total instruction count and returns the trace.
-// The Recorder must not be used afterwards.
-func (r *Recorder) Finish(instructions uint64) *Trace {
-	r.trace.Instructions = instructions
-	t := r.trace
-	r.trace = Trace{}
-	return &t
 }
 
 // BranchStat aggregates one static branch's dynamic behaviour.
@@ -84,16 +37,6 @@ func (s BranchStat) TakenRate() float64 {
 		return 0
 	}
 	return float64(s.Taken) / float64(s.Count)
-}
-
-// Stats computes per-static-branch statistics, ordered as
-// FreqCounter.Stats orders them.
-func (t *Trace) Stats() []BranchStat {
-	var f FreqCounter
-	for _, e := range t.Events {
-		f.Branch(e.PC, e.Taken, e.ICount)
-	}
-	return f.Stats()
 }
 
 // FilterResult describes the outcome of a frequency filter.
@@ -121,8 +64,8 @@ func (f FilterResult) Coverage() float64 {
 // branches is covered. The paper reduces each benchmark's static branch
 // population this way "based on the frequency of occurrences" to keep
 // analysis time and space reasonable (Section 3, Table 1). stats are
-// frequency-ordered per-branch statistics, as Trace.Stats and
-// FreqCounter.Stats produce them.
+// frequency-ordered per-branch statistics, as FreqCounter.Stats
+// produces them.
 func FilterByCoverage(stats []BranchStat, coverage float64) FilterResult {
 	var total uint64
 	for _, s := range stats {
@@ -152,14 +95,4 @@ func FilterByCoverage(stats []BranchStat, coverage float64) FilterResult {
 func SelectByCoverage(stats []BranchStat, coverage float64) (keep map[uint64]struct{}, dynKept uint64) {
 	f := FilterByCoverage(stats, coverage)
 	return f.Keep, f.DynamicKept
-}
-
-// Replay feeds the trace to sink in order. Any type with the
-// vm.BranchSink method shape works.
-func (t *Trace) Replay(sink interface {
-	Branch(pc uint64, taken bool, icount uint64)
-}) {
-	for _, e := range t.Events {
-		sink.Branch(e.PC, e.Taken, e.ICount)
-	}
 }

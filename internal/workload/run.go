@@ -2,8 +2,6 @@ package workload
 
 import (
 	"repro/internal/obs"
-	"repro/internal/profile"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -27,23 +25,11 @@ func (c RunConfig) input() InputSet {
 	return c.Input
 }
 
-// Run executes the benchmark and records its branch trace. The
-// recorder's event buffer is pre-sized from the spec's expected
-// dynamic-branch count, so recording does not regrow it.
-func (s Spec) Run(cfg RunConfig) (*trace.Trace, vm.Stats, error) {
-	input := cfg.input()
-	rec := trace.NewRecorder(s.Name, input.Name)
-	rec.Reserve(int(s.DynamicBranches(cfg.Scale)))
-	stats, err := s.RunInto(cfg, rec)
-	if err != nil {
-		return nil, stats, err
-	}
-	return rec.Finish(stats.Instructions), stats, nil
-}
-
-// RunInto executes the benchmark, streaming branch events to sink
-// (which may be a recorder, a profiler, predictor sims, or a MultiSink
-// of several).
+// RunInto executes the benchmark, streaming branch events to sink (a
+// profiler, predictor sims, a frequency counter, or a MultiSink of
+// several). It is the one way a benchmark executes: the run is
+// deterministic, so a consumer that needs the stream twice calls it
+// twice.
 func (s Spec) RunInto(cfg RunConfig, sink vm.BranchSink) (vm.Stats, error) {
 	input := cfg.input()
 	p, err := s.Build(input, cfg.Scale)
@@ -55,18 +41,4 @@ func (s Spec) RunInto(cfg RunConfig, sink vm.BranchSink) (vm.Stats, error) {
 		Sink:     sink,
 		Metrics:  cfg.Metrics,
 	})
-}
-
-// Profile executes the benchmark with an online interleave profiler and
-// returns the resulting profile — the paper's profiling run, without
-// materializing the trace in memory.
-func (s Spec) Profile(cfg RunConfig) (*profile.Profile, vm.Stats, error) {
-	input := cfg.input()
-	prof := profile.NewProfiler(s.Name, input.Name)
-	stats, err := s.RunInto(cfg, prof)
-	if err != nil {
-		return nil, stats, err
-	}
-	prof.SetInstructions(stats.Instructions)
-	return prof.Profile(), stats, nil
 }

@@ -7,10 +7,29 @@ import (
 	"testing"
 
 	"repro/internal/classify"
+	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
+
+// eventLog is a sink that keeps every event of a run.
+type eventLog []trace.Event
+
+func (l *eventLog) Branch(pc uint64, taken bool, icount uint64) {
+	*l = append(*l, trace.Event{PC: pc, ICount: icount, Taken: taken})
+}
+
+// events runs s and returns its branch stream and VM statistics.
+func events(t *testing.T, s Spec, cfg RunConfig) ([]trace.Event, vm.Stats) {
+	t.Helper()
+	var evs eventLog
+	stats, err := s.RunInto(cfg, &evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs, stats
+}
 
 // small returns a fast-to-run spec for structural tests.
 func small() Spec {
@@ -194,52 +213,40 @@ func TestInputSetChangesScheduleNotCode(t *testing.T) {
 }
 
 func TestRunProducesTrace(t *testing.T) {
-	tr, stats, err := small().Run(RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs, stats := events(t, small(), RunConfig{})
 	if !stats.Halted {
 		t.Fatal("program did not halt")
 	}
-	if uint64(len(tr.Events)) != stats.CondBranches {
-		t.Fatalf("trace events %d != stats %d", len(tr.Events), stats.CondBranches)
-	}
-	if tr.Benchmark != "small" || tr.InputSet != "ref" {
-		t.Fatalf("trace metadata %s/%s", tr.Benchmark, tr.InputSet)
-	}
-	if tr.Instructions != stats.Instructions {
-		t.Fatal("instruction count not stamped")
+	if uint64(len(evs)) != stats.CondBranches {
+		t.Fatalf("stream events %d != stats %d", len(evs), stats.CondBranches)
 	}
 	// Time stamps strictly increase.
-	for i := 1; i < len(tr.Events); i++ {
-		if tr.Events[i].ICount <= tr.Events[i-1].ICount {
+	for i := 1; i < len(evs); i++ {
+		if evs[i].ICount <= evs[i-1].ICount {
 			t.Fatal("icounts not increasing")
 		}
 	}
+	if last := evs[len(evs)-1].ICount; last >= stats.Instructions {
+		t.Fatalf("last time stamp %d not below the run's %d instructions", last, stats.Instructions)
+	}
 }
 
+// TestRunDeterministic checks the property every two-pass consumer
+// relies on: executing a benchmark twice delivers one stream.
 func TestRunDeterministic(t *testing.T) {
-	t1, _, err := small().Run(RunConfig{})
-	if err != nil {
-		t.Fatal(err)
+	e1, s1 := events(t, small(), RunConfig{})
+	e2, s2 := events(t, small(), RunConfig{})
+	if s1 != s2 {
+		t.Fatalf("VM stats differ: %+v vs %+v", s1, s2)
 	}
-	t2, _, err := small().Run(RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t1.Events) != len(t2.Events) {
-		t.Fatal("non-deterministic trace length")
-	}
-	for i := range t1.Events {
-		if t1.Events[i] != t2.Events[i] {
-			t.Fatalf("event %d differs", i)
-		}
+	if !reflect.DeepEqual(e1, e2) {
+		t.Fatal("two runs delivered different streams")
 	}
 }
 
 func TestDynamicBranchesEstimate(t *testing.T) {
 	s := small()
-	_, stats, err := s.Run(RunConfig{})
+	stats, err := s.RunInto(RunConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +266,11 @@ func TestDynamicBranchesEstimate(t *testing.T) {
 
 func TestScaleGrowsRun(t *testing.T) {
 	s := small()
-	_, small1, err := s.Run(RunConfig{Scale: 0.5})
+	small1, err := s.RunInto(RunConfig{Scale: 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, big, err := s.Run(RunConfig{Scale: 2.0})
+	big, err := s.RunInto(RunConfig{Scale: 2.0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,13 +285,13 @@ func TestBiasMixIsRealized(t *testing.T) {
 	// match the spec.
 	s := small()
 	s.Visits = 200 // more executions for tight rate estimates
-	tr, _, err := s.Run(RunConfig{})
-	if err != nil {
+	var freq trace.FreqCounter
+	if _, err := s.RunInto(RunConfig{}, &freq); err != nil {
 		t.Fatal(err)
 	}
 	th := classify.Default()
 	var bt, bnt, mix int
-	for _, st := range tr.Stats() {
+	for _, st := range freq.Stats() {
 		if st.Count < 100 {
 			continue
 		}
@@ -313,12 +320,17 @@ func TestBiasMixIsRealized(t *testing.T) {
 	}
 }
 
+// TestProfileMatchesRun checks the profiling run: a profiler fed by
+// RunInto sees every conditional branch the VM retires.
 func TestProfileMatchesRun(t *testing.T) {
 	s := small()
-	prof, stats, err := s.Profile(RunConfig{})
+	p := profile.NewProfiler(s.Name, InputRef.Name)
+	stats, err := s.RunInto(RunConfig{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetInstructions(stats.Instructions)
+	prof := p.Profile()
 	var dynamic uint64
 	for _, e := range prof.Exec {
 		dynamic += e
@@ -349,11 +361,11 @@ func TestRunIntoCustomSink(t *testing.T) {
 func TestClusteredMode(t *testing.T) {
 	s := small()
 	s.Mode = Clustered
-	tr, _, err := s.Run(RunConfig{})
+	stats, err := s.RunInto(RunConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Events) == 0 {
+	if stats.CondBranches == 0 {
 		t.Fatal("clustered run empty")
 	}
 }
@@ -388,25 +400,10 @@ func TestStaticBranchEstimates(t *testing.T) {
 
 func TestDifferentInputsDifferentTraces(t *testing.T) {
 	s := small()
-	ta, _, err := s.Run(RunConfig{Input: InputA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, _, err := s.Run(RunConfig{Input: InputB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ta.Events) == len(tb.Events) {
-		same := true
-		for i := range ta.Events {
-			if ta.Events[i] != tb.Events[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("different inputs produced identical traces")
-		}
+	ea, _ := events(t, s, RunConfig{Input: InputA})
+	eb, _ := events(t, s, RunConfig{Input: InputB})
+	if reflect.DeepEqual(ea, eb) {
+		t.Fatal("different inputs produced identical streams")
 	}
 }
 
@@ -466,20 +463,18 @@ func TestGeneratedProgramFormatsRoundTrip(t *testing.T) {
 		}
 	}
 
-	recA := trace.NewRecorder("a", "x")
-	recB := trace.NewRecorder("b", "x")
-	if _, err := vm.Run(orig, vm.Config{DataSeed: 3, Sink: recA}); err != nil {
+	var ea, eb eventLog
+	if _, err := vm.Run(orig, vm.Config{DataSeed: 3, Sink: &ea}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vm.Run(parsed, vm.Config{DataSeed: 3, Sink: recB}); err != nil {
+	if _, err := vm.Run(parsed, vm.Config{DataSeed: 3, Sink: &eb}); err != nil {
 		t.Fatal(err)
 	}
-	ta, tb := recA.Finish(0), recB.Finish(0)
-	if len(ta.Events) != len(tb.Events) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(ta.Events), len(tb.Events))
+	if len(ea) != len(eb) {
+		t.Fatalf("stream lengths differ: %d vs %d", len(ea), len(eb))
 	}
-	for i := range ta.Events {
-		if ta.Events[i] != tb.Events[i] {
+	for i := range ea {
+		if ea[i] != eb[i] {
 			t.Fatalf("event %d differs", i)
 		}
 	}
@@ -489,7 +484,7 @@ func TestEveryBenchmarkRunsAtTinyScale(t *testing.T) {
 	// Smoke the whole suite: every registered benchmark must build,
 	// validate, halt, and produce branches matching its estimate.
 	for _, s := range Specs() {
-		_, stats, err := s.Run(RunConfig{Scale: 0.02})
+		stats, err := s.RunInto(RunConfig{Scale: 0.02}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -499,24 +494,5 @@ func TestEveryBenchmarkRunsAtTinyScale(t *testing.T) {
 		if stats.CondBranches == 0 {
 			t.Errorf("%s: no branches", s.Name)
 		}
-	}
-}
-
-// TestRunReservesEventBuffer checks the recording path pre-sizes its
-// event buffer from the spec's estimate: when the estimate covers the
-// actual dynamic branch count (the estimate test above bounds the gap
-// at 2%), the buffer must never have regrown past the reservation.
-func TestRunReservesEventBuffer(t *testing.T) {
-	s := small()
-	tr, stats, err := s.Run(RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := int(s.DynamicBranches(1.0))
-	if uint64(len(tr.Events)) != stats.CondBranches {
-		t.Fatalf("trace has %d events, stats report %d", len(tr.Events), stats.CondBranches)
-	}
-	if len(tr.Events) <= est && cap(tr.Events) != est {
-		t.Fatalf("buffer cap %d != reserved estimate %d (regrew or never reserved)", cap(tr.Events), est)
 	}
 }
