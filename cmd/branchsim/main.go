@@ -83,6 +83,9 @@ func run(bench, input string, scale float64, predictors string, bht, pht, allocS
 	names := strings.Split(predictors, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
+		if !slices.Contains(predictorNames, names[i]) {
+			return fmt.Errorf("unknown predictor %q (have %s)", names[i], strings.Join(predictorNames, ", "))
+		}
 	}
 	runCfg := workload.RunConfig{Input: in, Scale: scale}
 	var freq trace.FreqCounter
@@ -139,9 +142,14 @@ func run(bench, input string, scale float64, predictors string, bht, pht, allocS
 	return nil
 }
 
-// buildPredictor builds the named predictor. freq holds the first
-// run's per-branch statistics; prof is that run's interleave profile,
-// non-nil whenever pag-alloc is among the predictors.
+// predictorNames lists the predictors buildPredictor knows, so that a
+// bad -predictors list fails before the benchmark runs.
+var predictorNames = []string{"pag", "pag-alloc", "pag-ideal", "bimodal", "gshare", "gag", "static", "taken"}
+
+// buildPredictor builds the named predictor, one of predictorNames.
+// freq holds the first run's per-branch statistics; prof is that run's
+// interleave profile, non-nil whenever pag-alloc is among the
+// predictors.
 func buildPredictor(name string, freq *trace.FreqCounter, prof *profile.Profile, bht, pht, allocSize int, useClass bool, bimodalN int) (predict.Predictor, error) {
 	switch name {
 	case "pag":

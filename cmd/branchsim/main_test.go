@@ -106,3 +106,19 @@ func TestRejectsBadScale(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsUnknownPredictor: an unknown or empty predictor name fails
+// before the benchmark runs, so no stats line is printed.
+func TestRejectsUnknownPredictor(t *testing.T) {
+	for _, list := range []string{"bogus", "pag,", "pag,,taken"} {
+		out, err := captureRun(t, func() error {
+			return run("li", "ref", 0.05, list, 1024, 4096, 1024, false, 2048, 0)
+		})
+		if err == nil || !strings.Contains(err.Error(), "unknown predictor") {
+			t.Errorf("-predictors %q: got %v, want an unknown-predictor error", list, err)
+		}
+		if out != "" {
+			t.Errorf("-predictors %q printed %q before failing", list, out)
+		}
+	}
+}

@@ -413,7 +413,7 @@ func TestQueueCapRejectsFlood(t *testing.T) {
 		<-release
 	}
 	ts := newTestService(t, srv)
-	req := analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1}
+	req := analyzeRequest{Kind: "table", Table: 1, Scale: 0.02}
 
 	var accepted []string
 	for range maxConcurrent {
@@ -480,13 +480,13 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 	}
 	ts := newTestService(t, srv)
 
-	bad := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1})
+	bad := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02})
 	j := poll(t, ts, bad)
 	if j.Status != "failed" || !strings.Contains(j.Error, "injected failure in "+bad) {
 		t.Fatalf("panicking job: status %q error %q, want failed with the panic text", j.Status, j.Error)
 	}
 
-	good := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1})
+	good := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02})
 	if j := poll(t, ts, good); j.Status != "done" {
 		t.Fatalf("job after the panic: status %q (%s), want done", j.Status, j.Error)
 	}
@@ -517,7 +517,7 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	srv := newServer(reg, 1)
 	ts := newTestService(t, srv)
 
-	id := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1})
+	id := submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02})
 	if j := poll(t, ts, id); j.Status != "done" {
 		t.Fatalf("job failed: %s", j.Error)
 	}
@@ -555,14 +555,14 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	}
 }
 
-// TestShardsFieldIgnored sends the retired "shards" request field: the
-// JSON decoder ignores unknown fields, so such a client is accepted and
-// gets the same bytes as one that omits it.
+// TestShardsFieldIgnored sends the retired "shards" and "workers"
+// request fields: the JSON decoder ignores unknown fields, so such a
+// client is accepted and gets the same bytes as one that omits them.
 func TestShardsFieldIgnored(t *testing.T) {
 	ts := newTestService(t, newServer(obs.NewRegistry(), 1))
-	plain := poll(t, ts, submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02, Workers: 1}))
+	plain := poll(t, ts, submit(t, ts, analyzeRequest{Kind: "table", Table: 1, Scale: 0.02}))
 	resp, body := postJSON(t, ts.URL+"/analyze", map[string]any{
-		"kind": "table", "table": 1, "scale": 0.02, "workers": 1, "shards": 4,
+		"kind": "table", "table": 1, "scale": 0.02, "workers": 4, "shards": 4,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit with shards: status %d, body %s", resp.StatusCode, body)
@@ -592,7 +592,6 @@ func TestValidation(t *testing.T) {
 		{Kind: "figure", Figure: 1},
 		{Kind: "table", Table: 1, Scale: -1},
 		{Kind: "table", Table: 1, Scale: maxScale + 1},
-		{Kind: "table", Table: 1, Workers: -5},
 		{Kind: "table", Table: 1, CliqueBudget: -7},
 	}
 	for _, c := range cases {

@@ -58,7 +58,6 @@ type analyzeRequest struct {
 	Scale        float64 `json:"scale,omitempty"`
 	Threshold    uint64  `json:"threshold,omitempty"`
 	CliqueBudget int     `json:"clique_budget,omitempty"`
-	Workers      int     `json:"workers,omitempty"`
 	Markdown     bool    `json:"markdown,omitempty"`
 	Check        bool    `json:"check,omitempty"`
 }
@@ -106,13 +105,8 @@ func (r *analyzeRequest) validate() error {
 	if r.Scale < 0 || r.Scale > maxScale {
 		return fmt.Errorf("scale %g out of range [0, %d]", r.Scale, maxScale)
 	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"clique_budget", r.CliqueBudget}, {"workers", r.Workers}} {
-		if f.v < 0 {
-			return fmt.Errorf("%s %d is negative", f.name, f.v)
-		}
+	if r.CliqueBudget < 0 {
+		return fmt.Errorf("clique_budget %d is negative", r.CliqueBudget)
 	}
 	return nil
 }
@@ -133,14 +127,16 @@ func (r *analyzeRequest) vetProgram() ([]progcheck.Finding, error) {
 	return nil, nil
 }
 
-// config is the harness configuration a request runs under.
+// config is the harness configuration a request runs under. Every job
+// runs serially: the server's parallelism is its -max-jobs concurrent
+// jobs.
 func (r *analyzeRequest) config() harness.Config {
 	return harness.Config{
 		Scale:        r.Scale,
 		Threshold:    r.Threshold,
 		CliqueBudget: r.CliqueBudget,
 		Check:        r.Check,
-		Workers:      r.Workers,
+		Workers:      1,
 		ProgCheck:    r.ProgCheck,
 	}
 }

@@ -22,13 +22,12 @@ type suiteKey struct {
 	threshold    uint64
 	cliqueBudget int
 	check        bool
-	workers      int
 	progCheck    bool
 }
 
 func keyOf(cfg harness.Config) suiteKey {
 	cfg = cfg.Defaults()
-	return suiteKey{cfg.Scale, cfg.Threshold, cfg.CliqueBudget, cfg.Check, cfg.Workers, cfg.ProgCheck}
+	return suiteKey{cfg.Scale, cfg.Threshold, cfg.CliqueBudget, cfg.Check, cfg.ProgCheck}
 }
 
 // suiteCache shares one harness.Suite per configuration across the

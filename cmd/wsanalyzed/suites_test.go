@@ -14,7 +14,7 @@ import (
 
 // sharedReq is the job the sharing tests repeat: Table 2 reads only the
 // profiles, so a job that reuses them runs the VM not at all.
-var sharedReq = analyzeRequest{Kind: "table", Table: 2, Scale: 0.02, Workers: 1}
+var sharedReq = analyzeRequest{Kind: "table", Table: 2, Scale: 0.02}
 
 func counter(reg *obs.Registry, name string) uint64 { return reg.Counter(name).Value() }
 

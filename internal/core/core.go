@@ -66,10 +66,6 @@ type AnalysisConfig struct {
 	// CliqueBudget bounds maximal-clique enumeration; <= 0 selects
 	// graph.DefaultCliqueBudget.
 	CliqueBudget int
-	// IncludeSingletons counts isolated branches as singleton working
-	// sets. The paper's statistics concern interacting branches, so the
-	// default (false) excludes them; the number excluded is reported.
-	IncludeSingletons bool
 	// Deprecated: enumeration is serial; this field is ignored and remains only because perfbench/ still sets it.
 	Workers int
 	// Metrics, when non-nil, records clique-enumeration effort (budget
@@ -101,7 +97,8 @@ type AnalysisResult struct {
 	// statistics then cover only the enumerated sets.
 	Truncated bool
 	// IsolatedBranches counts branches with no conflict edge above
-	// threshold (excluded from Sets unless IncludeSingletons).
+	// threshold. The paper's statistics concern interacting branches,
+	// so these are excluded from Sets.
 	IsolatedBranches int
 }
 
@@ -157,8 +154,12 @@ func Analyze(p *profile.Profile, cfg AnalysisConfig) (*AnalysisResult, error) {
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	g := p.BuildGraph(threshold)
+	return extractSets(p, p.BuildGraph(threshold), p.Exec, cfg)
+}
 
+// extractSets reads the working sets of cfg.Definition off g, whose
+// node u executed exec[u] times, and returns them largest first.
+func extractSets(p *profile.Profile, g *graph.Graph, exec []uint64, cfg AnalysisConfig) (*AnalysisResult, error) {
 	isolated := 0
 	for u := 0; u < g.N(); u++ {
 		if g.Degree(int32(u)) == 0 {
@@ -170,10 +171,10 @@ func Analyze(p *profile.Profile, cfg AnalysisConfig) (*AnalysisResult, error) {
 	truncated := false
 	switch cfg.Definition {
 	case MaximalCliques:
-		res := g.MaximalCliquesObs(cfg.CliqueBudget, cfg.IncludeSingletons, 1, cfg.Metrics)
+		res := g.MaximalCliquesObs(cfg.CliqueBudget, false, 1, cfg.Metrics)
 		cliques, truncated = res.Cliques, res.Truncated
 	case GreedyPartition:
-		cliques = g.GreedyCliquePartition(cfg.IncludeSingletons)
+		cliques = g.GreedyCliquePartition(false)
 	default:
 		return nil, fmt.Errorf("core: unknown set definition %d", cfg.Definition)
 	}
@@ -181,8 +182,8 @@ func Analyze(p *profile.Profile, cfg AnalysisConfig) (*AnalysisResult, error) {
 	sets := make([]WorkingSet, 0, len(cliques))
 	for _, c := range cliques {
 		var w uint64
-		for _, id := range c {
-			w += p.Exec[id]
+		for _, u := range c {
+			w += exec[u]
 		}
 		sets = append(sets, WorkingSet{Branches: c, ExecWeight: w})
 	}

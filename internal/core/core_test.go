@@ -158,21 +158,6 @@ func TestAnalyzeGreedyPartition(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSingletons(t *testing.T) {
-	p := buildProfile(mixed(3, 1000), cliquePairs(500, 0, 1))
-	without, err := Analyze(p, AnalysisConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	with, err := Analyze(p, AnalysisConfig{IncludeSingletons: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.NumSets() != 1 || with.NumSets() != 2 {
-		t.Fatalf("sets without=%d with=%d", without.NumSets(), with.NumSets())
-	}
-}
-
 func TestAnalyzeErrors(t *testing.T) {
 	if _, err := Analyze(nil, AnalysisConfig{}); err == nil {
 		t.Error("nil profile accepted")

@@ -126,41 +126,12 @@ func AnalyzeGrouped(p *profile.Profile, cfg AnalysisConfig, th classify.Threshol
 		exec[grp] += p.Exec[id]
 	}
 
-	isolated := 0
-	for u := 0; u < g.N(); u++ {
-		if g.Degree(int32(u)) == 0 {
-			isolated++
-		}
+	res, err := extractSets(p, g, exec, cfg)
+	if err != nil {
+		return nil, err
 	}
-	var cliques [][]int32
-	truncated := false
-	switch cfg.Definition {
-	case MaximalCliques:
-		res := g.MaximalCliquesObs(cfg.CliqueBudget, cfg.IncludeSingletons, 1, nil)
-		cliques, truncated = res.Cliques, res.Truncated
-	case GreedyPartition:
-		cliques = g.GreedyCliquePartition(cfg.IncludeSingletons)
-	default:
-		return nil, fmt.Errorf("core: unknown set definition %d", cfg.Definition)
-	}
-	sets := make([]WorkingSet, 0, len(cliques))
-	for _, c := range cliques {
-		var w uint64
-		for _, grp := range c {
-			w += exec[grp]
-		}
-		sets = append(sets, WorkingSet{Branches: c, ExecWeight: w})
-	}
-
 	return &GroupedResult{
-		Analysis: &AnalysisResult{
-			Profile:          p,
-			Config:           cfg,
-			Graph:            g,
-			Sets:             sets,
-			Truncated:        truncated,
-			IsolatedBranches: isolated,
-		},
+		Analysis:       res,
 		Classification: cls,
 		Members:        members,
 		TakenGroup:     takenGroup,

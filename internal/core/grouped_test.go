@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/classify"
@@ -92,8 +93,16 @@ func TestAnalyzeGroupedEdgeWeightsAccumulate(t *testing.T) {
 }
 
 func TestAnalyzeGroupedAllMixedEqualsIndividual(t *testing.T) {
-	// With no biased branches, grouping is the identity analysis.
-	p := buildProfile(mixed(5, 1000), cliquePairs(500, 0, 1, 2, 3, 4))
+	// With no biased branches, grouping is the identity analysis. The
+	// smaller clique comes first in id order, so the sets must also be
+	// sorted alike, largest first, with the same exec weights.
+	branches := make([][2]uint64, 7)
+	for i := range branches {
+		exec := 1000 + 100*uint64(i)
+		branches[i] = [2]uint64{exec, exec / 2}
+	}
+	pairs := append(cliquePairs(500, 0, 1, 2), cliquePairs(500, 3, 4, 5, 6)...)
+	p := buildProfile(branches, pairs)
 	grp, err := AnalyzeGrouped(p, AnalysisConfig{}, classify.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -102,9 +111,8 @@ func TestAnalyzeGroupedAllMixedEqualsIndividual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grp.Analysis.NumSets() != ind.NumSets() || grp.Analysis.MaxSetSize() != ind.MaxSetSize() {
-		t.Fatalf("grouped (%d sets, max %d) != individual (%d sets, max %d)",
-			grp.Analysis.NumSets(), grp.Analysis.MaxSetSize(), ind.NumSets(), ind.MaxSetSize())
+	if !reflect.DeepEqual(grp.Analysis.Sets, ind.Sets) {
+		t.Fatalf("grouped sets %v != individual sets %v", grp.Analysis.Sets, ind.Sets)
 	}
 	if grp.TakenGroup != -1 || grp.NotTakenGroup != -1 {
 		t.Fatal("phantom biased groups created")

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -15,24 +16,20 @@ import (
 	"repro/internal/workload"
 )
 
-// budgetSuite returns a Suite with the given Workers drawing from a
-// private core budget of the given capacity.
-func budgetSuite(workers, capacity int) *Suite {
-	s := NewSuite(Config{Workers: workers})
-	s.cores = &coreBudget{capacity: capacity}
-	return s
-}
-
-func (b *coreBudget) heldTokens() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.held
-}
-
+// TestMapOrderedPreservesOrder also checks that no more than
+// min(Workers, n) rows run at once.
 func TestMapOrderedPreservesOrder(t *testing.T) {
+	const n = 17
 	for _, workers := range []int{1, 2, 4, 100} {
-		s := budgetSuite(workers, 4)
-		got, err := mapOrdered(s, 17, nil, func(i int) (int, error) { return i * i, nil })
+		var live, peak atomic.Int32
+		got, err := mapOrdered(NewSuite(Config{Workers: workers}), n, nil, func(i int) (int, error) {
+			l := live.Add(1)
+			for p := peak.Load(); l > p && !peak.CompareAndSwap(p, l); p = peak.Load() {
+			}
+			time.Sleep(100 * time.Microsecond)
+			live.Add(-1)
+			return i * i, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,14 +38,14 @@ func TestMapOrderedPreservesOrder(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
 			}
 		}
-		if held := s.cores.heldTokens(); held != 0 {
-			t.Fatalf("workers=%d: %d tokens still held", workers, held)
+		if p := int(peak.Load()); p > min(workers, n) {
+			t.Fatalf("workers=%d: %d rows ran at once", workers, p)
 		}
 	}
 }
 
 func TestMapOrderedEmpty(t *testing.T) {
-	got, err := mapOrdered(budgetSuite(4, 4), 0, nil, func(int) (int, error) {
+	got, err := mapOrdered(NewSuite(Config{Workers: 4}), 0, nil, func(int) (int, error) {
 		t.Fatal("f called for n=0")
 		return 0, nil
 	})
@@ -60,7 +57,7 @@ func TestMapOrderedEmpty(t *testing.T) {
 func TestMapOrderedSerialAbortsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int32
-	_, err := mapOrdered(budgetSuite(1, 4), 10, nil, func(i int) (int, error) {
+	_, err := mapOrdered(NewSuite(Config{Workers: 1}), 10, nil, func(i int) (int, error) {
 		calls.Add(1)
 		if i == 2 {
 			return 0, boom
@@ -76,7 +73,7 @@ func TestMapOrderedSerialAbortsOnError(t *testing.T) {
 }
 
 func TestMapOrderedParallelReturnsLowestIndexError(t *testing.T) {
-	_, err := mapOrdered(budgetSuite(4, 4), 8, nil, func(i int) (int, error) {
+	_, err := mapOrdered(NewSuite(Config{Workers: 4}), 8, nil, func(i int) (int, error) {
 		if i == 2 || i == 5 {
 			return 0, fmt.Errorf("fail-%d", i)
 		}
@@ -84,46 +81,6 @@ func TestMapOrderedParallelReturnsLowestIndexError(t *testing.T) {
 	})
 	if err == nil || err.Error() != "fail-2" {
 		t.Fatalf("err = %v, want fail-2", err)
-	}
-}
-
-// TestCoreBudgetNeverExceedsCapacity hammers one budget with
-// concurrent takes of up to three tokens and no floor: the held count
-// never exceeds the capacity, every take is within [0, want], and
-// everything comes back.
-func TestCoreBudgetNeverExceedsCapacity(t *testing.T) {
-	const capacity = 3
-	b := &coreBudget{capacity: capacity}
-	var wg sync.WaitGroup
-	var bad atomic.Value
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				want := 1 + (g+i)%3
-				n := b.take(want, 0)
-				if held := b.heldTokens(); held > capacity {
-					bad.Store(fmt.Sprintf("held %d tokens, capacity %d", held, capacity))
-				}
-				if n < 0 || n > want {
-					bad.Store(fmt.Sprintf("take(%d, 0) = %d", want, n))
-				}
-				b.give(n)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if msg := bad.Load(); msg != nil {
-		t.Fatal(msg)
-	}
-	if held := b.heldTokens(); held != 0 {
-		t.Fatalf("%d tokens still held", held)
-	}
-	if n := b.take(8, 0); n != capacity {
-		t.Fatalf("take(8, 0) on an idle budget = %d, want %d", n, capacity)
-	} else {
-		b.give(n)
 	}
 }
 
@@ -135,39 +92,21 @@ func TestMapOrderedDispatchHeaviestFirst(t *testing.T) {
 	weight := func(i int) uint64 { return weights[i] }
 	want := []int{4, 1, 2, 7, 0, 5, 3, 6}
 
-	// With the budget's other token taken, Workers 2 gets one worker,
-	// whose start order is the dispatch order itself.
-	s := budgetSuite(2, 2)
-	s.cores.take(1, 1)
-	var mu sync.Mutex
-	var started []int
-	got, err := mapOrdered(s, len(weights), weight, func(i int) (int, error) {
-		mu.Lock()
-		started = append(started, i)
-		mu.Unlock()
-		return 10 * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got := dispatchOrder(len(weights), weight); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
 	}
-	if !reflect.DeepEqual(started, want) {
-		t.Fatalf("start order %v, want %v", started, want)
+	if got := dispatchOrder(4, nil); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("nil-weight dispatch order %v, want index order", got)
 	}
-	for i, v := range got {
-		if v != 10*i {
-			t.Fatalf("out[%d] = %d, results not in index order", i, v)
-		}
-	}
-	s.cores.give(1)
 
 	// Four workers: each blocks after its first row until all four have
 	// one, so the first wave is exactly the four heaviest rows.
-	s = budgetSuite(4, 4)
+	var mu sync.Mutex
 	var wave sync.WaitGroup
 	wave.Add(4)
 	var calls atomic.Int32
 	first := make(map[int]bool)
-	got, err = mapOrdered(s, len(weights), weight, func(i int) (int, error) {
+	got, err := mapOrdered(NewSuite(Config{Workers: 4}), len(weights), weight, func(i int) (int, error) {
 		if calls.Add(1) <= 4 {
 			mu.Lock()
 			first[i] = true
@@ -190,19 +129,14 @@ func TestMapOrderedDispatchHeaviestFirst(t *testing.T) {
 			t.Fatalf("out[%d] = %d, results not in index order", i, v)
 		}
 	}
-	if held := s.cores.heldTokens(); held != 0 {
-		t.Fatalf("%d tokens still held", held)
-	}
 }
 
 // TestMapOrderedRecoversPanic panics in one row: in both modes the
-// panic becomes that row's error, and the worker tokens all return to
-// the budget.
+// panic becomes that row's error.
 func TestMapOrderedRecoversPanic(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		s := budgetSuite(workers, 3)
 		var calls atomic.Int32
-		_, err := mapOrdered(s, 6, nil, func(i int) (int, error) {
+		_, err := mapOrdered(NewSuite(Config{Workers: workers}), 6, nil, func(i int) (int, error) {
 			calls.Add(1)
 			if i == 2 {
 				panic("boom")
@@ -215,15 +149,12 @@ func TestMapOrderedRecoversPanic(t *testing.T) {
 		if want := map[int]int32{1: 3, 3: 6}[workers]; calls.Load() != want {
 			t.Fatalf("workers=%d: %d rows ran, want %d", workers, calls.Load(), want)
 		}
-		if held := s.cores.heldTokens(); held != 0 {
-			t.Fatalf("workers=%d: %d tokens still held after the panic", workers, held)
-		}
 	}
 }
 
 // TestConcurrentSuitesMatchSerial runs two default-config Suites'
-// RunAll at once, sharing the process-wide budget as two wsanalyzed
-// jobs do, and requires both to match the serial bytes.
+// RunAll at once, each with its own workers, and requires both to
+// match the serial bytes.
 func TestConcurrentSuitesMatchSerial(t *testing.T) {
 	render := func(cfg Config) (string, error) {
 		var b strings.Builder
@@ -252,9 +183,6 @@ func TestConcurrentSuitesMatchSerial(t *testing.T) {
 		if out[i] != serial {
 			t.Errorf("suite %d differs from serial:\n--- serial ---\n%.2000s\n--- concurrent ---\n%.2000s", i, serial, out[i])
 		}
-	}
-	if held := cores.heldTokens(); held != 0 {
-		t.Fatalf("%d process-wide tokens still held", held)
 	}
 }
 

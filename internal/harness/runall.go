@@ -110,7 +110,7 @@ func RunFigure(s *Suite, w io.Writer, figure int, markdown bool) error {
 // of its per-benchmark studies, and one more row runs li's window
 // ablation, weighted by its passes so that it starts beside the
 // heaviest benchmark row. No row calls mapOrdered again: a nested pool
-// would overdraw the core budget by its one-token floor.
+// would multiply the workers, Workers of them in each running row.
 func RunAblations(s *Suite, w io.Writer, markdown bool) error {
 	n := len(AblationBenchmarks)
 	weight := func(i int) uint64 {

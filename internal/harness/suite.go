@@ -60,11 +60,11 @@ type Config struct {
 	Check bool
 	// Workers caps how many benchmarks are processed concurrently
 	// across artifact computation, analysis, and predictor simulation;
-	// 0 means GOMAXPROCS, 1 runs strictly serially. Each worker holds a
-	// token of the process-wide core budget, so concurrent Suites share
-	// GOMAXPROCS cores; a value above GOMAXPROCS is honoured as given.
-	// Results merge in fixed benchmark order, so rendered output does
-	// not depend on it.
+	// 0 means GOMAXPROCS, 1 runs strictly serially. Suites running at
+	// once each start their own workers, so a caller that runs several
+	// (as wsanalyzed does, one per job) gives each Workers 1. Results
+	// merge in fixed benchmark order, so rendered output does not
+	// depend on it.
 	Workers int
 	// Deprecated: each profile and clique enumeration runs on its row's goroutine; this field is ignored and remains only because perfbench/ still sets it.
 	ProfileShards int
@@ -140,15 +140,11 @@ type Suite struct {
 	graphs    memo[*GraphArtifacts]
 
 	progMu sync.Mutex
-
-	// cores is the core budget the suite's workers draw from: the
-	// process-wide one, except in tests.
-	cores *coreBudget
 }
 
 // NewSuite returns a Suite with cfg (unset fields defaulted).
 func NewSuite(cfg Config) *Suite {
-	return &Suite{cfg: cfg.Defaults(), cores: cores}
+	return &Suite{cfg: cfg.Defaults()}
 }
 
 // Config returns the effective configuration.
