@@ -177,7 +177,6 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 			if err != nil {
 				return err
 			}
-			p.SetInstructions(stats.Instructions)
 			profiles = append(profiles, p.Profile())
 			fmt.Printf("profiled %s/%s: %d dynamic branches, %d static\n",
 				bench, in.Name, stats.CondBranches, profiles[len(profiles)-1].NumBranches())

@@ -103,7 +103,6 @@ func run(bench, input string, scale float64, predictors string, bht, pht, allocS
 		bench, in.Name, stats.Instructions, stats.CondBranches, 100*stats.TakenRate())
 	var prof *profile.Profile
 	if profiler != nil {
-		profiler.SetInstructions(stats.Instructions)
 		prof = profiler.Profile()
 	}
 

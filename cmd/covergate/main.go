@@ -8,13 +8,12 @@
 // temporary directory that is removed on exit, so no coverage artifact
 // can land in the working tree (and get committed by accident). Pass
 // -keep-profile to also copy the generated profile somewhere for
-// downstream tools like `go tool cover -html`. A pre-existing profile
-// can still be gated directly with -profile.
+// downstream tools like `go tool cover -html`.
 //
-// The gate fails (exit 1) when total coverage drops more than -slack
-// percentage points below the baseline, so refactors cannot silently
-// shed tests. Regenerate the baseline after intentionally changing
-// coverage:
+// The gate fails (exit 1) when total coverage drops more than slack
+// (one percentage point) below the baseline, so refactors cannot
+// silently shed tests. Regenerate the baseline after intentionally
+// changing coverage:
 //
 //	go run ./cmd/covergate -gen ./... -write COVERAGE.baseline
 //
@@ -37,35 +36,28 @@ import (
 	"strings"
 )
 
+// slack is the allowed drop below the baseline total, in percentage
+// points.
+const slack = 1.0
+
 func main() {
 	var (
-		profilePath = flag.String("profile", "", "pre-existing coverprofile to gate (alternative to -gen)")
-		gen         = flag.String("gen", "", "run `go test -coverprofile` on this package pattern (e.g. ./...) into a temp dir and gate the result")
-		keep        = flag.String("keep-profile", "", "with -gen, also copy the generated profile to this path for downstream tools")
-		baseline    = flag.String("baseline", "", "committed baseline file to gate against")
-		write       = flag.String("write", "", "write a fresh baseline to this file and exit")
-		slack       = flag.Float64("slack", 1.0, "allowed drop below baseline total, in percentage points")
+		gen      = flag.String("gen", "", "run `go test -coverprofile` on this package pattern (e.g. ./...) into a temp dir and gate the result")
+		keep     = flag.String("keep-profile", "", "also copy the generated profile to this path for downstream tools")
+		baseline = flag.String("baseline", "", "committed baseline file to gate against")
+		write    = flag.String("write", "", "write a fresh baseline to this file and exit")
 	)
 	flag.Parse()
-	profile := *profilePath
-	if *gen != "" {
-		if profile != "" {
-			fmt.Fprintln(os.Stderr, "covergate: -gen and -profile are mutually exclusive")
-			os.Exit(1)
-		}
-		p, cleanup, err := generateProfile(*gen, *keep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "covergate:", err)
-			os.Exit(1)
-		}
-		defer cleanup()
-		profile = p
-	}
-	if profile == "" {
-		fmt.Fprintln(os.Stderr, "covergate: need -profile or -gen")
+	if *gen == "" {
+		fmt.Fprintln(os.Stderr, "covergate: need -gen")
 		os.Exit(1)
 	}
-	if err := run(profile, *baseline, *write, *slack, os.Stdout); err != nil {
+	profile, cleanup, err := generateProfile(*gen, *keep)
+	if err == nil {
+		err = run(profile, *baseline, *write, os.Stdout)
+		cleanup()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "covergate:", err)
 		os.Exit(1)
 	}
@@ -217,7 +209,7 @@ func readBaselineTotal(path string) (float64, error) {
 	return 0, fmt.Errorf("no 'total' line in %s", path)
 }
 
-func run(profilePath, baseline, write string, slack float64, out io.Writer) error {
+func run(profilePath, baseline, write string, out io.Writer) error {
 	f, err := os.Open(profilePath)
 	if err != nil {
 		return err

@@ -67,11 +67,11 @@ func TestGatePassAndFail(t *testing.T) {
 	baseline := filepath.Join(t.TempDir(), "COVERAGE.baseline")
 
 	var out strings.Builder
-	if err := run(profile, "", baseline, 1.0, &out); err != nil {
+	if err := run(profile, "", baseline, &out); err != nil {
 		t.Fatalf("write baseline: %v", err)
 	}
 	out.Reset()
-	if err := run(profile, baseline, "", 1.0, &out); err != nil {
+	if err := run(profile, baseline, "", &out); err != nil {
 		t.Fatalf("gate against own baseline: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "coverage gate ok") {
@@ -83,7 +83,7 @@ func TestGatePassAndFail(t *testing.T) {
 	dropped = strings.ReplaceAll(dropped, " 7\n", " 0\n")
 	profile2 := writeFile(t, "cover2.out", dropped)
 	out.Reset()
-	err := run(profile2, baseline, "", 1.0, &out)
+	err := run(profile2, baseline, "", &out)
 	if err == nil || !strings.Contains(err.Error(), "below baseline") {
 		t.Fatalf("gate passed on dropped coverage (err=%v)", err)
 	}

@@ -1,9 +1,7 @@
 // Command progcheck runs the static program verifier (package
 // progcheck) over assembly programs, built-in seed benchmarks, or
 // graph workloads, and reports findings in the reprolint style: a
-// stable total order, severities error/warn/info, -json output, and a
-// baseline workflow so known findings can be accepted without
-// blocking a gate.
+// stable total order, severities error/warn/info, and -json output.
 //
 // Usage:
 //
@@ -25,19 +23,17 @@
 // progcheck's differential oracle); a violation is a verifier bug and
 // fails the run regardless of severity gates.
 //
-// Exit status: 0 clean (no error findings, or all baselined), 1 error
-// findings or a crosscheck violation (-strict widens the gate to
-// warn), 2 operational error.
+// Exit status: 0 clean (no error findings), 1 error findings or a
+// crosscheck violation (-strict widens the gate to warn), 2
+// operational error.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/progcheck"
@@ -58,8 +54,6 @@ func main() {
 	flag.BoolVar(&opts.crosscheck, "crosscheck", false, "replay proven facts against a live run (differential oracle)")
 	flag.Uint64Var(&opts.seed, "seed", 1, "data seed for -crosscheck runs")
 	flag.Uint64Var(&opts.maxInstructions, "max-instructions", 2_000_000, "instruction cap for -crosscheck runs (0 = unlimited)")
-	flag.StringVar(&opts.baseline, "baseline", "", "baseline file; findings whose lines match do not print or fail")
-	flag.StringVar(&opts.writeBaseline, "write-baseline", "", "regenerate this baseline file from current failing findings and exit")
 	flag.Parse()
 
 	code, err := run(opts, flag.Args(), os.Stdout)
@@ -80,8 +74,6 @@ type options struct {
 	crosscheck          bool
 	seed                uint64
 	maxInstructions     uint64
-	baseline            string
-	writeBaseline       string
 }
 
 // target is one program to verify.
@@ -108,33 +100,20 @@ func run(opts options, args []string, stdout io.Writer) (int, error) {
 	if len(targets) == 0 {
 		return 2, fmt.Errorf("nothing to verify: pass program files or -bench/-graph/-all")
 	}
-	baseline, err := loadBaseline(opts.baseline)
-	if err != nil {
-		return 2, err
-	}
-
 	var (
-		reports   []report
-		baselined []string
-		exit      int
+		reports []report
+		exit    int
 	)
 	for _, t := range targets {
 		r := progcheck.Check(t.prog)
 		rep := report{Name: t.name, Findings: r.Findings, Summary: r.Summary()}
 
 		for _, f := range r.Findings {
-			line := t.name + ": " + f.String()
-			fails := f.Severity == progcheck.SevError || (opts.strict && f.Severity.Fails())
-			if fails {
-				if baseline[line] {
-					baselined = append(baselined, line)
-					fails = false
-				} else {
-					rep.Failed = true
-				}
+			if f.Severity == progcheck.SevError || (opts.strict && f.Severity.Fails()) {
+				rep.Failed = true
 			}
-			if !opts.jsonOut && (opts.writeBaseline == "" || fails) {
-				fmt.Fprintln(stdout, line)
+			if !opts.jsonOut {
+				fmt.Fprintf(stdout, "%s: %s\n", t.name, f)
 			}
 		}
 		if rep.Failed {
@@ -153,20 +132,17 @@ func run(opts options, args []string, stdout io.Writer) (int, error) {
 				fmt.Fprintf(stdout, "%s: %v\n", t.name, err)
 				rep.Failed = true
 				exit = 1
-			} else if !opts.jsonOut && opts.writeBaseline == "" {
+			} else if !opts.jsonOut {
 				fmt.Fprintf(stdout, "%s: crosscheck ok\n", t.name)
 			}
 		}
 
-		if !opts.jsonOut && opts.writeBaseline == "" {
+		if !opts.jsonOut {
 			fmt.Fprintln(stdout, r.SummaryLine(t.name))
 		}
 		reports = append(reports, rep)
 	}
 
-	if opts.writeBaseline != "" {
-		return exitFromWrite(opts, reports, targets)
-	}
 	if opts.jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -175,47 +151,6 @@ func run(opts options, args []string, stdout io.Writer) (int, error) {
 		}
 	}
 	return exit, nil
-}
-
-// exitFromWrite regenerates the baseline from current failing findings.
-func exitFromWrite(opts options, reports []report, targets []target) (int, error) {
-	var lines []string
-	for i, rep := range reports {
-		for _, f := range rep.Findings {
-			if f.Severity == progcheck.SevError || (opts.strict && f.Severity.Fails()) {
-				lines = append(lines, targets[i].name+": "+f.String())
-			}
-		}
-	}
-	sort.Strings(lines)
-	var b strings.Builder
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	if err := os.WriteFile(opts.writeBaseline, []byte(b.String()), 0o644); err != nil {
-		return 2, err
-	}
-	return 0, nil
-}
-
-func loadBaseline(path string) (map[string]bool, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	defer f.Close()
-	lines := make(map[string]bool)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if l := strings.TrimSpace(sc.Text()); l != "" {
-			lines[l] = true
-		}
-	}
-	return lines, sc.Err()
 }
 
 func resolveTargets(opts options, args []string) ([]target, error) {

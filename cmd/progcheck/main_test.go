@@ -100,26 +100,6 @@ func TestBenchCleanAndJSON(t *testing.T) {
 	}
 }
 
-func TestBaselineWorkflow(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "PROGCHECK.baseline")
-	fixture := filepath.Join("testdata", "oob_store.s")
-
-	// Write the baseline from the current findings, then re-run against
-	// it: the same findings must now pass.
-	if code, err := run(options{writeBaseline: base}, []string{fixture}, &bytes.Buffer{}); err != nil || code != 0 {
-		t.Fatalf("write-baseline: code %d err %v", code, err)
-	}
-	var out bytes.Buffer
-	code, err := run(options{baseline: base}, []string{fixture}, &out)
-	if err != nil {
-		t.Fatalf("run with baseline: %v", err)
-	}
-	if code != 0 {
-		t.Errorf("baselined findings still fail (exit %d):\n%s", code, out.String())
-	}
-}
-
 func TestUnknownTargets(t *testing.T) {
 	if _, err := run(options{bench: "nosuch"}, nil, &bytes.Buffer{}); err == nil {
 		t.Error("unknown bench accepted")

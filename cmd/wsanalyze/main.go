@@ -180,8 +180,7 @@ func loadTarget(o runOpts) (target, error) {
 // VM metrics.
 func profileRun(o runOpts, t target, m *obs.Metrics) (*profile.Profile, *charact.Collector, error) {
 	var freq trace.FreqCounter
-	stats, err := vm.Run(t.prog, vm.Config{DataSeed: t.input.Seed, Sink: &freq, Metrics: m.VM()})
-	if err != nil {
+	if _, err := vm.Run(t.prog, vm.Config{DataSeed: t.input.Seed, Sink: &freq, Metrics: m.VM()}); err != nil {
 		return nil, nil, err
 	}
 	filter := trace.FilterByCoverage(freq.Stats(), t.coverage)
@@ -207,7 +206,6 @@ func profileRun(o runOpts, t target, m *obs.Metrics) (*profile.Profile, *charact
 	if _, err := vm.Run(t.prog, vm.Config{DataSeed: t.input.Seed, Sink: trace.NewFilterSink(filter.Keep, sink)}); err != nil {
 		return nil, nil, err
 	}
-	p.SetInstructions(stats.Instructions)
 	return p.Profile(), col, nil
 }
 

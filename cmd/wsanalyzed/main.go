@@ -21,8 +21,8 @@
 //
 // Jobs with the same configuration share one harness.Suite, so a
 // repeated request reuses the VM passes and profiles of the jobs before
-// it. Idle suites and finished job records are kept up to fixed caps
-// (maxIdleSuites, maxFinishedJobs).
+// it. The server keeps one idle suite, the most recently released, and
+// finished job records up to a fixed cap (maxFinishedJobs).
 //
 // On SIGINT/SIGTERM the server drains: new submissions get 503,
 // in-flight jobs run to completion, then the listener shuts down.

@@ -1,18 +1,11 @@
 package main
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
-
-// maxIdleSuites caps the suites the cache keeps while no job runs on
-// them. Each holds the profiles and graph runs of every benchmark its
-// jobs touched, so the cap bounds what the server retains between
-// jobs; a suite some job is using is never dropped.
-const maxIdleSuites = 2
 
 // suiteKey is the part of a request that fixes a harness.Suite: the
 // defaulted configuration fields a request can set. Jobs with equal
@@ -34,8 +27,11 @@ func keyOf(cfg harness.Config) suiteKey {
 // server's jobs, so a repeated request reuses the VM passes and
 // profiles of the jobs before it, and concurrent identical jobs
 // share one computation through the suite's own singleflight memo.
-// It holds every suite a running job uses plus at most maxIdleSuites
-// idle ones, dropping the least recently released idle suite first.
+// It holds every suite a running job uses plus one idle suite, the
+// one most recently released. A suite holds the profiles and graph
+// runs of every benchmark its jobs touched, so the single idle slot
+// bounds what the server retains between jobs; a suite some job is
+// using is never dropped.
 type suiteCache struct {
 	metrics *obs.Metrics // every suite reports into the server's registry
 	created *obs.Counter
@@ -43,10 +39,11 @@ type suiteCache struct {
 
 	mu      sync.Mutex
 	entries map[suiteKey]*suiteEntry
-	idle    []suiteKey // least recently released first
+	idle    *suiteEntry // the entry no job uses, if any
 }
 
 type suiteEntry struct {
+	key   suiteKey
 	suite *harness.Suite
 	users int // jobs holding the suite
 }
@@ -69,22 +66,21 @@ func (c *suiteCache) acquire(cfg harness.Config) (*harness.Suite, func()) {
 	e, ok := c.entries[k]
 	if ok {
 		c.reused.Inc()
-		if e.users == 0 {
-			i := slices.Index(c.idle, k)
-			c.idle = slices.Delete(c.idle, i, i+1)
+		if e == c.idle {
+			c.idle = nil
 		}
 	} else {
 		c.created.Inc()
 		cfg.Metrics = c.metrics
-		e = &suiteEntry{suite: harness.NewSuite(cfg)}
+		e = &suiteEntry{key: k, suite: harness.NewSuite(cfg)}
 		c.entries[k] = e
 	}
 	e.users++
 	return e.suite, func() { c.release(k) }
 }
 
-// release ends one job's use of k's suite. A suite no job uses goes to
-// the back of the idle list, and the front is dropped past the cap.
+// release ends one job's use of k's suite. A suite no job uses takes
+// the idle slot, dropping the suite that held it.
 func (c *suiteCache) release(k suiteKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -92,9 +88,8 @@ func (c *suiteCache) release(k suiteKey) {
 	if e.users--; e.users > 0 {
 		return
 	}
-	c.idle = append(c.idle, k)
-	if len(c.idle) > maxIdleSuites {
-		delete(c.entries, c.idle[0])
-		c.idle = c.idle[1:]
+	if c.idle != nil {
+		delete(c.entries, c.idle.key)
 	}
+	c.idle = e
 }

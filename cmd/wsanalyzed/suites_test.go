@@ -102,12 +102,12 @@ func TestConcurrentIdenticalJobsShareWork(t *testing.T) {
 }
 
 // TestIdleSuitesCapped releases more distinct configurations than the
-// cap: suites in use are all kept, idle ones never number more than
-// maxIdleSuites, and the least recently released go first.
+// one idle slot: suites in use are all kept, and of the idle ones only
+// the most recently released stays.
 func TestIdleSuitesCapped(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newSuiteCache(reg, obs.New(reg))
-	const configs = maxIdleSuites + 3
+	const configs = 4
 	releases := make([]func(), configs)
 	for i := range releases {
 		_, releases[i] = c.acquire(harness.Config{Scale: 0.02, Threshold: uint64(100 + i)})
@@ -117,26 +117,27 @@ func TestIdleSuitesCapped(t *testing.T) {
 	}
 	for i, release := range releases {
 		release()
-		if len(c.idle) > maxIdleSuites || len(c.entries) != configs-i-1+len(c.idle) {
-			t.Fatalf("after %d releases: %d idle of %d cached, cap %d", i+1, len(c.idle), len(c.entries), maxIdleSuites)
+		if len(c.entries) != configs-i || c.idle == nil || c.idle.key.threshold != uint64(100+i) {
+			t.Fatalf("after %d releases: %d cached, want %d with the last released idle", i+1, len(c.entries), configs-i)
 		}
 	}
 
-	// The last maxIdleSuites released are the ones kept.
+	// Only the last released is kept: reacquiring in reverse order
+	// reuses it and creates every other suite anew.
 	for i := configs - 1; i >= 0; i-- {
 		_, release := c.acquire(harness.Config{Scale: 0.02, Threshold: uint64(100 + i)})
 		release()
-		if len(c.idle) > maxIdleSuites {
-			t.Fatalf("%d idle suites, cap %d", len(c.idle), maxIdleSuites)
+		if len(c.entries) != 1 {
+			t.Fatalf("%d suites cached with no job running, want 1", len(c.entries))
 		}
 	}
-	if got, want := counter(reg, "wsd_suites_reused_total"), uint64(maxIdleSuites); got != want {
-		t.Errorf("reused %d suites, want the %d most recently released", got, want)
+	if got := counter(reg, "wsd_suites_reused_total"); got != 1 {
+		t.Errorf("reused %d suites, want only the most recently released", got)
 	}
 
 	// Jobs on overlapping configurations acquire and release from many
 	// goroutines at once (CI runs this under -race): once all are done,
-	// no suite is held and the idle ones are within the cap.
+	// no suite is held and only the idle one is cached.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -149,13 +150,8 @@ func TestIdleSuitesCapped(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if len(c.idle) > maxIdleSuites || len(c.entries) != len(c.idle) {
-		t.Errorf("after concurrent use: %d idle of %d cached, cap %d", len(c.idle), len(c.entries), maxIdleSuites)
-	}
-	for k, e := range c.entries {
-		if e.users != 0 {
-			t.Errorf("suite %+v still held by %d jobs", k, e.users)
-		}
+	if len(c.entries) != 1 || c.entries[c.idle.key] != c.idle || c.idle.users != 0 {
+		t.Errorf("after concurrent use: %d cached, want only the idle suite", len(c.entries))
 	}
 }
 

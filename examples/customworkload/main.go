@@ -106,7 +106,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	profiler.SetInstructions(stats.Instructions)
 	prof := profiler.Profile()
 	fmt.Printf("executed %d instructions, %d branches (%.1f%% taken)\n",
 		stats.Instructions, stats.CondBranches, 100*stats.TakenRate())

@@ -40,7 +40,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	profiler.SetInstructions(stats.Instructions)
 	prof := profiler.Profile()
 	fmt.Printf("%s: %d dynamic branches, %d static\n\n", benchmark, stats.CondBranches, prof.NumBranches())
 
@@ -103,7 +102,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	results := make([]predict.Result, len(sims))
+	results := make([]predict.SimResult, len(sims))
 	for i, s := range sims {
 		results[i] = s.Result()
 	}

@@ -79,11 +79,9 @@ func main() {
 // the approximation.
 func profileRun(spec workload.Spec, in workload.InputSet) *profile.Profile {
 	p := profile.NewProfiler(spec.Name, in.Name, profile.WithWindow(2*spec.WorkingSetSize()))
-	stats, err := spec.RunInto(workload.RunConfig{Input: in, Scale: scale}, p)
-	if err != nil {
+	if _, err := spec.RunInto(workload.RunConfig{Input: in, Scale: scale}, p); err != nil {
 		log.Fatal(err)
 	}
-	p.SetInstructions(stats.Instructions)
 	return p.Profile()
 }
 

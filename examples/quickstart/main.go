@@ -29,7 +29,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	profiler.SetInstructions(stats.Instructions)
 	prof := profiler.Profile()
 	fmt.Printf("ran %s: %d dynamic conditional branches\n", spec.Name, stats.CondBranches)
 	fmt.Printf("profiled %d static branches, %d interleaving pairs\n",

@@ -31,7 +31,6 @@ func profileRun(t *testing.T, name string, in workload.InputSet) (*profile.Profi
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetInstructions(stats.Instructions)
 	return p.Profile(), stats
 }
 

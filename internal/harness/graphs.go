@@ -66,7 +66,6 @@ func (s *Suite) computeGraph(name string) (*GraphArtifacts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: running graph %s: %w", name, err)
 	}
-	prof.SetInstructions(stats.Instructions)
 	result := spec.Result(m)
 	if s.cfg.Check {
 		want := spec.Reference()

@@ -223,7 +223,6 @@ func (s *Suite) compute(benchmark string, input workload.InputSet) (*Artifacts, 
 	if _, err := spec.RunInto(runCfg, trace.NewFilterSink(filter.Keep, prof)); err != nil {
 		return nil, fmt.Errorf("harness: profiling %s: %w", spec.Name, err)
 	}
-	prof.SetInstructions(stats.Instructions)
 
 	return &Artifacts{
 		Spec:    spec,

@@ -25,9 +25,7 @@ import (
 //
 // A finding is not proof of a bug — some hot functions legitimately
 // allocate on cold sub-paths (fault exits, first-touch discovery).
-// Audited sites carry //reprolint:allow hotpath annotations; structural
-// ones that the forthcoming perf work should remove live in
-// LINT.baseline as its worklist.
+// Audited sites carry //reprolint:allow hotpath annotations.
 func checkHotPath(m *Module, report func(*Package, token.Pos, string)) {
 	g := m.CallGraph()
 	for _, n := range g.HotFunctions() {

@@ -423,7 +423,7 @@ func TestSimZeroBranches(t *testing.T) {
 	if s.MispredictRate() != 0 {
 		t.Fatal("empty sim rate nonzero")
 	}
-	if (Result{}).Rate() != 0 {
+	if (SimResult{}).Rate() != 0 {
 		t.Fatal("empty result rate nonzero")
 	}
 }

@@ -60,9 +60,6 @@ type SimResult struct {
 	Mispredicts uint64
 }
 
-// Result is the historical name for SimResult.
-type Result = SimResult
-
 // Rate returns the misprediction rate.
 func (r SimResult) Rate() float64 {
 	if r.Branches == 0 {

@@ -45,8 +45,6 @@ type Profile struct {
 	// entry per merged run.
 	Benchmark string
 	InputSets []string
-	// Instructions is the total instruction count across runs.
-	Instructions uint64
 	// PCs maps dense branch ids to static branch byte addresses.
 	PCs []uint64
 	// Exec[id] and Taken[id] count dynamic executions and taken
@@ -235,7 +233,6 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 			}
 			out.InputSets = append(out.InputSets, in)
 		}
-		out.Instructions += p.Instructions
 		remap := make([]int32, len(p.PCs))
 		for id, pc := range p.PCs {
 			remap[id] = ix.Intern(pc)

@@ -407,15 +407,3 @@ func TestSortedPairsOrdering(t *testing.T) {
 		t.Fatalf("%d distinct pairs, want 2", len(seen))
 	}
 }
-
-func TestSetInstructions(t *testing.T) {
-	p := NewProfiler("n", "ref")
-	feed(p, 4, 8)
-	p.SetInstructions(500)
-	if got := p.Profile().Instructions; got != 500 {
-		t.Fatalf("instructions = %d", got)
-	}
-	if p.Branches() != 2 {
-		t.Fatalf("branches = %d", p.Branches())
-	}
-}

@@ -72,8 +72,7 @@ type Profiler struct {
 	mEvents  *obs.Counter
 	mPairInc *obs.Counter
 
-	branches     uint64
-	instructions uint64
+	branches uint64
 }
 
 // pendingPrefix is one branch's coalesced, not yet emitted prefix,
@@ -228,7 +227,7 @@ func (p *Profiler) Reserve(n int) {
 // on the event past maxEvents.
 //
 //reprolint:hotpath profiler pair-increment scan
-func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
+func (p *Profiler) Branch(pc uint64, taken bool, _ uint64) {
 	if p.branches == maxEvents {
 		panic("profile: Profiler accepts at most 2^32-1 events; its 32-bit pair counts could overflow")
 	}
@@ -242,9 +241,6 @@ func (p *Profiler) Branch(pc uint64, taken bool, icount uint64) {
 	}
 	p.branches++
 	p.mEvents.Inc()
-	if icount >= p.instructions {
-		p.instructions = icount + 1
-	}
 
 	if p.in[id] {
 		// Count interleavings: every branch ahead of id in the recency
@@ -352,9 +348,11 @@ func (p *Profiler) TableBytes() uint64 {
 	return total
 }
 
-// SetInstructions records the run's total instruction count (otherwise
-// estimated from the last branch time stamp).
-func (p *Profiler) SetInstructions(n uint64) { p.instructions = n }
+// SetInstructions does nothing.
+//
+// Deprecated: profiles no longer record an instruction count; this
+// method is a no-op and remains only because perfbench/ still calls it.
+func (p *Profiler) SetInstructions(uint64) {}
 
 // Profile extracts the accumulated profile. The Profiler remains usable;
 // further events continue accumulating on top.
@@ -374,13 +372,12 @@ func (p *Profiler) Profile() *Profile {
 	}
 	clear(p.pend)
 	out := &Profile{
-		Benchmark:    p.benchmark,
-		InputSets:    []string{p.inputSet},
-		Instructions: p.instructions,
-		PCs:          append([]uint64(nil), p.pcs...),
-		Exec:         append([]uint64(nil), p.exec...),
-		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        p.extractPairs(),
+		Benchmark: p.benchmark,
+		InputSets: []string{p.inputSet},
+		PCs:       append([]uint64(nil), p.pcs...),
+		Exec:      append([]uint64(nil), p.exec...),
+		Taken:     append([]uint64(nil), p.taken...),
+		Pairs:     p.extractPairs(),
 	}
 	done(out.Pairs.Len())
 	return out
@@ -493,8 +490,7 @@ type NaiveProfiler struct {
 	stamp []uint64 // last time stamp per id
 	seen  []bool   // id has executed at least once
 
-	pairs        map[uint64]uint64 // PairKey → interleave count
-	instructions uint64
+	pairs map[uint64]uint64 // PairKey → interleave count
 }
 
 // NewNaiveProfiler returns the reference profiler.
@@ -516,10 +512,6 @@ func (p *NaiveProfiler) Branch(pc uint64, taken bool, icount uint64) {
 	if taken {
 		p.taken[id]++
 	}
-	if icount >= p.instructions {
-		p.instructions = icount + 1
-	}
-
 	if p.seen[id] {
 		prev := p.stamp[id]
 		for other := range p.stamp {
@@ -561,13 +553,12 @@ func (p *NaiveProfiler) Profile() *Profile { //reprolint:allow testonly referenc
 		pairs[i] = PairCount{A: a, B: b, Count: p.pairs[k]}
 	}
 	out := &Profile{
-		Benchmark:    p.benchmark,
-		InputSets:    []string{p.inputSet},
-		Instructions: p.instructions,
-		PCs:          append([]uint64(nil), p.pcs...),
-		Exec:         append([]uint64(nil), p.exec...),
-		Taken:        append([]uint64(nil), p.taken...),
-		Pairs:        NewPairList(len(p.pcs), pairs),
+		Benchmark: p.benchmark,
+		InputSets: []string{p.inputSet},
+		PCs:       append([]uint64(nil), p.pcs...),
+		Exec:      append([]uint64(nil), p.exec...),
+		Taken:     append([]uint64(nil), p.taken...),
+		Pairs:     NewPairList(len(p.pcs), pairs),
 	}
 	return out
 }

@@ -326,16 +326,6 @@ func Analyze(p *program.Program, facts *progcheck.Facts) (*Estimate, error) {
 			}
 		}
 	}
-	var insts uint64
-	for _, e := range prof.Exec {
-		insts += e
-	}
-	// The time base is an estimate too: scale branch executions by the
-	// program's overall instructions-per-branch ratio.
-	if nb := len(pcs); nb > 0 {
-		insts *= uint64(len(p.Code)) / uint64(nb)
-	}
-	prof.Instructions = insts
 	return est, nil
 }
 

@@ -329,7 +329,6 @@ func TestProfileMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetInstructions(stats.Instructions)
 	prof := p.Profile()
 	var dynamic uint64
 	for _, e := range prof.Exec {
@@ -337,9 +336,6 @@ func TestProfileMatchesRun(t *testing.T) {
 	}
 	if dynamic != stats.CondBranches {
 		t.Fatalf("profile branches %d != stats %d", dynamic, stats.CondBranches)
-	}
-	if prof.Instructions != stats.Instructions {
-		t.Fatal("profile instructions not stamped")
 	}
 	if prof.NumBranches() == 0 || prof.Pairs.Len() == 0 {
 		t.Fatal("profile empty")
