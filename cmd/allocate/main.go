@@ -102,6 +102,9 @@ func run(bench, inputs string, scale float64, size int, useClass, findSize bool,
 	if bench == "" {
 		return fmt.Errorf("need -bench")
 	}
+	if size < 1 {
+		return fmt.Errorf("-size %d: the allocated table needs at least 1 entry", size)
+	}
 	if baseline < 1 {
 		return fmt.Errorf("-baseline %d: the conventional table needs at least 1 entry", baseline)
 	}

@@ -235,3 +235,17 @@ func TestRejectsRepeatedInput(t *testing.T) {
 		t.Errorf("-inputs ref,ref profiled before rejecting the repeat:\n%s", out)
 	}
 }
+
+// TestRejectsSmallSize: a -size below 1 fails before anything is
+// profiled, not after the profile is printed.
+func TestRejectsSmallSize(t *testing.T) {
+	out, err := captureRun(t, func() error {
+		return run("li", "ref", 0.05, -4, false, false, 1024, 100, 0, false, "", false, false, nil)
+	})
+	if err == nil || !strings.Contains(err.Error(), "-size -4") {
+		t.Errorf("-size -4: error %v", err)
+	}
+	if out != "" {
+		t.Errorf("-size -4 printed before failing:\n%s", out)
+	}
+}

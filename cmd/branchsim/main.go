@@ -71,6 +71,9 @@ func run(bench, input string, scale float64, predictors string, bht, pht, allocS
 	if bench == "" {
 		return fmt.Errorf("need -bench")
 	}
+	if tail < 0 {
+		return fmt.Errorf("-tail %d: want 0 (none) or a positive event count", tail)
+	}
 	spec, err := workload.ByName(bench)
 	if err != nil {
 		return err

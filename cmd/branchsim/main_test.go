@@ -122,3 +122,17 @@ func TestRejectsUnknownPredictor(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsNegativeTail: a negative -tail fails before the benchmark
+// runs, so no stats line is printed.
+func TestRejectsNegativeTail(t *testing.T) {
+	out, err := captureRun(t, func() error {
+		return run("li", "ref", 0.05, "taken", 1024, 4096, 1024, false, 2048, -3)
+	})
+	if err == nil || !strings.Contains(err.Error(), "-tail -3") {
+		t.Errorf("-tail -3: got %v, want a -tail error", err)
+	}
+	if out != "" {
+		t.Errorf("-tail -3 printed %q before failing", out)
+	}
+}

@@ -59,6 +59,10 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if err := checkFlags(*budget, *workers); err != nil {
+		fmt.Fprintln(os.Stderr, "tables:", err)
+		os.Exit(1)
+	}
 
 	stopProfiling, err := obs.StartProfiling(*cpuprofile, *memprofile)
 	if err != nil {
@@ -149,6 +153,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tables:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects the integer flags that have no meaning below 0,
+// which the harness would otherwise read as their defaults.
+func checkFlags(budget, workers int) error {
+	if budget < 0 {
+		return fmt.Errorf("-clique-budget %d: want 0 (the default) or a positive step budget", budget)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or a positive worker count", workers)
+	}
+	return nil
 }
 
 func run(suite *harness.Suite, all bool, table, figure int, markdown bool) error {

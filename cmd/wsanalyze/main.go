@@ -226,6 +226,9 @@ func run(o runOpts, reg *obs.Registry) error {
 	if o.window < 0 {
 		return fmt.Errorf("-window %d: want 0 (exact) or a positive scan window", o.window)
 	}
+	if o.top < 0 {
+		return fmt.Errorf("-top %d: want 0 or more sets to print", o.top)
+	}
 	m := obs.New(reg)
 	threshold := o.threshold
 	if threshold == 0 {

@@ -219,3 +219,12 @@ func TestGoldenStaticProgcheck(t *testing.T) {
 	})
 	checkGolden(t, "program_static_progcheck.golden", out)
 }
+
+// TestRejectsNegativeTop: a negative -top is an error rather than a
+// silent report with no sets.
+func TestRejectsNegativeTop(t *testing.T) {
+	err := run(runOpts{input: "ref", scale: 1.0, programFile: "testdata/interleave.s", definition: "cliques", top: -2}, nil)
+	if err == nil || !strings.Contains(err.Error(), "-top -2") {
+		t.Errorf("-top -2: got %v, want a -top error", err)
+	}
+}

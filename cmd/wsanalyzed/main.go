@@ -56,6 +56,9 @@ func main() {
 }
 
 func serve(addr string, maxJobs int) error {
+	if maxJobs < 1 {
+		return fmt.Errorf("-max-jobs %d: want at least 1 concurrent job", maxJobs)
+	}
 	s := newServer(obs.NewRegistry(), maxJobs)
 	srv := &http.Server{Addr: addr, Handler: s.handler()}
 

@@ -764,3 +764,13 @@ func TestJobsListing(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsNoJobs: -max-jobs below 1 is an error before the server
+// listens, not a server that logs 0 and runs 1.
+func TestRejectsNoJobs(t *testing.T) {
+	for _, n := range []int{0, -2} {
+		if err := serve("127.0.0.1:0", n); err == nil || !strings.Contains(err.Error(), "-max-jobs") {
+			t.Errorf("-max-jobs %d: got %v, want a -max-jobs error", n, err)
+		}
+	}
+}

@@ -247,11 +247,8 @@ type server struct {
 }
 
 // newServer builds a server around reg running at most maxConcurrent
-// jobs at once (minimum 1).
+// jobs at once; maxConcurrent must be at least 1.
 func newServer(reg *obs.Registry, maxConcurrent int) *server {
-	if maxConcurrent < 1 {
-		maxConcurrent = 1
-	}
 	return &server{
 		reg:       reg,
 		suites:    newSuiteCache(reg, obs.New(reg)),

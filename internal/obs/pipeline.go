@@ -34,6 +34,7 @@ func New(r *Registry) *Metrics {
 			clock:          r.Clock(),
 			Events:         r.Counter("wsd_profile_events_total"),
 			PairIncrements: r.Counter("wsd_profile_pair_increments_total"),
+			PeriodicEvents: r.Counter("wsd_profile_periodic_events_total"),
 			Merges:         r.Counter("wsd_profile_merges_total"),
 			MergeNanos:     r.Counter("wsd_profile_merge_ns_total"),
 			MergedPairs:    r.Counter("wsd_profile_merged_pairs_total"),
@@ -120,11 +121,14 @@ func (m *VMMetrics) RecordRun(instructions, branches, taken uint64) {
 
 // ProfileMetrics counts profiler events and merge work. Events and
 // PairIncrements are bumped on the profiler hot path — they are plain
-// atomic adds on pre-resolved counters.
+// atomic adds on pre-resolved counters. PeriodicEvents counts the
+// events the profiler skipped as repeats of a verified period; it and
+// those events' share of PairIncrements are added once per skipped run.
 type ProfileMetrics struct {
 	clock          Clock
 	Events         *Counter
 	PairIncrements *Counter
+	PeriodicEvents *Counter
 	Merges         *Counter
 	MergeNanos     *Counter
 	MergedPairs    *Counter

@@ -201,18 +201,27 @@ func TestProfilerWeightedAdd(t *testing.T) {
 	}
 }
 
+// maxFuzzStream bounds a decoded fuzz stream; a decoder stops taking
+// instructions once its stream is longer.
+const maxFuzzStream = 1 << 13
+
 // decodeRotations turns fuzz bytes into a scene-rotation stream. After
-// three header bytes (unused, window, scene size; the first is kept so
-// that committed corpus entries decode to the same streams), each byte
-// is one instruction: switch to another overlapping scene, rotate the scene
-// once with one branch skipped or two neighbours swapped, take a
-// mid-stream checkpoint, or rotate it exactly one to four times. Exact
-// rotations repeat every prefix, so the profiler's multiplicities climb
-// above 1, which random byte streams almost never produce. A
-// checkpoint is marked by a zero pc in the stream.
+// three header bytes (mode, window, scene size), each byte is one
+// instruction. A mode byte of 0x80 or above selects the near-periodic
+// loop bodies of decodePeriodic; below it (as in the committed corpus
+// entries that predate that mode) each instruction switches to another
+// overlapping scene, rotates the scene once with one branch skipped or
+// two neighbours swapped, takes a mid-stream checkpoint, or rotates it
+// exactly one to four times. Exact rotations repeat every prefix, so
+// the profiler's multiplicities climb above 1, which random byte
+// streams almost never produce. A checkpoint is marked by a zero pc in
+// the stream.
 func decodeRotations(data []byte) (window int, stream []uint64) {
 	window = int(data[1]) % 24 // 0 is unbounded; scenes hold at most 16 branches
 	ws := 2 + int(data[2])%15
+	if data[0] >= 0x80 {
+		return window, decodePeriodic(ws, data[3:])
+	}
 	start := 0
 	rotate := func(skip, swap int) {
 		for j := 0; j < ws; j++ {
@@ -225,9 +234,8 @@ func decodeRotations(data []byte) (window int, stream []uint64) {
 			}
 		}
 	}
-	const maxStream = 1 << 13
 	for _, b := range data[3:] {
-		if len(stream) > maxStream {
+		if len(stream) > maxFuzzStream {
 			break
 		}
 		arg := int(b >> 3)
@@ -249,54 +257,82 @@ func decodeRotations(data []byte) (window int, stream []uint64) {
 	return window, stream
 }
 
-// FuzzProfilerCoalescing runs decoded scene-rotation streams through the
-// coalescing Profiler and asserts, at every checkpoint and at the end,
-// that every raw counter slot array and the pair list's Range sequence
-// equal the per-increment reference; with window 0 the extracted pairs
-// must also equal the naive reference pair by pair.
+// decodePeriodic turns fuzz instructions into near-periodic loops, the
+// streams the profiler's period skipping acts on. The loop body is a
+// scene of ws branches with an inner loop over part of it run several
+// times, so its periods nest. Each instruction runs the body two to
+// nine times, runs it once broken at a chosen phase (a branch dropped,
+// or a branch from outside every scene inserted), re-nests the inner
+// loop, switches scene, takes a checkpoint, or runs one rotation over
+// more branches than the longest period the profiler skips.
+func decodePeriodic(ws int, ops []byte) []uint64 {
+	var stream []uint64
+	start, lo, n, reps := 0, 0, 0, 1
+	body := func() []uint64 {
+		var out []uint64
+		for j := 0; j < ws; j++ {
+			out = append(out, uint64(start+j+1)*4)
+			if j == lo+n-1 {
+				for range reps - 1 {
+					for k := lo; k < lo+n; k++ {
+						out = append(out, uint64(start+k+1)*4)
+					}
+				}
+			}
+		}
+		return out
+	}
+	for _, b := range ops {
+		if len(stream) > maxFuzzStream {
+			break
+		}
+		arg := int(b >> 3)
+		switch b & 7 {
+		case 0:
+			start = arg % 8 * (ws + 1) / 2
+		case 1:
+			lo = arg % ws
+			n, reps = 1+arg%(ws-lo), 2+arg%7
+		case 2:
+			cur := body()
+			phase := arg % len(cur)
+			stream = append(append(stream, cur[:phase]...), cur[phase+1:]...)
+		case 3:
+			stream = append(stream, 0)
+		case 4:
+			cur := body()
+			phase := arg % len(cur)
+			stream = append(append(append(stream, cur[:phase]...), uint64(100+arg%4)*4), cur[phase:]...)
+		case 5:
+			for j := range maxPeriod + 1 + arg {
+				stream = append(stream, uint64(200+j)*4)
+			}
+		default:
+			cur := body()
+			for range 2 + arg%8 {
+				stream = append(stream, cur...)
+			}
+		}
+	}
+	return stream
+}
+
+// FuzzProfilerCoalescing runs decoded scene-rotation and near-periodic
+// streams through the Profiler, and checks with checkStream that at
+// every checkpoint and at the end every raw counter slot array and the
+// pair list's Range sequence equal the per-increment reference, that
+// the pair counts sum to the pair-increment total, and with window 0
+// that the extracted pairs equal the naive reference pair by pair.
 func FuzzProfilerCoalescing(f *testing.F) {
 	f.Add([]byte{0, 0, 6, 0x07, 0x07, 0x08, 0x0f, 0x03, 0x09, 0x1f, 0x17})
 	f.Add([]byte{1, 3, 10, 0x1f, 0x11, 0x1f, 0x0a, 0x1f, 0x03, 0x10, 0x1f, 0x21, 0x1f})
 	f.Add([]byte{2, 0, 14, 0x1f, 0x03, 0x18, 0x1e, 0x29, 0x1d, 0x03, 0x1f})
+	f.Add([]byte{0x80, 0, 9, 0x3f, 0x12, 0x3f, 0x0b, 0x3f, 0x24, 0x3f, 0x03, 0x3f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		window, stream := decodeRotations(data)
-		var opts []Option
-		if window > 0 {
-			opts = append(opts, WithWindow(window))
-		}
-		p := NewProfiler("fuzz", "ref", opts...)
-		ref := newRecencyReference(window)
-		naive := NewNaiveProfiler("fuzz", "ref")
-		label := fmt.Sprintf("window=%d", window)
-		var got PairList
-		for i, pc := range stream {
-			if pc == 0 {
-				got = p.Profile().Pairs
-				checkSlots(t, label+" checkpoint", p, got, ref)
-				continue
-			}
-			p.Branch(pc, false, uint64(i))
-			ref.Branch(pc, false, uint64(i))
-			naive.Branch(pc, false, uint64(i))
-		}
-		got = p.Profile().Pairs
-		checkSlots(t, label, p, got, ref)
-		if window != 0 {
-			return
-		}
-		want := naive.Profile().Pairs
-		if want.Len() != got.Len() {
-			t.Fatalf("extracted %d pairs, naive reference %d", got.Len(), want.Len())
-		}
-		gotMap := pairMap(got)
-		want.Range(func(k, v uint64) bool {
-			if gotMap[k] != v {
-				t.Fatalf("pair %#x: extracted %d, naive reference %d", k, gotMap[k], v)
-			}
-			return true
-		})
+		checkStream(t, fmt.Sprintf("window=%d", window), window, stream)
 	})
 }

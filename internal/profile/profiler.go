@@ -19,6 +19,22 @@ import (
 // distance, which Table 2 shows is bounded by the (small) working set
 // size in practice.
 //
+// Most of a workload's stream is scene-rotation loops that repeat
+// event for event, and the profiler counts such a loop body once.
+// Suppose the last P events each equal the event P before them. Then
+// the next event, if it also equals the event P before it, has that
+// event's partners in that order, since its prefix depends only on the
+// events since its branch last ran, and those lie inside the period.
+// Once P consecutive events have matched that way, none restaging a
+// prefix or touching a new branch, the profiler enters a skipped run.
+// There each matching event only adds to its counts, its pending
+// prefix's repeats and the increment total, and the recency list stays
+// as it was at the run's start. The first event that does not match
+// ends the run. The run's events are some whole periods, which leave
+// the list unchanged, and fewer than P more, which are replayed
+// through move-to-front. The breaking event is then processed as
+// usual. Periods longer than maxPeriod events are not tracked.
+//
 // The hot path is flat throughout: pc resolves to a dense id through an
 // isa.PCIndex (no map for VM addresses), the recency list is a contiguous
 // []int32 scanned forward (no pointer chasing), and interleave counts
@@ -47,7 +63,6 @@ type Profiler struct {
 	// the spare room below off.
 	list []int32
 	off  int
-	in   []bool
 
 	// nbr[id] is branch id's neighbor counter: its interleave count with
 	// every partner, added one emitted prefix at a time (see emit).
@@ -65,15 +80,41 @@ type Profiler struct {
 	// per partner per change of prefix instead of one per execution.
 	pend []pendingPrefix
 
-	// metrics is the optional observability bundle; mEvents and mPairInc
-	// are its hot-path counters held directly so Branch performs at most
-	// two nil-checked atomic adds per event. All three may be nil.
-	metrics  *obs.ProfileMetrics
-	mEvents  *obs.Counter
-	mPairInc *obs.Counter
+	// Period skipping (see Branch). ring[t%ringSize] holds event t's
+	// id+1 in its high word and the event's emitted prefix length in its
+	// low word; last[id] is 1 + the index of id's latest event, and 0
+	// until id's first, which is how Branch tells a first touch. period is
+	// the candidate period P (0 for none); verified counts the latest
+	// consecutive events that matched the event P before them without
+	// restaging a prefix. In a skipped run (skipping), runStart is the
+	// index of its first event and runIncs the pair increments its
+	// events carried.
+	ring     [ringSize]uint64
+	last     []uint64
+	period   uint64
+	verified uint64
+	skipping bool
+	runStart uint64
+	runIncs  uint64
+
+	// metrics is the optional observability bundle; mEvents, mPairInc
+	// and mPeriodic are its counters held directly so Branch performs at
+	// most two nil-checked atomic adds per event. All four may be nil.
+	metrics   *obs.ProfileMetrics
+	mEvents   *obs.Counter
+	mPairInc  *obs.Counter
+	mPeriodic *obs.Counter
 
 	branches uint64
 }
+
+// maxPeriod is the longest period the profiler skips; the event ring
+// holds twice as many events.
+const (
+	maxPeriod = 1024
+	ringSize  = 2 * maxPeriod
+	ringMask  = ringSize - 1
+)
 
 // pendingPrefix is one branch's coalesced, not yet emitted prefix,
 // repeated rep times; partners keeps its capacity across re-stagings,
@@ -198,6 +239,7 @@ func NewProfiler(benchmark, inputSet string, opts ...Option) *Profiler {
 	if p.metrics != nil {
 		p.mEvents = p.metrics.Events
 		p.mPairInc = p.metrics.PairIncrements
+		p.mPeriodic = p.metrics.PeriodicEvents
 	}
 	return p
 }
@@ -212,7 +254,7 @@ func (p *Profiler) Reserve(n int) {
 	p.pcs = append(make([]uint64, 0, n), p.pcs...)
 	p.exec = append(make([]uint64, 0, n), p.exec...)
 	p.taken = append(make([]uint64, 0, n), p.taken...)
-	p.in = append(make([]bool, 0, n), p.in...)
+	p.last = append(make([]uint64, 0, n), p.last...)
 	p.pend = append(make([]pendingPrefix, 0, n), p.pend...)
 	p.nbr = append(make([]nbrCounter, 0, n), p.nbr...)
 	live := p.list[p.off:]
@@ -223,8 +265,8 @@ func (p *Profiler) Reserve(n int) {
 
 // Branch consumes one dynamic branch event: first-touch discovery,
 // execution counters, the recency-list interleaving scan (the
-// pair-increment inner loop), and the move-to-front update. It panics
-// on the event past maxEvents.
+// pair-increment inner loop), and the move-to-front update, or inside
+// a skipped run only the counts. It panics on the event past maxEvents.
 //
 //reprolint:hotpath profiler pair-increment scan
 func (p *Profiler) Branch(pc uint64, taken bool, _ uint64) {
@@ -239,48 +281,112 @@ func (p *Profiler) Branch(pc uint64, taken bool, _ uint64) {
 	if taken {
 		p.taken[id]++
 	}
+	t := p.branches
 	p.branches++
 	p.mEvents.Inc()
 
-	if p.in[id] {
-		// Count interleavings: every branch ahead of id in the recency
-		// list ran since id's previous execution, so partners
-		// live[0:emit] are exactly the interleave set (clipped to the
-		// window). A prefix equal to id's pending one only bumps its
-		// repeat count; a different one emits the pending prefix first,
-		// so id's counter still sees its partners in stream order.
-		live := p.list[p.off:]
-		pos := 0
-		for live[pos] != id {
-			pos++
-		}
-		emit := pos
-		if p.window > 0 && p.window < emit {
-			emit = p.window
-		}
-		if emit > 0 {
-			if pd := &p.pend[id]; slices.Equal(pd.partners, live[:emit]) { //reprolint:allow hotpath type-parameter instantiation for []int32, not interface boxing
-				pd.rep++
-			} else {
-				p.emit(id, pd.partners, pd.rep)
-				pd.partners = restage(pd.partners, live[:emit])
-				pd.rep = 1
+	key := uint64(id+1) << 32
+	if p.skipping {
+		// Event t-P ran with the same prefix, and that prefix is id's
+		// pending one: count it and carry the ring forward.
+		if s := p.ring[(t-p.period)&ringMask]; s&^0xffffffff == key {
+			p.ring[t&ringMask] = s
+			p.last[id] = t + 1
+			if e := uint32(s); e > 0 {
+				p.pend[id].rep++
+				p.runIncs += uint64(e)
 			}
-			p.mPairInc.Add(uint64(emit))
+			return
 		}
-		// Move to front: shift the prefix right one slot over id.
-		copy(live[1:pos+1], live[:pos])
-		live[0] = id
+		p.leaveRun(t)
+	}
+
+	if p.last[id] == 0 {
+		// First touch: prepend into the spare room below off.
+		if p.off == 0 {
+			p.growFront()
+		}
+		p.off--
+		p.list[p.off] = id
+		p.ring[t&ringMask] = key
+		p.last[id] = t + 1
+		p.period, p.verified = 0, 0
 		return
 	}
 
-	// First touch: prepend into the spare room below off.
-	p.in[id] = true
-	if p.off == 0 {
-		p.growFront()
+	// Count interleavings: every branch ahead of id in the recency list
+	// ran since id's previous execution, so partners live[0:emit] are
+	// exactly the interleave set (clipped to the window). A prefix equal
+	// to id's pending one only bumps its repeat count; a different one
+	// emits the pending prefix first, so id's counter still sees its
+	// partners in stream order.
+	live := p.list[p.off:]
+	pos := position(live, id)
+	emit := pos
+	if p.window > 0 && p.window < emit {
+		emit = p.window
 	}
-	p.off--
-	p.list[p.off] = id
+	restaged := false
+	if emit > 0 {
+		if pd := &p.pend[id]; slices.Equal(pd.partners, live[:emit]) { //reprolint:allow hotpath type-parameter instantiation for []int32, not interface boxing
+			pd.rep++
+		} else {
+			p.emit(id, pd.partners, pd.rep)
+			pd.partners = restage(pd.partners, live[:emit])
+			pd.rep = 1
+			restaged = true
+		}
+		p.mPairInc.Add(uint64(emit))
+	}
+	// Move to front: shift the prefix right one slot over id.
+	copy(live[1:pos+1], live[:pos])
+	live[0] = id
+
+	// Verify the candidate period; on a mismatch, take the distance
+	// back to id's previous execution as the next candidate.
+	if p.period == 0 || p.ring[(t-p.period)&ringMask]&^0xffffffff != key {
+		p.period, p.verified = 0, 0
+		if d := t + 1 - p.last[id]; d <= maxPeriod {
+			p.period = d
+		}
+	}
+	p.ring[t&ringMask] = key | uint64(emit)
+	p.last[id] = t + 1
+	if restaged {
+		p.verified = 0
+		return
+	}
+	if p.verified++; p.verified == p.period {
+		p.skipping, p.runStart = true, t+1
+	}
+}
+
+// position returns id's index in the live recency list, which holds it.
+func position(live []int32, id int32) int {
+	pos := 0
+	for live[pos] != id {
+		pos++
+	}
+	return pos
+}
+
+// leaveRun ends the skipped run before event t. The run's events are a
+// whole number of periods, which leave the recency list as the run
+// found it, and then n%P more, which are replayed from the ring through
+// move-to-front. The run's event and increment counts are reported in
+// bulk, and the detector starts verifying afresh.
+func (p *Profiler) leaveRun(t uint64) {
+	n := t - p.runStart
+	live := p.list[p.off:]
+	for s := t - n%p.period; s < t; s++ {
+		id := int32(p.ring[s&ringMask]>>32) - 1
+		pos := position(live, id)
+		copy(live[1:pos+1], live[:pos])
+		live[0] = id
+	}
+	p.mPeriodic.Add(n)
+	p.mPairInc.Add(p.runIncs)
+	p.skipping, p.verified, p.runIncs = false, 0, 0
 }
 
 // restage copies prefix over a pending prefix's buffer, reusing its
@@ -303,7 +409,7 @@ func (p *Profiler) newID(pc uint64) int32 {
 	p.pcs = append(p.pcs, pc)                //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.exec = append(p.exec, 0)               //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.taken = append(p.taken, 0)             //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
-	p.in = append(p.in, false)               //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
+	p.last = append(p.last, 0)               //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.pend = append(p.pend, pendingPrefix{}) //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	p.nbr = append(p.nbr, nbrCounter{})      //reprolint:allow hotpath first touch, once per static branch; Reserve pre-sizes
 	return id
@@ -364,6 +470,12 @@ func (p *Profiler) SetInstructions(uint64) {}
 // slot order.
 func (p *Profiler) Profile() *Profile {
 	done := p.metrics.StartMerge()
+	// Clearing the pending prefixes below breaks the property a skipped
+	// run relies on, so end any run and verify afresh afterwards.
+	if p.skipping {
+		p.leaveRun(p.branches)
+	}
+	p.verified = 0
 	// Emit every pending prefix and drop its buffer, which extraction
 	// would otherwise hold alive beside the counters; the counters are
 	// then complete.

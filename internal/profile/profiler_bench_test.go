@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -46,12 +47,15 @@ func syntheticStream(statics, ws, events, dropOneIn int) []uint64 {
 // and reports branch and pair-increment throughput. Mbranches/s moves
 // with the stream's pair density; Mincr/s is the per-increment rate;
 // coalesced is the fraction of increments whose prefix repeated the
-// branch's previous one and so was added as part of a weighted prefix.
+// branch's previous one and so was added as part of a weighted prefix;
+// periodic is the fraction of events skipped as repeats of a verified
+// period.
 // Perturbed rotations (one dropped branch in about one rotation in ten)
 // change more prefixes than exact ones, so more of their increments
 // reach the counters one add each. Churned rotations drop a branch in
 // every rotation, so almost no prefix repeats and the variant measures
-// what coalescing costs a stream without the property.
+// what coalescing and period detection cost a stream without the
+// property.
 func benchProfiler(b *testing.B, window int) {
 	for _, rot := range []struct {
 		name      string
@@ -64,9 +68,13 @@ func benchProfiler(b *testing.B, window int) {
 				opts = append(opts, WithWindow(window))
 			}
 			ref := newRecencyReference(window)
+			m := obs.New(obs.NewRegistry()).Profile()
+			counted := NewProfiler("bench", "ref", append(opts, WithMetrics(m))...)
 			for j, pc := range stream {
 				ref.Branch(pc, false, uint64(j))
+				counted.Branch(pc, false, uint64(j))
 			}
+			counted.Profile()
 
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -80,6 +88,7 @@ func benchProfiler(b *testing.B, window int) {
 			b.ReportMetric(float64(len(stream))*perSec, "Mbranches/s")
 			b.ReportMetric(float64(ref.total)*perSec, "Mincr/s")
 			b.ReportMetric(float64(ref.coalesced)/float64(ref.total), "coalesced")
+			b.ReportMetric(float64(m.PeriodicEvents.Value())/float64(len(stream)), "periodic")
 		})
 	}
 }
