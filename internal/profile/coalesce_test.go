@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -9,13 +10,13 @@ import (
 )
 
 // recencyReference replays a pc stream through a plain move-to-front
-// list and adds every interleave partner to its branch's counter one
-// increment at a time: the per-event, per-increment staging the
-// coalescing profiler must match slot for slot. Ids are assigned in
-// first-touch order, as the Profiler assigns them. It also reports the
-// increments whose window-clipped prefix equals the prefix of the same
-// branch's previous execution that had one — the increments the
-// Profiler coalesces instead of staging.
+// list and adds every interleave increment, one at a time, to the
+// pair's slot in its lower id's counter: the per-event, per-increment
+// staging whose pair counts the coalescing profiler must match. Ids are
+// assigned in first-touch order, as the Profiler assigns them. It also
+// reports the increments whose window-clipped prefix equals the prefix
+// of the same branch's previous execution that had one — the
+// increments the Profiler coalesces instead of staging.
 type recencyReference struct {
 	window    int
 	idOf      map[uint64]int32
@@ -51,7 +52,7 @@ func (r *recencyReference) Branch(pc uint64, _ bool, _ uint64) {
 	if emit > 0 {
 		prefix := r.list[:emit]
 		for _, cur := range prefix {
-			r.counters[id].addN(cur, 1)
+			r.counters[min(id, cur)].addN(max(id, cur), 1)
 		}
 		r.total += uint64(emit)
 		if slices.Equal(r.last[id], prefix) {
@@ -63,47 +64,83 @@ func (r *recencyReference) Branch(pc uint64, _ bool, _ uint64) {
 	r.list[0] = id
 }
 
-// pairList extracts the reference counters the way Profile does, so the
-// Range sequences of the two can be compared.
-func (r *recencyReference) pairList() PairList {
-	p := &Profiler{
-		pcs: make([]uint64, len(r.counters)),
-		nbr: r.counters,
+// storedPairs reads counters into a map by pair key, failing t unless
+// every counter holds only partners above its owner, which is what
+// stores each pair in exactly one slot.
+func storedPairs(t *testing.T, label string, counters []nbrCounter) map[uint64]uint64 {
+	t.Helper()
+	out := make(map[uint64]uint64)
+	for id := range counters {
+		for _, s := range counters[id].slots {
+			if s == 0 {
+				continue
+			}
+			y, c := partner(s)
+			if int(y) <= id {
+				t.Fatalf("%s: counter %d holds partner %d, not above its owner", label, id, y)
+			}
+			out[PairKey(int32(id), y)] = uint64(c)
+		}
 	}
-	return p.extractPairs()
+	return out
 }
 
-// checkSlots compares every branch's raw counter slot array in p (which
-// Profile has drained) against the per-increment reference, and the
-// extracted list's Range sequence against the reference's.
-func checkSlots(t *testing.T, label string, p *Profiler, got PairList, ref *recencyReference) {
+// checkSlots checks p's counters (which Profile has drained) and the
+// pair list got it extracted from them: every counter holds only
+// partners above its owner, the counters' entry counts sum to the
+// list's length, the list is exactly sized and holds each key once in
+// rows of ascending smaller id, every pair's count equals the
+// per-increment reference's and, unless naive is nil, the naive
+// profiler's, and the counts sum to the reference's increment total.
+// Slot order is not compared: coalescing delays emissions into a
+// counter that several branches feed, and no output depends on the
+// order of partners within a row (TestRowOrderInvariance in
+// internal/harness pins that).
+func checkSlots(t *testing.T, label string, p *Profiler, got PairList, ref *recencyReference, naive *NaiveProfiler) {
 	t.Helper()
 	if len(p.pcs) != len(ref.counters) {
 		t.Fatalf("%s: profiler has %d branches, reference %d", label, len(p.pcs), len(ref.counters))
 	}
-	for id := range ref.counters {
-		c, want := &p.nbr[id], &ref.counters[id]
-		if c.n != want.n || len(c.slots) != len(want.slots) {
-			t.Fatalf("%s: branch %d has %d keys in %d slots, per-increment reference %d in %d",
-				label, id, c.n, len(c.slots), want.n, len(want.slots))
-		}
-		for i, s := range c.slots {
-			if s != want.slots[i] {
-				t.Fatalf("%s: branch %d slot %d = %#x, per-increment reference %#x", label, id, i, s, want.slots[i])
-			}
-		}
+	stored := storedPairs(t, label, p.nbr)
+	entries := 0
+	for id := range p.nbr {
+		entries += p.nbr[id].n
 	}
-	if g, w := rangeSeq(got), rangeSeq(ref.pairList()); g != w {
-		t.Fatalf("%s: pair list Range sequence differs from the per-increment reference", label)
+	if entries != got.Len() {
+		t.Fatalf("%s: counters hold %d entries, pair list %d", label, entries, got.Len())
+	}
+	checkPairListShape(t, got)
+	gotMap := pairMap(got)
+	if !maps.Equal(gotMap, stored) {
+		t.Fatalf("%s: pair list differs from the counters it was extracted from", label)
+	}
+	want := storedPairs(t, label+" reference", ref.counters)
+	if !maps.Equal(gotMap, want) {
+		t.Fatalf("%s: %d pairs differ from the per-increment reference's %d:\n%v\nwant:\n%v",
+			label, len(gotMap), len(want), gotMap, want)
+	}
+	var sum uint64
+	for _, c := range gotMap {
+		sum += c
+	}
+	if sum != ref.total {
+		t.Fatalf("%s: pair counts sum to %d, reference counted %d increments", label, sum, ref.total)
+	}
+	if naive == nil {
+		return
+	}
+	if want := pairMap(naive.Profile().Pairs); !maps.Equal(gotMap, want) {
+		t.Fatalf("%s: %d pairs differ from the naive reference's %d", label, len(gotMap), len(want))
 	}
 }
 
 // TestProfilerCoalescingSlotLayout runs scene-rotation streams — exact
 // repeats, a branch dropped in some rotations, scene switches — through
 // the coalescing Profiler with windows that clip and windows that do
-// not, and a mid-stream Profile followed by more events.
-// Every raw counter slot array and the pair list's Range sequence must
-// equal a per-increment reference at both extraction points.
+// not, and a mid-stream Profile followed by more events. At both
+// extraction points checkSlots must find every pair stored once, in
+// its lower id's counter, with the per-increment reference's count and,
+// unclipped, the naive reference's.
 func TestProfilerCoalescingSlotLayout(t *testing.T) {
 	const ws = 24
 	for _, rot := range []struct {
@@ -120,15 +157,22 @@ func TestProfilerCoalescingSlotLayout(t *testing.T) {
 				}
 				p := NewProfiler("rot", "ref", opts...)
 				ref := newRecencyReference(window)
+				var naive *NaiveProfiler
+				if window == 0 {
+					naive = NewNaiveProfiler("rot", "ref")
+				}
 				mid := len(stream) / 2
 				for i, pc := range stream {
 					if i == mid {
-						checkSlots(t, label+" mid-stream", p, p.Profile().Pairs, ref)
+						checkSlots(t, label+" mid-stream", p, p.Profile().Pairs, ref, naive)
 					}
 					p.Branch(pc, false, uint64(i))
 					ref.Branch(pc, false, uint64(i))
+					if naive != nil {
+						naive.Branch(pc, false, uint64(i))
+					}
 				}
-				checkSlots(t, label, p, p.Profile().Pairs, ref)
+				checkSlots(t, label, p, p.Profile().Pairs, ref, naive)
 				if ref.coalesced == 0 || ref.coalesced == ref.total {
 					t.Fatalf("stream coalesces %d of %d increments; want some of each", ref.coalesced, ref.total)
 				}
@@ -162,9 +206,10 @@ func TestProfilerEventLimit(t *testing.T) {
 }
 
 // TestProfilerWeightedAdd checks weighted adds at the top of the 32-bit
-// range: coalesced prefixes whose repeat counts sum to exactly 2^32−1,
-// and a later prefix adding to a stored count, land in the low word of
-// each slot with every partner key intact.
+// range: coalesced prefixes of both endpoints of one pair, whose repeat
+// counts sum to exactly 2^32−1, land in the low word of that pair's one
+// slot in its lower id's counter, and a later prefix adding to a stored
+// count does too, with every partner key intact.
 func TestProfilerWeightedAdd(t *testing.T) {
 	const half = 1 << 31
 	p := NewProfiler("weighted", "ref")
@@ -172,33 +217,36 @@ func TestProfilerWeightedAdd(t *testing.T) {
 		p.newID(pc)
 	}
 	p.emit(0, []int32{1, 2}, half)
-	p.emit(1, []int32{0}, math.MaxUint32)
-	p.emit(0, []int32{1}, half-1)
-	counts := func(c *nbrCounter) map[int32]uint32 {
-		out := make(map[int32]uint32)
-		for _, s := range c.slots {
-			if s != 0 {
-				y, n := partner(s)
-				out[y] = n
+	p.emit(1, []int32{0}, half-1)
+	p.emit(2, []int32{1}, math.MaxUint32)
+	check := func(when string, want []map[int32]uint32) {
+		t.Helper()
+		for id, w := range want {
+			c := &p.nbr[id]
+			got := make(map[int32]uint32)
+			for _, s := range c.slots {
+				if s != 0 {
+					y, n := partner(s)
+					got[y] = n
+				}
+			}
+			if c.n != len(w) || fmt.Sprint(got) != fmt.Sprint(w) {
+				t.Fatalf("%s: branch %d holds %d entries %v, want %v", when, id, c.n, got, w)
 			}
 		}
-		return out
 	}
-	want := []map[int32]uint32{
+	check("both directions", []map[int32]uint32{
 		{1: math.MaxUint32, 2: half},
-		{0: math.MaxUint32},
+		{2: math.MaxUint32},
 		{},
-	}
-	for id, w := range want {
-		if got := counts(&p.nbr[id]); fmt.Sprint(got) != fmt.Sprint(w) {
-			t.Fatalf("branch %d counts %v, want %v", id, got, w)
-		}
-	}
+	})
 
-	p.emit(0, []int32{2}, half-1)
-	if got := counts(&p.nbr[0]); got[1] != math.MaxUint32 || got[2] != math.MaxUint32 || len(got) != 2 {
-		t.Fatalf("branch 0 after a second weighted prefix: %v", got)
-	}
+	p.emit(2, []int32{0}, half-1)
+	check("a second weighted prefix", []map[int32]uint32{
+		{1: math.MaxUint32, 2: math.MaxUint32},
+		{2: math.MaxUint32},
+		{},
+	})
 }
 
 // maxFuzzStream bounds a decoded fuzz stream; a decoder stops taking
@@ -319,10 +367,10 @@ func decodePeriodic(ws int, ops []byte) []uint64 {
 
 // FuzzProfilerCoalescing runs decoded scene-rotation and near-periodic
 // streams through the Profiler, and checks with checkStream that at
-// every checkpoint and at the end every raw counter slot array and the
-// pair list's Range sequence equal the per-increment reference, that
-// the pair counts sum to the pair-increment total, and with window 0
-// that the extracted pairs equal the naive reference pair by pair.
+// every checkpoint and at the end every pair is stored once, in its
+// lower id's counter, with the per-increment reference's count and,
+// with window 0, the naive reference's, and that the pair counts sum
+// to the pair-increment total.
 func FuzzProfilerCoalescing(f *testing.F) {
 	f.Add([]byte{0, 0, 6, 0x07, 0x07, 0x08, 0x0f, 0x03, 0x09, 0x1f, 0x17})
 	f.Add([]byte{1, 3, 10, 0x1f, 0x11, 0x1f, 0x0a, 0x1f, 0x03, 0x10, 0x1f, 0x21, 0x1f})

@@ -1,45 +1,10 @@
 package profile
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
 )
-
-// pairDump renders a pair table or list canonically: sorted by key, one
-// line per pair. Two tables with identical contents dump identically
-// regardless of seed, layout or list order.
-func pairDump(t interface {
-	Range(func(key, count uint64) bool)
-}) string {
-	type kv struct{ k, v uint64 }
-	var pairs []kv
-	t.Range(func(k, v uint64) bool {
-		pairs = append(pairs, kv{k, v})
-		return true
-	})
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	for _, p := range pairs {
-		a, c := UnpackPair(p.k)
-		fmt.Fprintf(&b, "%d-%d:%d\n", a, c, p.v)
-	}
-	return b.String()
-}
-
-// rangeSeq renders a pair list in its own Range order, one line per
-// pair, for comparisons that must also match order.
-func rangeSeq(l PairList) string {
-	var b strings.Builder
-	l.Range(func(k, v uint64) bool {
-		fmt.Fprintf(&b, "%#x:%d\n", k, v)
-		return true
-	})
-	return b.String()
-}
 
 // counterHas reports whether partner key is stored in c.
 func counterHas(c *nbrCounter, key int32) bool {

@@ -89,26 +89,12 @@ func FuzzPairList(f *testing.F) {
 // fuzzPairIDs is the id count FuzzPairList's pairs range over.
 const fuzzPairIDs = 64
 
-// mapExtraction is the reference merge of a profiler's counter halves:
-// every counter entry summed into a map, so a pair stored in both
-// endpoints' counters sums on its second entry.
-func mapExtraction(p *Profiler) map[uint64]uint64 {
-	out := make(map[uint64]uint64)
-	for id := range p.nbr {
-		for _, s := range p.nbr[id].slots {
-			if y, c := partner(s); s != 0 {
-				out[PairKey(int32(id), y)] += uint64(c)
-			}
-		}
-	}
-	return out
-}
-
 // FuzzProfileExtraction decodes the input into a branch stream over at
 // most 64 pcs and a scan window (the first byte is unused, so committed
 // corpus entries decode to the same streams), and checks the extracted
-// pair list against the map-summed counters it came from, then pair by
-// pair against the naive reference (window 0).
+// pair list against the counters it came from, every pair stored once
+// in its lower id's counter, then pair by pair against the naive
+// reference (window 0).
 func FuzzProfileExtraction(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 1, 3, 2, 1, 3})
 	f.Add([]byte{4, 3, 1, 2, 3, 4, 5, 6, 1, 6, 2, 5, 1, 3})
@@ -138,8 +124,8 @@ func FuzzProfileExtraction(f *testing.F) {
 		if len(gotMap) != got.Len() {
 			t.Fatalf("list of %d pairs holds %d distinct keys", got.Len(), len(gotMap))
 		}
-		if want := mapExtraction(p); !maps.Equal(gotMap, want) {
-			t.Fatalf("bucketed extraction differs from the map-summed counters:\n%v\nwant:\n%v", gotMap, want)
+		if want := storedPairs(t, "counters", p.nbr); !maps.Equal(gotMap, want) {
+			t.Fatalf("extraction differs from the counters:\n%v\nwant:\n%v", gotMap, want)
 		}
 		if window != 0 {
 			return

@@ -10,11 +10,11 @@ import (
 // checkStream runs stream through a Profiler with metrics attached, the
 // per-increment recency reference and, for window 0, the naive
 // reference. A zero pc marks a checkpoint: the Profiler extracts a
-// profile mid-stream, and its counters and pair list must equal the
-// reference's there and at the end. At the end the pair counts must
-// also sum to the profiler's pair-increment total, which a skipped run
-// adds to in bulk. checkStream returns the events the profiler counted
-// as periodic.
+// profile mid-stream, and checkSlots checks its counters and pair list
+// against the references there and at the end. At the end the pair
+// counts must also sum to the profiler's pair-increment total, which a
+// skipped run adds to in bulk. checkStream returns the events the
+// profiler counted as periodic.
 func checkStream(t *testing.T, label string, window int, stream []uint64) uint64 {
 	t.Helper()
 	m := obs.New(obs.NewRegistry()).Profile()
@@ -24,38 +24,30 @@ func checkStream(t *testing.T, label string, window int, stream []uint64) uint64
 	}
 	p := NewProfiler("period", "ref", opts...)
 	ref := newRecencyReference(window)
-	naive := NewNaiveProfiler("period", "ref")
+	var naive *NaiveProfiler
+	if window == 0 {
+		naive = NewNaiveProfiler("period", "ref")
+	}
 	for i, pc := range stream {
 		if pc == 0 {
-			checkSlots(t, label+" checkpoint", p, p.Profile().Pairs, ref)
+			checkSlots(t, label+" checkpoint", p, p.Profile().Pairs, ref, naive)
 			continue
 		}
 		p.Branch(pc, false, uint64(i))
 		ref.Branch(pc, false, uint64(i))
-		naive.Branch(pc, false, uint64(i))
+		if naive != nil {
+			naive.Branch(pc, false, uint64(i))
+		}
 	}
 	got := p.Profile().Pairs
-	checkSlots(t, label, p, got, ref)
+	checkSlots(t, label, p, got, ref, naive)
 	var sum uint64
 	got.Range(func(_, v uint64) bool {
 		sum += v
 		return true
 	})
-	if inc := m.PairIncrements.Value(); sum != inc || sum != ref.total {
-		t.Fatalf("%s: pair counts sum to %d, profiler counted %d increments, reference %d", label, sum, inc, ref.total)
-	}
-	if window == 0 {
-		want := naive.Profile().Pairs
-		if want.Len() != got.Len() {
-			t.Fatalf("%s: extracted %d pairs, naive reference %d", label, got.Len(), want.Len())
-		}
-		gotMap := pairMap(got)
-		want.Range(func(k, v uint64) bool {
-			if gotMap[k] != v {
-				t.Fatalf("%s: pair %#x: extracted %d, naive reference %d", label, k, gotMap[k], v)
-			}
-			return true
-		})
+	if inc := m.PairIncrements.Value(); sum != inc {
+		t.Fatalf("%s: pair counts sum to %d, profiler counted %d increments", label, sum, inc)
 	}
 	return m.PeriodicEvents.Value()
 }

@@ -64,12 +64,10 @@ type Profiler struct {
 	list []int32
 	off  int
 
-	// nbr[id] is branch id's neighbor counter: its interleave count with
-	// every partner, added one emitted prefix at a time (see emit).
-	// One unordered pair (a,b) accumulates partly in a's counter and
-	// partly in b's; the halves are summed at extraction. Each emission
-	// touches only its own branch's neighborhood (a few KB,
-	// cache-resident) instead of the global pair population.
+	// nbr[a] is branch a's neighbor counter: its interleave count with
+	// every partner b > a, added one emitted prefix at a time (see
+	// emit). Each unordered pair lives in exactly one slot, in its lower
+	// id's counter, whichever endpoint's execution counts it.
 	nbr []nbrCounter
 
 	// pend[id] coalesces branch id's repeated interleave prefixes: the
@@ -126,10 +124,11 @@ type pendingPrefix struct {
 
 // maxEvents is the most events a Profiler accepts. A counter holds a
 // pair's count in the low 32 bits of its slot, and an addition past
-// 2^32−1 would carry into the partner key. Branch A's counter counts
-// partner B at most once per execution of A, so no count exceeds the
-// event count, and a weighted add (a coalesced prefix times its
-// repeats) is bounded the same way.
+// 2^32−1 would carry into the partner key. Pair (a, b) is counted at
+// most once per execution of a and once per execution of b, so its
+// count is at most exec(a) + exec(b), which is at most the event
+// count; a weighted add (a coalesced prefix times its repeats) counts
+// executions already taken, so it is bounded the same way.
 const maxEvents = 1<<32 - 1
 
 // nbrCounter is a small open-addressed counter from partner id to
@@ -391,8 +390,9 @@ func (p *Profiler) leaveRun(t uint64) {
 
 // restage copies prefix over a pending prefix's buffer, reusing its
 // capacity and otherwise allocating exactly. A stored prefix holds
-// distinct partners its branch's counter also holds, so the buffers
-// together stay within the counters' entry count.
+// distinct partners whose pairs the counters hold once it is emitted,
+// and a pair is pending in at most its two endpoints' prefixes, so the
+// buffers together stay within twice the counters' entry count.
 func restage(buf, prefix []int32) []int32 {
 	if cap(buf) < len(prefix) {
 		buf = make([]int32, len(prefix)) //reprolint:allow hotpath exact-size buffer, when a branch's prefix outgrows its buffer or after Profile dropped it
@@ -415,14 +415,15 @@ func (p *Profiler) newID(pc uint64) int32 {
 	return id
 }
 
-// emit adds branch id's partner prefix, rep times over, to id's counter.
-// A prefix holds distinct partners in stream order, and a counter grows
-// only when it inserts a new key, so its slot layout is the one a
-// per-increment loop over the uncoalesced stream would build.
+// emit adds branch id's partner prefix, rep times over, to each pair's
+// slot in its lower id's counter. Coalescing delays emissions, so a
+// counter fed by several branches may insert its keys in another order
+// than the uncoalesced stream would; the pair counts are the same (see
+// Profile).
 func (p *Profiler) emit(id int32, partners []int32, rep uint32) {
-	c := &p.nbr[id]
 	for _, cur := range partners {
-		c.addN(cur, rep)
+		lo, hi := min(id, cur), max(id, cur)
+		p.nbr[lo].addN(hi, rep)
 	}
 }
 
@@ -463,11 +464,11 @@ func (p *Profiler) SetInstructions(uint64) {}
 // Profile extracts the accumulated profile. The Profiler remains usable;
 // further events continue accumulating on top.
 //
-// Every branch id's counter inserts new keys in the order a
-// per-increment loop would, so the counters do not depend on how
-// prefixes were coalesced, and neither does the pair list, which
-// extraction reads from them in fixed id orders and each counter in
-// slot order.
+// Every pair's count is exact whatever the coalescing, and the list's
+// rows run in ascending smaller id. Partners within a row follow their
+// counter's slot order, which coalescing may change; every reader of a
+// profile lays its rows out by id or sums them, so no output depends on
+// that order (TestRowOrderInvariance in internal/harness pins it).
 func (p *Profiler) Profile() *Profile {
 	done := p.metrics.StartMerge()
 	// Clearing the pending prefixes below breaks the property a skipped
@@ -495,91 +496,23 @@ func (p *Profiler) Profile() *Profile {
 	return out
 }
 
-// extractPairs merges each unordered pair's two counter halves into a
-// flat list without hashing. Pair (a, b), a < b, may sit in a's counter
-// as an upper entry (partner above its owner) and in b's as a lower
-// entry; the list holds it once, in row a, with the halves summed.
-//
-//  1. Count each row's lower entries: counter x's entry (y, c) with
-//     y < x belongs to row y.
-//  2. Walk the counters in descending id order. Row x's bucket is
-//     complete when counter x is reached (every higher counter has been
-//     placed), so marking x's upper partners and counting the bucket
-//     entries they miss yields the row's exact distinct-pair count;
-//     then x's own lower entries are placed into their rows' buckets
-//     (a counting sort, as graph.FromPairs does), filled from the end
-//     so each bucket ends in ascending partner order.
-//  3. Walk the counters in ascending id order, appending row a's upper
-//     entries in slot order and then its bucket, adding a bucket entry
-//     to the upper entry already appended for the same partner.
-//
-// The list is allocated once at its exact length, and each counter is
-// read front to back: none is probed for another's key.
+// extractPairs lists every stored pair in one walk: counter a holds
+// each pair (a, b), a < b, once, so row a is counter a's occupied
+// slots in slot order. The list is allocated once at its exact length.
 func (p *Profiler) extractPairs() PairList {
-	n := len(p.pcs)
-	start := make([]int, n+1)
-	for x := range n {
-		for _, s := range p.nbr[x].slots {
-			if y, _ := partner(s); s != 0 && int(y) < x {
-				start[y+1]++
-			}
-		}
+	total := 0
+	for a := range p.nbr {
+		total += p.nbr[a].n
 	}
-	for y := range n {
-		start[y+1] += start[y]
-	}
-
-	// Buckets hold (x+1)<<32 | count, the counter slot encoding with the
-	// owner x in place of the partner.
-	lower := make([]uint64, start[n])
-	at := make([]int, n)
-	copy(at, start[1:])
-	mark := make([]int, n) // per partner: index+1 of the row that last marked it
-	distinct := 0
-	for x := n - 1; x >= 0; x-- {
-		slots := p.nbr[x].slots
-		for _, s := range slots {
-			if y, _ := partner(s); s != 0 && int(y) > x {
-				mark[y] = x + 1
-				distinct++
-			}
-		}
-		for _, e := range lower[start[x]:start[x+1]] {
-			if y, _ := partner(e); mark[y] != x+1 {
-				distinct++
-			}
-		}
-		for _, s := range slots {
-			if y, c := partner(s); s != 0 && int(y) < x {
-				at[y]--
-				lower[at[y]] = uint64(x+1)<<32 | uint64(c)
-			}
-		}
-	}
-
-	keys := make([]uint64, 0, distinct)
-	counts := make([]uint64, 0, distinct)
-	where := mark // per partner: its index in the list, valid when >= the row's first index
-	for i := range where {
-		where[i] = -1
-	}
-	for a := range n {
-		row := len(keys)
+	keys := make([]uint64, 0, total)
+	counts := make([]uint64, 0, total)
+	for a := range p.nbr {
 		for _, s := range p.nbr[a].slots {
-			if y, c := partner(s); s != 0 && int(y) > a {
-				where[y] = len(keys)
+			if s != 0 {
+				y, c := partner(s)
 				keys = append(keys, PairKey(int32(a), y))
 				counts = append(counts, uint64(c))
 			}
-		}
-		for _, e := range lower[start[a]:start[a+1]] {
-			y, c := partner(e)
-			if i := where[y]; i >= row {
-				counts[i] += uint64(c)
-				continue
-			}
-			keys = append(keys, PairKey(int32(a), y))
-			counts = append(counts, uint64(c))
 		}
 	}
 	return PairList{keys: keys, counts: counts}

@@ -100,11 +100,12 @@ func BenchmarkProfilerUnbounded(b *testing.B) { benchProfiler(b, 0) }
 // configuration.
 func BenchmarkProfilerWindowed(b *testing.B) { benchProfiler(b, 400) }
 
-// BenchmarkProfileExtraction measures Profile() — the merge of the
-// per-branch counter halves into the flat pair list — and reports
-// extracted pairs per second. With 2000 statics every counter stays
-// cache-resident; gcc's 15,970 statics spread the counters, buckets and
-// list over far more memory, as the harness's largest benchmark does.
+// BenchmarkProfileExtraction measures Profile() — one walk over the
+// per-branch counters, each holding its pairs with higher partners,
+// into the flat pair list — and reports extracted pairs per second.
+// With 2000 statics every counter stays cache-resident; gcc's 15,970
+// statics spread the counters and list over far more memory, as the
+// harness's largest benchmark does.
 func BenchmarkProfileExtraction(b *testing.B) {
 	for _, statics := range []int{2000, 15970} {
 		b.Run(fmt.Sprintf("statics=%d", statics), func(b *testing.B) {
